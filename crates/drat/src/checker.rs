@@ -3,13 +3,45 @@
 //! Every clause a CDCL solver learns is a *reverse unit propagation* (RUP)
 //! consequence: asserting the negation of all its literals and running unit
 //! propagation over the current database yields a conflict. The checker
-//! verifies each addition that way, maintains the database across
-//! deletions, and accepts iff the empty clause is derived.
+//! works forward through the proof: it verifies every addition that way,
+//! maintains the database across deletions, and accepts iff the empty
+//! clause is derived.
 //!
-//! Deletion semantics follow the operational DRAT convention (as in
-//! `drat-trim`): units already on the persistent trail stay valid even if
-//! a clause that justified them is later deleted.
+//! # Data structures
+//!
+//! - **One flat arena.** The literals of every clause ever added sit back
+//!   to back in a single `Vec<Lit>`, deduplicated; a clause is a start
+//!   offset and a length into it. Deleted clauses keep their slots.
+//! - **Watchers with a blocker.** Each watch-list entry names its clause
+//!   and carries a *blocker*, another literal of the clause: while the
+//!   blocker is true the clause is satisfied and the arena is not read.
+//!   A binary clause's blocker is its other literal and its watcher is
+//!   flagged binary, so it propagates straight from the watcher. Lists are
+//!   compacted in order as they are scanned; watchers of deleted clauses
+//!   are dropped when next visited.
+//! - **Values by literal code.** Assignments are stored per literal, so
+//!   reading a literal's value needs no sign test.
+//! - **A hashed deletion index.** A 64-bit hash of a clause's sorted,
+//!   deduplicated literal set maps to a chain of the live clauses with that
+//!   hash, oldest first. Every candidate is verified against the arena, so
+//!   a hash collision can never delete the wrong clause.
+//!
+//! # Deletion semantics
+//!
+//! A deletion names a literal set: literal order and repeated literals do
+//! not matter. It removes the *oldest* live clause with that set, so a
+//! formula holding a clause twice needs two deletions to lose it. A
+//! deletion that matches no live clause is counted in
+//! [`CheckReport::deletions_ignored`] and changes nothing.
+//!
+//! Deletions follow the operational DRAT convention (as in `drat-trim`):
+//! the persistent trail is never rolled back, so literals already implied
+//! stay valid even if a clause that justified them is deleted. In
+//! particular unit deletions are ignored by propagation: a matched unit
+//! clause is counted as applied and leaves the database, but its literal
+//! stays assigned.
 
+use std::collections::hash_map::{Entry, HashMap};
 use std::fmt;
 
 use berkmin_cnf::{Cnf, LBool, Lit};
@@ -117,46 +149,102 @@ pub fn check_refutation(cnf: &Cnf, proof: &DratProof) -> Result<CheckReport, Che
     }
 }
 
-/// A minimal two-watched-literal propagation engine for proof checking.
+/// Ends a chain of clauses in the deletion index.
+const NO_CLAUSE: u32 = u32::MAX;
+
+/// Where a clause's literals sit in the arena.
+#[derive(Clone, Copy)]
+struct ClauseSpan {
+    start: usize,
+    len: u32,
+    /// The next live clause with the same literal-set hash, in insertion
+    /// order ([`NO_CLAUSE`] ends the chain).
+    next_same: u32,
+}
+
+/// A watch-list entry.
+#[derive(Clone, Copy)]
+struct Watcher {
+    /// A literal of the clause; while it is true the clause is satisfied.
+    blocker: Lit,
+    /// Clause index shifted left by one; the low bit marks a binary clause.
+    tagged: u32,
+}
+
+impl Watcher {
+    fn new(cref: u32, blocker: Lit, binary: bool) -> Self {
+        Watcher {
+            blocker,
+            tagged: cref << 1 | u32::from(binary),
+        }
+    }
+
+    fn cref(self) -> usize {
+        (self.tagged >> 1) as usize
+    }
+
+    fn is_binary(self) -> bool {
+        self.tagged & 1 == 1
+    }
+}
+
+/// Hashes a sorted, deduplicated literal set.
+fn set_hash(set: &[Lit]) -> u64 {
+    let mut h = set.len() as u64;
+    for l in set {
+        h = (h.rotate_left(5) ^ l.code() as u64).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+    h
+}
+
+/// Watch preference: true literals first, then unassigned, then false.
+fn watch_rank(v: LBool) -> u8 {
+    match v {
+        LBool::True => 0,
+        LBool::Undef => 1,
+        LBool::False => 2,
+    }
+}
+
+/// A two-watched-literal propagation engine for proof checking.
 struct Propagator {
-    /// All clauses ever added; deleted ones are tombstoned.
-    clauses: Vec<Vec<Lit>>,
+    /// The literals of every clause ever added, back to back. The first
+    /// two slots of a clause with two or more literals are its watches.
+    arena: Vec<Lit>,
+    clauses: Vec<ClauseSpan>,
     alive: Vec<bool>,
-    /// Sorted copies for deletion matching.
-    sorted: Vec<Vec<Lit>>,
-    /// watches[lit.code()] = clause indices where ¬lit is watched.
-    watches: Vec<Vec<usize>>,
-    assigns: Vec<LBool>,
+    /// Literal-set hash → the oldest live clause with that hash.
+    index: HashMap<u64, u32>,
+    /// watches[lit.code()] = watchers of the clauses where ¬lit is watched.
+    watches: Vec<Vec<Watcher>>,
+    /// vals[lit.code()] = the value of `lit`.
+    vals: Vec<LBool>,
     trail: Vec<Lit>,
     qhead: usize,
-    /// Length of the persistent (non-assumption) trail prefix.
-    persistent_len: usize,
     /// Set once the database is contradictory by unit propagation.
     contradiction: bool,
+    /// Scratch buffer for a sorted, deduplicated literal set.
+    key: Vec<Lit>,
 }
 
 impl Propagator {
     fn new(nvars: usize) -> Self {
         Propagator {
+            arena: Vec::new(),
             clauses: Vec::new(),
             alive: Vec::new(),
-            sorted: Vec::new(),
+            index: HashMap::new(),
             watches: vec![Vec::new(); 2 * nvars],
-            assigns: vec![LBool::Undef; nvars],
+            vals: vec![LBool::Undef; 2 * nvars],
             trail: Vec::new(),
             qhead: 0,
-            persistent_len: 0,
             contradiction: false,
+            key: Vec::new(),
         }
     }
 
     fn value(&self, l: Lit) -> LBool {
-        let v = self.assigns[l.var().index()];
-        if l.is_negative() {
-            !v
-        } else {
-            v
-        }
+        self.vals[l.code()]
     }
 
     fn enqueue(&mut self, l: Lit) -> bool {
@@ -164,131 +252,208 @@ impl Propagator {
             LBool::True => true,
             LBool::False => false,
             LBool::Undef => {
-                self.assigns[l.var().index()] = LBool::from(l.is_positive());
+                self.vals[l.code()] = LBool::True;
+                self.vals[(!l).code()] = LBool::False;
                 self.trail.push(l);
                 true
             }
         }
     }
 
+    /// Fills `key` with the sorted, deduplicated literals of `lits`.
+    fn load_key(&mut self, lits: &[Lit]) {
+        self.key.clear();
+        self.key.extend_from_slice(lits);
+        self.key.sort_unstable();
+        self.key.dedup();
+    }
+
     fn add_clause(&mut self, lits: &[Lit]) {
-        let mut sorted = lits.to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
         // Watch selection below must see each literal once: a duplicated
         // literal (legal in DIMACS, and produced by some generators) would
         // otherwise occupy both watch slots, leaving the rest of the clause
         // unwatched and propagation incomplete.
-        match sorted.len() {
+        self.load_key(lits);
+        match self.key.len() {
             0 => {
                 self.contradiction = true;
                 return;
             }
             1 => {
-                if !self.enqueue(sorted[0]) {
+                if !self.enqueue(self.key[0]) {
                     self.contradiction = true;
                 }
                 // Units live on the trail; no watch entry needed, but we
                 // still register the clause so deletions can match it.
-                self.clauses.push(sorted.clone());
-                self.alive.push(true);
-                self.sorted.push(sorted);
+                self.register();
                 return;
             }
             _ => {}
         }
-        let idx = self.clauses.len();
-        // Prefer unassigned or true literals as watches so the invariant
+        let cref = self.register();
+        let span = self.clauses[cref as usize];
+        let c = &mut self.arena[span.start..][..span.len as usize];
+        // Prefer true, then unassigned literals as watches so the invariant
         // holds under the current persistent trail.
-        let mut ls = sorted.clone();
-        ls.sort_by_key(|&l| match self.value(l) {
-            LBool::True => 0,
-            LBool::Undef => 1,
-            LBool::False => 2,
-        });
-        self.watches[(!ls[0]).code()].push(idx);
-        self.watches[(!ls[1]).code()].push(idx);
+        for slot in 0..2 {
+            let best = (slot..c.len())
+                .min_by_key(|&k| watch_rank(self.vals[c[k].code()]))
+                .expect("a clause has at least two literals here");
+            c.swap(slot, best);
+        }
+        let (w0, w1) = (c[0], c[1]);
+        let binary = c.len() == 2;
+        self.watches[(!w0).code()].push(Watcher::new(cref, w1, binary));
+        self.watches[(!w1).code()].push(Watcher::new(cref, w0, binary));
         // If both best watches are false, the clause is conflicting or unit
-        // under the trail; let propagation discover it by re-enqueueing the
-        // watch trigger.
-        if self.value(ls[1]) == LBool::False {
-            match self.value(ls[0]) {
+        // under the trail.
+        if self.value(w1) == LBool::False {
+            match self.value(w0) {
                 LBool::False => self.contradiction = true,
                 LBool::Undef => {
-                    if !self.enqueue(ls[0]) {
+                    if !self.enqueue(w0) {
                         self.contradiction = true;
                     }
                 }
                 LBool::True => {}
             }
         }
-        self.clauses.push(ls);
-        self.alive.push(true);
-        self.sorted.push(sorted);
     }
 
-    /// Removes the clause whose sorted literals equal `lits`; returns
-    /// whether a clause was found.
+    /// Appends the literal set in `key` to the arena and the deletion
+    /// index; returns the new clause's index.
+    fn register(&mut self) -> u32 {
+        let cref = u32::try_from(self.clauses.len())
+            .ok()
+            .filter(|&c| c < NO_CLAUSE >> 1)
+            .expect("the checker holds fewer than 2^31 clauses");
+        self.clauses.push(ClauseSpan {
+            start: self.arena.len(),
+            len: u32::try_from(self.key.len()).expect("a clause has fewer than 2^32 literals"),
+            next_same: NO_CLAUSE,
+        });
+        self.alive.push(true);
+        self.arena.extend_from_slice(&self.key);
+        match self.index.entry(set_hash(&self.key)) {
+            Entry::Vacant(e) => {
+                e.insert(cref);
+            }
+            Entry::Occupied(e) => {
+                let mut tail = *e.get() as usize;
+                while self.clauses[tail].next_same != NO_CLAUSE {
+                    tail = self.clauses[tail].next_same as usize;
+                }
+                self.clauses[tail].next_same = cref;
+            }
+        }
+        cref
+    }
+
+    /// Removes the oldest live clause whose literal set equals that of
+    /// `lits`; returns whether a clause was found.
     fn delete_clause(&mut self, lits: &[Lit]) -> bool {
-        let mut key = lits.to_vec();
-        key.sort_unstable();
-        key.dedup();
-        for i in 0..self.clauses.len() {
-            if self.alive[i] && self.sorted[i] == key {
-                self.alive[i] = false;
-                // Watches are purged lazily during propagation.
+        self.load_key(lits);
+        let hash = set_hash(&self.key);
+        let Some(&head) = self.index.get(&hash) else {
+            return false;
+        };
+        let mut prev = NO_CLAUSE;
+        let mut cur = head;
+        while cur != NO_CLAUSE {
+            let span = self.clauses[cur as usize];
+            let stored = &self.arena[span.start..][..span.len as usize];
+            // Both sides are deduplicated, so equal length plus inclusion
+            // is set equality.
+            if stored.len() == self.key.len()
+                && stored.iter().all(|l| self.key.binary_search(l).is_ok())
+            {
+                if prev != NO_CLAUSE {
+                    self.clauses[prev as usize].next_same = span.next_same;
+                } else if span.next_same != NO_CLAUSE {
+                    self.index.insert(hash, span.next_same);
+                } else {
+                    self.index.remove(&hash);
+                }
+                self.alive[cur as usize] = false;
                 return true;
             }
+            prev = cur;
+            cur = span.next_same;
         }
         false
     }
 
-    /// Unit propagation; returns `true` on conflict. Watches of dead
-    /// clauses are purged on the fly.
+    /// Unit propagation; returns `true` on conflict.
     fn propagate(&mut self) -> bool {
         while self.qhead < self.trail.len() {
             let p = self.trail[self.qhead];
             self.qhead += 1;
+            let false_lit = !p;
             let mut ws = std::mem::take(&mut self.watches[p.code()]);
-            let mut i = 0;
-            'watchers: while i < ws.len() {
-                let ci = ws[i];
-                if !self.alive[ci] {
-                    ws.swap_remove(i);
-                    continue;
-                }
-                let false_lit = !p;
-                if self.clauses[ci][0] == false_lit {
-                    self.clauses[ci].swap(0, 1);
-                }
-                if self.clauses[ci][1] != false_lit {
-                    // Stale watch (clause was re-sorted on re-add); drop it.
-                    ws.swap_remove(i);
-                    continue;
-                }
-                let first = self.clauses[ci][0];
-                if self.value(first) == LBool::True {
-                    i += 1;
-                    continue;
-                }
-                for k in 2..self.clauses[ci].len() {
-                    if self.value(self.clauses[ci][k]) != LBool::False {
-                        self.clauses[ci].swap(1, k);
-                        let nw = self.clauses[ci][1];
-                        self.watches[(!nw).code()].push(ci);
-                        ws.swap_remove(i);
-                        continue 'watchers;
-                    }
-                }
+            let (mut i, mut j) = (0, 0);
+            let mut conflict = false;
+            while i < ws.len() {
+                let w = ws[i];
                 i += 1;
-                if self.value(first) == LBool::False {
-                    self.watches[p.code()] = ws;
-                    self.qhead = self.trail.len();
-                    return true;
+                if self.vals[w.blocker.code()] == LBool::True {
+                    ws[j] = w;
+                    j += 1;
+                    continue;
                 }
-                self.enqueue(first);
+                let cref = w.cref();
+                if !self.alive[cref] {
+                    continue; // deleted clause: drop its watcher
+                }
+                if w.is_binary() {
+                    ws[j] = w;
+                    j += 1;
+                    if !self.enqueue(w.blocker) {
+                        conflict = true;
+                        break;
+                    }
+                    continue;
+                }
+                let span = self.clauses[cref];
+                let c = &mut self.arena[span.start..][..span.len as usize];
+                if c[0] == false_lit {
+                    c.swap(0, 1);
+                }
+                debug_assert_eq!(
+                    c[1], false_lit,
+                    "a clause is watched in its first two slots"
+                );
+                let first = c[0];
+                let w = Watcher {
+                    blocker: first,
+                    ..w
+                };
+                if self.vals[first.code()] == LBool::True {
+                    ws[j] = w;
+                    j += 1;
+                    continue;
+                }
+                if let Some(k) = (2..c.len()).find(|&k| self.vals[c[k].code()] != LBool::False) {
+                    c.swap(1, k);
+                    self.watches[(!c[1]).code()].push(w);
+                    continue;
+                }
+                ws[j] = w;
+                j += 1;
+                if !self.enqueue(first) {
+                    conflict = true;
+                    break;
+                }
             }
+            if conflict {
+                ws.copy_within(i.., j);
+                j += ws.len() - i;
+            }
+            ws.truncate(j);
             self.watches[p.code()] = ws;
+            if conflict {
+                self.qhead = self.trail.len();
+                return true;
+            }
         }
         false
     }
@@ -298,7 +463,6 @@ impl Propagator {
         if self.propagate() {
             self.contradiction = true;
         }
-        self.persistent_len = self.trail.len();
     }
 
     /// RUP check: assume the negation of every literal of `lits`,
@@ -320,8 +484,9 @@ impl Propagator {
             conflict = self.propagate();
         }
         // Roll back the assumptions.
-        for i in (saved..self.trail.len()).rev() {
-            self.assigns[self.trail[i].var().index()] = LBool::Undef;
+        for &l in &self.trail[saved..] {
+            self.vals[l.code()] = LBool::Undef;
+            self.vals[(!l).code()] = LBool::Undef;
         }
         self.trail.truncate(saved);
         self.qhead = saved_qhead.min(saved);
@@ -421,6 +586,69 @@ mod tests {
         bad.add_clause(&[lit(1)]);
         let err = check_refutation(&f, &bad).unwrap_err();
         assert!(matches!(err, CheckError::NotRup { step: 1, .. }));
+    }
+
+    #[test]
+    fn deletion_removes_one_copy_at_a_time() {
+        // (a∨b) twice, plus (a∨¬b): "a" is RUP while one copy of (a∨b)
+        // is live, and stops being RUP once both copies are deleted.
+        let f = cnf(&[&[1, 2], &[1, 2], &[1, -2]]);
+        let mut once = DratProof::new();
+        once.delete_clause(&[lit(1), lit(2)]);
+        once.add_clause(&[lit(1)]);
+        let err = check_refutation(&f, &once).unwrap_err();
+        assert_eq!(err, CheckError::NoEmptyClause, "step 1 must verify");
+
+        let mut twice = DratProof::new();
+        twice.delete_clause(&[lit(1), lit(2)]);
+        twice.delete_clause(&[lit(1), lit(2)]);
+        twice.add_clause(&[lit(1)]);
+        let err = check_refutation(&f, &twice).unwrap_err();
+        assert!(matches!(err, CheckError::NotRup { step: 2, .. }), "{err:?}");
+    }
+
+    #[test]
+    fn deletion_matches_the_literal_set() {
+        // A deletion written in another literal order, or with a repeated
+        // literal, still names the stored clause (a∨b).
+        let f = cnf(&[&[1, 2], &[1, -2]]);
+        for written in [&[2, 1][..], &[1, 2, 1], &[2, 2, 1, 1]] {
+            let mut p = DratProof::new();
+            p.delete_clause(&written.iter().map(|&n| lit(n)).collect::<Vec<_>>());
+            p.add_clause(&[lit(1)]);
+            let err = check_refutation(&f, &p).unwrap_err();
+            assert!(
+                matches!(err, CheckError::NotRup { step: 1, .. }),
+                "deleting {written:?}: {err:?}"
+            );
+        }
+        // A clause stored with a repeated literal is matched by its set too.
+        let f = cnf(&[&[1, 1, 2], &[1, -2]]);
+        let mut p = DratProof::new();
+        p.delete_clause(&[lit(2), lit(1)]);
+        p.delete_clause(&[lit(2), lit(1)]); // no copy left: ignored
+        let err = check_refutation(&f, &p).unwrap_err();
+        assert_eq!(err, CheckError::NoEmptyClause);
+        let mut q = p.clone();
+        q.add_clause(&[lit(1)]);
+        assert!(matches!(
+            check_refutation(&f, &q).unwrap_err(),
+            CheckError::NotRup { step: 2, .. }
+        ));
+    }
+
+    #[test]
+    fn deletion_counts_copies_and_misses() {
+        let f = cnf(&[&[1, 2], &[2, 1], &[1, 3], &[1, -3], &[-1, 4], &[-1, -4]]);
+        let mut p = DratProof::new();
+        p.delete_clause(&[lit(2), lit(1)]); // first copy
+        p.delete_clause(&[lit(1), lit(2), lit(2)]); // second copy
+        p.delete_clause(&[lit(1), lit(2)]); // no copy left: ignored
+        p.add_clause(&[lit(1)]);
+        p.add_clause(&[]);
+        let report = check_refutation(&f, &p).unwrap();
+        assert_eq!((report.deletions_applied, report.deletions_ignored), (2, 1));
+        assert_eq!(report.additions_checked + report.steps_after_empty, 2);
     }
 
     #[test]

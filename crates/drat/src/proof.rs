@@ -14,6 +14,46 @@ pub enum Step {
     Delete(Vec<Lit>),
 }
 
+impl Step {
+    /// Appends the step's textual DRAT line to `out`.
+    fn render(&self, out: &mut Vec<u8>) {
+        match self {
+            Step::Add(lits) => render_line(out, false, lits),
+            Step::Delete(lits) => render_line(out, true, lits),
+        }
+    }
+}
+
+/// Appends one textual DRAT line to `out`: a `d ` prefix for a deletion,
+/// the DIMACS literals each followed by a space, and the `0` terminator.
+/// Digits are written straight into `out`; nothing is allocated per
+/// literal.
+fn render_line(out: &mut Vec<u8>, deletion: bool, lits: &[Lit]) {
+    if deletion {
+        out.extend_from_slice(b"d ");
+    }
+    for l in lits {
+        let n = l.to_dimacs();
+        if n < 0 {
+            out.push(b'-');
+        }
+        let mut digits = [0u8; 10];
+        let mut at = digits.len();
+        let mut v = n.unsigned_abs();
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (v % 10) as u8;
+            v /= 10;
+            if v == 0 {
+                break;
+            }
+        }
+        out.extend_from_slice(&digits[at..]);
+        out.push(b' ');
+    }
+    out.extend_from_slice(b"0\n");
+}
+
 /// An in-memory DRAT proof: the stream of clause additions and deletions a
 /// solver emitted, in order.
 ///
@@ -97,30 +137,30 @@ impl DratProof {
     /// Renders the proof in the standard textual DRAT format
     /// (`d` prefix for deletions, DIMACS literals, `0` terminators).
     pub fn to_text(&self) -> String {
-        let mut out = String::new();
+        let mut out = Vec::new();
         for step in &self.steps {
-            let (prefix, lits) = match step {
-                Step::Add(l) => ("", l),
-                Step::Delete(l) => ("d ", l),
-            };
-            out.push_str(prefix);
-            for l in lits {
-                out.push_str(&l.to_dimacs().to_string());
-                out.push(' ');
-            }
-            out.push_str("0\n");
+            step.render(&mut out);
         }
-        out
+        String::from_utf8(out).expect("rendered DRAT text is ASCII")
     }
 
     /// Writes the textual DRAT format to `writer` (a `&mut` reference works
-    /// too).
+    /// too), streaming it in chunks rather than building the whole text.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors from the writer.
     pub fn write_text<W: Write>(&self, mut writer: W) -> io::Result<()> {
-        writer.write_all(self.to_text().as_bytes())
+        const CHUNK: usize = 1 << 16;
+        let mut buf = Vec::with_capacity(CHUNK);
+        for step in &self.steps {
+            step.render(&mut buf);
+            if buf.len() >= CHUNK {
+                writer.write_all(&buf)?;
+                buf.clear();
+            }
+        }
+        writer.write_all(&buf)
     }
 
     /// Parses the textual DRAT format.
@@ -210,6 +250,8 @@ pub struct TextDratWriter<W: Write> {
     writer: W,
     /// First I/O error encountered, if any (sinks cannot fail mid-solve).
     error: Option<io::Error>,
+    /// The line being rendered, reused across steps.
+    line: Vec<u8>,
 }
 
 impl<W: Write> TextDratWriter<W> {
@@ -218,6 +260,7 @@ impl<W: Write> TextDratWriter<W> {
         TextDratWriter {
             writer,
             error: None,
+            line: Vec::new(),
         }
     }
 
@@ -230,18 +273,13 @@ impl<W: Write> TextDratWriter<W> {
         }
     }
 
-    fn emit(&mut self, prefix: &str, lits: &[Lit]) {
+    fn emit(&mut self, deletion: bool, lits: &[Lit]) {
         if self.error.is_some() {
             return;
         }
-        let mut line = String::with_capacity(prefix.len() + lits.len() * 4 + 2);
-        line.push_str(prefix);
-        for l in lits {
-            line.push_str(&l.to_dimacs().to_string());
-            line.push(' ');
-        }
-        line.push_str("0\n");
-        if let Err(e) = self.writer.write_all(line.as_bytes()) {
+        self.line.clear();
+        render_line(&mut self.line, deletion, lits);
+        if let Err(e) = self.writer.write_all(&self.line) {
             self.error = Some(e);
         }
     }
@@ -249,11 +287,11 @@ impl<W: Write> TextDratWriter<W> {
 
 impl<W: Write> ProofSink for TextDratWriter<W> {
     fn add_clause(&mut self, lits: &[Lit]) {
-        self.emit("", lits);
+        self.emit(false, lits);
     }
 
     fn delete_clause(&mut self, lits: &[Lit]) {
-        self.emit("d ", lits);
+        self.emit(true, lits);
     }
 }
 
@@ -274,6 +312,27 @@ mod tests {
         let text = p.to_text();
         assert_eq!(text, "1 -2 0\nd 3 0\n0\n");
         assert_eq!(DratProof::parse(&text).unwrap(), p);
+    }
+
+    #[test]
+    fn renders_multi_digit_literals() {
+        let mut p = DratProof::new();
+        p.add_clause(&[lit(10), lit(-100), lit(i32::MAX), lit(-9)]);
+        p.delete_clause(&[lit(-1_000_000), lit(7)]);
+        assert_eq!(p.to_text(), "10 -100 2147483647 -9 0\nd -1000000 7 0\n");
+    }
+
+    #[test]
+    fn write_text_streams_the_in_memory_text() {
+        // Enough steps to cross several internal chunk boundaries.
+        let mut p = DratProof::new();
+        for n in 1..20_000 {
+            p.add_clause(&[lit(n), lit(-(n + 1))]);
+            p.delete_clause(&[lit(n)]);
+        }
+        let mut buf = Vec::new();
+        p.write_text(&mut buf).unwrap();
+        assert_eq!(String::from_utf8(buf).unwrap(), p.to_text());
     }
 
     #[test]

@@ -899,7 +899,7 @@ fn main() -> ExitCode {
             println!("s UNSATISFIABLE");
             let proof = proof.borrow();
             if let Some(path) = &opts.proof_path {
-                if let Err(e) = fs::write(path, proof.to_text()) {
+                if let Err(e) = fs::File::create(path).and_then(|f| proof.write_text(f)) {
                     eprintln!("cannot write proof to {path}: {e}");
                     return ExitCode::from(3);
                 }
@@ -909,12 +909,17 @@ fn main() -> ExitCode {
             }
             if opts.check_proof {
                 let cnf = mirror.as_ref().expect("mirror kept for --check-proof");
+                let start = std::time::Instant::now();
                 match check_refutation(cnf, &proof) {
                     Ok(report) => {
                         if !opts.quiet {
                             println!(
-                                "c proof checked: {} additions verified",
-                                report.additions_checked
+                                "c proof checked: {} additions verified, {} deletions applied, \
+                                 {} ignored, {:.3} s",
+                                report.additions_checked,
+                                report.deletions_applied,
+                                report.deletions_ignored,
+                                start.elapsed().as_secs_f64()
                             );
                         }
                     }

@@ -162,3 +162,16 @@ fn ci_keeps_the_fuzz_smoke_step() {
          answers would no longer be cross-certified on every push"
     );
 }
+
+#[test]
+fn ci_keeps_the_checker_mutation_step() {
+    // The mutation test pins the DRAT checker to a naive reference on
+    // mutated solver proofs; in release mode it runs in well under a
+    // second, so CI must keep running it.
+    let ci = ci_config();
+    assert!(
+        ci.contains("cargo test -q --release -p berkmin-drat --test mutations"),
+        "CI workflow dropped the proof-checker mutation step; a checker \
+         that accepts a bad proof or rejects a good one would go unnoticed"
+    );
+}
