@@ -7,11 +7,19 @@
 //! bumps `var_activity` once per literal occurrence in each responsible
 //! clause; the Chaff-like ablation bumps only the variables of the final
 //! conflict clause.
+//!
+//! Each responsible clause is walked once, through a single borrow of its
+//! literals: the same pass makes the §4 per-occurrence bump (in clause
+//! order, so the decision heap sees the same sequence of sift-ups) and
+//! merges the literal into the clause being learnt. The bump touches only
+//! the activity table and the heap, and the merge only the `seen` marks
+//! and levels, so interleaving them per literal computes exactly what two
+//! separate passes would.
 
 use berkmin_cnf::Lit;
 
 use crate::clause_db::ClauseRef;
-use crate::config::Sensitivity;
+use crate::config::{ActivityIndex, Sensitivity};
 use crate::solver::Solver;
 
 impl Solver {
@@ -39,40 +47,44 @@ impl Solver {
         let mut p: Option<Lit> = None;
         let mut idx = self.trail.len();
         let mut cref = confl;
+        let sensitive = self.config.sensitivity == Sensitivity::Berkmin;
+        let heap_indexed = self.config.activity_index == ActivityIndex::Heap;
 
         loop {
             // --- responsible-clause bookkeeping (paper §4, §8) ---
             self.stats.responsible_clauses += 1;
             // clause_activity(C): conflicts C has been responsible for.
             self.db.bump_activity(cref);
-            if self.config.sensitivity == Sensitivity::Berkmin {
-                // Bump once per literal occurrence in the responsible clause,
-                // including the resolved-on variable (§4's worked example
-                // bumps a and c, which never reach the conflict clause).
-                let n = self.db.lits(cref).len();
-                for k in 0..n {
-                    let v = self.db.lits(cref)[k].var();
-                    self.bump_var(v);
-                }
-            }
 
-            // --- resolve: merge this clause's literals ---
-            // For a reason clause, the implied literal `p` itself is being
-            // resolved on and is skipped. Binary clauses propagate straight
-            // from the watch lists without reordering the arena record, so
-            // `p` is not guaranteed to sit at position 0 — match it by
-            // value. The conflicting clause (`p == None`) contributes all.
-            let n = self.db.lits(cref).len();
-            for k in 0..n {
-                let q = self.db.lits(cref)[k];
-                if p == Some(q) {
+            for &q in self.db.lits(cref) {
+                let v = q.var();
+                if sensitive {
+                    // Bump once per literal occurrence in the responsible
+                    // clause, including the resolved-on variable (§4's
+                    // worked example bumps a and c, which never reach the
+                    // conflict clause). This is `bump_var` spelled out on
+                    // the fields the clause borrow leaves free.
+                    self.var_activity[v.index()] += 1;
+                    if heap_indexed {
+                        self.heap.bumped(v, &self.var_activity);
+                    }
+                }
+
+                // --- resolve: merge the literal ---
+                // For a reason clause, the implied literal `p` itself is
+                // being resolved on and is skipped. Binary clauses
+                // propagate straight from the watch lists without
+                // reordering the arena record, so `p` is not guaranteed to
+                // sit at position 0 — match it by value. The conflicting
+                // clause (`p == None`) contributes all.
+                if p == Some(q) || self.seen[v.index()] {
                     continue;
                 }
-                let v = q.var();
-                if !self.seen[v.index()] && self.trail.level_of(v) > 0 {
+                let level = self.trail.level_of(v) as usize;
+                if level > 0 {
                     self.seen[v.index()] = true;
                     to_clear.push(v.raw());
-                    if self.trail.level_of(v) as usize == current_level {
+                    if level == current_level {
                         counter += 1;
                     } else {
                         learnt.push(q);
@@ -183,9 +195,7 @@ impl Solver {
                     core.push(self.trail.lit_at(i));
                 }
                 Some(rc) => {
-                    let n = self.db.lits(rc).len();
-                    for k in 0..n {
-                        let q = self.db.lits(rc)[k];
+                    for &q in self.db.lits(rc) {
                         if q.var() != x && self.trail.level_of(q.var()) > 0 {
                             self.seen[q.var().index()] = true;
                         }

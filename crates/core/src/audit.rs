@@ -364,9 +364,10 @@ mod tests {
     #[test]
     fn corrupted_assignment_is_caught() {
         let mut s = solved_solver();
-        // Flip the first trail literal's assignment out from under the trail.
-        let v = s.trail.lit_at(0).var();
-        s.trail.test_flip_assign(v);
+        // Flip one polarity of the first trail literal's value out from
+        // under the trail; its negation's entry keeps the old value.
+        let l = s.trail.lit_at(0);
+        s.trail.test_flip_assign(l);
         let report = s.audit_invariants().expect_err("audit must trip");
         assert!(
             report
@@ -374,6 +375,39 @@ mod tests {
                 .iter()
                 .any(|v| v.contains("not assigned true")),
             "trail/assignment mismatch not reported: {report}"
+        );
+        let v = l.var().index();
+        assert!(
+            report
+                .violations
+                .iter()
+                .any(|m| m.starts_with(&format!("assigns: var {v} reads"))),
+            "broken polarity pair not reported: {report}"
+        );
+    }
+
+    #[test]
+    fn one_sided_polarity_corruption_is_caught() {
+        // Corrupt the *negative* entry of a true literal: the trail literal
+        // itself still reads true, so only the polarity audit can notice.
+        let mut s = solved_solver();
+        let l = s.trail.lit_at(0);
+        s.trail.test_flip_assign(!l);
+        let report = s.audit_invariants().expect_err("audit must trip");
+        let v = l.var().index();
+        assert!(
+            report
+                .violations
+                .iter()
+                .any(|m| m.starts_with(&format!("assigns: var {v} reads"))),
+            "broken polarity pair not reported: {report}"
+        );
+        assert!(
+            !report
+                .violations
+                .iter()
+                .any(|m| m.contains("not assigned true")),
+            "the trail literal itself was left intact: {report}"
         );
     }
 

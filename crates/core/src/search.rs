@@ -355,6 +355,16 @@ impl Solver {
     /// access at all), then the long-clause watchers with the Chaff blocker
     /// fast path in front of any arena read.
     ///
+    /// A long watcher whose blocker is not true borrows its clause's
+    /// literals from the arena once, and that one slice serves the whole
+    /// visit: moving the false literal to position 1, testing the other
+    /// watch `first` (whose value is read once and reused for the
+    /// unit/conflict test), scanning positions 2.. for a replacement and
+    /// swapping it in. The watch-list order is part of the deterministic
+    /// search, so three rules stay fixed: a relocated watcher leaves by
+    /// `swap_remove`, a kept watcher takes `first` as its blocker, and the
+    /// replacement scan always starts at position 2.
+    ///
     /// Returns the conflicting clause, if any. On conflict the propagation
     /// queue is drained so the caller sees a consistent trail.
     pub(crate) fn propagate(&mut self) -> Option<ClauseRef> {
@@ -385,24 +395,27 @@ impl Solver {
 
             // --- long-clause pass. ---
             let mut ws = self.watches.take_long(p.code());
+            let listed = ws.len();
+            let mut touched = 0u64;
             let mut i = 0;
             while i < ws.len() {
-                let w = ws[i];
+                let Watcher { cref, blocker } = ws[i];
                 // Fast path: the blocker literal already satisfies the clause.
-                if self.trail.lit_value(w.blocker) == LBool::True {
+                if self.trail.lit_value(blocker) == LBool::True {
                     i += 1;
                     continue;
                 }
-                let cref = w.cref;
-                {
-                    let c = self.db.lits_mut(cref);
-                    if c[0] == false_lit {
-                        c.swap(0, 1);
-                    }
-                    debug_assert_eq!(c[1], false_lit, "watch invariant violated");
+                touched += 1;
+                let c = self.db.lits_mut(cref);
+                if c[0] == false_lit {
+                    c.swap(0, 1);
                 }
-                let first = self.db.lits(cref)[0];
-                if first != w.blocker && self.trail.lit_value(first) == LBool::True {
+                debug_assert_eq!(c[1], false_lit, "watch invariant violated");
+                let first = c[0];
+                // When `first` is the blocker it is known not to be true, so
+                // this one test covers both "blocker" and "other watch".
+                let first_value = self.trail.lit_value(first);
+                if first_value == LBool::True {
                     ws[i] = Watcher {
                         cref,
                         blocker: first,
@@ -411,17 +424,13 @@ impl Solver {
                     continue;
                 }
                 // Look for a non-false literal to move the watch to.
-                let mut relocated = None;
-                for (k, &lk) in self.db.lits(cref).iter().enumerate().skip(2) {
-                    if self.trail.lit_value(lk) != LBool::False {
-                        relocated = Some((k, lk));
-                        break;
-                    }
-                }
-                if let Some((k, lk)) = relocated {
-                    self.db.lits_mut(cref).swap(1, k);
+                if let Some(k) = c[2..]
+                    .iter()
+                    .position(|&lk| self.trail.lit_value(lk) != LBool::False)
+                {
+                    c.swap(1, k + 2);
                     self.watches.push_long(
-                        (!lk).code(),
+                        (!c[1]).code(),
                         Watcher {
                             cref,
                             blocker: first,
@@ -436,16 +445,24 @@ impl Solver {
                     blocker: first,
                 };
                 i += 1;
-                if self.trail.lit_value(first) == LBool::False {
+                if first_value == LBool::False {
                     conflict = Some(cref);
-                    self.trail.drain_queue();
-                    self.watches.put_long(p.code(), ws);
-                    break 'queue;
+                    break;
                 }
                 self.stats.propagations += 1;
                 self.trail.assign(first, Some(cref));
             }
+            // Every step either kept a watcher (`i += 1`) or moved one away
+            // (`swap_remove`), so the watchers examined are `i` plus the
+            // ones that left the list — all of them unless a conflict
+            // stopped the pass early.
+            self.stats.watchers_visited += (i + listed - ws.len()) as u64;
+            self.stats.clauses_touched += touched;
             self.watches.put_long(p.code(), ws);
+            if conflict.is_some() {
+                self.trail.drain_queue();
+                break 'queue;
+            }
         }
         conflict
     }

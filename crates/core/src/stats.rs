@@ -15,6 +15,14 @@ pub struct Stats {
     pub conflicts: u64,
     /// Number of literals propagated by BCP.
     pub propagations: u64,
+    /// Long-clause (length ≥ 3) watchers BCP examined, blocked or not.
+    /// Together with [`Stats::clauses_touched`] this splits BCP cost into
+    /// how many watchers were visited and how many of those reached the
+    /// clause arena.
+    pub watchers_visited: u64,
+    /// Long-clause watchers whose blocker did not satisfy the clause, so
+    /// BCP read the clause's literals from the arena.
+    pub clauses_touched: u64,
     /// Number of restarts performed (paper §1: search-tree abandonments).
     pub restarts: u64,
     /// Number of clause-database reductions performed (paper §8).
@@ -169,6 +177,8 @@ impl Stats {
         self.decisions += other.decisions;
         self.conflicts += other.conflicts;
         self.propagations += other.propagations;
+        self.watchers_visited += other.watchers_visited;
+        self.clauses_touched += other.clauses_touched;
         self.restarts += other.restarts;
         self.reductions += other.reductions;
         self.learnt_total += other.learnt_total;
@@ -241,6 +251,8 @@ mod tests {
             lbd_max: 3,
             max_live_clauses: 100,
             clauses_exported: 2,
+            watchers_visited: 30,
+            clauses_touched: 12,
             top_distance_hist: vec![1, 2],
             ..Stats::new()
         };
@@ -251,6 +263,8 @@ mod tests {
             lbd_max: 7,
             max_live_clauses: 60,
             clauses_imported: 3,
+            watchers_visited: 9,
+            clauses_touched: 4,
             top_distance_hist: vec![1, 0, 4],
             ..Stats::new()
         };
@@ -262,6 +276,7 @@ mod tests {
         assert_eq!(a.max_live_clauses, 100);
         assert_eq!(a.clauses_exported, 2);
         assert_eq!(a.clauses_imported, 3);
+        assert_eq!((a.watchers_visited, a.clauses_touched), (39, 16));
         assert_eq!(a.top_distance_hist, vec![2, 2, 4]);
         assert!((a.avg_lbd() - 3.0).abs() < 1e-9);
     }

@@ -332,6 +332,8 @@ pub fn stats_to_json(stats: &Stats) -> json::Value {
         ("decisions".to_string(), Int(stats.decisions)),
         ("conflicts".to_string(), Int(stats.conflicts)),
         ("propagations".to_string(), Int(stats.propagations)),
+        ("watchers_visited".to_string(), Int(stats.watchers_visited)),
+        ("clauses_touched".to_string(), Int(stats.clauses_touched)),
         ("restarts".to_string(), Int(stats.restarts)),
         ("reductions".to_string(), Int(stats.reductions)),
         ("learnt_total".to_string(), Int(stats.learnt_total)),
@@ -397,6 +399,8 @@ pub fn stats_from_json(value: &json::Value) -> Option<Stats> {
         decisions: int("decisions")?,
         conflicts: int("conflicts")?,
         propagations: int("propagations")?,
+        watchers_visited: int("watchers_visited")?,
+        clauses_touched: int("clauses_touched")?,
         restarts: int("restarts")?,
         reductions: int("reductions")?,
         learnt_total: int("learnt_total")?,
@@ -828,6 +832,8 @@ mod tests {
             decisions: 123,
             conflicts: u64::MAX - 7,
             propagations: 456,
+            watchers_visited: 789,
+            clauses_touched: 321,
             restarts: 3,
             reductions: 2,
             learnt_total: 40,

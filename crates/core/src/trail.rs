@@ -1,15 +1,15 @@
 //! The assignment trail: one typed owner for every piece of
 //! variable-assignment state.
 //!
-//! [`Trail`] bundles the per-variable value/level/reason tables with the
-//! chronological assignment trail, its per-level decision markers and the
-//! propagation-queue head. The search, conflict analysis, the preprocessor
-//! and the auditors all read through the accessors here; mutation goes
-//! through the handful of typed operations below. In particular,
-//! [`Trail::backtrack_to`] is the *only* place where a variable becomes
-//! unassigned — the "clear value, drop reason, notify the decision
-//! heuristic" steps can never drift apart across the restart,
-//! conflict-backtrack and solve-entry paths again.
+//! [`Trail`] bundles the value table (indexed by literal code), the
+//! per-variable level/reason tables, the chronological assignment trail,
+//! its per-level decision markers and the propagation-queue head. The
+//! search, conflict analysis, the preprocessor and the auditors all read
+//! through the accessors here; mutation goes through the handful of typed
+//! operations below. In particular, [`Trail::backtrack_to`] is the *only*
+//! place where a variable becomes unassigned — the "clear value, drop
+//! reason, notify the decision heuristic" steps can never drift apart
+//! across the restart, conflict-backtrack and solve-entry paths again.
 //!
 //! encapsulation-guard: every field of `Trail` is private by design.
 //! `tests/encapsulation_guard.rs` greps the rest of `crates/core/src` for
@@ -33,7 +33,10 @@ use crate::clause_db::ClauseRef;
 /// [`Trail::next_queued`].
 #[derive(Default)]
 pub struct Trail {
-    /// Current value per variable (`Undef` when unassigned).
+    /// Current value per *literal code*: both polarities of a variable are
+    /// stored, always each other's negation (`Undef` together when the
+    /// variable is unassigned), so [`Trail::lit_value`] is a single load
+    /// with no sign test on BCP's hot path.
     assigns: Vec<LBool>,
     /// Decision level at which each variable was assigned (garbage when
     /// unassigned).
@@ -56,42 +59,40 @@ impl Trail {
         Trail::default()
     }
 
-    /// Grows the per-variable tables to cover `n` variables.
+    /// Grows the tables to cover `n` variables (`2n` literal codes).
     pub fn grow(&mut self, n: usize) {
-        self.assigns.resize(n, LBool::Undef);
+        self.assigns.resize(2 * n, LBool::Undef);
         self.level.resize(n, 0);
         self.reason.resize(n, None);
     }
 
-    /// Number of variables the per-variable tables cover.
+    /// Number of variables the tables cover.
     #[inline]
     pub fn num_vars(&self) -> usize {
-        self.assigns.len()
+        self.level.len()
     }
 
     /// Current value of `v`. `v` must be a known variable; see
     /// [`Trail::value_opt`] for the forgiving variant.
     #[inline]
     pub fn value(&self, v: Var) -> LBool {
-        self.assigns[v.index()]
+        self.lit_value(Lit::pos(v))
     }
 
     /// Current value of `v`, or `Undef` if `v` is beyond the known
     /// variables.
     #[inline]
     pub fn value_opt(&self, v: Var) -> LBool {
-        self.assigns.get(v.index()).copied().unwrap_or(LBool::Undef)
+        self.assigns
+            .get(Lit::pos(v).code())
+            .copied()
+            .unwrap_or(LBool::Undef)
     }
 
     /// Value of a literal under the current partial assignment.
     #[inline]
     pub fn lit_value(&self, l: Lit) -> LBool {
-        let v = self.assigns[l.var().index()];
-        if l.is_negative() {
-            !v
-        } else {
-            v
-        }
+        self.assigns[l.code()]
     }
 
     /// Decision level at which `v` was assigned (garbage if unassigned).
@@ -176,7 +177,8 @@ impl Trail {
             "assign of already-assigned literal {l:?}"
         );
         let v = l.var().index();
-        self.assigns[v] = LBool::from(l.is_positive());
+        self.assigns[l.code()] = LBool::True;
+        self.assigns[(!l).code()] = LBool::False;
         self.level[v] = self.decision_level() as u32;
         self.reason[v] = reason;
         self.trail.push(l);
@@ -207,10 +209,11 @@ impl Trail {
         }
         let bound = self.trail_lim[level];
         for i in (bound..self.trail.len()).rev() {
-            let v = self.trail[i].var();
-            self.assigns[v.index()] = LBool::Undef;
-            self.reason[v.index()] = None;
-            on_unassign(v);
+            let l = self.trail[i];
+            self.assigns[l.code()] = LBool::Undef;
+            self.assigns[(!l).code()] = LBool::Undef;
+            self.reason[l.var().index()] = None;
+            on_unassign(l.var());
         }
         self.trail.truncate(bound);
         self.trail_lim.truncate(level);
@@ -255,18 +258,20 @@ impl Trail {
     /// `out`. Table-size violations are prefixed `tables:` (the caller
     /// stops before deeper checks that would index out of bounds); the
     /// trail/assignment cross-checks use the `trail:`/`assigns:`/`reason:`
-    /// prefixes. Reason-*clause* checks (liveness, containment) need the
-    /// clause arena and live in `audit.rs`.
+    /// prefixes, and a variable whose two literal entries are not each
+    /// other's negation is reported under `assigns:` too. Reason-*clause*
+    /// checks (liveness, containment) need the clause arena and live in
+    /// `audit.rs`.
     pub(crate) fn self_check(&self, num_vars: usize, out: &mut Vec<String>) {
         let mut sized_ok = true;
-        for (name, len) in [
-            ("assigns", self.assigns.len()),
-            ("level", self.level.len()),
-            ("reason", self.reason.len()),
+        for (name, len, unit, expected) in [
+            ("assigns", self.assigns.len(), "literal codes", 2 * num_vars),
+            ("level", self.level.len(), "vars", num_vars),
+            ("reason", self.reason.len(), "vars", num_vars),
         ] {
-            if len != num_vars {
+            if len != expected {
                 out.push(format!(
-                    "tables: {name} covers {len} vars, expected {num_vars}"
+                    "tables: {name} covers {len} {unit}, expected {expected}"
                 ));
                 sized_ok = false;
             }
@@ -321,7 +326,14 @@ impl Trail {
             }
         }
         for (v, &trailed) in on_trail.iter().enumerate().take(num_vars) {
-            let assigned = !self.assigns[v].is_undef();
+            let var = Var::new(v as u32);
+            let (pos, neg) = (self.lit_value(Lit::pos(var)), self.lit_value(Lit::neg(var)));
+            if neg != !pos {
+                out.push(format!(
+                    "assigns: var {v} reads {pos:?} positive but {neg:?} negative"
+                ));
+            }
+            let assigned = !pos.is_undef();
             if assigned != trailed {
                 out.push(format!(
                     "assigns: var {v} is {} but {} the trail",
@@ -335,12 +347,13 @@ impl Trail {
         }
     }
 
-    /// Corrupts the recorded value of `v` (test-only): flips the
-    /// assignment out from under the trail so the auditors can prove they
-    /// catch it.
+    /// Corrupts the recorded value of `l` alone (test-only): flips the
+    /// entry of that one polarity out from under the trail, leaving `¬l`'s
+    /// entry as it was, so the auditors can prove they catch both the
+    /// trail mismatch and the broken polarity pair.
     #[cfg(test)]
-    pub(crate) fn test_flip_assign(&mut self, v: Var) {
-        self.assigns[v.index()] = !self.assigns[v.index()];
+    pub(crate) fn test_flip_assign(&mut self, l: Lit) {
+        self.assigns[l.code()] = !self.assigns[l.code()];
     }
 }
 
@@ -356,11 +369,67 @@ impl std::fmt::Debug for Trail {
         }
         heights.push(self.trail.len() - prev);
         f.debug_struct("Trail")
-            .field("num_vars", &self.assigns.len())
+            .field("num_vars", &self.level.len())
             .field("len", &self.trail.len())
             .field("decision_level", &self.trail_lim.len())
             .field("queued", &(self.trail.len() - self.qhead))
             .field("level_heights", &heights)
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    const NUM_VARS: usize = 10;
+
+    /// Replays a script of `(var, sign, action)` steps on a fresh trail:
+    /// action 0 decides, 1 implies, anything else backtracks to
+    /// `var % (level + 1)`. Steps on assigned variables are skipped.
+    fn replay(script: &[(u32, bool, u8)]) -> Trail {
+        let mut t = Trail::new();
+        t.grow(NUM_VARS);
+        for &(v, sign, action) in script {
+            let l = Lit::new(Var::new(v), sign);
+            match action {
+                0 if t.value(l.var()).is_undef() => t.push_decision(l),
+                1 if t.value(l.var()).is_undef() => t.assign(l, None),
+                0 | 1 => {}
+                _ => {
+                    let level = v as usize % (t.decision_level() + 1);
+                    t.backtrack_to(level, |_| {});
+                }
+            }
+        }
+        t
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The self-check passes every reachable trail, and flipping one
+        /// polarity entry of any assigned variable — the true literal's
+        /// or its negation's — is reported as a broken polarity pair.
+        #[test]
+        fn polarity_audit_catches_one_sided_corruption(
+            script in prop::collection::vec((0u32..NUM_VARS as u32, any::<bool>(), 0u8..3), 1..=40),
+            pick in any::<usize>(),
+            negated in any::<bool>(),
+        ) {
+            let mut t = replay(&script);
+            let mut out = Vec::new();
+            t.self_check(NUM_VARS, &mut out);
+            prop_assert!(out.is_empty(), "clean trail reported {out:?}");
+            if t.is_empty() {
+                return Ok(());
+            }
+            let l = t.lit_at(pick % t.len());
+            t.test_flip_assign(if negated { !l } else { l });
+            t.self_check(NUM_VARS, &mut out);
+            let want = format!("assigns: var {} reads", l.var().index());
+            prop_assert!(out.iter().any(|m| m.starts_with(&want)), "not reported: {out:?}");
+        }
     }
 }

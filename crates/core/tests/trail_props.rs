@@ -2,7 +2,10 @@
 //! API alone: random scripts of decisions, implied assignments and
 //! backtracks must keep the assignment view, the level bookkeeping and the
 //! chronological trail mutually consistent, and `backtrack_to(0)` must be
-//! indistinguishable from a full restart.
+//! indistinguishable from a full restart. The three value views —
+//! `value(v)`, `value_opt(v)` and `lit_value` of both polarities, which
+//! the trail stores as separate per-literal entries — must agree at every
+//! step.
 
 use berkmin::Trail;
 use berkmin_cnf::{LBool, Lit, Var};
@@ -90,6 +93,14 @@ fn check_consistent(t: &Trail, shadow: &[Option<(Lit, u32)>]) {
     let mut assigned = 0;
     for (i, entry) in shadow.iter().enumerate() {
         let v = Var::new(i as u32);
+        let value = t.value(v);
+        assert_eq!(t.value_opt(v), value, "value_opt vs value for {v:?}");
+        assert_eq!(t.lit_value(Lit::pos(v)), value, "positive literal of {v:?}");
+        assert_eq!(
+            t.lit_value(Lit::neg(v)),
+            !value,
+            "negative literal of {v:?}"
+        );
         match entry {
             Some((l, lvl)) => {
                 assigned += 1;
@@ -102,6 +113,9 @@ fn check_consistent(t: &Trail, shadow: &[Option<(Lit, u32)>]) {
             }
         }
     }
+    // Beyond the known variables the forgiving view reads unassigned.
+    assert_eq!(t.value_opt(Var::new(NUM_VARS as u32)), LBool::Undef);
+    assert_eq!(t.num_vars(), NUM_VARS);
     assert_eq!(t.len(), assigned, "trail length vs assigned-var count");
     assert_eq!(t.is_empty(), assigned == 0);
     // The chronological trail is exactly the assigned literals, each true,

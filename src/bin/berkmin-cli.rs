@@ -841,14 +841,18 @@ fn main() -> ExitCode {
             s.decisions, s.conflicts, s.propagations, s.restarts, s.learnt_total
         );
         // Propagation throughput: the arena/BCP speedups show up here
-        // without needing the criterion benches. Average glue (LBD) of the
-        // learnt clauses rides along — low glue means reusable lemmas.
+        // without needing the criterion benches. The long-watcher visits
+        // and arena touches behind it tell fewer visits from cheaper ones.
+        // Average glue (LBD) of the learnt clauses rides along — low glue
+        // means reusable lemmas.
         let secs = elapsed.as_secs_f64().max(1e-9);
         println!(
-            "c time {:.3} s  propagation rate {:.0} lits/sec  gc {} ({} words reclaimed)  \
-             avg lbd {:.2} (max {})",
+            "c time {:.3} s  propagation rate {:.0} lits/sec  watchers visited {} \
+             (clauses touched {})  gc {} ({} words reclaimed)  avg lbd {:.2} (max {})",
             elapsed.as_secs_f64(),
             s.propagations as f64 / secs,
+            s.watchers_visited,
+            s.clauses_touched,
             s.gc_runs,
             s.gc_words_reclaimed,
             s.avg_lbd(),

@@ -303,17 +303,26 @@ fn pigeonhole_dimacs(n: usize) -> String {
 /// Fetches a named counter out of the CLI's
 /// `c decisions .. conflicts .. propagations ..` stats line.
 fn stdout_counter(stdout: &str, name: &str) -> u64 {
+    line_counter(stdout, "c decisions", name)
+}
+
+/// Fetches the count printed after the word `name` on the first stdout
+/// line starting with `prefix` (a closing parenthesis is ignored).
+fn line_counter(stdout: &str, prefix: &str, name: &str) -> u64 {
     let line = stdout
         .lines()
-        .find(|l| l.starts_with("c decisions"))
-        .expect("stats line");
+        .find(|l| l.starts_with(prefix))
+        .unwrap_or_else(|| panic!("no `{prefix}` line in {stdout}"));
     let mut toks = line.split_whitespace();
     while let Some(tok) = toks.next() {
         if tok == name {
-            return toks.next().and_then(|v| v.parse().ok()).expect("count");
+            return toks
+                .next()
+                .and_then(|v| v.trim_end_matches(')').parse().ok())
+                .expect("count");
         }
     }
-    panic!("counter {name} not on stats line: {line}");
+    panic!("counter {name} not on line: {line}");
 }
 
 #[test]
@@ -340,6 +349,18 @@ fn stats_json_matches_the_printed_stats_for_the_single_engine() {
         stdout_counter(&stdout, "decisions")
     );
     assert_eq!(snapshot.stats.restarts, stdout_counter(&stdout, "restarts"));
+    // The watch-visit split rides on the time line: hole(5)'s five-literal
+    // clauses are watched through the long lists.
+    assert_eq!(
+        snapshot.stats.watchers_visited,
+        line_counter(&stdout, "c time", "visited")
+    );
+    assert_eq!(
+        snapshot.stats.clauses_touched,
+        line_counter(&stdout, "c time", "touched")
+    );
+    assert!(snapshot.stats.clauses_touched > 0);
+    assert!(snapshot.stats.watchers_visited >= snapshot.stats.clauses_touched);
     assert!(snapshot.stats.conflicts > 0);
     assert_eq!(snapshot.stats.solve_calls, 1);
     std::fs::remove_dir_all(&dir).ok();

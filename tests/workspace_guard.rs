@@ -175,3 +175,17 @@ fn ci_keeps_the_checker_mutation_step() {
          that accepts a bad proof or rejects a good one would go unnoticed"
     );
 }
+
+#[test]
+fn ci_keeps_the_search_fingerprint_step() {
+    // The fingerprint test pins verdicts, search counters and DRAT hashes
+    // on a fixed suite; it is what holds the hot-loop rewrites of
+    // propagate/analyze/decide bit-identical. Release mode keeps it to
+    // well under a second, so CI must keep running it.
+    let ci = ci_config();
+    assert!(
+        ci.contains("cargo test -q --release -p berkmin --test search_fingerprint"),
+        "CI workflow dropped the search-fingerprint step; a speedup that \
+         silently changed the search would go unnoticed"
+    );
+}
