@@ -3,11 +3,13 @@
 //! re-unrolling/re-solving. Beyond wall-clock, each incremental iteration
 //! asserts the acceptance property directly — same failure depth as
 //! scratch, strictly fewer total conflicts — so the `-- --test` smoke run
-//! in CI re-checks it on every push.
+//! in CI re-checks it on every push. The property is checked twice: for a
+//! single warm solver and for the deterministic two-worker portfolio,
+//! whose workers must stay warm across the per-depth calls too.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
-use berkmin::{SatEngine, SolverBuilder, SolverConfig};
+use berkmin::{PortfolioConfig, PortfolioEngine, SatEngine, SolverBuilder, SolverConfig};
 use berkmin_circuit::arith::enabled_counter;
 use berkmin_circuit::bmc::{scratch_first_reaching_depth, BmcDriver, BmcOutcome};
 
@@ -58,6 +60,25 @@ fn dyn_engine_sweep(bits: usize, max_depth: usize) -> (Option<usize>, u64) {
     (depth, driver.engine().stats().conflicts)
 }
 
+/// The same incremental sweep through the deterministic two-worker
+/// portfolio with clause sharing (the `bmc-portfolio` benchmark's engine,
+/// without its budget). Conflicts are summed over both workers.
+fn portfolio_sweep(bits: usize, max_depth: usize) -> (Option<usize>, u64) {
+    let pattern: Vec<(usize, bool)> = (0..bits).map(|o| (o, true)).collect();
+    let engine = PortfolioEngine::new(
+        PortfolioConfig::new(2)
+            .with_deterministic(true)
+            .with_share_lbd(Some(4)),
+    );
+    let mut driver = BmcDriver::with_engine(enabled_counter(bits), engine);
+    let depth = match driver.first_reaching_depth(&pattern, max_depth) {
+        BmcOutcome::Reached { depth, .. } => Some(depth),
+        BmcOutcome::Exhausted => None,
+        BmcOutcome::Aborted { reason, .. } => panic!("portfolio aborted without budget: {reason}"),
+    };
+    (depth, driver.engine().stats().conflicts)
+}
+
 fn bench_incremental_bmc(c: &mut Criterion) {
     let mut group = c.benchmark_group("incremental_bmc");
     group.sample_size(10);
@@ -82,6 +103,14 @@ fn bench_incremental_bmc(c: &mut Criterion) {
             dyn_conflicts, incremental_conflicts,
             "dyn SatEngine indirection changed the search at {bits} bits"
         );
+        // Warm portfolio guard: persistent workers must beat scratch too.
+        let (portfolio_depth, portfolio_conflicts) = portfolio_sweep(bits, horizon);
+        assert_eq!(portfolio_depth, scratch_depth);
+        assert!(
+            portfolio_conflicts < scratch_conflicts,
+            "warm portfolio regressed at {bits} bits: portfolio \
+             {portfolio_conflicts} >= scratch {scratch_conflicts} conflicts"
+        );
         group.bench_function(format!("scratch_cnt{bits}e"), |b| {
             b.iter_batched(
                 || (),
@@ -93,6 +122,13 @@ fn bench_incremental_bmc(c: &mut Criterion) {
             b.iter_batched(
                 || (),
                 |()| incremental_sweep(bits, horizon),
+                BatchSize::SmallInput,
+            )
+        });
+        group.bench_function(format!("portfolio_cnt{bits}e"), |b| {
+            b.iter_batched(
+                || (),
+                |()| portfolio_sweep(bits, horizon),
                 BatchSize::SmallInput,
             )
         });

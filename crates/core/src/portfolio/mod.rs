@@ -10,10 +10,18 @@
 //! after each conflict and imported by the other workers at their solve
 //! entries and restart boundaries.
 //!
-//! Two execution modes:
+//! The workers are **persistent**: they are built once, at the first solve
+//! call (after pre-simplification), and every later call only hands each
+//! worker the clauses and variables added since the previous call, stages
+//! the assumptions and races again. Learnt clauses, activities, saved
+//! phases and the share pool all stay warm across incremental calls.
 //!
-//! * **Threaded** (default): one `std::thread` per worker, real wall-clock
-//!   racing. Non-deterministic — the winner depends on scheduling.
+//! Two execution modes, behind one race core:
+//!
+//! * **Threaded** (default): one long-lived `std::thread` per worker,
+//!   started at the first call and joined when the engine is dropped; real
+//!   wall-clock racing. Non-deterministic — the winner depends on
+//!   scheduling.
 //! * **Deterministic** ([`PortfolioConfig::deterministic`]): the workers
 //!   run round-robin on the calling thread in fixed conflict-budget slices
 //!   ([`PortfolioConfig::slice_conflicts`]); the first definitive answer in
@@ -31,20 +39,25 @@
 //! Eliminated variables accumulate on an engine-level reconstruction
 //! stack — winning SAT models are extended back over them — and the
 //! freeze/melt contract matches the single solver's
-//! ([`PortfolioEngine::freeze`]).
+//! ([`PortfolioEngine::freeze`]). Under [`SimplifyConfig::inprocess`] the
+//! shared formula is rewritten on every call, so the workers are rebuilt
+//! on every call too.
 //!
 //! # Proofs
 //!
 //! With sharing **off**, a proof sink attached via
-//! [`PortfolioEngine::set_proof`] receives the winning worker's complete
-//! DRAT stream (each worker logs privately into a buffer; only the winner's
-//! is replayed), prefixed by the pre-simplifier's additions and deletions —
-//! every simplifier clause is RUP at its emission point, and the winner
-//! proves from the simplified formula, so the concatenation checks against
-//! the original formula. With sharing **on**, imported clauses are not
-//! RUP-derivable in the importer's own proof, so attaching a proof sink is
-//! a configuration error and `set_proof` panics — the engine never emits an
-//! unsound proof silently.
+//! [`PortfolioEngine::set_proof`] receives the pre-simplifier's additions
+//! and deletions followed, call by call, by each call's winner's DRAT
+//! operations. Every worker logs privately into a buffer that accumulates
+//! across calls; a call's winner publishes what it has not published yet,
+//! and a loser's operations wait until that worker wins. The splice checks
+//! against the original formula: each worker's operations are RUP against
+//! the formula plus its own earlier lemmas, all of which precede them in
+//! the sink, and a worker's deletions only touch its own copies or clauses
+//! satisfied or strengthened by units already in the stream. With sharing
+//! **on**, imported clauses are not RUP-derivable in the importer's own
+//! proof, so attaching a proof sink is a configuration error and
+//! `set_proof` panics — the engine never emits an unsound proof silently.
 
 mod share;
 mod worker;
@@ -53,7 +66,6 @@ pub(crate) use share::ClausePool;
 
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use berkmin_cnf::{Assignment, LBool, Lit, Var};
@@ -68,7 +80,9 @@ use crate::stats::Stats;
 use crate::telemetry::{SolveEvent, SolveObserver, SolveVerdict};
 
 use share::PoolSummary;
-use worker::{emit_shared, ProofBuffer, ProofOp, SharedObserver, WorkerResult};
+use worker::{
+    emit_shared, CallResult, ProofBuffer, ProofOp, SharedObserver, Worker, WorkerThreads,
+};
 
 /// Maximum clauses the share pool retains; older entries are evicted
 /// (sharing is best-effort — dropping a clause never costs soundness).
@@ -185,12 +199,13 @@ pub struct WorkerReport {
     pub conflicts: u64,
     /// Decisions the worker spent this call.
     pub decisions: u64,
-    /// Clauses the worker exported to the share pool.
+    /// Clauses the worker exported to the share pool this call.
     pub exported: u64,
-    /// Foreign clauses the worker integrated from the share pool.
+    /// Foreign clauses the worker integrated from the share pool this
+    /// call.
     pub imported: u64,
-    /// Pool entries evicted before this worker's import polls reached
-    /// them — shared clauses the worker never got to see (an upper bound:
+    /// Pool entries evicted this call before this worker's import polls
+    /// reached them — shared clauses the worker never got to see (an upper bound:
     /// it includes the worker's own publications and clauses its LBD
     /// filter would have rejected).
     pub missed: u64,
@@ -200,13 +215,13 @@ pub struct WorkerReport {
 /// [`SatEngine`] interface.
 ///
 /// Clauses and assumptions accumulate exactly as on a single
-/// [`Solver`](crate::Solver);
-/// each [`solve`](SatEngine::solve) call builds a fresh set of diversified
-/// workers over the accumulated formula and races them (threaded or
-/// deterministic per [`PortfolioConfig`]). Learnt state is **not** carried
-/// between calls — the portfolio trades the single engine's warm-start for
-/// diversification, which is the better deal on the one-shot and
-/// few-call workloads it targets.
+/// [`Solver`](crate::Solver). The first [`solve`](SatEngine::solve) call
+/// builds the diversified workers over the accumulated formula; every later
+/// call extends the same workers with the clauses added since and races
+/// them again (threaded or deterministic per [`PortfolioConfig`]). Each
+/// worker keeps its learnt clauses, activities and phases between calls,
+/// so an incremental session (BMC depth after depth, say) stays warm, as
+/// it does on a single solver.
 ///
 /// # Examples
 ///
@@ -252,6 +267,13 @@ pub struct PortfolioEngine {
     /// The pre-simplifier's buffered proof stream, drained into the
     /// attached sink ahead of the winner's ops.
     pending_simplify_ops: Vec<ProofOp>,
+    /// The live workers (`None` before the first call, and after an event
+    /// that forces a rebuild).
+    crew: Option<Crew>,
+    /// The counters of everything but the live crew: pre-simplification
+    /// runs and retired crews. After each call `stats` is this plus every
+    /// live worker's lifetime counters.
+    settled: Stats,
 }
 
 impl std::fmt::Debug for PortfolioEngine {
@@ -294,6 +316,8 @@ impl PortfolioEngine {
             recon: Reconstructor::default(),
             simplified_once: false,
             pending_simplify_ops: Vec::new(),
+            crew: None,
+            settled: Stats::new(),
         }
     }
 
@@ -302,10 +326,11 @@ impl PortfolioEngine {
         &self.config
     }
 
-    /// Attaches a proof sink that will receive the **winning worker's**
-    /// complete DRAT stream after every solve call, prefixed by the
-    /// pre-simplifier's additions and deletions (attach before the first
-    /// solve so the prefix lands ahead of any worker-derived clause).
+    /// Attaches a proof sink that will receive each call's winning worker's
+    /// DRAT operations, prefixed by the pre-simplifier's additions and
+    /// deletions (attach before the first solve so the prefix lands ahead
+    /// of any worker-derived clause). Live workers were not logging, so
+    /// they are rebuilt at the next call.
     ///
     /// # Panics
     ///
@@ -321,6 +346,7 @@ impl PortfolioEngine {
              stream unsound)"
         );
         self.proof = Some(sink);
+        self.crew = None;
     }
 
     /// Per-worker reports from the last solve call (empty before the first
@@ -373,22 +399,6 @@ impl PortfolioEngine {
         self.eliminated.get(var.index()).copied().unwrap_or(false)
     }
 
-    /// The diversified configuration worker `id` will run with.
-    fn worker_config(&self, id: usize) -> SolverConfig {
-        let budget = if self.config.deterministic {
-            // Deterministic mode slices budgets per round itself.
-            Budget::unlimited()
-        } else {
-            self.config.budget
-        };
-        SolverConfig::portfolio_worker(id)
-            .with_budget(budget)
-            .with_paranoid(self.config.paranoid)
-            // The engine simplifies the shared formula once up front; the
-            // workers must not re-run (and re-pay for) the passes.
-            .with_simplify(SimplifyConfig::off())
-    }
-
     /// Simplifies the accumulated formula through a throwaway solver before
     /// the workers diversify — the reduction is paid once instead of N
     /// times. Runs at the first solve call only, unless
@@ -399,6 +409,8 @@ impl PortfolioEngine {
     /// [`SatEngine::solve`] ahead of the winner's ops); its eliminations are
     /// folded into the engine's `eliminated` flags and reconstruction
     /// stack, and its `Simplify` telemetry is re-emitted through `shared`.
+    /// The rewritten formula retires the live workers, so the race rebuilds
+    /// them.
     fn pre_simplify(&mut self, assumptions: &[Lit], shared: &Option<SharedObserver>) {
         let cfg = self.config.simplify;
         if !self.ok || !cfg.enable || (!cfg.subsumption && !cfg.var_elim) {
@@ -408,6 +420,7 @@ impl PortfolioEngine {
             return;
         }
         self.simplified_once = true;
+        self.crew = None;
         // This call's assumption variables must survive elimination
         // (permanently — a later call may assume them again).
         for &a in assumptions {
@@ -484,185 +497,275 @@ impl PortfolioEngine {
         }
     }
 
-    /// Threaded race: one scoped thread per worker, first definitive
-    /// answer claims the win and raises the shared cancel flag. Worker
-    /// events (when observing) arrive in scheduling order, serialized by
-    /// the observer mutex.
-    fn run_threaded(
-        &self,
-        assumptions: &[Lit],
-        observer: Option<SharedObserver>,
-    ) -> (Option<usize>, Vec<WorkerResult>, Option<PoolSummary>) {
-        let n = self.config.threads;
-        let cancel = Arc::new(AtomicBool::new(false));
-        let pool = self
-            .config
-            .share_lbd
-            .map(|_| Arc::new(ClausePool::new(POOL_CAPACITY, n)));
-        let record_proof = self.proof.is_some();
-        let winner_slot: Mutex<Option<usize>> = Mutex::new(None);
-        let clauses = &self.clauses;
-        let num_vars = self.num_vars;
-
-        let results: Vec<WorkerResult> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..n)
-                .map(|id| {
-                    let config = self.worker_config(id);
-                    let cancel = Arc::clone(&cancel);
-                    let sharing = self.config.share_lbd.zip(pool.as_ref().map(Arc::clone));
-                    let observer = observer.clone();
-                    let winner_slot = &winner_slot;
-                    s.spawn(move || {
-                        let result = worker::run_worker(
-                            id,
-                            num_vars,
-                            clauses,
-                            assumptions,
-                            config,
-                            sharing,
-                            Arc::clone(&cancel),
-                            observer,
-                            record_proof,
-                        );
-                        if !result.status.is_unknown() {
-                            let mut slot = winner_slot.lock().unwrap();
-                            if slot.is_none() {
-                                *slot = Some(id);
-                                cancel.store(true, Ordering::SeqCst);
-                            }
-                        }
-                        result
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(result) => result,
-                    Err(payload) => std::panic::resume_unwind(payload),
-                })
-                .collect()
-        });
-        let winner = *winner_slot.lock().unwrap();
-        let summary = pool.map(|p| p.summary());
-        (winner, results, summary)
-    }
-
-    /// Deterministic race: round-robin conflict slices on the calling
-    /// thread; the first definitive answer in worker order wins. A worker
-    /// retires once its cumulative conflicts reach the per-worker budget.
-    /// Worker events (when observing) form a reproducible stream:
-    /// `WorkerStart` in worker order up front, the tagged solver events in
-    /// schedule order, `WorkerDone` in worker order at the end.
-    fn run_deterministic(
-        &self,
-        assumptions: &[Lit],
-        observer: Option<SharedObserver>,
-    ) -> (Option<usize>, Vec<WorkerResult>, Option<PoolSummary>) {
-        let n = self.config.threads;
-        let pool = self
-            .config
-            .share_lbd
-            .map(|_| Arc::new(ClausePool::new(POOL_CAPACITY, n)));
-        let record_proof = self.proof.is_some();
-        let slice = self.config.slice_conflicts;
-        let cap = self.config.budget.max_conflicts;
-
-        let mut workers: Vec<_> = (0..n)
-            .map(|id| {
-                let sharing = self.config.share_lbd.zip(pool.as_ref().map(Arc::clone));
-                worker::build_worker(
-                    id,
-                    self.num_vars,
-                    &self.clauses,
-                    self.worker_config(id),
-                    sharing,
-                    None,
-                    observer.clone(),
-                    record_proof,
-                )
-            })
-            .collect();
-        if let Some(shared) = &observer {
-            for id in 0..n {
-                emit_shared(shared, &SolveEvent::WorkerStart { worker: id });
+    /// The race core, shared by both modes: builds the workers if none are
+    /// live, hands them the clauses added since the previous call, races
+    /// them, and settles the call — the winner, the per-call reports, the
+    /// engine's counters, the pool's per-call accounting, the worker
+    /// events and the winner's unpublished proof. When observing, the
+    /// stream is `WorkerStart` in worker order, the tagged worker events
+    /// (in schedule order when deterministic), then `WorkerDone` in worker
+    /// order.
+    fn race(&mut self, assumptions: &[Lit], shared: &Option<SharedObserver>) -> SolveStatus {
+        let mut crew = match self.crew.take() {
+            Some(crew) => crew,
+            None => {
+                // Whatever ran before (pre-simplification, retired crews)
+                // is settled from here on.
+                self.settled = self.stats.clone();
+                Crew::new(&self.config, self.proof.is_some())
+            }
+        };
+        crew.extend(self.num_vars, &self.clauses);
+        if let Some(obs) = shared {
+            for id in 0..self.config.threads {
+                emit_shared(obs, &SolveEvent::WorkerStart { worker: id });
             }
         }
+        let mut results = crew.solve(assumptions, &self.config, shared);
+        let pool = crew.pool_accounting();
+        self.crew = Some(crew);
 
-        let mut last: Vec<Option<SolveStatus>> = (0..n).map(|_| None).collect();
-        let mut retired = vec![false; n];
-        let mut winner = None;
-        'race: loop {
-            let mut live = false;
-            for (id, (solver, _)) in workers.iter_mut().enumerate() {
-                if retired[id] {
-                    continue;
-                }
-                let spent = solver.stats().conflicts;
-                let allowance = if cap == u64::MAX {
-                    slice
-                } else {
-                    slice.min(cap.saturating_sub(spent))
-                };
-                if allowance == 0 {
-                    retired[id] = true;
-                    last[id] = Some(SolveStatus::Unknown(StopReason::ConflictBudget));
-                    continue;
-                }
-                live = true;
-                solver.set_budget(Budget::conflicts(allowance));
-                for &a in assumptions {
-                    solver.assume(a);
-                }
-                let status = solver.solve();
-                let definitive = !status.is_unknown();
-                last[id] = Some(status);
-                if definitive {
-                    winner = Some(id);
-                    break 'race;
-                }
-            }
-            if !live {
-                break;
-            }
+        // The counters are set, not accumulated: the settled part plus
+        // every live worker's lifetime, so no call is counted twice.
+        self.stats = self.settled.clone();
+        for result in &results {
+            self.stats.merge(&result.lifetime);
         }
+        if let Some((total, _)) = &pool {
+            self.stats.pool_evicted += total.evicted;
+            self.stats.pool_missed += total.missed.iter().sum::<u64>();
+        }
+        // `Stats::merge` leaves the formula-level counters alone; set the
+        // portfolio-level view explicitly (the formula is shared, not
+        // duplicated N times, and one portfolio call is one solve call).
+        self.stats.initial_clauses = self.clauses.len() as u64;
+        self.stats.solve_calls = self.calls;
 
-        let results: Vec<WorkerResult> = workers
-            .into_iter()
-            .zip(last)
-            .map(|((solver, tap), status)| {
-                // Workers the schedule never reached before the race ended
-                // report the cooperative-stop reason, like threaded losers.
-                let status = status.unwrap_or(SolveStatus::Unknown(StopReason::Callback));
-                let failed = solver.failed_assumptions().to_vec();
-                let stats = solver.stats().clone();
-                drop(solver);
-                let proof_ops = tap
-                    .and_then(|t| std::rc::Rc::try_unwrap(t).ok())
-                    .map(|cell| cell.into_inner().ops)
-                    .unwrap_or_default();
-                WorkerResult {
-                    status,
-                    failed,
-                    stats,
-                    proof_ops,
-                }
-            })
-            .collect();
-        if let Some(shared) = &observer {
-            for (id, result) in results.iter().enumerate() {
+        for result in &mut results {
+            if let Some((_, call)) = &pool {
+                result.report.missed = call.missed[result.report.id];
+            }
+            self.reports.push(result.report.clone());
+        }
+        let winner = results.iter().position(|r| r.report.winner);
+        self.winner = winner;
+        if let Some(obs) = shared {
+            for result in &results {
                 emit_shared(
-                    shared,
+                    obs,
                     &SolveEvent::WorkerDone {
-                        worker: id,
+                        worker: result.report.id,
                         verdict: SolveVerdict::from(&result.status),
                     },
                 );
             }
+            if let Some((_, call)) = pool.as_ref().filter(|(_, call)| call.evicted > 0) {
+                emit_shared(
+                    obs,
+                    &SolveEvent::PoolEvicted {
+                        evicted: call.evicted,
+                    },
+                );
+            }
         }
-        let summary = pool.map(|p| p.summary());
-        (winner, results, summary)
+
+        let Some(w) = winner else {
+            // Every worker stopped without answering: surface the first
+            // worker's stop reason (budget exhaustion in practice).
+            return results.swap_remove(0).status;
+        };
+        let result = results.swap_remove(w);
+        if let Some(sink) = &mut self.proof {
+            publish(sink.as_mut(), result.proof_ops);
+        }
+        match result.status {
+            SolveStatus::Sat(mut model) => {
+                // Extend the winner's model back over every variable the
+                // pre-simplifier eliminated (the worker valued them
+                // arbitrarily — the reconstruction overwrites with the
+                // value that satisfies the dissolved clauses).
+                if self.recon.len() > 0 {
+                    self.recon.extend_model(&mut model);
+                }
+                self.model = Some(model.clone());
+                SolveStatus::Sat(model)
+            }
+            SolveStatus::Unsat => {
+                self.failed = result.failed;
+                SolveStatus::Unsat
+            }
+            SolveStatus::Unknown(_) => unreachable!("winner is definitive"),
+        }
     }
+}
+
+/// Replays buffered proof operations into `sink`.
+fn publish(sink: &mut dyn ProofSink, ops: impl IntoIterator<Item = ProofOp>) {
+    for op in ops {
+        match &op {
+            ProofOp::Add(lits) => sink.add_clause(lits),
+            ProofOp::Delete(lits) => sink.delete_clause(lits),
+        }
+    }
+}
+
+/// The diversified configuration worker `id` runs with. Budgets are set
+/// per call (or per slice), and the workers never simplify: the engine
+/// simplifies the shared formula once up front.
+fn worker_config(config: &PortfolioConfig, id: usize) -> SolverConfig {
+    SolverConfig::portfolio_worker(id)
+        .with_budget(Budget::unlimited())
+        .with_paranoid(config.paranoid)
+        .with_simplify(SimplifyConfig::off())
+}
+
+/// The live workers of one formula generation, with their share pool:
+/// built at the first call (and again after the formula was rewritten),
+/// then extended and raced again on every call.
+struct Crew {
+    workers: Workers,
+    pool: Option<Arc<ClausePool>>,
+    /// The pool's accounting at the end of the previous call.
+    pool_seen: PoolSummary,
+    /// How many of the engine's clauses every worker has absorbed — the
+    /// workers advance together, so one cursor serves them all.
+    synced: usize,
+}
+
+/// Where a crew's workers run.
+enum Workers {
+    /// Deterministic mode: sliced round-robin on the calling thread.
+    Inline(Vec<Worker>),
+    /// Threaded mode: each worker on its own long-lived thread.
+    Threads(WorkerThreads),
+}
+
+impl Crew {
+    fn new(config: &PortfolioConfig, record_proof: bool) -> Crew {
+        let n = config.threads;
+        let pool = config
+            .share_lbd
+            .map(|_| Arc::new(ClausePool::new(POOL_CAPACITY, n)));
+        let sharing = config.share_lbd.zip(pool.clone());
+        let configs = (0..n).map(|id| worker_config(config, id));
+        let workers = if config.deterministic {
+            Workers::Inline(
+                configs
+                    .enumerate()
+                    .map(|(id, c)| Worker::new(id, c, sharing.clone(), None, record_proof))
+                    .collect(),
+            )
+        } else {
+            Workers::Threads(WorkerThreads::spawn(
+                configs.collect(),
+                sharing,
+                record_proof,
+            ))
+        };
+        Crew {
+            workers,
+            pool,
+            pool_seen: PoolSummary::default(),
+            synced: 0,
+        }
+    }
+
+    /// Hands every worker the variables and the clauses of `clauses` (the
+    /// engine's whole list) it has not absorbed yet.
+    fn extend(&mut self, num_vars: usize, clauses: &[Vec<Lit>]) {
+        let fresh = &clauses[self.synced..];
+        match &mut self.workers {
+            Workers::Inline(workers) => {
+                for worker in workers {
+                    worker.extend(num_vars, fresh);
+                }
+            }
+            Workers::Threads(threads) => threads.extend(num_vars, fresh),
+        }
+        self.synced = clauses.len();
+    }
+
+    /// Runs one call on every worker; results come back in worker order.
+    fn solve(
+        &mut self,
+        assumptions: &[Lit],
+        config: &PortfolioConfig,
+        observer: &Option<SharedObserver>,
+    ) -> Vec<CallResult> {
+        match &mut self.workers {
+            Workers::Inline(workers) => race_slices(
+                workers,
+                assumptions,
+                config.slice_conflicts,
+                config.budget.max_conflicts,
+                observer,
+            ),
+            Workers::Threads(threads) => threads.solve(assumptions, config.budget, observer),
+        }
+    }
+
+    /// The pool's totals and the share of them the last call produced.
+    fn pool_accounting(&mut self) -> Option<(PoolSummary, PoolSummary)> {
+        let total = self.pool.as_ref()?.summary();
+        let call = total.since(&self.pool_seen);
+        self.pool_seen = total.clone();
+        Some((total, call))
+    }
+}
+
+/// Deterministic mode's schedule: round-robin conflict slices on the
+/// calling thread; the first definitive answer in worker order wins. A
+/// worker retires once the conflicts it spent in this call reach the
+/// per-worker cap.
+fn race_slices(
+    workers: &mut [Worker],
+    assumptions: &[Lit],
+    slice: u64,
+    cap: u64,
+    observer: &Option<SharedObserver>,
+) -> Vec<CallResult> {
+    for worker in workers.iter_mut() {
+        worker.begin(observer.clone());
+    }
+    let mut last: Vec<Option<SolveStatus>> = vec![None; workers.len()];
+    let mut retired = vec![false; workers.len()];
+    let mut winner = None;
+    'race: loop {
+        let mut live = false;
+        for (id, worker) in workers.iter_mut().enumerate() {
+            if retired[id] {
+                continue;
+            }
+            let allowance = slice.min(cap.saturating_sub(worker.call_conflicts()));
+            if allowance == 0 {
+                retired[id] = true;
+                last[id] = Some(SolveStatus::Unknown(StopReason::ConflictBudget));
+                continue;
+            }
+            live = true;
+            let status = worker.run(assumptions, Budget::conflicts(allowance));
+            let definitive = !status.is_unknown();
+            last[id] = Some(status);
+            if definitive {
+                winner = Some(id);
+                break 'race;
+            }
+        }
+        if !live {
+            break;
+        }
+    }
+    workers
+        .iter_mut()
+        .zip(last)
+        .enumerate()
+        .map(|(id, (worker, status))| {
+            // Workers the schedule never reached before the race ended
+            // report the cooperative-stop reason, like threaded losers.
+            let status = status.unwrap_or(SolveStatus::Unknown(StopReason::Callback));
+            worker.finish(status, winner == Some(id))
+        })
+        .collect()
 }
 
 impl SatEngine for PortfolioEngine {
@@ -734,104 +837,12 @@ impl SatEngine for PortfolioEngine {
         // the simplifier's proof prefix before any worker-derived clause.
         self.pre_simplify(&assumptions, &shared);
         if let Some(sink) = &mut self.proof {
-            for op in self.pending_simplify_ops.drain(..) {
-                match &op {
-                    ProofOp::Add(lits) => sink.add_clause(lits),
-                    ProofOp::Delete(lits) => sink.delete_clause(lits),
-                }
-            }
+            publish(sink.as_mut(), self.pending_simplify_ops.drain(..));
         }
 
-        let (winner, results, pool_summary) = if self.config.deterministic {
-            self.run_deterministic(&assumptions, shared.clone())
-        } else {
-            self.run_threaded(&assumptions, shared.clone())
-        };
-        self.winner = winner;
-
-        for (id, result) in results.iter().enumerate() {
-            let outcome = match &result.status {
-                SolveStatus::Sat(_) => WorkerOutcome::Sat,
-                SolveStatus::Unsat => WorkerOutcome::Unsat,
-                SolveStatus::Unknown(reason) => WorkerOutcome::Stopped(*reason),
-            };
-            self.reports.push(WorkerReport {
-                id,
-                outcome,
-                winner: winner == Some(id),
-                conflicts: result.stats.conflicts,
-                decisions: result.stats.decisions,
-                exported: result.stats.clauses_exported,
-                imported: result.stats.clauses_imported,
-                missed: pool_summary
-                    .as_ref()
-                    .and_then(|s| s.missed.get(id).copied())
-                    .unwrap_or(0),
-            });
-            self.stats.merge(&result.stats);
-        }
-        // `Stats::merge` leaves the formula-level counters alone; set the
-        // portfolio-level view explicitly (the formula is shared, not
-        // duplicated N times, and one portfolio call is one solve call).
-        self.stats.initial_clauses = self.clauses.len() as u64;
-        self.stats.solve_calls = self.calls;
-        if let Some(summary) = &pool_summary {
-            self.stats.pool_evicted += summary.evicted;
-            self.stats.pool_missed += summary.missed.iter().sum::<u64>();
-        }
-
-        let status = match winner {
-            None => {
-                // Every worker stopped without answering: surface the first
-                // worker's stop reason (budget exhaustion in practice).
-                results
-                    .first()
-                    .map(|r| r.status.clone())
-                    .unwrap_or(SolveStatus::Unknown(StopReason::ConflictBudget))
-            }
-            Some(w) => {
-                if let Some(sink) = &mut self.proof {
-                    for op in &results[w].proof_ops {
-                        match op {
-                            ProofOp::Add(lits) => sink.add_clause(lits),
-                            ProofOp::Delete(lits) => sink.delete_clause(lits),
-                        }
-                    }
-                }
-                match &results[w].status {
-                    SolveStatus::Sat(model) => {
-                        // Extend the winner's model back over every
-                        // variable the pre-simplifier eliminated (the
-                        // worker valued them arbitrarily — the
-                        // reconstruction overwrites with the value that
-                        // satisfies the dissolved clauses).
-                        let mut model = model.clone();
-                        if self.recon.len() > 0 {
-                            self.recon.extend_model(&mut model);
-                        }
-                        self.model = Some(model.clone());
-                        SolveStatus::Sat(model)
-                    }
-                    SolveStatus::Unsat => {
-                        self.failed = results[w].failed.clone();
-                        SolveStatus::Unsat
-                    }
-                    SolveStatus::Unknown(_) => unreachable!("winner is definitive"),
-                }
-            }
-        };
+        let status = self.race(&assumptions, &shared);
 
         if let Some(obs) = &shared {
-            if let Some(summary) = &pool_summary {
-                if summary.evicted > 0 {
-                    emit_shared(
-                        obs,
-                        &SolveEvent::PoolEvicted {
-                            evicted: summary.evicted,
-                        },
-                    );
-                }
-            }
             emit_shared(
                 obs,
                 &SolveEvent::SolveDone {
@@ -844,8 +855,9 @@ impl SatEngine for PortfolioEngine {
             );
         }
         if let Some(arc) = shared {
-            // Threads are joined and deterministic workers dropped, so this
-            // is the last clone; reclaim the observer for the next call.
+            // Every worker removed its `Forward` adapter before reporting,
+            // so this is the last clone; reclaim the observer for the next
+            // call.
             if let Ok(mutex) = Arc::try_unwrap(arc) {
                 self.observer = Some(mutex.into_inner().unwrap());
             }
@@ -1021,6 +1033,40 @@ mod tests {
         let status = sat.solve();
         let model = status.model().expect("satisfiable");
         assert!(model.satisfies(lit(1)));
+    }
+
+    #[test]
+    fn a_worker_thread_panic_is_reraised_on_the_caller() {
+        let mut engine = PortfolioEngine::new(PortfolioConfig::new(2).with_share_lbd(None));
+        for c in pigeonhole(4) {
+            engine.add_clause(&c);
+        }
+        engine.set_observer(Some(Box::new(|e: &SolveEvent| {
+            if matches!(e, SolveEvent::Worker { .. }) {
+                panic!("observer refuses worker events");
+            }
+        })));
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| engine.solve()));
+        assert!(caught.is_err(), "the worker's panic must reach the caller");
+        // The dead crew was joined and dropped: the next call rebuilds it.
+        assert!(engine.solve().is_unsat());
+        assert_eq!(engine.reports().len(), 2);
+    }
+
+    #[test]
+    fn workers_stay_warm_across_calls() {
+        let mut engine = deterministic(2, Some(4));
+        for c in pigeonhole(5) {
+            engine.add_clause(&c);
+        }
+        assert!(engine.solve().is_unsat());
+        let first: u64 = engine.reports().iter().map(|r| r.conflicts).sum();
+        assert!(first > 0);
+        // The winner kept its refutation: the repeat costs no conflicts,
+        // and the lifetime totals do not grow.
+        assert!(engine.solve().is_unsat());
+        assert_eq!(engine.reports().iter().map(|r| r.conflicts).sum::<u64>(), 0);
+        assert_eq!(engine.stats().conflicts, first);
     }
 
     #[test]

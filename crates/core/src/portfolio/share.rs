@@ -50,8 +50,10 @@ struct PoolInner {
     missed: Vec<u64>,
 }
 
-/// End-of-race accounting of a [`ClausePool`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Accounting of a [`ClausePool`]: totals since the pool was created
+/// ([`ClausePool::summary`]), or one call's share of them
+/// ([`PoolSummary::since`]).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct PoolSummary {
     /// Total clauses ever published (evicted ones included).
     pub(crate) published: u64,
@@ -59,6 +61,24 @@ pub(crate) struct PoolSummary {
     pub(crate) evicted: u64,
     /// Per-consumer missed-entry counts (see [`PoolInner::missed`]).
     pub(crate) missed: Vec<u64>,
+}
+
+impl PoolSummary {
+    /// What the pool accumulated between `earlier` and `self`, two
+    /// summaries of the same pool — how a pool that outlives many solve
+    /// calls reports each call's evictions and misses.
+    pub(crate) fn since(&self, earlier: &PoolSummary) -> PoolSummary {
+        PoolSummary {
+            published: self.published - earlier.published,
+            evicted: self.evicted - earlier.evicted,
+            missed: self
+                .missed
+                .iter()
+                .enumerate()
+                .map(|(i, &m)| m - earlier.missed.get(i).copied().unwrap_or(0))
+                .collect(),
+        }
+    }
 }
 
 /// Bounded multi-producer multi-consumer clause exchange.

@@ -127,8 +127,10 @@ fn config_by_name(name: &str) -> SolverConfig {
         "less-mobility" => SolverConfig::less_mobility(),
         "limited-keeping" => SolverConfig::limited_keeping(),
         "portfolio" => die(
-            "the portfolio engine drives plain solving only; bmc needs one \
-             warm incremental engine — pick a single-solver preset",
+            "bmc takes single-solver presets only: the portfolio keeps its \
+             workers warm across incremental calls, but the bmc subcommand \
+             has no portfolio flags (--threads, --share-lbd, --deterministic) \
+             yet — pick a single-solver preset",
         ),
         other => die(format!("unknown engine {other:?}")),
     }
