@@ -15,6 +15,11 @@
 //! the activity table and the heap, and the merge only the `seen` marks
 //! and levels, so interleaving them per literal computes exactly what two
 //! separate passes would.
+//!
+//! When a proof is logged, the same walk records each responsible
+//! clause's ID: reversed, with the reasons of any literals minimization
+//! removes in front, that list is the learnt clause's hint chain (see
+//! [`ClauseId`](crate::ClauseId)).
 
 use berkmin_cnf::Lit;
 
@@ -49,12 +54,16 @@ impl Solver {
         let mut cref = confl;
         let sensitive = self.config.sensitivity == Sensitivity::Berkmin;
         let heap_indexed = self.config.activity_index == ActivityIndex::Heap;
+        let hinted = self.hints.on;
 
         loop {
             // --- responsible-clause bookkeeping (paper §4, §8) ---
             self.stats.responsible_clauses += 1;
             // clause_activity(C): conflicts C has been responsible for.
             self.db.bump_activity(cref);
+            if hinted {
+                self.hints.push(self.db.id(cref));
+            }
 
             for &q in self.db.lits(cref) {
                 let v = q.var();
@@ -114,8 +123,16 @@ impl Solver {
             p = Some(pl);
         }
 
+        if hinted {
+            // The walk met the conflicting clause first and then the reasons
+            // in reverse trail order; the chain runs the other way.
+            self.hints.chain_mut().reverse();
+        }
         if self.config.minimize_learnt {
-            self.minimize(&mut learnt);
+            let removed = self.minimize(&mut learnt);
+            if hinted && removed > 0 {
+                self.chain_minimized(&learnt, removed);
+            }
         }
 
         // Chaff-like sensitivity: bump only the conflict clause's variables.
@@ -212,7 +229,8 @@ impl Solver {
     /// whose reason clause is entirely subsumed by the remaining literals
     /// and level-0 facts. A post-paper technique (MiniSat), kept behind
     /// [`crate::SolverConfig::minimize_learnt`] for the extension ablation.
-    fn minimize(&mut self, learnt: &mut Vec<Lit>) {
+    /// Returns how many literals it dropped.
+    fn minimize(&mut self, learnt: &mut Vec<Lit>) -> usize {
         let mut j = 1;
         for i in 1..learnt.len() {
             let v = learnt[i].var();
@@ -232,7 +250,38 @@ impl Solver {
                 j += 1;
             }
         }
+        let removed = learnt.len() - j;
         learnt.truncate(j);
+        removed
+    }
+
+    /// Puts the reasons of the `removed` literals minimization dropped in
+    /// front of the hint chain, in trail order: with the learnt literals
+    /// false, each reason is unit once the ones before it have fired.
+    ///
+    /// After minimization `seen` marks exactly the non-UIP literals of the
+    /// clause before minimization. Unmarking the kept ones singles out the
+    /// removed ones, which a trail scan then visits in order; the caller
+    /// clears every mark afterwards as usual.
+    fn chain_minimized(&mut self, learnt: &[Lit], mut removed: usize) {
+        for l in &learnt[1..] {
+            self.seen[l.var().index()] = false;
+        }
+        let walked = std::mem::take(self.hints.chain_mut());
+        let mut i = self.trail.level_start(0);
+        while removed > 0 {
+            let v = self.trail.lit_at(i).var();
+            if self.seen[v.index()] {
+                let reason = self
+                    .trail
+                    .reason_of(v)
+                    .expect("a removed literal has a reason");
+                self.hints.push(self.db.id(reason));
+                removed -= 1;
+            }
+            i += 1;
+        }
+        self.hints.chain_mut().extend(walked);
     }
 }
 
@@ -295,7 +344,7 @@ mod tests {
         // Asserting literal must be unassigned after backtracking.
         s.cancel_until(bt);
         assert!(s.lit_value(learnt[0]).is_undef());
-        s.record_learnt(learnt);
+        s.record_learnt(learnt, None);
         assert!(
             s.propagate().is_none(),
             "learnt unit must propagate cleanly"
@@ -318,7 +367,7 @@ mod tests {
             let confl = s.propagate().unwrap();
             let (learnt, bt, _lbd) = s.analyze(confl);
             s.cancel_until(bt);
-            s.record_learnt(learnt);
+            s.record_learnt(learnt, None);
             s.var_activity.clone()
         };
         let berkmin = run(Sensitivity::Berkmin);
@@ -346,7 +395,7 @@ mod tests {
             "at least conflicting + one reason clause credited"
         );
         s.cancel_until(bt);
-        s.record_learnt(learnt);
+        s.record_learnt(learnt, None);
     }
 
     #[test]

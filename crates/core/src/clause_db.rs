@@ -11,7 +11,7 @@
 //!                           ▼
 //! arena:  … ┃ header ┃ activity ┃ lit0 ┃ lit1 ┃ … ┃ litN-1 ┃ header ┃ …
 //!             │                   └─ watched ──┘
-//!             └ len << 3 | FILLER | LEARNT | GARBAGE
+//!             └ ID? | len << 3 | FILLER | LEARNT | GARBAGE
 //! ```
 //!
 //! The arena is a `Vec<Lit>`: `Lit` is a transparent `u32` index newtype, so
@@ -29,10 +29,17 @@
 //! [`GcMap`]. In-place strengthening ([`ClauseDb::shrink`]) never moves a
 //! record: the tail the shorter clause no longer needs becomes a `FILLER`
 //! pseudo-record the sweep skips.
+//!
+//! When the solver logs a proof, a record also carries its proof
+//! [`ClauseId`] in one trailing word after the literals, flagged by the
+//! header's top bit. The literals stay at offset 2, so BCP does not notice
+//! the extra word, and the collector moves it with the record. A solver
+//! without a proof never sets the bit, so its arena is word for word the
+//! same as without the feature.
 
 use berkmin_cnf::Lit;
 
-use crate::proof::ProofSink;
+use crate::proof::{ClauseId, ProofSink};
 
 /// Handle to a clause: the word offset of its header in the arena.
 ///
@@ -59,19 +66,35 @@ const LEARNT: u32 = 0b010;
 /// Header bit: a header-only pad record left behind by [`ClauseDb::shrink`];
 /// its `len` field counts the pad words that follow the header.
 const FILLER: u32 = 0b100;
-/// The clause length is stored above the three flag bits.
+/// Header bit: the record ends with a word holding its [`ClauseId`]
+/// (see [`ClauseId::tagged`]).
+const WITH_ID: u32 = 1 << 31;
+/// The clause length is stored between the three low flag bits and
+/// [`WITH_ID`].
 const LEN_SHIFT: u32 = 3;
 /// Words before the literals: header + activity.
 const HEADER_WORDS: usize = 2;
 
+/// The length field of `header`.
+#[inline]
+const fn header_len(header: u32) -> usize {
+    ((header & !WITH_ID) >> LEN_SHIFT) as usize
+}
+
+/// The ID word of a record, if `id` is given and fits in one word.
+#[inline]
+fn pack(id: Option<ClauseId>) -> Option<u32> {
+    id.and_then(|id| u32::try_from(id.tagged()).ok())
+}
+
 /// Total words occupied by the record whose header is `header`.
 #[inline]
 const fn record_words(header: u32) -> usize {
-    let len = (header >> LEN_SHIFT) as usize;
+    let len = header_len(header);
     if header & FILLER != 0 {
         1 + len
     } else {
-        HEADER_WORDS + len
+        HEADER_WORDS + len + (header & WITH_ID != 0) as usize
     }
 }
 
@@ -107,30 +130,52 @@ impl ClauseDb {
         self.arena[cref.idx()] = Lit::from_code(header);
     }
 
-    /// Appends a record to the arena.
-    fn alloc(&mut self, lits: &[Lit], learnt: bool) -> ClauseRef {
+    /// Appends a record to the arena, with a trailing ID word if `id` is
+    /// given and fits in one word.
+    fn alloc(&mut self, lits: &[Lit], learnt: bool, id: Option<ClauseId>) -> ClauseRef {
         debug_assert!(lits.len() >= 2, "unit/empty clauses are not stored");
+        debug_assert!(
+            lits.len() < 1 << 28,
+            "the length field ends below the ID flag"
+        );
         let cref = ClauseRef(self.arena.len() as u32);
-        let flags = if learnt { LEARNT } else { 0 };
+        let id = pack(id);
+        let flags = if learnt { LEARNT } else { 0 } | if id.is_some() { WITH_ID } else { 0 };
         self.arena
             .push(Lit::from_code((lits.len() as u32) << LEN_SHIFT | flags));
         self.arena.push(Lit::from_code(0)); // activity
         self.arena.extend_from_slice(lits);
+        if let Some(id) = id {
+            self.arena.push(Lit::from_code(id));
+        }
         cref
     }
 
-    /// Adds an original (problem) clause.
-    pub fn add_original(&mut self, lits: &[Lit]) -> ClauseRef {
+    /// Adds an original (problem) clause, or a preprocessing resolvent,
+    /// with its proof ID when a proof is logged.
+    pub fn add_original(&mut self, lits: &[Lit], id: Option<ClauseId>) -> ClauseRef {
         self.num_original_live += 1;
-        self.alloc(lits, false)
+        self.alloc(lits, false, id)
     }
 
-    /// Adds a learnt clause and pushes it onto the top of the stack.
-    pub fn add_learnt(&mut self, lits: &[Lit]) -> ClauseRef {
+    /// Adds a learnt clause, with its proof ID when a proof is logged, and
+    /// pushes it onto the top of the stack.
+    pub fn add_learnt(&mut self, lits: &[Lit], id: Option<ClauseId>) -> ClauseRef {
         self.num_learnt_live += 1;
-        let cref = self.alloc(lits, true);
+        let cref = self.alloc(lits, true, id);
         self.stack.push(cref);
         cref
+    }
+
+    /// The clause's proof ID, if its record carries one.
+    #[inline]
+    pub fn id(&self, cref: ClauseRef) -> Option<ClauseId> {
+        let header = self.header(cref);
+        if header & WITH_ID == 0 {
+            return None;
+        }
+        let word = self.arena[cref.idx() + HEADER_WORDS + header_len(header)].code() as u32;
+        ClauseId::from_tagged(u64::from(word))
     }
 
     /// Marks a clause as garbage; the record (and its literals, still
@@ -163,19 +208,32 @@ impl ClauseDb {
     /// Shrinks a clause in place to its first `new_len` literals (the caller
     /// has already reordered them). The record never moves: the orphaned
     /// tail becomes a `FILLER` pseudo-record so the arena stays walkable.
-    pub fn shrink(&mut self, cref: ClauseRef, new_len: usize) {
+    /// A record with an ID word takes `id`, the ID of the addition that
+    /// logged the shorter clause, right after its literals; without one it
+    /// loses its ID word to the pad.
+    pub fn shrink(&mut self, cref: ClauseRef, new_len: usize, id: Option<ClauseId>) {
         let header = self.header(cref);
-        let old_len = (header >> LEN_SHIFT) as usize;
+        let old_len = header_len(header);
         debug_assert!(
             (2..old_len).contains(&new_len),
             "shrink {old_len}→{new_len}"
         );
-        let pad = old_len - new_len;
+        let new_id = if header & WITH_ID != 0 {
+            pack(id)
+        } else {
+            None
+        };
+        let id_flag = if new_id.is_some() { WITH_ID } else { 0 };
+        let pad = record_words(header) - (HEADER_WORDS + new_len + usize::from(new_id.is_some()));
         self.set_header(
             cref,
-            (new_len as u32) << LEN_SHIFT | (header & (LEARNT | GARBAGE)),
+            (new_len as u32) << LEN_SHIFT | (header & (LEARNT | GARBAGE)) | id_flag,
         );
-        let tail = cref.idx() + HEADER_WORDS + new_len;
+        let mut tail = cref.idx() + HEADER_WORDS + new_len;
+        if let Some(word) = new_id {
+            self.arena[tail] = Lit::from_code(word);
+            tail += 1;
+        }
         self.arena[tail] = Lit::from_code((pad as u32 - 1) << LEN_SHIFT | FILLER | GARBAGE);
         self.garbage_words += pad;
         debug_assert_eq!(
@@ -196,7 +254,7 @@ impl ClauseDb {
     /// Clause length (number of literals).
     #[inline]
     pub fn len(&self, cref: ClauseRef) -> usize {
-        (self.header(cref) >> LEN_SHIFT) as usize
+        header_len(self.header(cref))
     }
 
     /// Whether this is a deduced conflict clause (vs. an original clause).
@@ -305,7 +363,7 @@ impl ClauseDb {
             } else if header & GARBAGE != 0 {
                 garbage += words;
             } else {
-                let len = (header >> LEN_SHIFT) as usize;
+                let len = header_len(header);
                 if len < 2 {
                     out.push(format!(
                         "arena: live record at word {off} stores {len} literal(s); \
@@ -363,7 +421,7 @@ impl ClauseDb {
             } else if header & GARBAGE != 0 {
                 // The record is still intact here — this is where the
                 // database's deletions become DRAT `d` lines.
-                let len = (header >> LEN_SHIFT) as usize;
+                let len = header_len(header);
                 proof.delete_clause(&old[off + HEADER_WORDS..off + HEADER_WORDS + len]);
             } else {
                 let new_ref = self.arena.len() as u32;
@@ -428,7 +486,7 @@ mod tests {
     #[test]
     fn add_and_read_back() {
         let mut db = ClauseDb::new();
-        let c = db.add_original(&lits(&[1, -2]));
+        let c = db.add_original(&lits(&[1, -2]), None);
         assert_eq!(db.lits(c), &[Lit::pos(Var::new(0)), Lit::neg(Var::new(1))]);
         assert_eq!(db.num_live(), 1);
         assert_eq!(db.num_original(), 1);
@@ -439,8 +497,8 @@ mod tests {
     #[test]
     fn learnt_clauses_stack_in_order() {
         let mut db = ClauseDb::new();
-        let a = db.add_learnt(&lits(&[1, 2]));
-        let b = db.add_learnt(&lits(&[2, 3]));
+        let a = db.add_learnt(&lits(&[1, 2]), None);
+        let b = db.add_learnt(&lits(&[2, 3]), None);
         assert_eq!(db.stack, vec![a, b]);
         assert_eq!(db.num_learnt(), 2);
         assert!(db.is_learnt(a));
@@ -449,9 +507,9 @@ mod tests {
     #[test]
     fn delete_and_compact() {
         let mut db = ClauseDb::new();
-        let a = db.add_learnt(&lits(&[1, 2]));
-        let b = db.add_learnt(&lits(&[2, 3]));
-        let c = db.add_learnt(&lits(&[3, 4]));
+        let a = db.add_learnt(&lits(&[1, 2]), None);
+        let b = db.add_learnt(&lits(&[2, 3]), None);
+        let c = db.add_learnt(&lits(&[3, 4]), None);
         db.delete(b);
         db.compact_stack();
         assert_eq!(db.stack, vec![a, c]);
@@ -462,9 +520,9 @@ mod tests {
     #[test]
     fn collect_compacts_and_remaps() {
         let mut db = ClauseDb::new();
-        let a = db.add_learnt(&lits(&[1, 2]));
-        let b = db.add_learnt(&lits(&[2, 3, 4]));
-        let c = db.add_learnt(&lits(&[3, 4]));
+        let a = db.add_learnt(&lits(&[1, 2]), None);
+        let b = db.add_learnt(&lits(&[2, 3, 4]), None);
+        let c = db.add_learnt(&lits(&[3, 4]), None);
         db.delete(b);
         db.compact_stack();
         let (map, reclaimed) = db.collect(&mut NoProof);
@@ -490,8 +548,8 @@ mod tests {
             }
         }
         let mut db = ClauseDb::new();
-        let a = db.add_original(&lits(&[1, 2, 3]));
-        db.add_learnt(&lits(&[2, 3]));
+        let a = db.add_original(&lits(&[1, 2, 3]), None);
+        db.add_learnt(&lits(&[2, 3]), None);
         db.delete(a);
         let mut sink = Rec(Vec::new());
         db.collect(&mut sink);
@@ -501,9 +559,9 @@ mod tests {
     #[test]
     fn shrink_keeps_ref_and_arena_walkable() {
         let mut db = ClauseDb::new();
-        let a = db.add_original(&lits(&[1, 2, 3, 4]));
-        let b = db.add_original(&lits(&[5, 6]));
-        db.shrink(a, 2);
+        let a = db.add_original(&lits(&[1, 2, 3, 4]), None);
+        let b = db.add_original(&lits(&[5, 6]), None);
+        db.shrink(a, 2, None);
         assert_eq!(db.lits(a), &lits(&[1, 2])[..]);
         assert_eq!(db.len(a), 2);
         assert_eq!(db.num_live(), 2, "shrinking is not deletion");
@@ -515,10 +573,53 @@ mod tests {
     }
 
     #[test]
+    fn ids_survive_collection_and_shrinking() {
+        let mut db = ClauseDb::new();
+        let a = db.add_original(&lits(&[1, 2, 3]), Some(ClauseId::Original(4)));
+        let b = db.add_learnt(&lits(&[2, 3]), None);
+        let c = db.add_learnt(&lits(&[3, 4, 5, 6]), Some(ClauseId::Lemma(9)));
+        let d = db.add_learnt(&lits(&[4, 5, 6]), Some(ClauseId::Lemma(10)));
+        assert_eq!((db.id(a), db.id(b)), (Some(ClauseId::Original(4)), None));
+        assert_eq!(
+            db.lits(c),
+            &lits(&[3, 4, 5, 6])[..],
+            "the ID word trails the literals"
+        );
+        // A shrunk record takes the ID of the addition that logged it, or
+        // loses its ID word when there is none.
+        db.shrink(c, 2, Some(ClauseId::Lemma(11)));
+        db.shrink(d, 2, None);
+        assert_eq!((db.id(c), db.id(d)), (Some(ClauseId::Lemma(11)), None));
+        assert_eq!(db.lits(c), &lits(&[3, 4])[..]);
+        db.delete(a);
+        db.compact_stack();
+        let (map, reclaimed) = db.collect(&mut NoProof);
+        // `a` with its ID word, `c`'s two orphaned literals and `d`'s
+        // literal plus ID word.
+        assert_eq!(reclaimed, HEADER_WORDS + 4 + 2 + 2);
+        assert_eq!(db.id(map.remap(b)), None);
+        assert_eq!(db.id(map.remap(c)), Some(ClauseId::Lemma(11)));
+        assert_eq!(db.lits(map.remap(c)), &lits(&[3, 4])[..]);
+        assert_eq!(db.lits(map.remap(d)), &lits(&[4, 5])[..]);
+        let mut problems = Vec::new();
+        db.audit(&mut problems);
+        assert!(problems.is_empty(), "{problems:?}");
+    }
+
+    #[test]
+    fn records_without_ids_keep_their_layout() {
+        let mut db = ClauseDb::new();
+        db.add_original(&lits(&[1, 2, 3]), None);
+        db.add_learnt(&lits(&[2, 3]), None);
+        assert_eq!(db.arena.len(), 2 * HEADER_WORDS + 5);
+        assert_eq!(db.arena[0].code() as u32, 3 << LEN_SHIFT);
+    }
+
+    #[test]
     fn iter_live_skips_deleted() {
         let mut db = ClauseDb::new();
-        let a = db.add_original(&lits(&[1, 2]));
-        let b = db.add_learnt(&lits(&[2, 3]));
+        let a = db.add_original(&lits(&[1, 2]), None);
+        let b = db.add_learnt(&lits(&[2, 3]), None);
         db.delete(a);
         let live: Vec<_> = db.iter_live().collect();
         assert_eq!(live, vec![b]);
@@ -527,7 +628,7 @@ mod tests {
     #[test]
     fn activity_is_mutable() {
         let mut db = ClauseDb::new();
-        let a = db.add_learnt(&lits(&[1, 2]));
+        let a = db.add_learnt(&lits(&[1, 2]), None);
         for _ in 0..3 {
             db.bump_activity(a);
         }
@@ -537,8 +638,8 @@ mod tests {
     #[test]
     fn activity_survives_collection() {
         let mut db = ClauseDb::new();
-        let a = db.add_learnt(&lits(&[1, 2]));
-        let b = db.add_learnt(&lits(&[3, 4]));
+        let a = db.add_learnt(&lits(&[1, 2]), None);
+        let b = db.add_learnt(&lits(&[3, 4]), None);
         db.bump_activity(b);
         db.bump_activity(b);
         db.delete(a);

@@ -126,7 +126,7 @@ proptest! {
                     let len = 2 + (seed % 5) as usize;
                     let lits = clause_from_seed(seed, len);
                     if lits.iter().all(|&l| s.lit_value(l) == LBool::Undef) {
-                        let cref = s.db.add_learnt(&lits);
+                        let cref = s.db.add_learnt(&lits, None);
                         s.attach(cref);
                     }
                 }
@@ -161,7 +161,7 @@ proptest! {
         let mut expect: Vec<Vec<Lit>> = Vec::new();
         for (i, &seed) in seeds.iter().enumerate() {
             let lits = clause_from_seed(seed, 2 + (seed % 5) as usize);
-            let cref = s.db.add_learnt(&lits);
+            let cref = s.db.add_learnt(&lits, None);
             s.attach(cref);
             if i % 3 == 0 {
                 s.db.delete(cref);

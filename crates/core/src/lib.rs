@@ -88,7 +88,10 @@
 //! learnt clause and deletion of every solve call; the `berkmin-drat`
 //! crate turns that stream into a checkable DRAT proof. Wrap the sink in
 //! `Rc<RefCell<...>>` (which itself implements `ProofSink`) to keep a
-//! reading handle.
+//! reading handle. Each addition also comes with its hint chain — the
+//! [`ClauseId`]s of the clauses that derive it — through
+//! [`ProofSink::add_clause_hinted`], which lets a checker verify it
+//! without a propagation search.
 //!
 //! # Streaming ingestion
 //!
@@ -138,7 +141,7 @@ pub use config::{
 };
 pub use engine::SatEngine;
 pub use portfolio::{PortfolioConfig, PortfolioEngine, WorkerOutcome, WorkerReport};
-pub use proof::{NoProof, ProofSink};
+pub use proof::{ClauseId, NoProof, ProofSink};
 pub use search::{
     ExportCallback, ImportCallback, LearntCallback, SolveStatus, StopReason, TerminateCallback,
 };

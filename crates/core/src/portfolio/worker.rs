@@ -75,6 +75,9 @@ pub(crate) enum ProofOp {
 
 /// A [`ProofSink`] that records operations instead of writing them — each
 /// worker logs privately; a call's winner publishes what it has logged.
+/// Hint chains are dropped (the provided
+/// [`ProofSink::add_clause_hinted`] forwards to `add_clause`): their
+/// clause IDs are private to the worker, and the splice renumbers them.
 #[derive(Debug, Default)]
 pub(crate) struct ProofBuffer {
     pub(crate) ops: Vec<ProofOp>,

@@ -23,6 +23,7 @@
 
 use berkmin_cnf::{LBool, Lit, Var};
 
+use crate::clause_db::ClauseRef;
 use crate::proof::ProofSink;
 use crate::solver::Solver;
 
@@ -87,16 +88,18 @@ impl Solver {
             return; // unconstrained headroom — nothing to dissolve
         }
         let budget = pos.len() + neg.len() + cfg.elim_growth;
-        let mut resolvents: Vec<Vec<Lit>> = Vec::new();
+        // Each resolvent with its two parents, which form its hint chain.
+        let mut resolvents: Vec<(Vec<Lit>, [ClauseRef; 2])> = Vec::new();
         for &pi in &pos {
             for &ni in &neg {
-                let pc = self.db.lits(st.idx.cref(pi));
-                let nc = self.db.lits(st.idx.cref(ni));
+                let parents = [st.idx.cref(pi), st.idx.cref(ni)];
+                let pc = self.db.lits(parents[0]);
+                let nc = self.db.lits(parents[1]);
                 if let Some(r) = resolve(pc, nc, v) {
                     if r.len() > cfg.elim_clause_cap {
                         return;
                     }
-                    resolvents.push(r);
+                    resolvents.push((r, parents));
                     if resolvents.len() > budget {
                         return;
                     }
@@ -116,7 +119,7 @@ impl Solver {
             .record(side, side_clauses.iter().map(|c| c.as_slice()));
 
         // Add the resolvents while both parents are still present.
-        for r in resolvents {
+        for (r, parents) in resolvents {
             if r.iter().any(|&l| self.lit_value(l) == LBool::True) {
                 continue; // satisfied at level 0 — carries no constraint
             }
@@ -124,7 +127,10 @@ impl Solver {
                 .into_iter()
                 .filter(|&l| self.lit_value(l) != LBool::False)
                 .collect();
-            proof.add_clause(&r);
+            for c in parents {
+                self.hints.push(self.db.id(c));
+            }
+            let lemma = self.hints.add(proof, &r);
             self.stats.elim_resolvents += 1;
             match r.len() {
                 0 => {
@@ -137,7 +143,7 @@ impl Solver {
                     }
                 }
                 _ => {
-                    let cref = self.db.add_original(&r);
+                    let cref = self.db.add_original(&r, lemma);
                     let id = st.idx.add(cref, &r);
                     st.queue.push(id);
                     for &l in &r {

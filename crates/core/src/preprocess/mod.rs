@@ -19,7 +19,8 @@
 //!
 //! Every transformation is reported to the proof sink — strengthened
 //! clauses and resolvents as `add` lines (each is RUP against the clauses
-//! present at emission time), removals as `d` lines (mostly batched through
+//! present at emission time, and carries the clauses it was derived from
+//! as its hint chain), removals as `d` lines (mostly batched through
 //! the arena collector at the end of the run). Unit consequences discovered
 //! by the simplifier are enqueued at level 0 and applied to the index
 //! eagerly; after the final garbage collection they are propagated through
@@ -247,7 +248,7 @@ impl Solver {
                 if !st.idx.is_live(id) {
                     continue;
                 }
-                self.strengthen_clause(st, id, !l, proof);
+                self.strengthen_clause(st, id, !l, None, proof);
                 if !self.ok {
                     return;
                 }
@@ -262,11 +263,16 @@ impl Solver {
     /// that keeps the stream RUP-checkable). A clause that is satisfied at
     /// level 0 is deleted instead; one that degenerates to a unit asserts
     /// the unit and dissolves; the empty clause clears [`Solver::is_ok`].
+    ///
+    /// `remove` is false at level 0, or `subsuming` names the clause that
+    /// implies it false once the new set is (self-subsumption); the hint
+    /// chain is `subsuming` (if any), then the old clause.
     pub(crate) fn strengthen_clause(
         &mut self,
         st: &mut SimpState,
         id: u32,
         remove: Lit,
+        subsuming: Option<ClauseRef>,
         proof: &mut dyn ProofSink,
     ) {
         let cref = st.idx.cref(id);
@@ -290,7 +296,10 @@ impl Solver {
             .filter(|&l| l != remove && self.lit_value(l) != LBool::False)
             .collect();
         debug_assert!(new.len() < old.len(), "strengthening removed nothing");
-        proof.add_clause(&new);
+        for c in subsuming.into_iter().chain([cref]) {
+            self.hints.push(self.db.id(c));
+        }
+        let lemma = self.hints.add(proof, &new);
         match new.len() {
             0 => {
                 self.ok = false;
@@ -311,7 +320,7 @@ impl Solver {
             n => {
                 proof.delete_clause(&old);
                 self.db.lits_mut(cref)[..n].copy_from_slice(&new);
-                self.db.shrink(cref, n);
+                self.db.shrink(cref, n, lemma);
                 for &l in &old {
                     if !new.contains(&l) {
                         st.idx.detach_lit(id, l, &new);
@@ -482,9 +491,9 @@ mod tests {
         let crefs: Vec<ClauseRef> = s.db.iter_live().collect();
         let id = st.idx.add(crefs[0], s.db.lits(crefs[0]));
         // Remove x1, then x2: the clause degenerates to the unit x3.
-        s.strengthen_clause(&mut st, id, lit(1), &mut NoProof);
+        s.strengthen_clause(&mut st, id, lit(1), None, &mut NoProof);
         let id = st.idx.compact_occ(lit(2))[0];
-        s.strengthen_clause(&mut st, id, lit(2), &mut NoProof);
+        s.strengthen_clause(&mut st, id, lit(2), None, &mut NoProof);
         assert_eq!(s.value(Var::new(2)), LBool::True);
         assert!(!st.idx.is_live(id));
     }

@@ -98,7 +98,8 @@ impl Solver {
                 }
                 st.idx.stamp_clause(self.db.lits(bref));
                 if alt.iter().all(|&x| st.idx.stamped(x)) {
-                    self.strengthen_clause(st, bid, !l, proof);
+                    let aref = st.idx.cref(id);
+                    self.strengthen_clause(st, bid, !l, Some(aref), proof);
                     self.stats.clauses_strengthened += 1;
                     if !self.ok {
                         return;

@@ -79,14 +79,16 @@ impl Solver {
                 continue;
             }
             // Strengthen: drop the falsified literals. The shortened clause
-            // is a unit-propagation consequence, so emit add-then-delete.
+            // is a unit-propagation consequence of the old one (its hint
+            // chain), so emit add-then-delete.
             let old: Vec<Lit> = self.db.lits(cref).to_vec();
             let new: Vec<Lit> = old
                 .iter()
                 .copied()
                 .filter(|&l| self.lit_value(l) != LBool::False)
                 .collect();
-            proof.add_clause(&new);
+            self.hints.push(self.db.id(cref));
+            let id = self.hints.add(proof, &new);
             match new.len() {
                 0 => {
                     // Cannot happen after complete BCP, but stay sound.
@@ -102,12 +104,13 @@ impl Solver {
                     self.stats.deleted_clauses += 1;
                 }
                 n => {
-                    // Shrink in place — the record keeps its `ClauseRef`.
-                    // The old literal set is overwritten here, so its `d`
-                    // line is emitted now rather than by the GC.
+                    // Shrink in place — the record keeps its `ClauseRef`
+                    // and takes the new addition's ID. The old literal set
+                    // is overwritten here, so its `d` line is emitted now
+                    // rather than by the GC.
                     proof.delete_clause(&old);
                     self.db.lits_mut(cref)[..n].copy_from_slice(&new);
-                    self.db.shrink(cref, n);
+                    self.db.shrink(cref, n, id);
                 }
             }
         }
@@ -187,7 +190,7 @@ mod tests {
             let lits: Vec<Lit> = (0..len).map(|j| lit((i * len + j + 1) as i32)).collect();
             // Bypass record_learnt's asserting-literal machinery: install
             // the clause directly so nothing is enqueued.
-            let cref = s.db.add_learnt(&lits);
+            let cref = s.db.add_learnt(&lits, None);
             s.attach(cref);
         }
         s

@@ -14,7 +14,7 @@ use berkmin_cnf::{Assignment, LBool, Lit, Var};
 
 use crate::clause_db::ClauseRef;
 use crate::config::ActivityIndex;
-use crate::proof::ProofSink;
+use crate::proof::{ClauseId, ProofSink};
 use crate::solver::Solver;
 use crate::telemetry::{SolveEvent, SolveObserver, SolveVerdict};
 use crate::watch::Watcher;
@@ -223,7 +223,7 @@ impl Solver {
                     return self.conclude_unsat(proof);
                 }
                 let (learnt, bt_level, lbd) = self.analyze(confl);
-                proof.add_clause(&learnt);
+                let id = self.hints.add(proof, &learnt);
                 if let Some((cap, callback)) = &mut self.events.on_learnt {
                     if learnt.len() <= *cap {
                         callback(&learnt);
@@ -248,7 +248,7 @@ impl Solver {
                     self.emit(event);
                 }
                 self.cancel_until(bt_level);
-                self.record_learnt(learnt);
+                self.record_learnt(learnt, id);
                 self.apply_maintenance(due);
                 self.paranoid_audit("after conflict handling");
                 if due.progress_tick && self.events.observer.is_some() {
@@ -534,7 +534,7 @@ impl Solver {
 
     fn conclude_unsat(&mut self, proof: &mut dyn ProofSink) -> SolveStatus {
         if !self.emitted_empty {
-            proof.add_clause(&[]);
+            self.hints.add(proof, &[]);
             self.emitted_empty = true;
         }
         SolveStatus::Unsat
@@ -626,15 +626,21 @@ impl Solver {
     /// Replaces the construction-time proof sink, returning the previous
     /// one — how a caller that attached a shared sink reclaims sole
     /// ownership (e.g. to `Rc::try_unwrap` it) without dropping the solver.
+    ///
+    /// From the first call on, the solver also collects hint chains for the
+    /// sink (see [`ProofSink::add_clause_hinted`]); clauses stored before it
+    /// carry no ID, so additions resting on them go out unhinted.
     pub fn replace_proof_sink(&mut self, sink: Box<dyn ProofSink>) -> Box<dyn ProofSink> {
+        self.hints.on = true;
         std::mem::replace(&mut self.proof, sink)
     }
 
     /// Installs a freshly learnt clause: records activities, attaches
     /// watches, pushes it on the conflict-clause stack and asserts its
     /// first literal. Assumes the trail has been backtracked to the
-    /// asserting level already.
-    pub(crate) fn record_learnt(&mut self, lits: Vec<Lit>) {
+    /// asserting level already. `id` is the clause's proof ID, if one is
+    /// stored.
+    pub(crate) fn record_learnt(&mut self, lits: Vec<Lit>, id: Option<ClauseId>) {
         self.stats.learnt_total += 1;
         self.stats.learnt_lits_total += lits.len() as u64;
         for &l in &lits {
@@ -649,7 +655,7 @@ impl Solver {
             self.unchecked_enqueue(lits[0], None);
         } else {
             let asserting = lits[0];
-            let cref = self.db.add_learnt(&lits);
+            let cref = self.db.add_learnt(&lits, id);
             self.attach(cref);
             self.unchecked_enqueue(asserting, Some(cref));
         }
@@ -743,7 +749,7 @@ impl Solver {
                 }
                 _ => {
                     self.stats.clauses_imported += 1;
-                    let cref = self.db.add_learnt(lits);
+                    let cref = self.db.add_learnt(lits, None);
                     self.attach(cref);
                     let live = self.db.num_live() as u64;
                     self.stats.max_live_clauses = self.stats.max_live_clauses.max(live);

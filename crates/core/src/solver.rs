@@ -16,7 +16,7 @@ use crate::config::{ActivityIndex, Budget, SolverConfig};
 use crate::heap::VarHeap;
 use crate::limits::SearchLimits;
 use crate::preprocess::Reconstructor;
-use crate::proof::{NoProof, ProofSink};
+use crate::proof::{HintLog, NoProof, ProofSink};
 use crate::rng::XorShift64;
 use crate::search::{SolveEvents, SolveStatus};
 use crate::stats::Stats;
@@ -99,6 +99,10 @@ pub struct Solver {
     /// reports to ([`NoProof`] unless attached via
     /// [`SolverBuilder::proof`](crate::SolverBuilder::proof)).
     pub(crate) proof: Box<dyn ProofSink>,
+    /// Clause-ID counters and the hint chain of the next proof addition
+    /// (collected only once a proof sink is attached; see
+    /// [`ClauseId`](crate::ClauseId)).
+    pub(crate) hints: HintLog,
     /// Terminate / learnt-clause hooks (see [`SolveEvents`]).
     pub(crate) events: SolveEvents,
     /// `frozen[v]`: the preprocessor may not eliminate `v` (user-frozen
@@ -177,6 +181,7 @@ impl Solver {
             failed: Vec::new(),
             pending_assumptions: Vec::new(),
             proof: Box::new(NoProof),
+            hints: HintLog::default(),
             events: SolveEvents::default(),
             frozen: Vec::new(),
             eliminated: Vec::new(),
@@ -313,6 +318,7 @@ impl Solver {
             );
         }
         self.stats.initial_clauses += 1;
+        let id = self.hints.next_original();
         if !self.ok {
             return false;
         }
@@ -335,7 +341,7 @@ impl Solver {
                 true
             }
             _ => {
-                let cref = self.db.add_original(&ls);
+                let cref = self.db.add_original(&ls, id);
                 self.attach(cref);
                 let live = self.db.num_live() as u64;
                 self.stats.max_live_clauses = self.stats.max_live_clauses.max(live);

@@ -352,8 +352,8 @@ mod tests {
         let mut db = ClauseDb::new();
         let mut w = Watches::new();
         w.grow(3);
-        let long = db.add_original(&[lit(1), lit(2), lit(3)]);
-        let bin = db.add_original(&[lit(-1), lit(2)]);
+        let long = db.add_original(&[lit(1), lit(2), lit(3)], None);
+        let bin = db.add_original(&[lit(-1), lit(2)], None);
         w.attach(long, db.lits(long));
         w.attach(bin, db.lits(bin));
         let mut count = 0;

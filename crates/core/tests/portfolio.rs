@@ -383,6 +383,8 @@ fn proof_spliced_from_several_winners_checks() {
     // formula past the threshold until it is refuted outright. On this
     // session a worker that wins after losing needs lemmas it logged while
     // losing: the proof checks only because the splice publishes them.
+    // Worker clause IDs are private to each worker, so the splice carries
+    // no hints: the whole proof is checked by full RUP.
     let proof = Rc::new(RefCell::new(DratProof::new()));
     let mut config = PortfolioConfig::new(2)
         .with_deterministic(true)
@@ -412,7 +414,13 @@ fn proof_spliced_from_several_winners_checks() {
     assert!(refuted, "the session must end in an absolute refutation");
     let distinct: std::collections::BTreeSet<usize> = winners.iter().copied().collect();
     assert!(distinct.len() > 1, "one worker won every call: {winners:?}");
-    check_refutation(&cnf, &proof.borrow()).expect("the spliced proof checks");
+    let report = check_refutation(&cnf, &proof.borrow()).expect("the spliced proof checks");
+    assert!(report.additions_checked > 0);
+    assert_eq!(
+        (report.additions_hinted, report.chain_failures),
+        (0, 0),
+        "the spliced proof must be unhinted"
+    );
 }
 
 #[test]

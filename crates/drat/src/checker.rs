@@ -1,4 +1,4 @@
-//! Forward RUP proof checking.
+//! Forward RUP proof checking with a hint fast path.
 //!
 //! Every clause a CDCL solver learns is a *reverse unit propagation* (RUP)
 //! consequence: asserting the negation of all its literals and running unit
@@ -6,6 +6,26 @@
 //! works forward through the proof: it verifies every addition that way,
 //! maintains the database across deletions, and accepts iff the empty
 //! clause is derived.
+//!
+//! # Hints
+//!
+//! An addition may carry a *hint chain* (see [`berkmin::ClauseId`]): the
+//! clauses that derive it, in order. The checker first walks that chain
+//! once, with the addition's literals assumed false: each clause must have
+//! exactly one non-false literal, which is then assigned, until one clause
+//! has none. That proves the addition RUP without any propagation search.
+//! A missing chain, or one that names an unknown clause, a deleted clause
+//! with no live copy of its literal set, or a clause with two non-false
+//! literals, changes nothing: the checker runs the full RUP check on that
+//! addition instead. A chain that works
+//! only ever confirms what the full check would find, so the accepted
+//! proofs, the errors and the counts of [`CheckReport`] are the same with
+//! or without hints; only [`CheckReport::additions_hinted`] and
+//! [`CheckReport::chain_failures`] tell the paths apart.
+//!
+//! The checker resolves IDs through two tables: original `k` is the `k`-th
+//! clause of the formula, lemma `j` the `j`-th non-empty addition of the
+//! proof.
 //!
 //! # Data structures
 //!
@@ -46,7 +66,9 @@ use std::fmt;
 
 use berkmin_cnf::{Cnf, LBool, Lit};
 
-use crate::proof::{DratProof, Step};
+use berkmin::ClauseId;
+
+use crate::proof::{DratProof, Hints, Step};
 
 /// Why a proof was rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -87,6 +109,12 @@ pub struct CheckReport {
     pub deletions_ignored: usize,
     /// Steps after the empty clause (not checked — the proof is complete).
     pub steps_after_empty: usize,
+    /// Additions among [`CheckReport::additions_checked`] verified by
+    /// their hint chain; the others took the full RUP check.
+    pub additions_hinted: usize,
+    /// Additions whose hint chain did not verify them, so the full RUP
+    /// check ran instead (a solver's own proofs should have none).
+    pub chain_failures: usize,
 }
 
 /// Verifies that `proof` is a valid RUP refutation of `cnf`.
@@ -97,40 +125,60 @@ pub struct CheckReport {
 /// unit propagation, or [`CheckError::NoEmptyClause`] if the proof never
 /// reaches the empty clause.
 pub fn check_refutation(cnf: &Cnf, proof: &DratProof) -> Result<CheckReport, CheckError> {
+    // Size the clause store for everything the check may add, so it never
+    // grows by copying.
     let mut nvars = cnf.num_vars();
+    let (mut clauses, mut lits) = (cnf.num_clauses(), 0);
+    for clause in cnf.iter() {
+        lits += clause.len();
+    }
     for step in proof.steps() {
-        let lits = match step {
-            Step::Add(l) | Step::Delete(l) => l,
-        };
-        for l in lits {
+        for l in step.lits() {
             nvars = nvars.max(l.var().index() + 1);
+        }
+        if let Step::Add(added) = step {
+            clauses += 1;
+            lits += added.len();
         }
     }
 
-    let mut db = Propagator::new(nvars);
+    let mut db = Propagator::new(nvars, clauses, lits);
     let mut report = CheckReport::default();
 
     // Load the original formula; a conflict here already refutes it.
     for clause in cnf.iter() {
-        db.add_clause(clause.lits());
+        let cref = db.add_clause(clause.lits());
+        db.originals.push(cref);
     }
     db.propagate_persistent();
 
-    for (i, step) in proof.steps().iter().enumerate() {
+    for (i, step) in proof.steps().enumerate() {
         if db.contradiction {
             report.steps_after_empty = proof.len() - i;
             return Ok(report);
         }
         match step {
             Step::Add(lits) => {
-                if !db.is_rup(lits) {
-                    return Err(CheckError::NotRup {
-                        step: i,
-                        clause: lits.clone(),
-                    });
+                let hints = proof.hints(i);
+                let chained = !hints.is_empty();
+                if chained && db.chain_refutes(lits, hints) {
+                    report.additions_hinted += 1;
+                } else {
+                    if chained {
+                        report.chain_failures += 1;
+                    }
+                    if !db.is_rup(lits) {
+                        return Err(CheckError::NotRup {
+                            step: i,
+                            clause: lits.to_vec(),
+                        });
+                    }
                 }
                 report.additions_checked += 1;
-                db.add_clause(lits);
+                let cref = db.add_clause(lits);
+                if !lits.is_empty() {
+                    db.lemmas.push(cref);
+                }
                 db.propagate_persistent();
             }
             Step::Delete(lits) => {
@@ -225,21 +273,31 @@ struct Propagator {
     contradiction: bool,
     /// Scratch buffer for a sorted, deduplicated literal set.
     key: Vec<Lit>,
+    /// originals[k] = the clause index of the formula's `k`-th clause
+    /// ([`NO_CLAUSE`] for an empty one).
+    originals: Vec<u32>,
+    /// lemmas[j] = the clause index of the proof's `j`-th non-empty
+    /// addition.
+    lemmas: Vec<u32>,
 }
 
 impl Propagator {
-    fn new(nvars: usize) -> Self {
+    /// An empty database over `nvars` variables, with room for `clauses`
+    /// clauses of `lits` literals in all.
+    fn new(nvars: usize, clauses: usize, lits: usize) -> Self {
         Propagator {
-            arena: Vec::new(),
-            clauses: Vec::new(),
-            alive: Vec::new(),
-            index: HashMap::new(),
+            arena: Vec::with_capacity(lits),
+            clauses: Vec::with_capacity(clauses),
+            alive: Vec::with_capacity(clauses),
+            index: HashMap::with_capacity(clauses),
             watches: vec![Vec::new(); 2 * nvars],
             vals: vec![LBool::Undef; 2 * nvars],
             trail: Vec::new(),
             qhead: 0,
             contradiction: false,
             key: Vec::new(),
+            originals: Vec::new(),
+            lemmas: Vec::new(),
         }
     }
 
@@ -268,7 +326,9 @@ impl Propagator {
         self.key.dedup();
     }
 
-    fn add_clause(&mut self, lits: &[Lit]) {
+    /// Adds a clause; returns its index ([`NO_CLAUSE`] for the empty
+    /// clause, which is not stored).
+    fn add_clause(&mut self, lits: &[Lit]) -> u32 {
         // Watch selection below must see each literal once: a duplicated
         // literal (legal in DIMACS, and produced by some generators) would
         // otherwise occupy both watch slots, leaving the rest of the clause
@@ -277,7 +337,7 @@ impl Propagator {
         match self.key.len() {
             0 => {
                 self.contradiction = true;
-                return;
+                return NO_CLAUSE;
             }
             1 => {
                 if !self.enqueue(self.key[0]) {
@@ -285,8 +345,7 @@ impl Propagator {
                 }
                 // Units live on the trail; no watch entry needed, but we
                 // still register the clause so deletions can match it.
-                self.register();
-                return;
+                return self.register();
             }
             _ => {}
         }
@@ -318,6 +377,7 @@ impl Propagator {
                 LBool::True => {}
             }
         }
+        cref
     }
 
     /// Appends the literal set in `key` to the arena and the deletion
@@ -349,16 +409,12 @@ impl Propagator {
         cref
     }
 
-    /// Removes the oldest live clause whose literal set equals that of
-    /// `lits`; returns whether a clause was found.
-    fn delete_clause(&mut self, lits: &[Lit]) -> bool {
-        self.load_key(lits);
-        let hash = set_hash(&self.key);
-        let Some(&head) = self.index.get(&hash) else {
-            return false;
-        };
+    /// Finds the oldest live clause whose literal set is the one in `key`,
+    /// which hashes to `hash`; returns it with its predecessor in the hash
+    /// chain ([`NO_CLAUSE`] when it heads the chain).
+    fn find_key(&self, hash: u64) -> Option<(u32, u32)> {
         let mut prev = NO_CLAUSE;
-        let mut cur = head;
+        let mut cur = *self.index.get(&hash)?;
         while cur != NO_CLAUSE {
             let span = self.clauses[cur as usize];
             let stored = &self.arena[span.start..][..span.len as usize];
@@ -367,20 +423,32 @@ impl Propagator {
             if stored.len() == self.key.len()
                 && stored.iter().all(|l| self.key.binary_search(l).is_ok())
             {
-                if prev != NO_CLAUSE {
-                    self.clauses[prev as usize].next_same = span.next_same;
-                } else if span.next_same != NO_CLAUSE {
-                    self.index.insert(hash, span.next_same);
-                } else {
-                    self.index.remove(&hash);
-                }
-                self.alive[cur as usize] = false;
-                return true;
+                return Some((prev, cur));
             }
             prev = cur;
             cur = span.next_same;
         }
-        false
+        None
+    }
+
+    /// Removes the oldest live clause whose literal set equals that of
+    /// `lits`; returns whether a clause was found.
+    fn delete_clause(&mut self, lits: &[Lit]) -> bool {
+        self.load_key(lits);
+        let hash = set_hash(&self.key);
+        let Some((prev, cur)) = self.find_key(hash) else {
+            return false;
+        };
+        let next = self.clauses[cur as usize].next_same;
+        if prev != NO_CLAUSE {
+            self.clauses[prev as usize].next_same = next;
+        } else if next != NO_CLAUSE {
+            self.index.insert(hash, next);
+        } else {
+            self.index.remove(&hash);
+        }
+        self.alive[cur as usize] = false;
+        true
     }
 
     /// Unit propagation; returns `true` on conflict.
@@ -465,6 +533,21 @@ impl Propagator {
         }
     }
 
+    /// Assumes the negation of every literal of `lits`; returns `true`
+    /// if one of them is already false (a conflict on the spot).
+    fn assume_negation(&mut self, lits: &[Lit]) -> bool {
+        lits.iter().any(|&l| !self.enqueue(!l))
+    }
+
+    /// Unassigns the trail above `saved`.
+    fn roll_back(&mut self, saved: usize) {
+        for &l in &self.trail[saved..] {
+            self.vals[l.code()] = LBool::Undef;
+            self.vals[(!l).code()] = LBool::Undef;
+        }
+        self.trail.truncate(saved);
+    }
+
     /// RUP check: assume the negation of every literal of `lits`,
     /// propagate, expect a conflict, then roll back.
     fn is_rup(&mut self, lits: &[Lit]) -> bool {
@@ -473,24 +556,75 @@ impl Propagator {
         }
         let saved = self.trail.len();
         let saved_qhead = self.qhead;
-        let mut conflict = false;
-        for &l in lits {
-            if !self.enqueue(!l) {
-                conflict = true; // ¬l contradicts the trail: propagation conflict
-                break;
-            }
-        }
-        if !conflict {
-            conflict = self.propagate();
-        }
-        // Roll back the assumptions.
-        for &l in &self.trail[saved..] {
-            self.vals[l.code()] = LBool::Undef;
-            self.vals[(!l).code()] = LBool::Undef;
-        }
-        self.trail.truncate(saved);
+        let conflict = self.assume_negation(lits) || self.propagate();
+        self.roll_back(saved);
         self.qhead = saved_qhead.min(saved);
         conflict
+    }
+
+    /// A live clause with the literal set of the clause `id` names, if
+    /// there is one: that clause itself, or else the oldest live copy of
+    /// its set. A deletion removes the oldest copy of a set while the
+    /// solver may have meant a younger one, and any copy serves a chain.
+    fn resolve(&mut self, id: ClauseId) -> Option<usize> {
+        let cref = match id {
+            ClauseId::Original(k) => self.originals.get(k as usize),
+            ClauseId::Lemma(j) => self.lemmas.get(j as usize),
+        };
+        let cref = *cref?;
+        if *self.alive.get(cref as usize)? {
+            return Some(cref as usize);
+        }
+        let span = self.clauses[cref as usize];
+        self.key.clear();
+        self.key
+            .extend_from_slice(&self.arena[span.start..][..span.len as usize]);
+        self.key.sort_unstable();
+        let (_, twin) = self.find_key(set_hash(&self.key))?;
+        Some(twin as usize)
+    }
+
+    /// Hint check: assume the negation of every literal of `lits`, then
+    /// walk `hints` once. Each clause must be unit — its one non-false
+    /// literal is assigned — until one is falsified, which proves `lits`
+    /// RUP. Returns `false`, having changed nothing, if the chain names a
+    /// clause that is not live or reaches a clause with two non-false
+    /// literals, or ends without a conflict. Nothing is propagated.
+    fn chain_refutes(&mut self, lits: &[Lit], hints: Hints<'_>) -> bool {
+        let saved = self.trail.len();
+        let mut refuted = self.assume_negation(lits);
+        if !refuted {
+            for id in hints {
+                let Some(cref) = self.resolve(id) else {
+                    break;
+                };
+                let span = self.clauses[cref];
+                let mut open = None;
+                let mut stalled = false;
+                for &l in &self.arena[span.start..][..span.len as usize] {
+                    if self.vals[l.code()] != LBool::False {
+                        if open.is_some() {
+                            stalled = true;
+                            break;
+                        }
+                        open = Some(l);
+                    }
+                }
+                match open {
+                    _ if stalled => break,
+                    None => {
+                        refuted = true;
+                        break;
+                    }
+                    // Already true when the chain repeats a derivation.
+                    Some(unit) => {
+                        self.enqueue(unit);
+                    }
+                }
+            }
+        }
+        self.roll_back(saved);
+        refuted
     }
 }
 
@@ -678,6 +812,61 @@ mod tests {
     }
 
     #[test]
+    fn hint_chains_take_the_fast_path_and_bad_ones_fall_back() {
+        // (a∨b)(a∨¬b)(¬a∨c)(¬a∨¬c). Lemma 0 is `a`: with ¬a, clause 0
+        // gives b and clause 1 is falsified. The empty clause then follows
+        // from the lemma and clauses 2 and 3.
+        let f = cnf(&[&[1, 2], &[1, -2], &[-1, 3], &[-1, -3]]);
+        let prove = |hints: &[ClauseId]| {
+            let mut p = DratProof::new();
+            p.add_clause_hinted(&[lit(1)], hints);
+            p.add_clause(&[]);
+            check_refutation(&f, &p).expect("valid refutation")
+        };
+        let good = prove(&[ClauseId::Original(0), ClauseId::Original(1)]);
+        assert_eq!((good.additions_hinted, good.chain_failures), (1, 0));
+        for bad in [
+            // Stalls: with a false, clause 2 has two non-false literals.
+            &[ClauseId::Original(2), ClauseId::Original(0)][..],
+            // Ends without a conflict.
+            &[ClauseId::Original(0)],
+            // Out of range, for either kind.
+            &[ClauseId::Original(4), ClauseId::Original(1)],
+            &[ClauseId::Lemma(0), ClauseId::Original(1)],
+            &[ClauseId::Lemma(u32::MAX)],
+        ] {
+            let report = prove(bad);
+            assert_eq!(
+                (report.additions_hinted, report.chain_failures),
+                (0, 1),
+                "{bad:?}"
+            );
+            assert_eq!(report.additions_checked, good.additions_checked);
+        }
+    }
+
+    #[test]
+    fn a_deleted_hint_resolves_to_a_live_copy_of_its_clause() {
+        // The formula holds (a∨b) twice. Deleting one copy removes the
+        // older one, so a hint naming original 0 still finds the set alive
+        // through original 1 — until both copies are gone.
+        let f = cnf(&[&[1, 2], &[2, 1], &[1, -2]]);
+        let chain = [ClauseId::Original(0), ClauseId::Original(2)];
+        let check = |deletions: usize| {
+            let mut p = DratProof::new();
+            for _ in 0..deletions {
+                p.delete_clause(&[lit(1), lit(2)]);
+            }
+            p.add_clause_hinted(&[lit(1)], &chain);
+            check_refutation(&f, &p)
+        };
+        let Err(CheckError::NoEmptyClause) = check(1) else {
+            panic!("the lemma must verify");
+        };
+        assert!(matches!(check(2), Err(CheckError::NotRup { step: 2, .. })));
+    }
+
+    #[test]
     fn end_to_end_with_real_solver_unsat_run() {
         // Pigeonhole PHP(3) refuted by the solver; proof must check.
         let mut f = Cnf::new();
@@ -703,5 +892,6 @@ mod tests {
         assert!(proof.ends_with_empty_clause());
         let report = check_refutation(&f, &proof).expect("solver proof must check");
         assert!(report.additions_checked > 0);
+        assert_eq!(report.additions_hinted, report.additions_checked);
     }
 }

@@ -9,9 +9,12 @@
 //!   construction time via [`berkmin::SolverBuilder::proof`] as a
 //!   [`berkmin::ProofSink`];
 //! * [`TextDratWriter`] — a streaming sink emitting standard textual DRAT;
-//! * [`check_refutation`] — a forward RUP checker that independently
-//!   validates the solver's UNSAT verdicts (used throughout the
-//!   integration test suite).
+//! * [`check_refutation`] — a forward RUP checker with a hint fast path
+//!   that independently validates the solver's UNSAT verdicts (used
+//!   throughout the integration test suite). An addition that carries a
+//!   hint chain (see [`berkmin::ClauseId`]) is verified by one pass over
+//!   the chain; without a chain, or when the chain fails, the full RUP
+//!   check runs. The set of accepted proofs is the same either way.
 //!
 //! # Example: verify an UNSAT answer end to end
 //!
@@ -42,4 +45,4 @@ mod checker;
 mod proof;
 
 pub use checker::{check_refutation, CheckError, CheckReport};
-pub use proof::{DratProof, ParseDratError, Step, TextDratWriter};
+pub use proof::{DratProof, Hints, ParseDratError, Step, TextDratWriter};

@@ -2,17 +2,23 @@
 //!
 //! Real solver proofs of three small UNSAT instances (pigeonhole, a
 //! multiplier miter, random 3-SAT) are mutated at seeded positions: a
-//! lemma gets one literal flipped, a lemma is dropped, or a deletion is
-//! turned into an empty-clause addition. For every proof, mutated or not,
-//! `check_refutation` must give exactly the outcome of [`reference_check`]:
-//! a naive checker that keeps a plain clause list and repeats unit
-//! propagation to a fixpoint. The reference shares no code with the checker
-//! and stays as the oracle for any future change to it.
+//! lemma gets one literal flipped (with or without its hints), a lemma is
+//! dropped, or a deletion is turned into an empty-clause addition. Other
+//! mutations touch only the hint chains: a hint is dropped, two are
+//! swapped, or one is pointed out of range, at a deleted clause, or at the
+//! neighbouring lemma. For every proof, mutated or not, `check_refutation`
+//! must give exactly the outcome of [`reference_check`] (errors and every
+//! report count the reference keeps): a naive checker that keeps a plain
+//! clause list, ignores hints and repeats unit propagation to a fixpoint.
+//! The reference shares no code with the checker and stays as the oracle
+//! for any future change to it. The unmutated solver proofs must also have
+//! every hint chain verify.
 
 use std::cell::RefCell;
+use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 
-use berkmin::{SimplifyConfig, SolverBuilder, SolverConfig};
+use berkmin::{ClauseId, ProofSink, SimplifyConfig, SolverBuilder, SolverConfig};
 use berkmin_cnf::{Cnf, LBool, Lit};
 use berkmin_drat::{check_refutation, CheckError, CheckReport, DratProof, Step};
 use berkmin_gens::hole::pigeonhole;
@@ -63,23 +69,110 @@ impl Rng {
 
 #[derive(Clone, Copy, Debug)]
 enum Mutation {
+    /// Flip one literal of a lemma and drop the lemma's hints.
     FlipLiteral,
+    /// Flip one literal of a lemma and keep its hints.
+    FlipLiteralHinted,
+    /// Remove a lemma with its hints; later lemma IDs then name the
+    /// lemma after the one they meant.
     DropLemma,
     DeletionToEmpty,
+    /// Remove one hint of a lemma.
+    DropHint,
+    /// Swap two hints of a lemma.
+    SwapHints,
+    /// Point a hint at a clause that does not exist.
+    HintOutOfRange,
+    /// Point a hint at a clause deleted earlier in the proof.
+    HintToDeleted,
+    /// Move a lemma hint to the neighbouring lemma.
+    ShiftLemmaId,
+}
+
+const MUTATIONS: [Mutation; 9] = [
+    Mutation::FlipLiteral,
+    Mutation::FlipLiteralHinted,
+    Mutation::DropLemma,
+    Mutation::DeletionToEmpty,
+    Mutation::DropHint,
+    Mutation::SwapHints,
+    Mutation::HintOutOfRange,
+    Mutation::HintToDeleted,
+    Mutation::ShiftLemmaId,
+];
+
+/// An owned, editable proof step.
+#[derive(Clone)]
+struct OwnedStep {
+    deletion: bool,
+    lits: Vec<Lit>,
+    hints: Vec<ClauseId>,
+}
+
+fn owned_steps(proof: &DratProof) -> Vec<OwnedStep> {
+    proof
+        .steps()
+        .enumerate()
+        .map(|(i, step)| OwnedStep {
+            deletion: matches!(step, Step::Delete(_)),
+            lits: step.lits().to_vec(),
+            hints: proof.hints(i).collect(),
+        })
+        .collect()
+}
+
+/// For every deletion step, the ID of the clause it removes, under the
+/// checker's rule (the oldest live clause with the same literal set).
+fn deleted_ids(cnf: &Cnf, steps: &[OwnedStep]) -> Vec<(usize, ClauseId)> {
+    let normalized = |lits: &[Lit]| {
+        let mut set = lits.to_vec();
+        set.sort_unstable();
+        set.dedup();
+        set
+    };
+    let mut live: HashMap<Vec<Lit>, VecDeque<ClauseId>> = HashMap::new();
+    for (k, clause) in cnf.iter().enumerate() {
+        let id = ClauseId::Original(k as u32);
+        live.entry(normalized(clause.lits()))
+            .or_default()
+            .push_back(id);
+    }
+    let mut lemmas = 0;
+    let mut deleted = Vec::new();
+    for (i, step) in steps.iter().enumerate() {
+        let key = normalized(&step.lits);
+        if step.deletion {
+            if let Some(id) = live.get_mut(&key).and_then(VecDeque::pop_front) {
+                deleted.push((i, id));
+            }
+        } else if !step.lits.is_empty() {
+            live.entry(key)
+                .or_default()
+                .push_back(ClauseId::Lemma(lemmas));
+            lemmas += 1;
+        }
+    }
+    deleted
 }
 
 /// Applies `kind` at a position drawn from `rng`; `None` if the proof has
 /// no step the mutation applies to.
-fn mutate(proof: &DratProof, kind: Mutation, rng: &mut Rng) -> Option<DratProof> {
-    let mut steps = proof.steps().to_vec();
+fn mutate(cnf: &Cnf, proof: &DratProof, kind: Mutation, rng: &mut Rng) -> Option<DratProof> {
+    let mut steps = owned_steps(proof);
     let candidates: Vec<usize> = steps
         .iter()
         .enumerate()
-        .filter(|(_, s)| match (kind, s) {
-            (Mutation::FlipLiteral, Step::Add(lits)) => !lits.is_empty(),
-            (Mutation::DropLemma, Step::Add(_)) => true,
-            (Mutation::DeletionToEmpty, Step::Delete(_)) => true,
-            _ => false,
+        .filter(|(_, s)| match kind {
+            Mutation::FlipLiteral | Mutation::FlipLiteralHinted => {
+                !s.deletion && !s.lits.is_empty()
+            }
+            Mutation::DropLemma => !s.deletion,
+            Mutation::DeletionToEmpty => s.deletion,
+            Mutation::DropHint | Mutation::HintOutOfRange | Mutation::HintToDeleted => {
+                !s.hints.is_empty()
+            }
+            Mutation::SwapHints => s.hints.len() >= 2,
+            Mutation::ShiftLemmaId => s.hints.iter().any(|h| matches!(h, ClauseId::Lemma(_))),
         })
         .map(|(i, _)| i)
         .collect();
@@ -87,24 +180,92 @@ fn mutate(proof: &DratProof, kind: Mutation, rng: &mut Rng) -> Option<DratProof>
         return None;
     }
     let at = candidates[rng.below(candidates.len())];
+    let step = &mut steps[at];
     match kind {
-        Mutation::FlipLiteral => {
-            let Step::Add(lits) = &mut steps[at] else {
-                unreachable!("candidates are additions")
-            };
-            let k = rng.below(lits.len());
-            lits[k] = !lits[k];
+        Mutation::FlipLiteral | Mutation::FlipLiteralHinted => {
+            let k = rng.below(step.lits.len());
+            step.lits[k] = !step.lits[k];
+            if matches!(kind, Mutation::FlipLiteral) {
+                step.hints.clear();
+            }
         }
         Mutation::DropLemma => {
             steps.remove(at);
         }
-        Mutation::DeletionToEmpty => steps[at] = Step::Add(Vec::new()),
+        Mutation::DeletionToEmpty => {
+            *step = OwnedStep {
+                deletion: false,
+                lits: Vec::new(),
+                hints: Vec::new(),
+            }
+        }
+        Mutation::DropHint => {
+            step.hints.remove(rng.below(step.hints.len()));
+        }
+        Mutation::SwapHints => {
+            let n = step.hints.len();
+            let a = rng.below(n);
+            let b = (a + 1 + rng.below(n - 1)) % n;
+            step.hints.swap(a, b);
+        }
+        Mutation::HintOutOfRange => {
+            let k = rng.below(step.hints.len());
+            step.hints[k] = if rng.below(2) == 0 {
+                ClauseId::Original(cnf.num_clauses() as u32 + rng.below(3) as u32)
+            } else {
+                ClauseId::Lemma(u32::MAX - rng.below(3) as u32)
+            };
+        }
+        Mutation::HintToDeleted => {
+            let gone: Vec<ClauseId> = deleted_ids(cnf, &steps)
+                .into_iter()
+                .filter(|&(i, _)| i < at)
+                .map(|(_, id)| id)
+                .collect();
+            if gone.is_empty() {
+                return None;
+            }
+            let step = &mut steps[at];
+            let k = rng.below(step.hints.len());
+            step.hints[k] = gone[rng.below(gone.len())];
+        }
+        Mutation::ShiftLemmaId => {
+            let lemma_hints: Vec<usize> = (0..step.hints.len())
+                .filter(|&k| matches!(step.hints[k], ClauseId::Lemma(_)))
+                .collect();
+            let k = lemma_hints[rng.below(lemma_hints.len())];
+            let ClauseId::Lemma(j) = step.hints[k] else {
+                unreachable!("filtered to lemma hints")
+            };
+            step.hints[k] = ClauseId::Lemma(if j > 0 && rng.below(2) == 0 {
+                j - 1
+            } else {
+                j + 1
+            });
+        }
     }
     let mut mutated = DratProof::new();
-    for step in steps {
-        mutated.push(step);
+    for step in &steps {
+        if step.deletion {
+            mutated.delete_clause(&step.lits);
+        } else {
+            mutated.add_clause_hinted(&step.lits, &step.hints);
+        }
     }
     Some(mutated)
+}
+
+/// The outcome with the hint counts cleared: the part of a
+/// [`CheckReport`] the hints must never change, and all the reference
+/// computes.
+fn without_hint_counts(
+    outcome: Result<CheckReport, CheckError>,
+) -> Result<CheckReport, CheckError> {
+    outcome.map(|report| CheckReport {
+        additions_hinted: 0,
+        chain_failures: 0,
+        ..report
+    })
 }
 
 /// A naive forward checker with the operational DRAT semantics: a clause
@@ -210,8 +371,7 @@ fn reference_check(cnf: &Cnf, proof: &DratProof) -> Result<CheckReport, CheckErr
 
     let mut nvars = cnf.num_vars();
     for step in proof.steps() {
-        let (Step::Add(lits) | Step::Delete(lits)) = step;
-        for l in lits {
+        for l in step.lits() {
             nvars = nvars.max(l.var().index() + 1);
         }
     }
@@ -225,7 +385,7 @@ fn reference_check(cnf: &Cnf, proof: &DratProof) -> Result<CheckReport, CheckErr
     }
     db.settle();
     let mut report = CheckReport::default();
-    for (i, step) in proof.steps().iter().enumerate() {
+    for (i, step) in proof.steps().enumerate() {
         if db.contradiction {
             report.steps_after_empty = proof.len() - i;
             return Ok(report);
@@ -235,7 +395,7 @@ fn reference_check(cnf: &Cnf, proof: &DratProof) -> Result<CheckReport, CheckErr
                 if !db.is_rup(lits) {
                     return Err(CheckError::NotRup {
                         step: i,
-                        clause: lits.clone(),
+                        clause: lits.to_vec(),
                     });
                 }
                 report.additions_checked += 1;
@@ -265,7 +425,7 @@ fn checker_agrees_with_the_naive_reference_on_mutated_solver_proofs() {
         ("mulmiter3", multiplier_miter(3, 0).cnf),
         ("random-3sat", unsat_random_3sat()),
     ];
-    let (mut accepted, mut rejected) = (0, 0);
+    let (mut accepted, mut rejected, mut chain_failures) = (0, 0, 0);
     for (name, cnf) in &instances {
         let proof = solver_proof(cnf);
         assert!(
@@ -273,24 +433,34 @@ fn checker_agrees_with_the_naive_reference_on_mutated_solver_proofs() {
             "{name}: the proof must contain deletions to mutate"
         );
         let original = check_refutation(cnf, &proof);
-        assert!(
-            original.is_ok(),
-            "{name}: solver proof rejected: {original:?}"
+        let Ok(report) = &original else {
+            panic!("{name}: solver proof rejected: {original:?}");
+        };
+        assert_eq!(
+            report.chain_failures, 0,
+            "{name}: a chain of the solver's own proof failed"
         );
-        assert_eq!(original, reference_check(cnf, &proof), "{name}: unmutated");
-        for kind in [
-            Mutation::FlipLiteral,
-            Mutation::DropLemma,
-            Mutation::DeletionToEmpty,
-        ] {
+        assert!(
+            report.additions_hinted > 0,
+            "{name}: no addition was hinted"
+        );
+        assert_eq!(
+            without_hint_counts(original),
+            reference_check(cnf, &proof),
+            "{name}: unmutated"
+        );
+        for kind in MUTATIONS {
             for seed in 0..MUTATIONS_PER_KIND {
                 let mut rng = Rng(seed);
-                let Some(mutated) = mutate(&proof, kind, &mut rng) else {
+                let Some(mutated) = mutate(cnf, &proof, kind, &mut rng) else {
                     continue;
                 };
                 let got = check_refutation(cnf, &mutated);
+                if let Ok(report) = &got {
+                    chain_failures += report.chain_failures;
+                }
                 assert_eq!(
-                    got,
+                    without_hint_counts(got.clone()),
                     reference_check(cnf, &mutated),
                     "{name}: {kind:?} with seed {seed}"
                 );
@@ -307,4 +477,6 @@ fn checker_agrees_with_the_naive_reference_on_mutated_solver_proofs() {
         accepted > 0 && rejected > 0,
         "accepted {accepted}, rejected {rejected}"
     );
+    // The broken chains must reach the full-RUP fallback.
+    assert!(chain_failures > 0, "no mutated chain failed");
 }

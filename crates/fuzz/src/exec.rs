@@ -360,8 +360,18 @@ fn certify(
                     for clause in formula {
                         cnf.add_clause(berkmin_cnf::Clause::from_lits(clause.iter().copied()));
                     }
-                    if let Err(e) = check_refutation(&cnf, &proof.borrow()) {
-                        return fail(format!("DRAT check of the refutation failed: {e}"));
+                    match check_refutation(&cnf, &proof.borrow()) {
+                        Err(e) => return fail(format!("DRAT check of the refutation failed: {e}")),
+                        // A single solver hints every addition; a chain that
+                        // needs the full-RUP fallback is a logging bug even
+                        // though the proof checks.
+                        Ok(report) if report.chain_failures > 0 => {
+                            return fail(format!(
+                                "{} hint chains of the refutation failed",
+                                report.chain_failures
+                            ))
+                        }
+                        Ok(_) => {}
                     }
                 } else {
                     // No sound proof exists (clause sharing): the formula

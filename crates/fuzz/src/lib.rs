@@ -15,7 +15,9 @@
 //!   ([`reference::dpll`]).
 //! - **UNSAT with an empty core** (absolute refutation) — the accumulated
 //!   DRAT proof of the whole session must check against the accumulated
-//!   raw formula via `berkmin_drat::check_refutation`.
+//!   raw formula via `berkmin_drat::check_refutation`, with every hint
+//!   chain of a single-solver proof verifying (a chain that needs the
+//!   full-RUP fallback counts as a discrepancy).
 //! - **Unknown** — only legal when a finite budget was installed.
 //!
 //! On top of per-answer certification, the two engines are cross-checked

@@ -920,9 +920,11 @@ fn main() -> ExitCode {
                     Ok(report) => {
                         if !opts.quiet {
                             println!(
-                                "c proof checked: {} additions verified, {} deletions applied, \
-                                 {} ignored, {:.3} s",
+                                "c proof checked: {} additions verified ({} by hints, {} by \
+                                 full RUP), {} deletions applied, {} ignored, {:.3} s",
                                 report.additions_checked,
+                                report.additions_hinted,
+                                report.additions_checked - report.additions_hinted,
                                 report.deletions_applied,
                                 report.deletions_ignored,
                                 start.elapsed().as_secs_f64()

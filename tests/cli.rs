@@ -516,3 +516,18 @@ fn paranoid_flag_is_accepted_and_solves_normally() {
     assert_eq!(code, 20, "{stdout}");
     assert!(stdout.contains("proof checked"), "{stdout}");
 }
+
+#[test]
+fn hole5_proof_check_needs_no_full_rup_fallback() {
+    // The solver logs a hint chain with every lemma; the `c proof checked:`
+    // line splits the verified additions by path, and on the solver's own
+    // proof of hole(5) every one of them must be verified by its hints.
+    let (stdout, code) = run_with_stdin(&["--check-proof", "--no-model"], &pigeonhole_dimacs(5));
+    assert_eq!(code, 20, "{stdout}");
+    let line = stdout
+        .lines()
+        .find(|l| l.starts_with("c proof checked:"))
+        .expect("proof check line");
+    assert!(line.contains(" by hints, 0 by full RUP)"), "{line}");
+    assert!(!line.contains("(0 by hints"), "{line}");
+}

@@ -140,3 +140,47 @@ fn level0_contradiction_proof_checks() {
     assert!(solver.solve().is_unsat());
     check_refutation(&cnf, &proof.borrow()).expect("unit-contradiction proof must check");
 }
+
+#[test]
+fn every_solver_addition_is_verified_by_its_hint_chain() {
+    // The checker tries each addition's hint chain first and falls back to
+    // full RUP when the chain fails, so a broken chain would cost speed
+    // without failing any correctness test. Hold the fast path to every
+    // non-empty addition of the solver's own proofs: the default search,
+    // learnt-clause minimization (whose chains also carry the reasons of
+    // the removed literals) and full preprocessing (strengthenings and
+    // elimination resolvents).
+    let mut minimize = SolverConfig::berkmin();
+    minimize.minimize_learnt = true;
+    let configs = [
+        ("default", SolverConfig::berkmin()),
+        ("minimize", minimize),
+        (
+            "simplify-full",
+            SolverConfig::berkmin().with_simplify(SimplifyConfig::full()),
+        ),
+    ];
+    let instances = [
+        ("hole7", hole::pigeonhole(7).cnf),
+        (
+            "mulmiter6",
+            berkmin_gens::miters::multiplier_miter(6, 0).cnf,
+        ),
+        ("npipe3", berkmin_gens::pipeline::npipe(3).cnf),
+    ];
+    for (name, cnf) in &instances {
+        for (config_name, cfg) in &configs {
+            let (mut solver, proof) = proof_logged_solver(cnf, cfg.clone());
+            assert!(solver.solve().is_unsat(), "{name}/{config_name}");
+            let report = check_refutation(cnf, &proof.borrow()).expect("refutation must check");
+            // The check stops at the first contradiction, so the additions
+            // it reached are all non-empty.
+            assert!(report.additions_checked > 0, "{name}/{config_name}");
+            assert_eq!(
+                (report.additions_hinted, report.chain_failures),
+                (report.additions_checked, 0),
+                "{name}/{config_name}: {report:?}"
+            );
+        }
+    }
+}

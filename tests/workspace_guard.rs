@@ -189,3 +189,22 @@ fn ci_keeps_the_search_fingerprint_step() {
          silently changed the search would go unnoticed"
     );
 }
+
+#[test]
+fn ci_keeps_the_hinted_proof_step() {
+    // The checker falls back to full RUP whenever a hint chain fails, so a
+    // solver that logs broken chains still passes every correctness test;
+    // only the CI step that requires hole(8) to need no fallback notices
+    // the lost speed.
+    let ci = ci_config();
+    for required in [
+        "--proof hole8.drat --check-proof hole8.cnf",
+        "grep -q ' by hints, 0 by full RUP)' hole8.log",
+    ] {
+        assert!(
+            ci.contains(required),
+            "CI workflow dropped `{required}` from the hinted proof step; \
+             failing hint chains would go unnoticed"
+        );
+    }
+}
