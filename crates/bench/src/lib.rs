@@ -31,7 +31,7 @@ mod runner;
 mod table;
 
 pub use ablation::run_ablation;
-pub use runner::{run_class, run_engine, run_instance, ClassResult, RunResult, Verdict};
+pub use runner::{run_class, run_instance, ClassResult, RunResult, Verdict};
 pub use table::TextTable;
 
 use berkmin::Budget;

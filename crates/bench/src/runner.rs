@@ -5,7 +5,7 @@
 
 use std::time::{Duration, Instant};
 
-use berkmin::{Budget, SatEngine, SolveStatus, SolverBuilder, SolverConfig, Stats};
+use berkmin::{Budget, SolveStatus, SolverBuilder, SolverConfig, Stats};
 use berkmin_gens::BenchInstance;
 
 /// Verdict of a single run.
@@ -17,17 +17,6 @@ pub enum Verdict {
     Unsat,
     /// Budget exhausted — the analog of the paper's timeout aborts.
     Aborted,
-}
-
-impl Verdict {
-    /// Short column label.
-    pub fn label(self) -> &'static str {
-        match self {
-            Verdict::Sat => "SAT",
-            Verdict::Unsat => "UNSAT",
-            Verdict::Aborted => "abort",
-        }
-    }
 }
 
 /// Result of running one instance under one configuration.
@@ -43,8 +32,8 @@ pub struct RunResult {
     pub stats: Stats,
 }
 
-/// Runs `inst` under `config` with the given conflict budget: builds the
-/// configured engine and delegates to the engine-generic [`run_engine`].
+/// Runs `inst` under `config` with the given conflict budget, driving the
+/// configured engine through `dyn SatEngine`.
 ///
 /// # Panics
 ///
@@ -60,17 +49,6 @@ pub fn run_instance(inst: &BenchInstance, config: &SolverConfig, budget: Budget)
     for clause in &inst.cnf {
         engine.add_clause(clause.lits());
     }
-    run_engine(inst, engine.as_mut())
-}
-
-/// Runs `inst` on a pre-built engine already loaded with the instance's
-/// clauses — the measurement core every harness shares, generic over any
-/// [`SatEngine`].
-///
-/// # Panics
-///
-/// Same verdict/model checks as [`run_instance`].
-pub fn run_engine(inst: &BenchInstance, engine: &mut dyn SatEngine) -> RunResult {
     let start = Instant::now();
     let status = engine.solve();
     let time = start.elapsed();

@@ -3,8 +3,8 @@
 //! [`SolverBuilder`] owns everything a [`Solver`] needs *before* the first
 //! solve call: the [`SolverConfig`], the proof sink (attached once, at
 //! construction — not per call), a reserved variable space, initial
-//! clauses, and the two IPASIR-style solve-event hooks (terminate and
-//! learnt-clause callbacks). `build()` yields a concrete [`Solver`];
+//! clauses, and the solve-event hooks (terminate, learnt-clause tap, share
+//! import and telemetry observer). `build()` yields a concrete [`Solver`];
 //! `build_engine()` yields it as a `Box<dyn SatEngine>` for drivers that
 //! are generic over engines.
 
@@ -13,7 +13,7 @@ use berkmin_cnf::{ClauseSink, Cnf, Lit, Var};
 use crate::config::SolverConfig;
 use crate::engine::SatEngine;
 use crate::proof::ProofSink;
-use crate::search::{ExportCallback, ImportCallback, LearntCallback, TerminateCallback};
+use crate::search::{ImportCallback, LearntCallback, TerminateCallback};
 use crate::solver::Solver;
 use crate::telemetry::SolveObserver;
 
@@ -39,7 +39,7 @@ use crate::telemetry::SolveObserver;
 /// ```
 ///
 /// Event hooks are installed here too — a terminate callback polled at
-/// restart boundaries and a learnt-clause callback for short clauses:
+/// restart boundaries and a learnt-clause tap that keeps the short clauses:
 ///
 /// ```
 /// use std::cell::RefCell;
@@ -50,7 +50,11 @@ use crate::telemetry::SolveObserver;
 /// let learnt = Rc::new(RefCell::new(Vec::new()));
 /// let tap = Rc::clone(&learnt);
 /// let mut solver = SolverBuilder::new()
-///     .on_learnt(4, move |clause| tap.borrow_mut().push(clause.to_vec()))
+///     .on_learnt(move |clause, _lbd| {
+///         if clause.len() <= 4 {
+///             tap.borrow_mut().push(clause.to_vec());
+///         }
+///     })
 ///     .clause([Lit::from_dimacs(1), Lit::from_dimacs(2)])
 ///     .build();
 /// assert!(solver.solve().is_sat()); // (trivially SAT: nothing learnt)
@@ -64,8 +68,7 @@ pub struct SolverBuilder {
     clauses: Vec<Vec<Lit>>,
     frozen: Vec<Var>,
     terminate: Option<TerminateCallback>,
-    on_learnt: Option<(usize, LearntCallback)>,
-    export: Option<(u32, ExportCallback)>,
+    on_learnt: Option<LearntCallback>,
     import: Option<ImportCallback>,
     observer: Option<Box<dyn SolveObserver>>,
 }
@@ -93,7 +96,6 @@ impl SolverBuilder {
             frozen: Vec::new(),
             terminate: None,
             on_learnt: None,
-            export: None,
             import: None,
             observer: None,
         }
@@ -158,28 +160,16 @@ impl SolverBuilder {
         self
     }
 
-    /// Installs the learnt-clause callback: fired once per conflict-derived
-    /// learnt clause of length ≤ `max_len` (asserting literal first),
-    /// right after the clause is reported to the proof sink and before the
-    /// search resumes. Every delivered clause is a logical consequence of
-    /// the formula alone — assumptions never leak into learnt clauses — so
-    /// IC3/BMC-style drivers may forward them to sibling solvers.
-    pub fn on_learnt(mut self, max_len: usize, callback: impl FnMut(&[Lit]) + 'static) -> Self {
-        self.on_learnt = Some((max_len, Box::new(callback)));
-        self
-    }
-
-    /// Installs the share-export callback: fired once per conflict-derived
-    /// learnt clause that passes the portfolio sharing filter — length ≤ 2,
-    /// or LBD ("glue") ≤ `max_lbd` — with the clause's literals and glue.
-    /// Exported clauses are logical consequences of the formula alone, so
-    /// sibling solvers on the same formula may add them soundly.
-    pub fn share_export(
-        mut self,
-        max_lbd: u32,
-        callback: impl FnMut(&[Lit], u32) + 'static,
-    ) -> Self {
-        self.export = Some((max_lbd, Box::new(callback)));
+    /// Installs the learnt-clause tap: fired once per conflict-derived
+    /// learnt clause (asserting literal first) with its LBD ("glue"), right
+    /// after the clause is reported to the proof sink and before the search
+    /// resumes. It filters nothing; the callback keeps what it wants. Every
+    /// delivered clause is a logical consequence of the formula alone —
+    /// assumptions never leak into learnt clauses — so IC3/BMC-style
+    /// drivers and the portfolio's share pool may forward them to sibling
+    /// solvers on the same formula.
+    pub fn on_learnt(mut self, callback: impl FnMut(&[Lit], u32) + 'static) -> Self {
+        self.on_learnt = Some(Box::new(callback));
         self
     }
 
@@ -231,7 +221,6 @@ impl SolverBuilder {
         }
         solver.set_terminate(self.terminate);
         solver.set_learnt_callback(self.on_learnt);
-        solver.set_export_callback(self.export);
         solver.set_import_source(self.import);
         solver.set_observer(self.observer);
         solver.reserve_vars(self.reserve_vars);

@@ -332,14 +332,6 @@ pub struct SolverConfig {
     pub restart: RestartPolicy,
     /// Clause-database management policy (paper §8).
     pub db_policy: DbPolicy,
-    /// Divide all variable activities by this every
-    /// [`SolverConfig::activity_decay_interval`] conflicts (aging, §1/§5).
-    pub activity_decay_divisor: u64,
-    /// Conflicts between activity-aging steps (the paper's Chaff discussion
-    /// uses "every 100 conflicts").
-    pub activity_decay_interval: u64,
-    /// VSIDS literal-counter halving interval in conflicts (zChaff preset).
-    pub vsids_decay_interval: u64,
     /// Stop `nb_two` evaluation once the sum exceeds this (paper §7: 100).
     pub nb_two_threshold: u32,
     /// Apply conflict-clause minimization (self-subsumption) — a *post-paper*
@@ -379,9 +371,6 @@ impl SolverConfig {
             free_polarity: FreeVarPolarity::NbTwo,
             restart: RestartPolicy::default(),
             db_policy: DbPolicy::berkmin_default(),
-            activity_decay_divisor: 4,
-            activity_decay_interval: 100,
-            vsids_decay_interval: 256,
             nb_two_threshold: 100,
             minimize_learnt: false,
             seed: 0x5EED_B16B_00B5,

@@ -68,8 +68,9 @@
 //! [`SolverBuilder::on_terminate`] (polled at solve entry, every restart
 //! boundary and every 1024 conflicts; aborts with [`StopReason::Callback`]
 //! without touching budgets) and [`SolverBuilder::on_learnt`] (delivers every
-//! conflict-derived learnt clause up to a length cap — each one a
-//! consequence of the formula alone, never of the assumptions).
+//! conflict-derived learnt clause with its LBD, unfiltered — each one a
+//! consequence of the formula alone, never of the assumptions; the
+//! portfolio's clause sharing is built on this one tap).
 //!
 //! # Telemetry
 //!
@@ -142,9 +143,7 @@ pub use config::{
 pub use engine::SatEngine;
 pub use portfolio::{PortfolioConfig, PortfolioEngine, WorkerOutcome, WorkerReport};
 pub use proof::{ClauseId, NoProof, ProofSink};
-pub use search::{
-    ExportCallback, ImportCallback, LearntCallback, SolveStatus, StopReason, TerminateCallback,
-};
+pub use search::{ImportCallback, LearntCallback, SolveStatus, StopReason, TerminateCallback};
 pub use solver::Solver;
 pub use stats::Stats;
 pub use telemetry::{SolveEvent, SolveObserver, SolveVerdict, StatsSnapshot};

@@ -23,6 +23,13 @@ use crate::stats::Stats;
 /// huge fixed interval) would otherwise never hand control back.
 pub(crate) const TERMINATE_POLL_CONFLICTS: u64 = 1024;
 
+/// Conflicts between variable-activity aging steps (the paper's Chaff
+/// discussion uses "every 100 conflicts").
+const ACTIVITY_DECAY_INTERVAL: u64 = 100;
+
+/// Conflicts between VSIDS literal-counter halvings (the zChaff preset).
+const VSIDS_DECAY_INTERVAL: u64 = 256;
+
 /// Per-solve-call baseline of the budgeted counters (plus restarts, which
 /// are not budgeted but are reported as a per-call delta in
 /// [`SolveEvent::SolveDone`](crate::telemetry::SolveEvent)).
@@ -97,12 +104,9 @@ impl SearchLimits {
         let c = stats.conflicts;
         let per_call = c - self.base.conflicts;
         DueActions {
-            decay_var_activity: config.activity_decay_interval > 0
-                && c % config.activity_decay_interval == 0
-                && config.activity_decay_divisor > 1,
+            decay_var_activity: c % ACTIVITY_DECAY_INTERVAL == 0,
             decay_vsids: config.decision == DecisionStrategy::Vsids
-                && config.vsids_decay_interval > 0
-                && c % config.vsids_decay_interval == 0,
+                && c % VSIDS_DECAY_INTERVAL == 0,
             progress_tick: config.progress_every > 0 && per_call % config.progress_every == 0,
             poll_terminate: per_call % TERMINATE_POLL_CONFLICTS == 0,
             conflict_budget_exhausted: per_call >= config.budget.max_conflicts,
@@ -191,20 +195,14 @@ impl SearchLimits {
             }
             RestartPolicy::Never => None,
         };
-        let decay = if config.activity_decay_interval > 0 && config.activity_decay_divisor > 1 {
-            Some(config.activity_decay_interval - stats.conflicts % config.activity_decay_interval)
-        } else {
-            None
-        };
+        let decay = ACTIVITY_DECAY_INTERVAL - stats.conflicts % ACTIVITY_DECAY_INTERVAL;
         let poll =
             TERMINATE_POLL_CONFLICTS - self.conflicts_spent(stats) % TERMINATE_POLL_CONFLICTS;
-        match (restart, decay) {
-            (Some(r), Some(d)) => {
-                format!("restart in {r} conflicts, decay in {d}, terminate poll in {poll}")
+        match restart {
+            Some(r) => {
+                format!("restart in {r} conflicts, decay in {decay}, terminate poll in {poll}")
             }
-            (Some(r), None) => format!("restart in {r} conflicts, terminate poll in {poll}"),
-            (None, Some(d)) => format!("no restarts, decay in {d}, terminate poll in {poll}"),
-            (None, None) => format!("no restarts, terminate poll in {poll}"),
+            None => format!("no restarts, decay in {decay}, terminate poll in {poll}"),
         }
     }
 }

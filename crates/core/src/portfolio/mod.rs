@@ -6,9 +6,10 @@
 //! cooperatively through the solvers' terminate hook (polled every ~1024
 //! conflicts and at restart boundaries). Optionally the workers exchange
 //! short / low-LBD learnt clauses through a bounded [`share::ClausePool`]:
-//! clauses passing the export filter (`len ≤ 2 || lbd ≤ cap`) are published
-//! after each conflict and imported by the other workers at their solve
-//! entries and restart boundaries.
+//! each worker's learnt-clause tap offers every clause to the pool, which
+//! keeps those passing the sharing rule (`len ≤ 2 || lbd ≤ cap`) and hands
+//! them to the other workers at their solve entries and restart
+//! boundaries. The pool also counts what each worker published.
 //!
 //! The workers are **persistent**: they are built once, at the first solve
 //! call (after pre-simplification), and every later call only hands each
@@ -199,15 +200,15 @@ pub struct WorkerReport {
     pub conflicts: u64,
     /// Decisions the worker spent this call.
     pub decisions: u64,
-    /// Clauses the worker exported to the share pool this call.
+    /// Clauses the worker published to the share pool this call (those
+    /// that passed the pool's sharing rule).
     pub exported: u64,
     /// Foreign clauses the worker integrated from the share pool this
     /// call.
     pub imported: u64,
     /// Pool entries evicted this call before this worker's import polls
     /// reached them — shared clauses the worker never got to see (an upper bound:
-    /// it includes the worker's own publications and clauses its LBD
-    /// filter would have rejected).
+    /// it includes the worker's own publications).
     pub missed: u64,
 }
 
@@ -532,6 +533,7 @@ impl PortfolioEngine {
             self.stats.merge(&result.lifetime);
         }
         if let Some((total, _)) = &pool {
+            self.stats.clauses_exported += total.published.iter().sum::<u64>();
             self.stats.pool_evicted += total.evicted;
             self.stats.pool_missed += total.missed.iter().sum::<u64>();
         }
@@ -543,6 +545,7 @@ impl PortfolioEngine {
 
         for result in &mut results {
             if let Some((_, call)) = &pool {
+                result.report.exported = call.published[result.report.id];
                 result.report.missed = call.missed[result.report.id];
             }
             self.reports.push(result.report.clone());
@@ -645,20 +648,19 @@ impl Crew {
         let n = config.threads;
         let pool = config
             .share_lbd
-            .map(|_| Arc::new(ClausePool::new(POOL_CAPACITY, n)));
-        let sharing = config.share_lbd.zip(pool.clone());
+            .map(|cap| Arc::new(ClausePool::new(POOL_CAPACITY, n, cap)));
         let configs = (0..n).map(|id| worker_config(config, id));
         let workers = if config.deterministic {
             Workers::Inline(
                 configs
                     .enumerate()
-                    .map(|(id, c)| Worker::new(id, c, sharing.clone(), None, record_proof))
+                    .map(|(id, c)| Worker::new(id, c, pool.clone(), None, record_proof))
                     .collect(),
             )
         } else {
             Workers::Threads(WorkerThreads::spawn(
                 configs.collect(),
-                sharing,
+                pool.clone(),
                 record_proof,
             ))
         };

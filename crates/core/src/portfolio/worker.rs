@@ -3,11 +3,11 @@
 //!
 //! A [`Worker`] owns an ordinary [`Solver`] with a diversified configuration
 //! ([`SolverConfig::portfolio_worker`]), an optional cancellation flag wired
-//! through the `on_terminate` hook, the export/import hooks connected to the
-//! shared [`ClausePool`] when sharing is on, and a private proof buffer. It
-//! is built once per formula generation and then, call after call,
-//! [extended](Worker::extend) with the clauses added since the previous call
-//! and run again — its learnt clauses, activities and saved phases stay warm
+//! through the `on_terminate` hook, its learnt-clause tap and import source
+//! connected to the shared [`ClausePool`] when sharing is on, and a private
+//! proof buffer. It is built once per formula generation and then, call
+//! after call, [extended](Worker::extend) with the clauses added since the
+//! previous call and run again — its learnt clauses, activities and saved phases stay warm
 //! across incremental calls.
 //!
 //! In threaded mode each worker lives on its own long-lived thread
@@ -98,8 +98,8 @@ impl ProofSink for ProofBuffer {
 pub(crate) struct CallResult {
     pub(crate) status: SolveStatus,
     pub(crate) failed: Vec<Lit>,
-    /// The call's report; `missed` is left at 0 for the engine to fill in
-    /// from the share pool.
+    /// The call's report; `exported` and `missed` are left at 0 for the
+    /// engine to fill in from the share pool.
     pub(crate) report: WorkerReport,
     /// The worker's counters over its whole life, which the engine folds
     /// into its own totals.
@@ -123,34 +123,31 @@ pub(crate) struct Worker {
 impl Worker {
     /// Builds an empty worker solver.
     ///
-    /// `config` is the fully diversified per-worker configuration; `sharing`
-    /// carries the LBD export cap and the pool; `cancel` (when given) is
-    /// polled through the solver's `on_terminate` hook, so a raised flag
-    /// stops the worker within one terminate-poll interval (~1024
-    /// conflicts); `record_proof` attaches the private [`ProofBuffer`].
+    /// `config` is the fully diversified per-worker configuration; `pool`
+    /// (when sharing) receives every learnt clause and supplies the other
+    /// workers' clauses; `cancel` (when given) is polled through the
+    /// solver's `on_terminate` hook, so a raised flag stops the worker
+    /// within one terminate-poll interval (~1024 conflicts); `record_proof`
+    /// attaches the private [`ProofBuffer`].
     pub(crate) fn new(
         id: usize,
         config: SolverConfig,
-        sharing: Option<(u32, Arc<ClausePool>)>,
+        pool: Option<Arc<ClausePool>>,
         cancel: Option<Arc<AtomicBool>>,
         record_proof: bool,
     ) -> Worker {
         debug_assert!(
-            !(record_proof && sharing.is_some()),
+            !(record_proof && pool.is_some()),
             "proof recording with sharing on would be unsound"
         );
         let mut builder = SolverBuilder::with_config(config);
         if let Some(flag) = cancel {
             builder = builder.on_terminate(move || flag.load(Ordering::Relaxed));
         }
-        if let Some((max_lbd, pool)) = sharing {
+        if let Some(pool) = pool {
             let export_pool = Arc::clone(&pool);
-            builder = builder.share_export(max_lbd, move |lits, lbd| {
-                export_pool.publish(id, lits, lbd);
-            });
-            builder = builder.share_import(move |buf| {
-                pool.collect(id, max_lbd, buf);
-            });
+            builder = builder.on_learnt(move |lits, lbd| export_pool.publish(id, lits, lbd));
+            builder = builder.share_import(move |buf| pool.collect(id, buf));
         }
         let mut proof = None;
         if record_proof {
@@ -219,7 +216,7 @@ impl Worker {
             winner: won,
             conflicts: stats.conflicts - self.base.conflicts,
             decisions: stats.decisions - self.base.decisions,
-            exported: stats.clauses_exported - self.base.clauses_exported,
+            exported: 0,
             imported: stats.clauses_imported - self.base.clauses_imported,
             missed: 0,
         };
@@ -274,7 +271,7 @@ impl WorkerThreads {
     /// there (the solver never crosses a thread boundary).
     pub(crate) fn spawn(
         configs: Vec<SolverConfig>,
-        sharing: Option<(u32, Arc<ClausePool>)>,
+        pool: Option<Arc<ClausePool>>,
         record_proof: bool,
     ) -> WorkerThreads {
         let cancel = Arc::new(AtomicBool::new(false));
@@ -284,18 +281,13 @@ impl WorkerThreads {
             .map(|(id, config)| {
                 let (orders, order_rx) = channel();
                 let (result_tx, results) = channel();
-                let sharing = sharing.clone();
+                let pool = pool.clone();
                 let cancel = Arc::clone(&cancel);
                 let thread = std::thread::Builder::new()
                     .name(format!("berkmin-worker-{id}"))
                     .spawn(move || {
-                        let worker = Worker::new(
-                            id,
-                            config,
-                            sharing,
-                            Some(Arc::clone(&cancel)),
-                            record_proof,
-                        );
+                        let worker =
+                            Worker::new(id, config, pool, Some(Arc::clone(&cancel)), record_proof);
                         serve(worker, &cancel, order_rx, result_tx);
                     })
                     .expect("spawn portfolio worker thread");

@@ -47,21 +47,19 @@ impl std::fmt::Display for StopReason {
     }
 }
 
+/// Every aging step divides all variable activities by this (§1/§5); the
+/// steps fall due every `limits::ACTIVITY_DECAY_INTERVAL` conflicts.
+const ACTIVITY_DECAY_DIVISOR: u64 = 4;
+
 /// A boxed terminate callback: polled at solve entry, at restart
 /// boundaries, and every 1024 conflicts; returning `true` aborts with
 /// [`StopReason::Callback`].
 pub type TerminateCallback = Box<dyn FnMut() -> bool>;
 
-/// A boxed learnt-clause callback: receives each conflict-derived learnt
-/// clause (asserting literal first) whose length is within the cap it was
-/// registered with.
-pub type LearntCallback = Box<dyn FnMut(&[Lit])>;
-
-/// A boxed share-export callback: receives each conflict-derived learnt
-/// clause that passes the export filter (length ≤ 2, or LBD within the
-/// registered cap), together with its LBD — the portfolio's outbound half
-/// of learnt-clause sharing.
-pub type ExportCallback = Box<dyn FnMut(&[Lit], u32)>;
+/// A boxed learnt-clause callback: receives every conflict-derived learnt
+/// clause (asserting literal first) together with its LBD. It filters
+/// nothing; callers keep what they want.
+pub type LearntCallback = Box<dyn FnMut(&[Lit], u32)>;
 
 /// A boxed share-import source: polled at solve entry and at every restart
 /// boundary, it pushes candidate clauses into the supplied buffer; the solver integrates them
@@ -81,13 +79,10 @@ pub(crate) struct SolveEvents {
     /// conflicts (so a restart-free search cannot starve it); returning
     /// `true` aborts the call with [`StopReason::Callback`].
     pub(crate) terminate: Option<TerminateCallback>,
-    /// Fired once per conflict-derived learnt clause of length ≤ the cap
-    /// (asserting literal first), right after the clause is reported to the
-    /// proof sink and before search resumes.
-    pub(crate) on_learnt: Option<(usize, LearntCallback)>,
-    /// Share-export hook: fired (after `on_learnt`) for every learnt clause
-    /// with `len ≤ 2 || lbd ≤ cap`, carrying the clause and its LBD.
-    pub(crate) export: Option<(u32, ExportCallback)>,
+    /// Fired once per conflict-derived learnt clause (asserting literal
+    /// first) with its LBD, right after the clause is reported to the proof
+    /// sink and before search resumes.
+    pub(crate) on_learnt: Option<LearntCallback>,
     /// Share-import source: polled at solve entry and at every restart
     /// boundary (after §8 database reduction); fetched clauses are
     /// integrated at level 0.
@@ -102,8 +97,7 @@ impl std::fmt::Debug for SolveEvents {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SolveEvents")
             .field("terminate", &self.terminate.is_some())
-            .field("on_learnt", &self.on_learnt.as_ref().map(|(cap, _)| *cap))
-            .field("export", &self.export.as_ref().map(|(cap, _)| *cap))
+            .field("on_learnt", &self.on_learnt.is_some())
             .field("import", &self.import.is_some())
             .field("observer", &self.observer.is_some())
             .finish()
@@ -224,28 +218,8 @@ impl Solver {
                 }
                 let (learnt, bt_level, lbd) = self.analyze(confl);
                 let id = self.hints.add(proof, &learnt);
-                if let Some((cap, callback)) = &mut self.events.on_learnt {
-                    if learnt.len() <= *cap {
-                        callback(&learnt);
-                    }
-                }
-                // Share export: short clauses are always worth the wire,
-                // longer ones only when their glue is low (paper-era
-                // portfolio practice; the LBD cap is the one knob).
-                let mut exported = false;
-                if let Some((max_lbd, callback)) = &mut self.events.export {
-                    if learnt.len() <= 2 || lbd <= *max_lbd {
-                        self.stats.clauses_exported += 1;
-                        callback(&learnt, lbd);
-                        exported = true;
-                    }
-                }
-                if exported && self.events.observer.is_some() {
-                    let event = SolveEvent::ShareExport {
-                        len: learnt.len(),
-                        lbd,
-                    };
-                    self.emit(event);
+                if let Some(callback) = &mut self.events.on_learnt {
+                    callback(&learnt, lbd);
                 }
                 self.cancel_until(bt_level);
                 self.record_learnt(learnt, id);
@@ -588,25 +562,14 @@ impl Solver {
     }
 
     /// Installs (or clears) the learnt-clause callback: fired once per
-    /// conflict-derived learnt clause of length ≤ `max_len` (asserting
-    /// literal first), after the clause is reported to the proof sink and
-    /// before search resumes. Every delivered clause is a logical
-    /// consequence of the original formula (never of the assumptions).
-    /// Usually installed at construction time via
-    /// [`SolverBuilder::on_learnt`](crate::SolverBuilder::on_learnt).
-    pub fn set_learnt_callback(&mut self, callback: Option<(usize, LearntCallback)>) {
+    /// conflict-derived learnt clause (asserting literal first) with its
+    /// LBD, after the clause is reported to the proof sink and before
+    /// search resumes. Every delivered clause is a logical consequence of
+    /// the original formula (never of the assumptions), so any solver on
+    /// the same formula may add it. Usually installed at construction time
+    /// via [`SolverBuilder::on_learnt`](crate::SolverBuilder::on_learnt).
+    pub fn set_learnt_callback(&mut self, callback: Option<LearntCallback>) {
         self.events.on_learnt = callback;
-    }
-
-    /// Installs (or clears) the share-export callback: fired once per
-    /// conflict-derived learnt clause that passes the sharing filter
-    /// (length ≤ 2, or LBD ≤ `max_lbd`), with the clause's literals and its
-    /// glue. Every exported clause is a logical consequence of the original
-    /// formula, so it is sound for any solver working on the same formula
-    /// to add it. Usually installed at construction time via
-    /// [`SolverBuilder::share_export`](crate::SolverBuilder::share_export).
-    pub fn set_export_callback(&mut self, callback: Option<(u32, ExportCallback)>) {
-        self.events.export = callback;
     }
 
     /// Installs (or clears) the share-import source: polled at solve entry
@@ -668,9 +631,8 @@ impl Solver {
     /// Chaff baseline.
     fn apply_maintenance(&mut self, due: crate::limits::DueActions) {
         if due.decay_var_activity {
-            let d = self.config.activity_decay_divisor;
             for a in &mut self.var_activity {
-                *a /= d;
+                *a /= ACTIVITY_DECAY_DIVISOR;
             }
             if self.config.activity_index == ActivityIndex::Heap {
                 self.heap.rebuild(&self.var_activity);

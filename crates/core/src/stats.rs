@@ -75,8 +75,9 @@ pub struct Stats {
     pub lbd_sum: u64,
     /// Largest LBD ever observed on a deduced conflict clause.
     pub lbd_max: u32,
-    /// Clauses handed to the share-export callback (portfolio sharing:
-    /// length ≤ 2 or LBD within the export cap).
+    /// Learnt clauses published to the portfolio's share pool (those with
+    /// length ≤ 2 or LBD within the sharing cap); counted by the pool, so a
+    /// single solver reports 0.
     pub clauses_exported: u64,
     /// Clauses integrated from the share-import source at restart
     /// boundaries (after the per-importer filter and level-0 simplification

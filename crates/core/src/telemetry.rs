@@ -173,14 +173,6 @@ pub enum SolveEvent {
         /// Average LBD ("glue") of all clauses learnt so far.
         avg_lbd: f64,
     },
-    /// A learnt clause passed the share-export filter and was handed to
-    /// the export callback.
-    ShareExport {
-        /// Length of the exported clause.
-        len: usize,
-        /// Its LBD at deduction time.
-        lbd: u32,
-    },
     /// Foreign clauses were integrated from the share-import source.
     ShareImport {
         /// Clauses integrated at this poll (post-filter, post-level-0

@@ -1,9 +1,9 @@
 //! The portfolio from outside the crate.
 //!
-//! Clause-sharing soundness: every clause a solver exports — and every
-//! clause another solver imports — must be a consequence of the formula
-//! alone. Each captured clause C is re-certified by solving F ∧ ¬C: if
-//! F ⊨ C that conjunction is UNSAT.
+//! Clause-sharing soundness: every clause a solver's learnt-clause tap
+//! delivers — and every clause another solver imports — must be a
+//! consequence of the formula alone. Each captured clause C is
+//! re-certified by solving F ∧ ¬C: if F ⊨ C that conjunction is UNSAT.
 //!
 //! Persistent workers across incremental calls: per-call accounting adds
 //! up with nothing counted twice, models reconstruct on calls that rebuild
@@ -67,15 +67,21 @@ fn certify_implied(clauses: &[Vec<Lit>], formula: &[Vec<Lit>], what: &str) {
     }
 }
 
+/// The portfolio's sharing rule, applied in the tests' own tap closures
+/// the way the share pool applies it to every offered clause.
+fn shared(lits: &[Lit], lbd: u32, cap: u32) -> bool {
+    lits.len() <= 2 || lbd <= cap
+}
+
 #[test]
-fn exported_clauses_pass_the_filter_and_are_formula_implied() {
+fn tapped_clauses_carry_their_lbd_and_are_formula_implied() {
     let formula = pigeonhole(5);
     let cap = 3u32;
-    type ExportLog = Rc<RefCell<Vec<(Vec<Lit>, u32)>>>;
-    let exported: ExportLog = Rc::new(RefCell::new(Vec::new()));
-    let tap = Rc::clone(&exported);
+    type TapLog = Rc<RefCell<Vec<(Vec<Lit>, u32)>>>;
+    let tapped: TapLog = Rc::new(RefCell::new(Vec::new()));
+    let tap = Rc::clone(&tapped);
     let mut builder =
-        SolverBuilder::with_config(SolverConfig::berkmin()).share_export(cap, move |lits, lbd| {
+        SolverBuilder::with_config(SolverConfig::berkmin()).on_learnt(move |lits, lbd| {
             tap.borrow_mut().push((lits.to_vec(), lbd));
         });
     for c in &formula {
@@ -84,24 +90,33 @@ fn exported_clauses_pass_the_filter_and_are_formula_implied() {
     let mut solver = builder.build();
     assert!(solver.solve().is_unsat());
 
-    let exported = exported.borrow();
-    assert!(
-        !exported.is_empty(),
-        "PHP(5) must export some learnt clauses"
-    );
-    for (clause, lbd) in exported.iter() {
+    let tapped = tapped.borrow();
+    // The tap is unfiltered: one delivery per conflict-derived learnt
+    // clause. (The final level-0 conflict derives the empty clause, which
+    // is not delivered.)
+    assert!(tapped.len() as u64 >= solver.stats().conflicts - 1);
+    for (clause, lbd) in tapped.iter() {
         assert!(
-            clause.len() <= 2 || *lbd <= cap,
-            "exported clause {clause:?} (lbd {lbd}) violates the filter"
+            (1..=clause.len() as u32).contains(lbd),
+            "clause {clause:?} reports lbd {lbd}, outside 1..=len"
         );
     }
-    let clauses: Vec<Vec<Lit>> = exported.iter().map(|(c, _)| c.clone()).collect();
-    certify_implied(&clauses, &formula, "exported");
+    let kept: Vec<Vec<Lit>> = tapped
+        .iter()
+        .filter(|(c, lbd)| shared(c, *lbd, cap))
+        .map(|(c, _)| c.clone())
+        .collect();
+    assert!(!kept.is_empty(), "PHP(5) must learn some shareable clauses");
+    assert!(
+        kept.len() < tapped.len(),
+        "the cap must reject some clauses"
+    );
+    certify_implied(&kept, &formula, "shared");
 }
 
 #[test]
 fn imported_clauses_are_formula_implied_and_preserve_the_verdict() {
-    // Sequential two-solver sharing: solver A solves PHP(5) and exports its
+    // Sequential two-solver sharing: solver A solves PHP(5) and taps its
     // good learnt clauses; solver B then solves the same formula with those
     // clauses fed through its import source. B's import must not change the
     // verdict, and every clause B actually ingested must be a consequence
@@ -110,8 +125,12 @@ fn imported_clauses_are_formula_implied_and_preserve_the_verdict() {
 
     let pool: Rc<RefCell<Vec<Vec<Lit>>>> = Rc::new(RefCell::new(Vec::new()));
     let tap = Rc::clone(&pool);
-    let mut builder = SolverBuilder::with_config(SolverConfig::berkmin())
-        .share_export(3, move |lits, _| tap.borrow_mut().push(lits.to_vec()));
+    let mut builder =
+        SolverBuilder::with_config(SolverConfig::berkmin()).on_learnt(move |lits, lbd| {
+            if shared(lits, lbd, 3) {
+                tap.borrow_mut().push(lits.to_vec());
+            }
+        });
     for c in &formula {
         builder = builder.clause(c.iter().copied());
     }

@@ -139,15 +139,13 @@ fn terminate_callback_polled_at_solve_entry() {
 
 #[test]
 fn learnt_callback_clauses_are_implied_by_the_formula() {
-    // Record every learnt clause (generous cap), then certify each one by
+    // Record every learnt clause, then certify each one by
     // re-solving the same formula with the clause's negation assumed: if
     // F ⊨ C then F ∧ ¬C must be UNSAT.
     let learnt: Rc<RefCell<Vec<Vec<Lit>>>> = Rc::new(RefCell::new(Vec::new()));
     let tap = Rc::clone(&learnt);
     let mut s = SolverBuilder::new()
-        .on_learnt(usize::MAX, move |clause| {
-            tap.borrow_mut().push(clause.to_vec())
-        })
+        .on_learnt(move |clause, _| tap.borrow_mut().push(clause.to_vec()))
         .build();
     add_pigeonhole(&mut s, 4);
     assert!(s.solve().is_unsat());
@@ -170,10 +168,16 @@ fn learnt_callback_clauses_are_implied_by_the_formula() {
 
 #[test]
 fn learnt_callback_honors_the_length_cap() {
+    // The tap is unfiltered; a caller that wants only short clauses keeps
+    // its cap in the closure.
     let lengths: Rc<RefCell<Vec<usize>>> = Rc::new(RefCell::new(Vec::new()));
     let tap = Rc::clone(&lengths);
     let mut s = SolverBuilder::new()
-        .on_learnt(2, move |clause| tap.borrow_mut().push(clause.len()))
+        .on_learnt(move |clause, _| {
+            if clause.len() <= 2 {
+                tap.borrow_mut().push(clause.len());
+            }
+        })
         .build();
     add_pigeonhole(&mut s, 5);
     assert!(s.solve().is_unsat());
@@ -191,9 +195,7 @@ fn learnt_callback_never_sees_assumption_dependent_clauses() {
     let learnt: Rc<RefCell<Vec<Vec<Lit>>>> = Rc::new(RefCell::new(Vec::new()));
     let tap = Rc::clone(&learnt);
     let mut s = SolverBuilder::new()
-        .on_learnt(usize::MAX, move |clause| {
-            tap.borrow_mut().push(clause.to_vec())
-        })
+        .on_learnt(move |clause, _| tap.borrow_mut().push(clause.to_vec()))
         .build();
     add_pigeonhole(&mut s, 4);
     s.assume(lit(1));

@@ -12,7 +12,7 @@ use std::sync::{Arc, Mutex};
 
 use berkmin::{
     Budget, PortfolioConfig, PortfolioEngine, SatEngine, SolveEvent, SolveVerdict, Solver,
-    SolverBuilder, SolverConfig,
+    SolverBuilder, SolverConfig, StatsSnapshot,
 };
 use berkmin_cnf::Lit;
 
@@ -98,11 +98,41 @@ impl Tally {
                     "worker tags never nest"
                 );
             }
-            SolveEvent::ShareExport { .. }
-            | SolveEvent::ShareImport { .. }
-            | SolveEvent::PoolEvicted { .. } => self.untagged_inner += 1,
+            SolveEvent::ShareImport { .. } | SolveEvent::PoolEvicted { .. } => {
+                self.untagged_inner += 1
+            }
         }
     }
+}
+
+/// Solves hole(6) on `engine`, renders the run as the `--stats-json`
+/// document and requires the parse to give back the exact verdict and
+/// `Stats`.
+fn assert_stats_json_round_trips(engine: &mut dyn SatEngine) {
+    for c in pigeonhole(6) {
+        engine.add_clause(&c);
+    }
+    let verdict = SolveVerdict::from(&engine.solve());
+    assert_eq!(verdict, SolveVerdict::Unsat);
+    let stats = engine.stats();
+    assert!(stats.conflicts > 0);
+    let text = StatsSnapshot::new(verdict, 0.5, stats).render();
+    let parsed = StatsSnapshot::parse(&text).expect("stats JSON parses back");
+    assert_eq!(parsed.verdict, verdict);
+    assert_eq!(&parsed.stats, stats, "stats JSON is lossy");
+}
+
+#[test]
+fn stats_json_round_trips_for_the_solver_and_the_sharing_portfolio() {
+    assert_stats_json_round_trips(&mut SolverBuilder::new().build());
+    let mut portfolio = PortfolioEngine::new(
+        PortfolioConfig::new(2)
+            .with_deterministic(true)
+            .with_share_lbd(Some(4)),
+    );
+    assert_stats_json_round_trips(&mut portfolio);
+    let stats = portfolio.stats();
+    assert!(stats.clauses_exported > 0 && stats.clauses_imported > 0);
 }
 
 #[test]

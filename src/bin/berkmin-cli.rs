@@ -4,9 +4,9 @@
 //! `bmc` subcommand. Output follows the SAT-competition conventions
 //! (`c` comments, `s` status, `v` model lines wrapped at 78 columns).
 //!
-//! Both subcommands drive the solver exclusively through the session API:
-//! the engine is assembled by a `SolverBuilder` (proof sink attached at
-//! construction) and used as a `Box<dyn SatEngine>`, and plain solving
+//! Both subcommands share one flag parser and one engine assembly: the
+//! engine is a `SolverBuilder`-built solver (proof sink attached at
+//! construction) or the portfolio, used as a `dyn SatEngine`. Plain solving
 //! streams the DIMACS input straight into the engine's clause database —
 //! no intermediate `Cnf` is materialized (the only exception is
 //! `--check-proof`, which must retain the original formula for the
@@ -50,39 +50,43 @@
 //!                          point of the search (slow; panics on violation)
 //!   --stats-json FILE      write a machine-readable run summary to FILE
 //!                          (verdict, seconds, full stats block; per-worker
-//!                          reports for the portfolio) — the emitted JSON is
-//!                          parsed back and cross-checked before the process
-//!                          exits, so a malformed or lossy file is an
-//!                          internal error, never a silent one
+//!                          reports for the portfolio)
 //!   -v, --verbose          MiniSat-style progress table (one row per
 //!                          progress tick; restarts/reductions annotated;
 //!                          worker-tagged rows for the portfolio)
 //!   --no-model             suppress the 'v' model lines
 //!   --quiet                suppress statistics
 //!
-//! bmc options (enabled-counter all-ones reachability sweep):
+//! bmc (enabled-counter all-ones reachability sweep) takes the engine,
+//! portfolio, budget, seed, --no-simplify, --paranoid, --stats-json,
+//! --verbose and --quiet options above, plus:
 //!   --bits N               counter width (default 3)
 //!   --max-depth D          deepest cycle to try (default 2^bits - 1)
-//!   --scratch              re-solve every depth from scratch instead of
-//!                          reusing one incremental engine (for comparison)
-//!   --stats-json FILE      as above, plus a per-depth "depths" array; in
-//!                          --scratch mode the stats block carries the
-//!                          total conflict count only (no warm engine
-//!                          exists to snapshot)
-//!   -v, --verbose          as above (incremental mode only)
+//!   --scratch              re-solve every depth with a fresh single solver
+//!                          instead of reusing one incremental engine (for
+//!                          comparison; not with --engine portfolio)
+//!   --stats-json FILE      adds a per-depth "depths" array; in --scratch
+//!                          mode the stats block carries the total conflict
+//!                          count only (no warm engine exists to snapshot)
+//!
+//! A flag that means nothing to the chosen subcommand is a usage error:
+//! FILE, --proof, --check-proof, --elim* and --no-model under bmc;
+//! --bits, --max-depth and --scratch without it.
 //! ```
 //!
 //! Exit codes follow the SAT-competition convention: **10** = SAT,
 //! **20** = UNSAT, **0** = unknown (budget or termination), **2** = usage
-//! or input error, **3** = internal error (model/proof/stats
-//! self-verification failure). The summary lines (`c time …`, warm-engine
-//! and worker reports) print on *every* outcome, including unknown — a
-//! budget-stopped run still reports where its time went.
+//! or input error, **3** = internal error (model or proof self-verification
+//! failure, or an output file that cannot be written). The summary lines
+//! (`c time …`, warm-engine and worker reports) print on *every* outcome,
+//! including unknown — a budget-stopped run still reports where its time
+//! went.
 
 use std::cell::RefCell;
 use std::fs;
 use std::process::ExitCode;
 use std::rc::Rc;
+use std::str::FromStr;
 
 use berkmin::telemetry::json::Value as JsonValue;
 use berkmin::{
@@ -109,15 +113,16 @@ fn usage() -> ! {
          [--elim-clause-cap N] \
          [--proof FILE] [--check-proof] [--paranoid] [--stats-json FILE] [--verbose] \
          [--no-model] [--quiet] [FILE]\n\
-         \x20      berkmin-cli bmc [--bits N] [--max-depth D] [--engine NAME] \
-         [--max-conflicts N] [--seed N] [--no-simplify] [--scratch] [--paranoid] \
+         \x20      berkmin-cli bmc [--bits N] [--max-depth D] [--scratch] [--engine NAME] \
+         [--threads N] [--share-lbd K] [--no-share] [--deterministic] \
+         [--max-conflicts N] [--seed N] [--no-simplify] [--paranoid] \
          [--stats-json FILE] [--verbose] [--quiet]",
     );
 }
 
-/// Maps the `--engine` preset name to its configuration — the one switch
-/// behind which every comparison arm hides, since all of them are driven
-/// through the same `dyn SatEngine`.
+/// Maps a single-solver `--engine` preset name to its configuration — the
+/// one switch behind which every comparison arm hides, since all of them
+/// are driven through the same `dyn SatEngine`.
 fn config_by_name(name: &str) -> SolverConfig {
     match name {
         "berkmin" => SolverConfig::berkmin(),
@@ -126,144 +131,166 @@ fn config_by_name(name: &str) -> SolverConfig {
         "less-sensitivity" => SolverConfig::less_sensitivity(),
         "less-mobility" => SolverConfig::less_mobility(),
         "limited-keeping" => SolverConfig::limited_keeping(),
-        "portfolio" => die(
-            "bmc takes single-solver presets only: the portfolio keeps its \
-             workers warm across incremental calls, but the bmc subcommand \
-             has no portfolio flags (--threads, --share-lbd, --deterministic) \
-             yet — pick a single-solver preset",
-        ),
         other => die(format!("unknown engine {other:?}")),
     }
 }
 
+/// The options of both subcommands, as the one parser leaves them.
 struct Options {
+    /// The `bmc` subcommand was given.
+    bmc: bool,
     file: Option<String>,
+    /// The single-solver configuration, or the portfolio's budget,
+    /// paranoia and simplification.
     config: SolverConfig,
-    proof_path: Option<String>,
-    check_proof: bool,
-    print_model: bool,
-    quiet: bool,
     /// `--engine portfolio`: race diversified workers instead of one solver.
     portfolio: bool,
     threads: usize,
     share_lbd: u32,
     no_share: bool,
     deterministic: bool,
+    proof_path: Option<String>,
+    check_proof: bool,
+    print_model: bool,
+    quiet: bool,
     stats_json: Option<String>,
     verbose: bool,
+    bits: Option<usize>,
+    max_depth: Option<usize>,
+    scratch: bool,
 }
 
+/// The value following a flag, parsed; a missing or malformed value is a
+/// usage error.
+fn value<T: FromStr>(args: &mut impl Iterator<Item = String>) -> T {
+    args.next()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or_else(|| usage())
+}
+
+/// `n` if it lies in `range`; otherwise a usage error.
+fn in_range(n: usize, range: std::ops::RangeInclusive<usize>) -> usize {
+    if range.contains(&n) {
+        n
+    } else {
+        usage()
+    }
+}
+
+/// Parses the command line of either subcommand. The configuration is
+/// assembled after the loop, so flag order never matters (`--engine`
+/// cannot clobber a `--seed` given before it).
 fn parse_args() -> Options {
+    let mut args = std::env::args().skip(1).peekable();
+    let bmc = args.next_if(|a| a == "bmc").is_some();
     let mut opts = Options {
+        bmc,
         file: None,
         config: SolverConfig::berkmin(),
-        proof_path: None,
-        check_proof: false,
-        print_model: true,
-        quiet: false,
         portfolio: false,
         threads: 4,
         share_lbd: 4,
         no_share: false,
         deterministic: false,
+        proof_path: None,
+        check_proof: false,
+        print_model: true,
+        quiet: false,
         stats_json: None,
         verbose: false,
+        bits: None,
+        max_depth: None,
+        scratch: false,
     };
-    // Simplify tweaks are collected separately and applied after the loop,
-    // so `--engine` (which replaces the whole config) cannot clobber them.
+    let mut engine = String::from("berkmin");
+    let mut max_conflicts: Option<u64> = None;
+    let mut seed: Option<u64> = None;
+    let mut paranoid = false;
     let mut no_simplify = false;
     let mut elim = false;
     let mut elim_occ_cap: Option<usize> = None;
     let mut elim_growth: Option<usize> = None;
     let mut elim_clause_cap: Option<usize> = None;
-    let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--engine" | "--config" => {
-                let name = args.next().unwrap_or_else(|| usage());
-                if name == "portfolio" {
-                    opts.portfolio = true;
-                } else {
-                    opts.portfolio = false;
-                    opts.config = config_by_name(&name);
-                }
-            }
-            "--threads" => {
-                opts.threads = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| (1..=64).contains(&n))
-                    .unwrap_or_else(|| usage());
-            }
+            "--engine" | "--config" => engine = args.next().unwrap_or_else(|| usage()),
+            "--threads" => opts.threads = in_range(value(&mut args), 1..=64),
             "--share-lbd" => {
-                opts.share_lbd = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
+                opts.share_lbd = value(&mut args);
                 opts.no_share = false;
             }
             "--no-share" => opts.no_share = true,
             "--deterministic" => opts.deterministic = true,
-            "--max-conflicts" => {
-                let n = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-                opts.config.budget = Budget::conflicts(n);
-            }
-            "--seed" => {
-                let n = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-                opts.config.seed = n;
-            }
+            "--max-conflicts" => max_conflicts = Some(value(&mut args)),
+            "--seed" => seed = Some(value(&mut args)),
             "--no-simplify" => no_simplify = true,
             "--elim" => elim = true,
-            "--elim-occ-cap" => {
-                elim_occ_cap = Some(
-                    args.next()
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                );
-            }
-            "--elim-growth" => {
-                elim_growth = Some(
-                    args.next()
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                );
-            }
-            "--elim-clause-cap" => {
-                elim_clause_cap = Some(
-                    args.next()
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                );
-            }
+            "--elim-occ-cap" => elim_occ_cap = Some(value(&mut args)),
+            "--elim-growth" => elim_growth = Some(value(&mut args)),
+            "--elim-clause-cap" => elim_clause_cap = Some(value(&mut args)),
             "--proof" => opts.proof_path = Some(args.next().unwrap_or_else(|| usage())),
             "--check-proof" => opts.check_proof = true,
-            "--paranoid" => opts.config.paranoid = true,
+            "--paranoid" => paranoid = true,
             "--stats-json" => opts.stats_json = Some(args.next().unwrap_or_else(|| usage())),
             "-v" | "--verbose" => opts.verbose = true,
             "--no-model" => opts.print_model = false,
             "--quiet" => opts.quiet = true,
-            "--help" | "-h" => usage(),
-            "-" => opts.file = None,
-            f if !f.starts_with('-') => opts.file = Some(f.to_string()),
+            "--bits" => opts.bits = Some(in_range(value(&mut args), 1..=16)),
+            "--max-depth" => opts.max_depth = Some(value(&mut args)),
+            "--scratch" => opts.scratch = true,
+            f if f == "-" || !f.starts_with('-') => opts.file = Some(f.to_string()),
             _ => usage(),
         }
     }
-    if no_simplify {
-        opts.config.simplify = SimplifyConfig::off();
+    // Any elimination cap implies elimination itself.
+    let elim_flags =
+        elim || elim_occ_cap.is_some() || elim_growth.is_some() || elim_clause_cap.is_some();
+    let misplaced = if opts.bmc {
+        vec![
+            (opts.file.is_some(), "FILE"),
+            (opts.proof_path.is_some(), "--proof"),
+            (opts.check_proof, "--check-proof"),
+            (elim_flags, "--elim"),
+            (!opts.print_model, "--no-model"),
+        ]
     } else {
-        let s = &mut opts.config.simplify;
-        // Any elimination cap implies elimination itself.
-        s.var_elim = elim
-            || elim_occ_cap.is_some()
-            || elim_growth.is_some()
-            || elim_clause_cap.is_some()
-            || s.var_elim;
+        vec![
+            (opts.bits.is_some(), "--bits"),
+            (opts.max_depth.is_some(), "--max-depth"),
+            (opts.scratch, "--scratch"),
+        ]
+    };
+    if let Some((_, flag)) = misplaced.iter().find(|(given, _)| *given) {
+        let side = if opts.bmc { "under" } else { "without" };
+        die(format!("{flag} has no meaning {side} the bmc subcommand"));
+    }
+    if opts.file.as_deref() == Some("-") {
+        opts.file = None;
+    }
+
+    opts.portfolio = engine == "portfolio";
+    if opts.portfolio && opts.scratch {
+        die(
+            "--scratch re-solves every depth with a fresh single solver: \
+             pick a single-solver preset",
+        );
+    }
+    if !opts.portfolio {
+        opts.config = config_by_name(&engine);
+    }
+    let config = &mut opts.config;
+    if let Some(n) = max_conflicts {
+        config.budget = Budget::conflicts(n);
+    }
+    if let Some(n) = seed {
+        config.seed = n;
+    }
+    config.paranoid = paranoid;
+    if no_simplify {
+        config.simplify = SimplifyConfig::off();
+    } else {
+        let s = &mut config.simplify;
+        s.var_elim |= elim_flags;
         if let Some(n) = elim_occ_cap {
             s.elim_occ_cap = n;
         }
@@ -275,6 +302,45 @@ fn parse_args() -> Options {
         }
     }
     opts
+}
+
+/// Assembles the engine either subcommand drives: one preset solver behind
+/// the trait object, or the portfolio. `proof` attaches at construction;
+/// `-v` installs the progress-table observer.
+fn build_engine(opts: &Options, proof: Option<Rc<RefCell<DratProof>>>) -> EngineHolder {
+    let mut holder = if opts.portfolio {
+        let share = (!opts.no_share).then_some(opts.share_lbd);
+        if proof.is_some() && share.is_some() {
+            die("configuration error: --proof/--check-proof with clause \
+                 sharing on would emit an unsound DRAT proof (imported \
+                 clauses are not derivable in the winner's log); add \
+                 --no-share to keep proofs");
+        }
+        let mut engine = PortfolioEngine::new(
+            PortfolioConfig::new(opts.threads)
+                .with_share_lbd(share)
+                .with_deterministic(opts.deterministic)
+                .with_budget(opts.config.budget)
+                .with_paranoid(opts.config.paranoid)
+                .with_simplify(opts.config.simplify),
+        );
+        if let Some(proof) = proof {
+            engine.set_proof(Box::new(proof));
+        }
+        EngineHolder::Portfolio(Box::new(engine))
+    } else {
+        let mut builder = SolverBuilder::with_config(opts.config.clone());
+        if let Some(proof) = proof {
+            builder = builder.proof(proof);
+        }
+        EngineHolder::Single(builder.build_engine())
+    };
+    if opts.verbose {
+        holder
+            .as_engine()
+            .set_observer(Some(Box::new(verbose_observer())));
+    }
+    holder
 }
 
 /// Streaming ingestion target: every clause goes straight into the engine;
@@ -323,6 +389,19 @@ impl EngineHolder {
             EngineHolder::Portfolio(p) => p.stats(),
         }
     }
+
+    fn portfolio(&self) -> Option<&PortfolioEngine> {
+        match self {
+            EngineHolder::Single(_) => None,
+            EngineHolder::Portfolio(p) => Some(p),
+        }
+    }
+
+    /// The portfolio's `"workers"` section of `--stats-json`, if any.
+    fn workers_json(&self) -> Option<(String, JsonValue)> {
+        self.portfolio()
+            .map(|p| ("workers".to_string(), workers_json(p)))
+    }
 }
 
 /// Formats the per-worker portfolio summary: winner id, pool eviction
@@ -336,17 +415,26 @@ fn workers_line(portfolio: &PortfolioEngine) -> String {
     }
     line.push_str(&format!(" evicted {}", portfolio.stats().pool_evicted));
     for r in portfolio.reports() {
-        let outcome = match r.outcome {
-            WorkerOutcome::Sat => "sat",
-            WorkerOutcome::Unsat => "unsat",
-            WorkerOutcome::Stopped(_) => "stopped",
-        };
         line.push_str(&format!(
-            "  w{} {outcome} conflicts {} exported {} imported {} missed {}",
-            r.id, r.conflicts, r.exported, r.imported, r.missed
+            "  w{} {} conflicts {} exported {} imported {} missed {}",
+            r.id,
+            outcome_name(r.outcome),
+            r.conflicts,
+            r.exported,
+            r.imported,
+            r.missed
         ));
     }
     line
+}
+
+/// A worker outcome as the `c workers` line and `--stats-json` spell it.
+fn outcome_name(outcome: WorkerOutcome) -> &'static str {
+    match outcome {
+        WorkerOutcome::Sat => "sat",
+        WorkerOutcome::Unsat => "unsat",
+        WorkerOutcome::Stopped(_) => "stopped",
+    }
 }
 
 /// The worker name shown in a `-v` table row: blank for the single engine,
@@ -409,11 +497,9 @@ fn verbose_observer() -> impl FnMut(&SolveEvent) + Send + 'static {
     }
 }
 
-/// Writes the machine-readable run summary to `path` and self-validates
-/// it: the emitted document is parsed back and its verdict and stats block
-/// must reproduce the engine's exactly. `extra` carries additional
-/// top-level sections (worker reports, BMC depths) that parsers of the
-/// core schema may ignore.
+/// Writes the machine-readable run summary to `path`. `extra` carries
+/// additional top-level sections (worker reports, BMC depths) that parsers
+/// of the core schema ignore.
 fn write_stats_json(
     path: &str,
     verdict: SolveVerdict,
@@ -421,18 +507,11 @@ fn write_stats_json(
     stats: &Stats,
     extra: Vec<(String, JsonValue)>,
 ) -> Result<(), String> {
-    let snapshot = StatsSnapshot::new(verdict, seconds, stats);
-    let mut value = snapshot.to_json();
+    let mut value = StatsSnapshot::new(verdict, seconds, stats).to_json();
     if let JsonValue::Object(fields) = &mut value {
         fields.extend(extra);
     }
-    let text = value.render();
-    let parsed =
-        StatsSnapshot::parse(&text).map_err(|e| format!("stats JSON failed to parse back: {e}"))?;
-    if parsed.verdict != verdict || parsed.stats != *stats {
-        return Err("stats JSON round-trip mismatch".to_string());
-    }
-    fs::write(path, &text).map_err(|e| format!("cannot write stats to {path}: {e}"))
+    fs::write(path, value.render()).map_err(|e| format!("cannot write stats to {path}: {e}"))
 }
 
 /// The portfolio's per-worker reports as a JSON array (the `"workers"`
@@ -443,14 +522,12 @@ fn workers_json(portfolio: &PortfolioEngine) -> JsonValue {
             .reports()
             .iter()
             .map(|r| {
-                let outcome = match r.outcome {
-                    WorkerOutcome::Sat => "sat",
-                    WorkerOutcome::Unsat => "unsat",
-                    WorkerOutcome::Stopped(_) => "stopped",
-                };
                 JsonValue::Object(vec![
                     ("id".to_string(), JsonValue::Int(r.id as u64)),
-                    ("outcome".to_string(), JsonValue::Str(outcome.to_string())),
+                    (
+                        "outcome".to_string(),
+                        JsonValue::Str(outcome_name(r.outcome).to_string()),
+                    ),
                     ("winner".to_string(), JsonValue::Bool(r.winner)),
                     ("conflicts".to_string(), JsonValue::Int(r.conflicts)),
                     ("decisions".to_string(), JsonValue::Int(r.decisions)),
@@ -534,83 +611,12 @@ fn print_model(model: &Assignment, num_vars: usize) {
     println!("{line}");
 }
 
-struct BmcOptions {
-    bits: usize,
-    max_depth: Option<usize>,
-    config: SolverConfig,
-    scratch: bool,
-    quiet: bool,
-    stats_json: Option<String>,
-    verbose: bool,
-}
-
-fn parse_bmc_args(argv: &[String]) -> BmcOptions {
-    let mut opts = BmcOptions {
-        bits: 3,
-        max_depth: None,
-        config: SolverConfig::berkmin(),
-        scratch: false,
-        quiet: false,
-        stats_json: None,
-        verbose: false,
-    };
-    let mut args = argv.iter();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--bits" => {
-                opts.bits = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&b| (1..=16).contains(&b))
-                    .unwrap_or_else(|| usage());
-            }
-            "--max-depth" => {
-                opts.max_depth = Some(
-                    args.next()
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                );
-            }
-            "--engine" | "--config" => {
-                let name = args.next().unwrap_or_else(|| usage());
-                opts.config = config_by_name(name);
-            }
-            "--max-conflicts" => {
-                let n = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-                opts.config.budget = Budget::conflicts(n);
-            }
-            "--seed" => {
-                let n = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-                opts.config.seed = n;
-            }
-            "--no-simplify" => opts.config.simplify = SimplifyConfig::off(),
-            "--scratch" => opts.scratch = true,
-            "--paranoid" => opts.config.paranoid = true,
-            "--stats-json" => {
-                opts.stats_json = Some(args.next().cloned().unwrap_or_else(|| usage()));
-            }
-            "-v" | "--verbose" => opts.verbose = true,
-            "--quiet" => opts.quiet = true,
-            _ => usage(),
-        }
-    }
-    opts
-}
-
 /// The `bmc` subcommand: sweep an enabled-counter netlist for the first
 /// depth at which the all-ones state is reachable — incrementally (one
-/// growing encoding, one warm `dyn SatEngine`, per-depth activation
-/// literals) or, with `--scratch`, by re-unrolling and re-solving every
-/// depth.
-fn run_bmc(argv: &[String]) -> ExitCode {
-    let opts = parse_bmc_args(argv);
-    let bits = opts.bits;
+/// growing encoding, one warm engine, per-depth activation literals) or,
+/// with `--scratch`, by re-unrolling and re-solving every depth.
+fn run_bmc(opts: &Options) -> ExitCode {
+    let bits = opts.bits.unwrap_or(3);
     let max_depth = opts.max_depth.unwrap_or((1 << bits) - 1);
     let pattern: Vec<(usize, bool)> = (0..bits).map(|o| (o, true)).collect();
     if !opts.quiet {
@@ -636,7 +642,45 @@ fn run_bmc(argv: &[String]) -> ExitCode {
     // Per-depth record for --stats-json: (depth, result, conflicts so far).
     let mut depths: Vec<(usize, &'static str, u64)> = Vec::new();
     let mut final_stats = Stats::default();
-    if opts.scratch {
+    let mut holder = (!opts.scratch).then(|| build_engine(opts, None));
+    if let Some(holder) = &mut holder {
+        // The incremental sweep runs entirely behind the trait object: the
+        // engine options only decide what gets assembled.
+        let mut driver = BmcDriver::with_engine(netlist, holder.as_engine());
+        for t in 0..=max_depth {
+            let status = driver.check_outputs_at(t, &pattern);
+            total_conflicts = driver.engine().stats().conflicts;
+            depths.push((t, describe(&status), total_conflicts));
+            if !opts.quiet {
+                println!(
+                    "c depth {t}: {} (conflicts so far {total_conflicts})",
+                    describe(&status)
+                );
+            }
+            match status {
+                SolveStatus::Sat(_) => {
+                    outcome = Some(t);
+                    break;
+                }
+                SolveStatus::Unsat => {}
+                SolveStatus::Unknown(reason) => {
+                    aborted = Some((t, reason.to_string()));
+                    break;
+                }
+            }
+        }
+        let s = holder.stats();
+        if !opts.quiet {
+            println!(
+                "c warm engine: {} solve calls, {} learnt total, {} deleted",
+                s.solve_calls, s.learnt_total, s.deleted_clauses
+            );
+            if let Some(p) = holder.portfolio() {
+                println!("{}", workers_line(p));
+            }
+        }
+        final_stats = s.clone();
+    } else {
         let quiet = opts.quiet;
         let depths = &mut depths;
         let (result, conflicts) = scratch_first_reaching_depth(
@@ -663,44 +707,6 @@ fn run_bmc(argv: &[String]) -> ExitCode {
         // Scratch mode has no single engine to snapshot; the stats block
         // carries the summed conflict count only.
         final_stats.conflicts = total_conflicts;
-    } else {
-        // The incremental sweep runs entirely behind the trait object: the
-        // `--engine` preset only decides what the builder assembles.
-        let mut engine = SolverBuilder::with_config(opts.config.clone()).build_engine();
-        if opts.verbose {
-            engine.set_observer(Some(Box::new(verbose_observer())));
-        }
-        let mut driver = BmcDriver::with_engine(netlist, engine);
-        for t in 0..=max_depth {
-            let status = driver.check_outputs_at(t, &pattern);
-            total_conflicts = driver.engine().stats().conflicts;
-            depths.push((t, describe(&status), total_conflicts));
-            if !opts.quiet {
-                println!(
-                    "c depth {t}: {} (conflicts so far {total_conflicts})",
-                    describe(&status)
-                );
-            }
-            match status {
-                SolveStatus::Sat(_) => {
-                    outcome = Some(t);
-                    break;
-                }
-                SolveStatus::Unsat => {}
-                SolveStatus::Unknown(reason) => {
-                    aborted = Some((t, reason.to_string()));
-                    break;
-                }
-            }
-        }
-        let s = driver.engine().stats();
-        if !opts.quiet {
-            println!(
-                "c warm engine: {} solve calls, {} learnt total, {} deleted",
-                s.solve_calls, s.learnt_total, s.deleted_clauses
-            );
-        }
-        final_stats = s.clone();
     }
 
     if !opts.quiet {
@@ -730,7 +736,10 @@ fn run_bmc(argv: &[String]) -> ExitCode {
                 })
                 .collect(),
         );
-        let extra = vec![("depths".to_string(), depths_json)];
+        let mut extra = vec![("depths".to_string(), depths_json)];
+        if let Some(holder) = &holder {
+            extra.extend(holder.workers_json());
+        }
         if let Err(e) = write_stats_json(
             path,
             verdict,
@@ -771,49 +780,16 @@ fn describe(status: &SolveStatus) -> &'static str {
 }
 
 fn main() -> ExitCode {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.first().map(String::as_str) == Some("bmc") {
-        return run_bmc(&argv[1..]);
-    }
     let opts = parse_args();
+    if opts.bmc {
+        return run_bmc(&opts);
+    }
 
-    // Assemble the engine: the proof sink attaches at construction time,
-    // shared through an Rc so the recorded proof can be read back after
-    // solving.
+    // The proof sink attaches at construction time, shared through an Rc
+    // so the recorded proof can be read back after solving.
     let want_proof = opts.proof_path.is_some() || opts.check_proof;
     let proof = Rc::new(RefCell::new(DratProof::new()));
-    let mut holder = if opts.portfolio {
-        let share = (!opts.no_share).then_some(opts.share_lbd);
-        if want_proof && share.is_some() {
-            die("configuration error: --proof/--check-proof with clause \
-                 sharing on would emit an unsound DRAT proof (imported \
-                 clauses are not derivable in the winner's log); add \
-                 --no-share to keep proofs");
-        }
-        let mut engine = PortfolioEngine::new(
-            PortfolioConfig::new(opts.threads)
-                .with_share_lbd(share)
-                .with_deterministic(opts.deterministic)
-                .with_budget(opts.config.budget)
-                .with_paranoid(opts.config.paranoid)
-                .with_simplify(opts.config.simplify),
-        );
-        if want_proof {
-            engine.set_proof(Box::new(Rc::clone(&proof)));
-        }
-        EngineHolder::Portfolio(Box::new(engine))
-    } else {
-        let mut builder = SolverBuilder::with_config(opts.config.clone());
-        if want_proof {
-            builder = builder.proof(Rc::clone(&proof));
-        }
-        EngineHolder::Single(builder.build_engine())
-    };
-    if opts.verbose {
-        holder
-            .as_engine()
-            .set_observer(Some(Box::new(verbose_observer())));
-    }
+    let mut holder = build_engine(&opts, want_proof.then(|| Rc::clone(&proof)));
 
     // Stream the input straight into the engine. A mirror Cnf is retained
     // only for --check-proof, whose RUP checker needs the original formula.
@@ -867,22 +843,18 @@ fn main() -> ExitCode {
                 s.clauses_subsumed, s.clauses_strengthened, s.vars_eliminated, s.elim_resolvents
             );
         }
-        if let EngineHolder::Portfolio(p) = &holder {
+        if let Some(p) = holder.portfolio() {
             println!("{}", workers_line(p));
         }
     }
 
     if let Some(path) = &opts.stats_json {
-        let mut extra = Vec::new();
-        if let EngineHolder::Portfolio(p) = &holder {
-            extra.push(("workers".to_string(), workers_json(p)));
-        }
         if let Err(e) = write_stats_json(
             path,
             SolveVerdict::from(&status),
             elapsed.as_secs_f64(),
             holder.stats(),
-            extra,
+            holder.workers_json().into_iter().collect(),
         ) {
             eprintln!("internal error: {e}");
             return ExitCode::from(3);

@@ -119,6 +119,41 @@ fn bmc_subcommand_incremental_and_scratch_agree_on_depth() {
 }
 
 #[test]
+fn bmc_subcommand_accepts_the_portfolio_and_agrees_on_depth() {
+    let reported_depth = |args: &[&str]| {
+        let (stdout, code) = run_with_stdin(args, "");
+        assert_eq!(code, 10, "args {args:?}: {stdout}");
+        let line = stdout
+            .lines()
+            .find(|l| l.starts_with("c all-ones first reachable at depth"))
+            .unwrap_or_else(|| panic!("args {args:?}: no depth line in {stdout}"));
+        line.rsplit(' ').next().unwrap().to_string()
+    };
+    let single = reported_depth(&["bmc", "--bits", "3"]);
+    let portfolio = reported_depth(&[
+        "bmc",
+        "--bits",
+        "3",
+        "--engine",
+        "portfolio",
+        "--threads",
+        "2",
+        "--deterministic",
+    ]);
+    assert_eq!(single, "7");
+    assert_eq!(portfolio, single);
+}
+
+#[test]
+fn flags_of_the_other_subcommand_exit_2() {
+    // A solve-only flag under `bmc`, and a bmc-only flag without it.
+    let (_, code) = run_with_stdin(&["bmc", "--bits", "3", "--proof", "out.drat"], "");
+    assert_eq!(code, 2);
+    let (_, code) = run_with_stdin(&["--bits", "3"], "p cnf 1 1\n1 0\n");
+    assert_eq!(code, 2);
+}
+
+#[test]
 fn bmc_subcommand_reports_unreachable_within_short_bound() {
     let (stdout, code) = run_with_stdin(&["bmc", "--bits", "3", "--max-depth", "5"], "");
     assert_eq!(code, 20, "{stdout}");

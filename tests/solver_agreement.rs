@@ -367,6 +367,106 @@ fn portfolio_agrees_on_random_3sat_with_and_without_sharing() {
 }
 
 #[test]
+fn portfolio_threaded_with_sharing_agrees_with_berkmin() {
+    // The threaded race (two workers on their own threads, sharing on):
+    // its winner is scheduling-dependent, its verdict must not be.
+    let pool = [
+        hole::pigeonhole(6),
+        parity::parity_unsat(9, 2),
+        ksat::random_ksat(26, 110, 3, 1),
+        ksat::xor_unsat(12, 14, 2),
+    ];
+    for inst in &pool {
+        let reference = engine_for(&inst.cnf, SolverConfig::berkmin())
+            .solve()
+            .is_sat();
+        let mut portfolio = PortfolioEngine::new(PortfolioConfig::new(2).with_share_lbd(Some(4)));
+        portfolio.reserve_vars(inst.cnf.num_vars());
+        for clause in inst.cnf.iter() {
+            portfolio.add_clause(clause.lits());
+        }
+        match portfolio.solve() {
+            SolveStatus::Sat(model) => {
+                assert!(
+                    inst.cnf.is_satisfied_by(&model),
+                    "model wrong on {}",
+                    inst.name
+                );
+                assert!(
+                    reference,
+                    "portfolio SAT but berkmin UNSAT on {}",
+                    inst.name
+                );
+            }
+            SolveStatus::Unsat => {
+                assert!(
+                    !reference,
+                    "portfolio UNSAT but berkmin SAT on {}",
+                    inst.name
+                )
+            }
+            SolveStatus::Unknown(r) => panic!("portfolio aborted on {}: {r}", inst.name),
+        }
+    }
+}
+
+#[test]
+fn simplification_keeps_verdicts_never_grows_and_shrinks_some_instance() {
+    // Full simplification (subsumption, strengthening, elimination) against
+    // none: the same verdict, never more original clauses after the pass
+    // than before it, and at least one instance actually reduced.
+    let pool = [
+        hole::pigeonhole(6),
+        ksat::random_ksat(26, 110, 3, 1),
+        bmc_gen::bmc_counter_unsat(3),
+    ];
+    let mut shrunk = 0;
+    for inst in &pool {
+        let off = engine_for(
+            &inst.cnf,
+            SolverConfig::berkmin().with_simplify(SimplifyConfig::off()),
+        )
+        .solve()
+        .is_sat();
+        let passes = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+        let tap = std::rc::Rc::clone(&passes);
+        let mut on = SolverBuilder::with_config(
+            SolverConfig::berkmin().with_simplify(SimplifyConfig::full()),
+        )
+        .cnf(&inst.cnf)
+        .on_event(move |e: &SolveEvent| {
+            if let SolveEvent::Simplify {
+                clauses_before,
+                clauses_after,
+                eliminated,
+                ..
+            } = *e
+            {
+                tap.borrow_mut()
+                    .push((clauses_before, clauses_after, eliminated));
+            }
+        })
+        .build();
+        assert_eq!(
+            on.solve().is_sat(),
+            off,
+            "simplification changed {}",
+            inst.name
+        );
+        // (A formula refuted by level-0 propagation alone never reaches
+        // the pass.)
+        let passes = passes.borrow();
+        for &(before, after, _) in passes.iter() {
+            assert!(after <= before, "simplification grew {}", inst.name);
+        }
+        if passes.iter().any(|&(b, a, e)| a < b || e > 0) {
+            shrunk += 1;
+        }
+    }
+    assert!(shrunk > 0, "the simplifier shrank no instance of the pool");
+}
+
+#[test]
 fn restart_policies_never_change_verdicts() {
     let instances = [hole::pigeonhole(5), parity::parity_learning(10, 14, 7)];
     for inst in &instances {

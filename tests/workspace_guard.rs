@@ -77,19 +77,14 @@ fn ci_keeps_the_bench_smoke_step() {
 #[test]
 fn ci_keeps_the_portfolio_steps() {
     // The portfolio's correctness claim rests on the agreement sweep
-    // (deterministic two-worker portfolio vs single-threaded BerkMin,
-    // sharing on and off); its perf claim rests on the bench smoke that
-    // writes BENCH_portfolio.json. Both must keep running on every push.
+    // (two-worker portfolio vs single-threaded BerkMin, deterministic with
+    // sharing on and off, and the threaded race with sharing on). It must
+    // keep running on every push.
     let ci = ci_config();
     assert!(
         ci.contains("cargo test -q --release --test solver_agreement portfolio"),
         "CI workflow dropped the portfolio agreement sweep; portfolio \
          verdicts would no longer be checked against the lone solver"
-    );
-    assert!(
-        ci.contains("--bin portfolio_bench -- --smoke --threads 2"),
-        "CI workflow dropped the portfolio bench smoke step; the 1-vs-N \
-         thread comparison (BENCH_portfolio.json) would rot silently"
     );
 }
 
@@ -117,11 +112,11 @@ fn ci_keeps_the_telemetry_smoke_step() {
 
 #[test]
 fn ci_keeps_the_preprocessing_steps() {
-    // The preprocessing subsystem's three CI legs: the agreement sweep that
+    // The preprocessing subsystem's two CI legs: the agreement sweep that
     // runs every paper configuration with simplification off and fully on,
-    // the proof pipeline that pushes elimination's add/delete lines through
-    // the independent checker (plus the reconstructed-model SAT arm), and
-    // the bench smoke that writes BENCH_preprocess.json.
+    // and the proof pipeline that pushes elimination's add/delete lines
+    // through the independent checker (plus the reconstructed-model SAT
+    // arm).
     let ci = ci_config();
     assert!(
         ci.contains("cargo test -q --release --test solver_agreement all_configs"),
@@ -142,11 +137,6 @@ fn ci_keeps_the_preprocessing_steps() {
         ci.contains("--elim elim_sat.cnf"),
         "CI workflow dropped the reconstructed-model SAT arm; model \
          extension over eliminated variables would go unexercised"
-    );
-    assert!(
-        ci.contains("--bin preprocess_bench -- --smoke"),
-        "CI workflow dropped the preprocess bench smoke step; the on/off \
-         comparison (BENCH_preprocess.json) would rot silently"
     );
 }
 
