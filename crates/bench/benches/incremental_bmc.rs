@@ -9,19 +9,18 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
-use berkmin::{PortfolioConfig, PortfolioEngine, SatEngine, SolverBuilder, SolverConfig};
+use berkmin::{PortfolioConfig, PortfolioEngine, SatEngine, Solver, SolverBuilder, SolverConfig};
 use berkmin_circuit::arith::enabled_counter;
 use berkmin_circuit::bmc::{scratch_first_reaching_depth, BmcDriver, BmcOutcome};
 
 /// The shared scratch baseline, reduced to (first SAT depth, conflicts).
 fn scratch_sweep(bits: usize, max_depth: usize) -> (Option<usize>, u64) {
     let pattern: Vec<(usize, bool)> = (0..bits).map(|o| (o, true)).collect();
-    let cfg = SolverConfig::berkmin();
     let (outcome, conflicts) = scratch_first_reaching_depth(
         &enabled_counter(bits),
         &pattern,
         max_depth,
-        &cfg,
+        || Solver::with_config(SolverConfig::berkmin()),
         |_, _, _| {},
     );
     match outcome {

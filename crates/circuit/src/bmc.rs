@@ -360,17 +360,18 @@ impl<E: SatEngine> BmcDriver<E> {
 }
 
 /// The per-depth **scratch baseline** the incremental [`BmcDriver`]
-/// replaces: a fresh unrolling and a fresh solver for every depth, nothing
-/// reused. Returns the sweep outcome plus the total conflicts spent across
-/// all depths; `on_depth` is invoked after each per-depth solve (depth,
-/// status, cumulative conflicts) — pass `|_, _, _| {}` when progress is not
-/// needed. Kept next to the driver so the CLI, tests and benches all
-/// measure clause reuse against the same baseline.
-pub fn scratch_first_reaching_depth(
+/// replaces: a fresh unrolling and a fresh engine from `make` for every
+/// depth, nothing reused. Returns the sweep outcome plus the total
+/// conflicts spent across all depths; `on_depth` is invoked after each
+/// per-depth solve (depth, status, cumulative conflicts) — pass
+/// `|_, _, _| {}` when progress is not needed. Kept next to the driver so
+/// the CLI, tests and benches all measure clause reuse against the same
+/// baseline.
+pub fn scratch_first_reaching_depth<E: SatEngine>(
     netlist: &Netlist,
     pattern: &[(usize, bool)],
     max_depth: usize,
-    config: &SolverConfig,
+    mut make: impl FnMut() -> E,
     mut on_depth: impl FnMut(usize, &SolveStatus, u64),
 ) -> (BmcOutcome, u64) {
     let mut total_conflicts = 0;
@@ -379,9 +380,13 @@ pub fn scratch_first_reaching_depth(
         for &(o, v) in pattern {
             enc.constrain_output_at(t, o, v);
         }
-        let mut solver = Solver::new(&enc.cnf, config.clone());
-        let status = solver.solve();
-        total_conflicts += solver.stats().conflicts;
+        let mut engine = make();
+        engine.reserve_vars(enc.cnf.num_vars());
+        for clause in &enc.cnf {
+            engine.add_clause(clause.lits());
+        }
+        let status = engine.solve();
+        total_conflicts += engine.stats().conflicts;
         on_depth(t, &status, total_conflicts);
         match status {
             SolveStatus::Sat(model) => {
@@ -501,9 +506,9 @@ mod tests {
         pattern: &[(usize, bool)],
         max_depth: usize,
     ) -> (Option<usize>, u64) {
-        let cfg = berkmin::SolverConfig::berkmin();
+        let make = || Solver::with_config(berkmin::SolverConfig::berkmin());
         let (outcome, conflicts) =
-            scratch_first_reaching_depth(netlist, pattern, max_depth, &cfg, |_, _, _| {});
+            scratch_first_reaching_depth(netlist, pattern, max_depth, make, |_, _, _| {});
         match outcome {
             BmcOutcome::Reached { depth, .. } => (Some(depth), conflicts),
             BmcOutcome::Exhausted => (None, conflicts),

@@ -12,10 +12,10 @@
 //! boundaries. The pool also counts what each worker published.
 //!
 //! The workers are **persistent**: they are built once, at the first solve
-//! call (after pre-simplification), and every later call only hands each
-//! worker the clauses and variables added since the previous call, stages
-//! the assumptions and races again. Learnt clauses, activities, saved
-//! phases and the share pool all stay warm across incremental calls.
+//! call, and every later call only hands each worker the clauses and
+//! variables added since the previous call, stages the assumptions and
+//! races again. Learnt clauses, activities, saved phases and the share pool
+//! all stay warm across incremental calls.
 //!
 //! Two execution modes, behind one race core:
 //!
@@ -32,58 +32,59 @@
 //!
 //! # Pre-simplification
 //!
-//! Per [`PortfolioConfig::simplify`], the engine simplifies the accumulated
-//! formula **once, before diversifying** (through a throwaway solver
-//! running the ordinary [`crate::preprocess`] passes), so subsumption,
-//! strengthening and variable elimination are paid one time instead of
+//! The engine owns one **front**: an ordinary [`Solver`] built from
+//! [`SolverConfig::berkmin`] with the portfolio's
+//! [`PortfolioConfig::simplify`], which never searches. Added clauses only
+//! go to a log the live workers read; whenever a crew of workers is built
+//! (at the first call, after a simplification, after a worker panic) the
+//! front absorbs the log, runs the ordinary [`crate::preprocess`] passes
+//! when its schedule says they are due (the first call, or every call
+//! under [`SimplifyConfig::inprocess`]), and seeds the new workers with its
+//! level-0 units plus its live original clauses. Subsumption,
+//! strengthening and variable elimination are thus paid once instead of
 //! once per worker; the workers themselves run with simplification off.
-//! Eliminated variables accumulate on an engine-level reconstruction
-//! stack — winning SAT models are extended back over them — and the
-//! freeze/melt contract matches the single solver's
-//! ([`PortfolioEngine::freeze`]). Under [`SimplifyConfig::inprocess`] the
+//! The front also owns the freeze/melt contract
+//! ([`PortfolioEngine::freeze`]) and the reconstruction stack that extends
+//! winning SAT models over eliminated variables. Under inprocessing the
 //! shared formula is rewritten on every call, so the workers are rebuilt
 //! on every call too.
 //!
 //! # Proofs
 //!
 //! With sharing **off**, a proof sink attached via
-//! [`PortfolioEngine::set_proof`] receives the pre-simplifier's additions
-//! and deletions followed, call by call, by each call's winner's DRAT
-//! operations. Every worker logs privately into a buffer that accumulates
-//! across calls; a call's winner publishes what it has not published yet,
-//! and a loser's operations wait until that worker wins. The splice checks
-//! against the original formula: each worker's operations are RUP against
-//! the formula plus its own earlier lemmas, all of which precede them in
-//! the sink, and a worker's deletions only touch its own copies or clauses
-//! satisfied or strengthened by units already in the stream. With sharing
-//! **on**, imported clauses are not RUP-derivable in the importer's own
-//! proof, so attaching a proof sink is a configuration error and
-//! `set_proof` panics — the engine never emits an unsound proof silently.
+//! [`PortfolioEngine::set_proof`] before the first solve receives the
+//! front's additions and deletions as they happen, followed, call by call,
+//! by each call's winner's DRAT operations. Every worker logs privately
+//! into a buffer that accumulates across calls; a call's winner publishes
+//! what it has not published yet, and a loser's operations wait until that
+//! worker wins. The splice checks against the original formula: each
+//! worker's operations are RUP against the formula plus its own earlier
+//! lemmas, all of which precede them in the sink, and a worker's deletions
+//! only touch its own copies or clauses satisfied or strengthened by units
+//! already in the stream. With sharing **on**, imported clauses are not
+//! RUP-derivable in the importer's own proof, so attaching a proof sink is
+//! a configuration error and `set_proof` panics — the engine never emits an
+//! unsound proof silently.
 
 mod share;
 mod worker;
 
 pub(crate) use share::ClausePool;
 
-use std::cell::RefCell;
-use std::rc::Rc;
 use std::sync::{Arc, Mutex};
 
 use berkmin_cnf::{Assignment, LBool, Lit, Var};
 
 use crate::config::{Budget, SimplifyConfig, SolverConfig};
 use crate::engine::SatEngine;
-use crate::preprocess::Reconstructor;
-use crate::proof::ProofSink;
+use crate::proof::{NoProof, ProofSink};
 use crate::search::{SolveStatus, StopReason};
 use crate::solver::Solver;
 use crate::stats::Stats;
 use crate::telemetry::{SolveEvent, SolveObserver, SolveVerdict};
 
 use share::PoolSummary;
-use worker::{
-    emit_shared, CallResult, ProofBuffer, ProofOp, SharedObserver, Worker, WorkerThreads,
-};
+use worker::{emit_shared, CallResult, ProofOp, SharedObserver, Worker, WorkerThreads};
 
 /// Maximum clauses the share pool retains; older entries are evicted
 /// (sharing is best-effort — dropping a clause never costs soundness).
@@ -112,9 +113,10 @@ pub struct PortfolioConfig {
     /// Run every worker with paranoid in-search self-audits (expensive;
     /// meant for the fuzz harness and debugging).
     pub paranoid: bool,
-    /// Pre-simplification of the shared formula, run once before the
-    /// workers diversify (the workers themselves never simplify). Defaults
-    /// to [`SimplifyConfig::default`] — subsumption on, elimination off.
+    /// Simplification of the shared formula by the engine's front, on the
+    /// same schedule as a single solver's (the workers themselves never
+    /// simplify). Defaults to [`SimplifyConfig::default`] — subsumption
+    /// on, elimination off, first call only.
     pub simplify: SimplifyConfig,
 }
 
@@ -166,7 +168,7 @@ impl PortfolioConfig {
         self
     }
 
-    /// Sets the pre-simplification configuration (builder-style).
+    /// Sets the front's simplification configuration (builder-style).
     pub fn with_simplify(mut self, simplify: SimplifyConfig) -> Self {
         self.simplify = simplify;
         self
@@ -241,8 +243,11 @@ pub struct WorkerReport {
 pub struct PortfolioEngine {
     config: PortfolioConfig,
     num_vars: usize,
-    clauses: Vec<Vec<Lit>>,
-    /// `false` once an empty clause was added (trivial unsatisfiability).
+    /// Clauses added since the front last absorbed the formula; the live
+    /// crew reads them through its `synced` cursor.
+    log: Vec<Vec<Lit>>,
+    /// `false` once an empty clause was added or the front refuted the
+    /// formula.
     ok: bool,
     pending: Vec<Lit>,
     calls: u64,
@@ -253,28 +258,18 @@ pub struct PortfolioEngine {
     winner: Option<usize>,
     proof: Option<Box<dyn ProofSink>>,
     observer: Option<Box<dyn SolveObserver + Send>>,
-    /// Variables protected from elimination by the pre-simplifier.
-    frozen: Vec<bool>,
-    /// Variables the pre-simplifier has eliminated (see
-    /// [`PortfolioEngine::freeze`] for the contract this implies).
-    eliminated: Vec<bool>,
-    /// Engine-level reconstruction stack accumulating the eliminations of
-    /// every pre-simplification run; winning SAT models are extended
-    /// through it.
-    recon: Reconstructor,
-    /// Whether pre-simplification already ran (without
-    /// [`SimplifyConfig::inprocess`] it runs only once).
-    simplified_once: bool,
-    /// The pre-simplifier's buffered proof stream, drained into the
-    /// attached sink ahead of the winner's ops.
-    pending_simplify_ops: Vec<ProofOp>,
+    /// The formula front: a simplifier that never searches, owning the
+    /// freeze/melt flags, the eliminated variables and the reconstruction
+    /// stack (see the module docs).
+    front: Solver,
     /// The live workers (`None` before the first call, and after an event
     /// that forces a rebuild).
     crew: Option<Crew>,
-    /// The counters of everything but the live crew: pre-simplification
-    /// runs and retired crews. After each call `stats` is this plus every
-    /// live worker's lifetime counters.
-    settled: Stats,
+    /// The lifetime counters of retired crews.
+    retired: Stats,
+    /// The live crew's lifetime counters as of its last call. After each
+    /// call `stats` is the front's counters plus `retired` plus this.
+    live: Stats,
 }
 
 impl std::fmt::Debug for PortfolioEngine {
@@ -282,8 +277,8 @@ impl std::fmt::Debug for PortfolioEngine {
         f.debug_struct("PortfolioEngine")
             .field("config", &self.config)
             .field("num_vars", &self.num_vars)
-            .field("clauses", &self.clauses.len())
-            .field("eliminated", &self.recon.len())
+            .field("log", &self.log.len())
+            .field("eliminated", &self.front.stats().vars_eliminated)
             .field("winner", &self.winner)
             .field("proof", &self.proof.is_some())
             .field("observer", &self.observer.is_some())
@@ -294,6 +289,11 @@ impl std::fmt::Debug for PortfolioEngine {
 impl PortfolioEngine {
     /// Creates an empty portfolio engine.
     pub fn new(config: PortfolioConfig) -> Self {
+        let front = Solver::with_config(
+            SolverConfig::berkmin()
+                .with_simplify(config.simplify)
+                .with_paranoid(config.paranoid),
+        );
         PortfolioEngine {
             config: PortfolioConfig {
                 threads: config.threads.max(1),
@@ -301,7 +301,7 @@ impl PortfolioEngine {
                 ..config
             },
             num_vars: 0,
-            clauses: Vec::new(),
+            log: Vec::new(),
             ok: true,
             pending: Vec::new(),
             calls: 0,
@@ -312,13 +312,10 @@ impl PortfolioEngine {
             winner: None,
             proof: None,
             observer: None,
-            frozen: Vec::new(),
-            eliminated: Vec::new(),
-            recon: Reconstructor::default(),
-            simplified_once: false,
-            pending_simplify_ops: Vec::new(),
+            front,
             crew: None,
-            settled: Stats::new(),
+            retired: Stats::new(),
+            live: Stats::new(),
         }
     }
 
@@ -327,18 +324,17 @@ impl PortfolioEngine {
         &self.config
     }
 
-    /// Attaches a proof sink that will receive each call's winning worker's
-    /// DRAT operations, prefixed by the pre-simplifier's additions and
-    /// deletions (attach before the first solve so the prefix lands ahead
-    /// of any worker-derived clause). Live workers were not logging, so
-    /// they are rebuilt at the next call.
+    /// Attaches a proof sink that will receive the front's additions and
+    /// deletions and each call's winning worker's DRAT operations.
     ///
     /// # Panics
     ///
     /// Panics when clause sharing is enabled
     /// ([`PortfolioConfig::share_lbd`] is `Some`): imported clauses are not
     /// RUP-derivable in the importing worker's proof, so no sound DRAT log
-    /// exists. Disable sharing to log proofs.
+    /// exists. Disable sharing to log proofs. Also panics after the first
+    /// solve call: the front and the workers have already derived clauses
+    /// the sink would miss.
     pub fn set_proof(&mut self, sink: Box<dyn ProofSink>) {
         assert!(
             self.config.share_lbd.is_none(),
@@ -346,8 +342,12 @@ impl PortfolioEngine {
              sharing to be off (--share-lbd would make the winner's DRAT \
              stream unsound)"
         );
+        assert!(
+            self.calls == 0,
+            "configuration error: attach the portfolio's proof sink before \
+             the first solve call"
+        );
         self.proof = Some(sink);
-        self.crew = None;
     }
 
     /// Per-worker reports from the last solve call (empty before the first
@@ -368,134 +368,82 @@ impl PortfolioEngine {
         self.config.budget = budget;
     }
 
-    /// Protects `var` from elimination by the pre-simplifier — the same
-    /// contract as [`Solver::freeze`](crate::Solver::freeze): freeze every
-    /// variable that *future* clauses or assumptions may mention before the
-    /// first solve call. The current call's assumption variables are frozen
-    /// automatically (and permanently).
+    /// Protects `var` from elimination by the front — the same contract
+    /// as [`Solver::freeze`](crate::Solver::freeze): freeze every variable
+    /// that *future* clauses or assumptions may mention before the first
+    /// solve call. The assumption variables of a call that simplifies are
+    /// frozen automatically (and permanently).
     pub fn freeze(&mut self, var: Var) {
         self.num_vars = self.num_vars.max(var.index() + 1);
-        if self.frozen.len() < self.num_vars {
-            self.frozen.resize(self.num_vars, false);
-        }
-        self.frozen[var.index()] = true;
+        self.front.freeze(var);
     }
 
-    /// Lifts a [`PortfolioEngine::freeze`]: the next pre-simplification run
-    /// (under [`SimplifyConfig::inprocess`]) may eliminate `var` again.
+    /// Lifts a [`PortfolioEngine::freeze`]: the next simplification (under
+    /// [`SimplifyConfig::inprocess`]) may eliminate `var` again.
     pub fn melt(&mut self, var: Var) {
-        if let Some(f) = self.frozen.get_mut(var.index()) {
-            *f = false;
-        }
+        self.front.melt(var);
     }
 
     /// Whether `var` is currently protected from elimination.
     pub fn is_frozen(&self, var: Var) -> bool {
-        self.frozen.get(var.index()).copied().unwrap_or(false)
+        self.front.is_frozen(var)
     }
 
-    /// Whether the pre-simplifier has eliminated `var` (see
+    /// Whether the front has eliminated `var` (see
     /// [`PortfolioEngine::freeze`] for the contract this implies).
     pub fn is_eliminated(&self, var: Var) -> bool {
-        self.eliminated.get(var.index()).copied().unwrap_or(false)
+        self.front.is_eliminated(var)
     }
 
-    /// Simplifies the accumulated formula through a throwaway solver before
-    /// the workers diversify — the reduction is paid once instead of N
-    /// times. Runs at the first solve call only, unless
-    /// [`SimplifyConfig::inprocess`] asks for every call.
-    ///
-    /// The simplifier's proof stream is buffered into
-    /// `pending_simplify_ops` (drained into the attached sink by
-    /// [`SatEngine::solve`] ahead of the winner's ops); its eliminations are
-    /// folded into the engine's `eliminated` flags and reconstruction
-    /// stack, and its `Simplify` telemetry is re-emitted through `shared`.
-    /// The rewritten formula retires the live workers, so the race rebuilds
-    /// them.
-    fn pre_simplify(&mut self, assumptions: &[Lit], shared: &Option<SharedObserver>) {
-        let cfg = self.config.simplify;
-        if !self.ok || !cfg.enable || (!cfg.subsumption && !cfg.var_elim) {
-            return;
+    /// Builds a crew over the front's formula. The front absorbs the log
+    /// (which starts again empty), simplifies if its schedule says so —
+    /// its DRAT stream going straight into the sink and its events to the
+    /// observer — and seeds the workers with its level-0 units plus its
+    /// live original clauses (it never searches, so it has no learnt
+    /// ones).
+    fn build_crew(&mut self, assumptions: &[Lit], shared: &Option<SharedObserver>) -> Crew {
+        let front = &mut self.front;
+        front.reserve_vars(self.num_vars);
+        for clause in std::mem::take(&mut self.log) {
+            front.add_clause(clause);
         }
-        if self.simplified_once && !cfg.inprocess {
-            return;
+        if front.ok && front.propagate().is_some() {
+            front.ok = false;
         }
-        self.simplified_once = true;
-        self.crew = None;
-        // This call's assumption variables must survive elimination
-        // (permanently — a later call may assume them again).
-        for &a in assumptions {
-            self.freeze(a.var());
+        // A simplifying call freezes its assumption variables, as on a
+        // single solver.
+        front.assumptions = assumptions.to_vec();
+        if let Some(obs) = shared {
+            let obs = Arc::clone(obs);
+            front.set_observer(Some(Box::new(move |e: &SolveEvent| emit_shared(&obs, e))));
         }
+        let mut no_proof = NoProof;
+        let sink: &mut dyn ProofSink = match &mut self.proof {
+            Some(sink) => sink.as_mut(),
+            None => &mut no_proof,
+        };
+        front.simplify_formula(sink);
+        front.set_observer(None);
 
-        let mut s = Solver::with_config(
-            SolverConfig::berkmin()
-                .with_simplify(cfg)
-                .with_paranoid(self.config.paranoid),
+        let mut seed: Vec<Vec<Lit>> = front.trail.iter().map(|&l| vec![l]).collect();
+        seed.extend(
+            front
+                .db
+                .iter_live()
+                .filter(|&cref| !front.db.is_learnt(cref))
+                .map(|cref| front.db.lits(cref).to_vec()),
         );
-        s.reserve_vars(self.num_vars);
-        for (i, &frozen) in self.frozen.iter().enumerate() {
-            if frozen {
-                s.freeze(Var::new(i as u32));
-            }
-        }
-        let captured: Rc<RefCell<Vec<SolveEvent>>> = Rc::new(RefCell::new(Vec::new()));
-        if shared.is_some() {
-            let tap = Rc::clone(&captured);
-            s.set_observer(Some(Box::new(move |e: &SolveEvent| {
-                tap.borrow_mut().push(e.clone())
-            })));
-        }
-        for c in &self.clauses {
-            s.add_clause(c.iter().copied());
-        }
-        let mut buf = ProofBuffer::default();
-        if s.is_ok() && s.propagate().is_some() {
-            s.ok = false;
-        }
-        if s.is_ok() {
-            s.simplify_formula(&mut buf);
-        }
-
-        // Export the simplified formula: the level-0 trail as unit clauses
-        // plus the live original clauses (the throwaway never searches, so
-        // learnt clauses cannot arise).
-        let mut clauses: Vec<Vec<Lit>> = s.trail.iter().map(|&l| vec![l]).collect();
-        for cref in s.db.iter_live() {
-            if !s.db.is_learnt(cref) {
-                clauses.push(s.db.lits(cref).to_vec());
-            }
-        }
-        if !s.is_ok() {
+        if !front.ok {
             // Refuted at level 0. The empty clause is RUP here (unit
-            // propagation over the simplified formula conflicts), so it
-            // both completes the buffered proof and resolves the race
-            // trivially and uniformly.
-            buf.ops.push(ProofOp::Add(Vec::new()));
-            clauses.push(Vec::new());
+            // propagation over the front's formula conflicts), so it
+            // completes the front's proof and resolves the race trivially.
+            if self.ok {
+                sink.add_clause(&[]);
+            }
+            seed.push(Vec::new());
             self.ok = false;
         }
-        self.clauses = clauses;
-        self.pending_simplify_ops.extend(buf.ops);
-
-        // Fold the run into the engine: eliminated flags, reconstruction
-        // entries (appended — these eliminations are the latest) and the
-        // simplification work counters.
-        if self.eliminated.len() < self.num_vars {
-            self.eliminated.resize(self.num_vars, false);
-        }
-        for (i, &e) in s.eliminated.iter().enumerate() {
-            if e {
-                self.eliminated[i] = true;
-            }
-        }
-        self.recon.absorb(&s.reconstructor);
-        self.stats.merge(s.stats());
-        if let Some(obs) = shared {
-            for event in captured.borrow().iter() {
-                emit_shared(obs, event);
-            }
-        }
+        Crew::new(&self.config, self.proof.is_some(), self.num_vars, &seed)
     }
 
     /// The race core, shared by both modes: builds the workers if none are
@@ -507,16 +455,20 @@ impl PortfolioEngine {
     /// (in schedule order when deterministic), then `WorkerDone` in worker
     /// order.
     fn race(&mut self, assumptions: &[Lit], shared: &Option<SharedObserver>) -> SolveStatus {
+        // Under inprocessing the front rewrites the formula at every call,
+        // which retires the live crew.
+        let cfg = self.config.simplify;
+        if self.ok && cfg.enable && cfg.inprocess && (cfg.subsumption || cfg.var_elim) {
+            self.crew = None;
+        }
         let mut crew = match self.crew.take() {
             Some(crew) => crew,
             None => {
-                // Whatever ran before (pre-simplification, retired crews)
-                // is settled from here on.
-                self.settled = self.stats.clone();
-                Crew::new(&self.config, self.proof.is_some())
+                self.retired.merge(&std::mem::take(&mut self.live));
+                self.build_crew(assumptions, shared)
             }
         };
-        crew.extend(self.num_vars, &self.clauses);
+        crew.extend(self.num_vars, &self.log);
         if let Some(obs) = shared {
             for id in 0..self.config.threads {
                 emit_shared(obs, &SolveEvent::WorkerStart { worker: id });
@@ -524,23 +476,29 @@ impl PortfolioEngine {
         }
         let mut results = crew.solve(assumptions, &self.config, shared);
         let pool = crew.pool_accounting();
+        let formula_len = crew.seeded + self.log.len();
         self.crew = Some(crew);
 
-        // The counters are set, not accumulated: the settled part plus
-        // every live worker's lifetime, so no call is counted twice.
-        self.stats = self.settled.clone();
+        // The counters are set, not accumulated: the front, the retired
+        // crews and every live worker's lifetime, so no call is counted
+        // twice.
+        self.live = Stats::new();
         for result in &results {
-            self.stats.merge(&result.lifetime);
+            self.live.merge(&result.lifetime);
         }
         if let Some((total, _)) = &pool {
-            self.stats.clauses_exported += total.published.iter().sum::<u64>();
-            self.stats.pool_evicted += total.evicted;
-            self.stats.pool_missed += total.missed.iter().sum::<u64>();
+            self.live.clauses_exported += total.published.iter().sum::<u64>();
+            self.live.pool_evicted += total.evicted;
+            self.live.pool_missed += total.missed.iter().sum::<u64>();
+        }
+        self.stats = Stats::new();
+        for part in [self.front.stats(), &self.retired, &self.live] {
+            self.stats.merge(part);
         }
         // `Stats::merge` leaves the formula-level counters alone; set the
         // portfolio-level view explicitly (the formula is shared, not
         // duplicated N times, and one portfolio call is one solve call).
-        self.stats.initial_clauses = self.clauses.len() as u64;
+        self.stats.initial_clauses = formula_len as u64;
         self.stats.solve_calls = self.calls;
 
         for result in &mut results {
@@ -584,12 +542,10 @@ impl PortfolioEngine {
         match result.status {
             SolveStatus::Sat(mut model) => {
                 // Extend the winner's model back over every variable the
-                // pre-simplifier eliminated (the worker valued them
-                // arbitrarily — the reconstruction overwrites with the
-                // value that satisfies the dissolved clauses).
-                if self.recon.len() > 0 {
-                    self.recon.extend_model(&mut model);
-                }
+                // front eliminated (the worker valued them arbitrarily —
+                // the reconstruction overwrites with the value that
+                // satisfies the dissolved clauses).
+                self.front.reconstructor.extend_model(&mut model);
                 self.model = Some(model.clone());
                 SolveStatus::Sat(model)
             }
@@ -613,8 +569,8 @@ fn publish(sink: &mut dyn ProofSink, ops: impl IntoIterator<Item = ProofOp>) {
 }
 
 /// The diversified configuration worker `id` runs with. Budgets are set
-/// per call (or per slice), and the workers never simplify: the engine
-/// simplifies the shared formula once up front.
+/// per call (or per slice), and the workers never simplify: the front
+/// simplifies the shared formula for them.
 fn worker_config(config: &PortfolioConfig, id: usize) -> SolverConfig {
     SolverConfig::portfolio_worker(id)
         .with_budget(Budget::unlimited())
@@ -630,8 +586,10 @@ struct Crew {
     pool: Option<Arc<ClausePool>>,
     /// The pool's accounting at the end of the previous call.
     pool_seen: PoolSummary,
-    /// How many of the engine's clauses every worker has absorbed — the
-    /// workers advance together, so one cursor serves them all.
+    /// How many clauses the front seeded the workers with.
+    seeded: usize,
+    /// How many of the engine's logged clauses every worker has absorbed —
+    /// the workers advance together, so one cursor serves them all.
     synced: usize,
 }
 
@@ -644,7 +602,14 @@ enum Workers {
 }
 
 impl Crew {
-    fn new(config: &PortfolioConfig, record_proof: bool) -> Crew {
+    /// Builds the workers and hands each the variables and the `seed`
+    /// clauses.
+    fn new(
+        config: &PortfolioConfig,
+        record_proof: bool,
+        num_vars: usize,
+        seed: &[Vec<Lit>],
+    ) -> Crew {
         let n = config.threads;
         let pool = config
             .share_lbd
@@ -664,27 +629,34 @@ impl Crew {
                 record_proof,
             ))
         };
-        Crew {
+        let mut crew = Crew {
             workers,
             pool,
             pool_seen: PoolSummary::default(),
+            seeded: seed.len(),
             synced: 0,
-        }
+        };
+        crew.feed(num_vars, seed);
+        crew
     }
 
-    /// Hands every worker the variables and the clauses of `clauses` (the
-    /// engine's whole list) it has not absorbed yet.
-    fn extend(&mut self, num_vars: usize, clauses: &[Vec<Lit>]) {
-        let fresh = &clauses[self.synced..];
+    /// Hands every worker the variables and the clauses of `log` (the
+    /// engine's whole log) it has not absorbed yet.
+    fn extend(&mut self, num_vars: usize, log: &[Vec<Lit>]) {
+        self.feed(num_vars, &log[self.synced..]);
+        self.synced = log.len();
+    }
+
+    /// Hands every worker the variables and `clauses`.
+    fn feed(&mut self, num_vars: usize, clauses: &[Vec<Lit>]) {
         match &mut self.workers {
             Workers::Inline(workers) => {
                 for worker in workers {
-                    worker.extend(num_vars, fresh);
+                    worker.extend(num_vars, clauses);
                 }
             }
-            Workers::Threads(threads) => threads.extend(num_vars, fresh),
+            Workers::Threads(threads) => threads.extend(num_vars, clauses),
         }
-        self.synced = clauses.len();
     }
 
     /// Runs one call on every worker; results come back in worker order.
@@ -776,31 +748,19 @@ impl SatEngine for PortfolioEngine {
     }
 
     fn add_clause(&mut self, lits: &[Lit]) -> bool {
+        self.front.reject_eliminated("add_clause", lits);
         for l in lits {
-            assert!(
-                !self.is_eliminated(l.var()),
-                "add_clause mentions eliminated variable {:?}: freeze it \
-                 before the first solve, or disable variable elimination \
-                 (SimplifyConfig::var_elim)",
-                l.var()
-            );
             self.num_vars = self.num_vars.max(l.var().index() + 1);
         }
         if lits.is_empty() {
             self.ok = false;
         }
-        self.clauses.push(lits.to_vec());
+        self.log.push(lits.to_vec());
         self.ok
     }
 
     fn assume(&mut self, lit: Lit) {
-        assert!(
-            !self.is_eliminated(lit.var()),
-            "assume mentions eliminated variable {:?}: freeze it before \
-             solving, or disable variable elimination \
-             (SimplifyConfig::var_elim)",
-            lit.var()
-        );
+        self.front.reject_eliminated("assume", &[lit]);
         self.num_vars = self.num_vars.max(lit.var().index() + 1);
         self.pending.push(lit);
     }
@@ -823,7 +783,7 @@ impl SatEngine for PortfolioEngine {
                 &SolveEvent::SolveStart {
                     call: self.calls,
                     num_vars: self.num_vars,
-                    num_clauses: self.clauses.len(),
+                    num_clauses: self.crew.as_ref().map_or(0, |c| c.seeded) + self.log.len(),
                     assumptions: assumptions.len(),
                 },
             );
@@ -834,13 +794,6 @@ impl SatEngine for PortfolioEngine {
             self.stats.propagations,
             self.stats.restarts,
         );
-
-        // Simplify the shared formula once before diversifying, and flush
-        // the simplifier's proof prefix before any worker-derived clause.
-        self.pre_simplify(&assumptions, &shared);
-        if let Some(sink) = &mut self.proof {
-            publish(sink.as_mut(), self.pending_simplify_ops.drain(..));
-        }
 
         let status = self.race(&assumptions, &shared);
 
@@ -1109,6 +1062,15 @@ mod tests {
         engine.set_proof(Box::new(crate::proof::NoProof));
     }
 
+    #[test]
+    #[should_panic(expected = "configuration error")]
+    fn proof_after_the_first_solve_is_rejected() {
+        let mut engine = deterministic(2, None);
+        engine.add_clause(&[lit(1)]);
+        assert!(engine.solve().is_sat());
+        engine.set_proof(Box::new(crate::proof::NoProof));
+    }
+
     /// Regression for the `Stats::merge` formula-counter bug: merging the
     /// workers' stats used to sum their per-worker copies of
     /// `initial_clauses` and `solve_calls` (N× the truth), relying on the
@@ -1120,7 +1082,7 @@ mod tests {
         for c in pigeonhole(4) {
             engine.add_clause(&c);
         }
-        let num_clauses = engine.clauses.len() as u64;
+        let num_clauses = engine.log.len() as u64;
         assert!(engine.solve().is_unsat());
         assert_eq!(engine.stats().initial_clauses, num_clauses);
         assert_eq!(engine.stats().solve_calls, 1);
@@ -1224,7 +1186,7 @@ mod tests {
             }
         }
 
-        let sink = std::rc::Rc::new(RefCell::new(Recording::default()));
+        let sink = std::rc::Rc::new(std::cell::RefCell::new(Recording::default()));
         let mut engine = simplifying(2);
         engine.set_proof(Box::new(std::rc::Rc::clone(&sink)));
         // The ternary clause is subsumed (a deletion in the prefix) and the

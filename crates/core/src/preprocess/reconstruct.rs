@@ -31,11 +31,6 @@ pub(crate) struct Reconstructor {
 }
 
 impl Reconstructor {
-    /// Number of recorded elimination entries.
-    pub(crate) fn len(&self) -> usize {
-        self.entries.len()
-    }
-
     /// Records the elimination of `side.var()`: `clauses` are the deleted
     /// clauses containing the literal `side` (the smaller occurrence side).
     pub(crate) fn record<'a, I>(&mut self, side: Lit, clauses: I)
@@ -50,29 +45,6 @@ impl Reconstructor {
             self.clauses.push((start, self.lits.len() as u32));
         }
         self.entries.push((side, first, self.clauses.len() as u32));
-    }
-
-    /// Appends `other`'s entries after this stack's own (rebasing its
-    /// ranges). Used by the portfolio engine, which simplifies through a
-    /// throwaway solver per call and accumulates the elimination history
-    /// across calls — `other`'s eliminations happened *later*, so appending
-    /// keeps the reverse replay order correct.
-    pub(crate) fn absorb(&mut self, other: &Reconstructor) {
-        let lit_base = self.lits.len() as u32;
-        let clause_base = self.clauses.len() as u32;
-        self.lits.extend_from_slice(&other.lits);
-        self.clauses.extend(
-            other
-                .clauses
-                .iter()
-                .map(|&(s, e)| (s + lit_base, e + lit_base)),
-        );
-        self.entries.extend(
-            other
-                .entries
-                .iter()
-                .map(|&(l, f, la)| (l, f + clause_base, la + clause_base)),
-        );
     }
 
     /// Extends `model` (a total assignment of the simplified formula) over
@@ -138,23 +110,6 @@ mod tests {
         let mut model = Assignment::new(2);
         model.assign(Var::new(1), false);
         r.extend_model(&mut model);
-        assert!(model.satisfies(lit(-1)));
-    }
-
-    #[test]
-    fn absorb_appends_and_rebases_ranges() {
-        // Same scenario as the reverse-order test, but split across two
-        // stacks merged with `absorb` — replay must behave identically.
-        let mut a = Reconstructor::default();
-        a.record(lit(1), [&[lit(1), lit(2)][..]]);
-        let mut b = Reconstructor::default();
-        b.record(lit(2), [&[lit(2), lit(3)][..]]);
-        a.absorb(&b);
-        assert_eq!(a.len(), 2);
-        let mut model = Assignment::new(3);
-        model.assign(Var::new(2), false);
-        a.extend_model(&mut model);
-        assert!(model.satisfies(lit(2)));
         assert!(model.satisfies(lit(-1)));
     }
 

@@ -309,14 +309,7 @@ impl Solver {
         let mut ls: Vec<Lit> = lits.into_iter().collect();
         let max_var = ls.iter().map(|l| l.var().index() + 1).max().unwrap_or(0);
         self.ensure_vars(max_var);
-        if let Some(l) = ls.iter().find(|l| self.eliminated[l.var().index()]) {
-            panic!(
-                "add_clause mentions eliminated variable {:?}: freeze it \
-                 before solving, or disable variable elimination \
-                 (SimplifyConfig::var_elim)",
-                l.var()
-            );
-        }
+        self.reject_eliminated("add_clause", &ls);
         self.stats.initial_clauses += 1;
         let id = self.hints.next_original();
         if !self.ok {
@@ -425,19 +418,7 @@ impl Solver {
     /// Panics if `lit`'s variable has been eliminated by the preprocessor
     /// — see the freeze/melt contract on [`Solver::freeze`].
     pub fn assume(&mut self, lit: Lit) {
-        if self
-            .eliminated
-            .get(lit.var().index())
-            .copied()
-            .unwrap_or(false)
-        {
-            panic!(
-                "assume mentions eliminated variable {:?}: freeze it before \
-                 solving, or disable variable elimination \
-                 (SimplifyConfig::var_elim)",
-                lit.var()
-            );
-        }
+        self.reject_eliminated("assume", &[lit]);
         self.pending_assumptions.push(lit);
     }
 
@@ -476,6 +457,19 @@ impl Solver {
     /// [`Solver::freeze`] for the contract this implies).
     pub fn is_eliminated(&self, var: Var) -> bool {
         self.eliminated.get(var.index()).copied().unwrap_or(false)
+    }
+
+    /// Panics if `lits` mention an eliminated variable (the freeze/melt
+    /// contract on [`Solver::freeze`]); `op` names the offending call.
+    pub(crate) fn reject_eliminated(&self, op: &str, lits: &[Lit]) {
+        if let Some(l) = lits.iter().find(|l| self.is_eliminated(l.var())) {
+            panic!(
+                "{op} mentions eliminated variable {:?}: freeze it before \
+                 solving, or disable variable elimination \
+                 (SimplifyConfig::var_elim)",
+                l.var()
+            );
+        }
     }
 
     /// Solves the formula under the assumptions staged by

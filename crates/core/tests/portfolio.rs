@@ -396,6 +396,82 @@ fn models_reconstruct_on_calls_that_rebuild_the_workers() {
 }
 
 #[test]
+fn the_front_answers_like_a_single_solver() {
+    // The `--elim` path: elimination on, inprocessing off. After the first
+    // solve over the same clauses, freezes and assumptions, a portfolio's
+    // front and a lone solver with the same `SimplifyConfig` must agree on
+    // every variable's freeze and elimination state and on the
+    // simplification counters.
+    let simplify = SimplifyConfig {
+        var_elim: true,
+        ..SimplifyConfig::default()
+    };
+    let mut totals = (0, 0, 0);
+    for seed in 0..6 {
+        let mut formula: Vec<Vec<Lit>> = random_ksat(40, 110, 3, seed)
+            .cnf
+            .iter()
+            .map(|c| c.lits().to_vec())
+            .collect();
+        // A subsumed clause and a strengthenable one, so every counter moves.
+        formula.push(vec![lit(1), lit(2)]);
+        formula.push(vec![lit(1), lit(2), lit(3)]);
+        formula.push(vec![lit(-1), lit(2), lit(4)]);
+
+        let mut engine = PortfolioEngine::new(
+            PortfolioConfig::new(2)
+                .with_deterministic(true)
+                .with_share_lbd(None)
+                .with_simplify(simplify),
+        );
+        let mut solver = Solver::with_config(SolverConfig::berkmin().with_simplify(simplify));
+        for v in [5, 9, 13] {
+            engine.freeze(lit(v).var());
+            solver.freeze(lit(v).var());
+        }
+        for c in &formula {
+            engine.add_clause(c);
+            solver.add_clause(c.iter().copied());
+        }
+        engine.assume(lit(-7));
+        solver.assume(lit(-7));
+        assert_eq!(
+            engine.solve().is_sat(),
+            solver.solve().is_sat(),
+            "seed {seed}"
+        );
+        for v in (1..=40).map(|n| lit(n).var()) {
+            assert_eq!(
+                engine.is_eliminated(v),
+                solver.is_eliminated(v),
+                "seed {seed}: {v:?} eliminated"
+            );
+            assert_eq!(
+                engine.is_frozen(v),
+                solver.is_frozen(v),
+                "seed {seed}: {v:?} frozen"
+            );
+        }
+        let (e, s) = (engine.stats(), solver.stats());
+        let counters = |st: &berkmin::Stats| {
+            (
+                st.vars_eliminated,
+                st.clauses_subsumed,
+                st.clauses_strengthened,
+            )
+        };
+        assert_eq!(counters(e), counters(s), "seed {seed}");
+        totals.0 += s.vars_eliminated;
+        totals.1 += s.clauses_subsumed;
+        totals.2 += s.clauses_strengthened;
+    }
+    assert!(
+        totals.0 > 0 && totals.1 > 0 && totals.2 > 0,
+        "every counter must move somewhere: {totals:?}"
+    );
+}
+
+#[test]
 fn proof_spliced_from_several_winners_checks() {
     // No sharing, a DRAT sink and one-conflict slices, so the two workers
     // trade wins over an incremental session that grows a random 3-SAT

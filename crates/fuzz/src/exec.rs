@@ -171,35 +171,43 @@ pub fn run_case(case: &Case) -> Result<CaseReport, String> {
                 .with_simplify(SimplifyConfig::full()),
         ),
     ];
-    // Variable elimination forbids re-introducing an eliminated variable,
-    // so freeze up front every variable the rest of the case will assume,
-    // or add after the first solve — the contract a real incremental user
-    // follows for variables they intend to come back to.
-    {
-        let simplify = arms.last_mut().expect("simplify arm exists");
-        let mut seen_solve = false;
-        for op in &case.ops {
-            match op {
-                Op::Solve => seen_solve = true,
-                Op::Assume(l) => simplify.solver.freeze(l.var()),
-                Op::Add(lits) if seen_solve => {
-                    for l in lits {
-                        simplify.solver.freeze(l.var());
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-    // The last arm: a deterministic two-worker sharing portfolio. Clause
-    // import makes its DRAT stream unsound, so its absolute refutations are
-    // certified through the independent DPLL reference instead of a proof.
+    // The last arm: a deterministic two-worker sharing portfolio whose
+    // front runs the `--elim` path (elimination at the first call), so its
+    // SAT models exercise the front's reconstruction. Clause import makes
+    // its DRAT stream unsound, so its absolute refutations are certified
+    // through the independent DPLL reference instead of a proof.
     let mut portfolio = PortfolioEngine::new(
         PortfolioConfig::new(2)
             .with_share_lbd(Some(4))
             .with_deterministic(true)
-            .with_paranoid(true),
+            .with_paranoid(true)
+            .with_simplify(SimplifyConfig {
+                var_elim: true,
+                ..SimplifyConfig::default()
+            }),
     );
+    // Variable elimination forbids re-introducing an eliminated variable,
+    // so the eliminating engines freeze up front every variable the rest
+    // of the case will assume, or add after the first solve — the contract
+    // a real incremental user follows for variables they intend to come
+    // back to.
+    let [.., simplify] = &mut arms;
+    let mut seen_solve = false;
+    for op in &case.ops {
+        let vars: &[Lit] = match op {
+            Op::Solve => {
+                seen_solve = true;
+                &[]
+            }
+            Op::Assume(l) => std::slice::from_ref(l),
+            Op::Add(lits) if seen_solve => lits,
+            _ => &[],
+        };
+        for l in vars {
+            simplify.solver.freeze(l.var());
+            portfolio.freeze(l.var());
+        }
+    }
 
     let mut formula: Vec<Vec<Lit>> = Vec::new();
     let mut staged: Vec<Lit> = Vec::new();

@@ -32,8 +32,8 @@
 //!   --seed N               heuristic PRNG seed (single engines; portfolio
 //!                          workers derive their own diversified seeds)
 //!   --no-simplify          disable preprocessing (subsumption runs by
-//!                          default at the first solve; the portfolio
-//!                          simplifies once before diversifying)
+//!                          default at the first solve; the portfolio's
+//!                          front simplifies for all its workers)
 //!   --elim                 enable bounded variable elimination (SAT models
 //!                          are reconstructed over eliminated variables;
 //!                          proofs carry the elimination additions and
@@ -62,9 +62,9 @@
 //! --verbose and --quiet options above, plus:
 //!   --bits N               counter width (default 3)
 //!   --max-depth D          deepest cycle to try (default 2^bits - 1)
-//!   --scratch              re-solve every depth with a fresh single solver
+//!   --scratch              re-solve every depth with a fresh engine
 //!                          instead of reusing one incremental engine (for
-//!                          comparison; not with --engine portfolio)
+//!                          comparison)
 //!   --stats-json FILE      adds a per-depth "depths" array; in --scratch
 //!                          mode the stats block carries the total conflict
 //!                          count only (no warm engine exists to snapshot)
@@ -269,12 +269,6 @@ fn parse_args() -> Options {
     }
 
     opts.portfolio = engine == "portfolio";
-    if opts.portfolio && opts.scratch {
-        die(
-            "--scratch re-solves every depth with a fresh single solver: \
-             pick a single-solver preset",
-        );
-    }
     if !opts.portfolio {
         opts.config = config_by_name(&engine);
     }
@@ -380,6 +374,13 @@ impl EngineHolder {
         match self {
             EngineHolder::Single(e) => &mut **e,
             EngineHolder::Portfolio(p) => &mut **p,
+        }
+    }
+
+    fn into_engine(self) -> Box<dyn SatEngine> {
+        match self {
+            EngineHolder::Single(e) => e,
+            EngineHolder::Portfolio(p) => p,
         }
     }
 
@@ -687,7 +688,7 @@ fn run_bmc(opts: &Options) -> ExitCode {
             &netlist,
             &pattern,
             max_depth,
-            &opts.config,
+            || build_engine(opts, None).into_engine(),
             |t, status, so_far| {
                 depths.push((t, describe(status), so_far));
                 if !quiet {

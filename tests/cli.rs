@@ -104,8 +104,17 @@ fn malformed_input_exits_2() {
 #[test]
 fn bmc_subcommand_incremental_and_scratch_agree_on_depth() {
     // The enabled 3-bit counter first shows all-ones at depth 7; both modes
-    // must find it and exit with the SAT code.
-    for extra in [&[][..], &["--scratch"][..]] {
+    // must find it and exit with the SAT code, the scratch baseline on the
+    // portfolio too.
+    let portfolio_scratch = [
+        "--scratch",
+        "--engine",
+        "portfolio",
+        "--threads",
+        "2",
+        "--deterministic",
+    ];
+    for extra in [&[][..], &["--scratch"][..], &portfolio_scratch[..]] {
         let mut args = vec!["bmc", "--bits", "3"];
         args.extend_from_slice(extra);
         let (stdout, code) = run_with_stdin(&args, "");

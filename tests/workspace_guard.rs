@@ -138,6 +138,19 @@ fn ci_keeps_the_preprocessing_steps() {
         "CI workflow dropped the reconstructed-model SAT arm; model \
          extension over eliminated variables would go unexercised"
     );
+    let portfolio = "--engine portfolio --threads 2 --deterministic --no-share --elim";
+    assert!(
+        ci.contains(&format!(
+            "{portfolio} --proof hole5p.drat --check-proof hole5.cnf"
+        )) && ci.contains("grep -q '^d ' hole5p.drat"),
+        "CI workflow dropped the portfolio elimination proof arm; the \
+         front's DRAT prefix would no longer be checked end-to-end"
+    );
+    assert!(
+        ci.contains(&format!("{portfolio} elim_sat.cnf")),
+        "CI workflow dropped the portfolio reconstructed-model SAT arm; the \
+         front's model extension would go unexercised"
+    );
 }
 
 #[test]
