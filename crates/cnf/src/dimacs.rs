@@ -288,31 +288,62 @@ impl std::error::Error for ReadDimacsError {
 
 /// Serializes a [`Cnf`] as DIMACS text.
 pub fn to_string(cnf: &Cnf) -> String {
-    let mut out = String::new();
-    for comment in cnf.comments() {
-        out.push_str("c ");
-        out.push_str(comment);
-        out.push('\n');
-    }
-    out.push_str(&format!("p cnf {} {}\n", cnf.num_vars(), cnf.num_clauses()));
-    for clause in cnf.iter() {
-        for lit in clause {
-            out.push_str(&lit.to_dimacs().to_string());
-            out.push(' ');
-        }
-        out.push_str("0\n");
-    }
-    out
+    let mut out = Vec::new();
+    write(&mut out, cnf).expect("writing to a Vec cannot fail");
+    String::from_utf8(out).expect("DIMACS text of a Cnf is UTF-8")
 }
 
 /// Writes a [`Cnf`] in DIMACS format to any [`Write`] implementor (a `&mut`
-/// reference works too).
+/// reference works too), streaming it in chunks rather than building the
+/// whole text.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors from the writer.
 pub fn write<W: Write>(mut writer: W, cnf: &Cnf) -> io::Result<()> {
-    writer.write_all(to_string(cnf).as_bytes())
+    const CHUNK: usize = 1 << 16;
+    let mut buf = Vec::with_capacity(CHUNK);
+    for comment in cnf.comments() {
+        buf.extend_from_slice(b"c ");
+        buf.extend_from_slice(comment.as_bytes());
+        buf.push(b'\n');
+    }
+    writeln!(buf, "p cnf {} {}", cnf.num_vars(), cnf.num_clauses())?;
+    for clause in cnf.iter() {
+        render_clause(&mut buf, clause.lits().iter().copied());
+        if buf.len() >= CHUNK {
+            writer.write_all(&buf)?;
+            buf.clear();
+        }
+    }
+    writer.write_all(&buf)
+}
+
+/// Appends one clause line to `out`: the DIMACS literals each followed by
+/// a space, then the `0` terminator and a newline. Digits are written
+/// straight into `out`; nothing is allocated per literal. A textual DRAT
+/// line is the same line, with a `d ` prefix for a deletion.
+pub fn render_clause(out: &mut Vec<u8>, lits: impl IntoIterator<Item = Lit>) {
+    for l in lits {
+        let n = l.to_dimacs();
+        if n < 0 {
+            out.push(b'-');
+        }
+        let mut digits = [0u8; 10];
+        let mut at = digits.len();
+        let mut v = n.unsigned_abs();
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (v % 10) as u8;
+            v /= 10;
+            if v == 0 {
+                break;
+            }
+        }
+        out.extend_from_slice(&digits[at..]);
+        out.push(b' ');
+    }
+    out.extend_from_slice(b"0\n");
 }
 
 #[cfg(test)]
@@ -395,6 +426,23 @@ mod tests {
         write(&mut buf, &cnf).unwrap();
         let again = read(&buf[..]).unwrap();
         assert_eq!(cnf.clauses(), again.clauses());
+    }
+
+    #[test]
+    fn renders_extreme_literals_and_comments() {
+        let mut cnf = Cnf::new();
+        cnf.add_comment("made by hand");
+        cnf.add_clause([Lit::from_dimacs(i32::MAX), Lit::from_dimacs(-10)]);
+        cnf.add_clause([]);
+        cnf.add_clause([Lit::from_dimacs(-(i32::MAX))]);
+        let text = format!(
+            "c made by hand\np cnf {} 3\n2147483647 -10 0\n0\n-2147483647 0\n",
+            i32::MAX
+        );
+        assert_eq!(to_string(&cnf), text);
+        let mut buf = Vec::new();
+        write(&mut buf, &cnf).unwrap();
+        assert_eq!(buf, text.as_bytes());
     }
 
     #[test]

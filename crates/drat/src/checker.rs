@@ -126,22 +126,10 @@ pub struct CheckReport {
 /// reaches the empty clause.
 pub fn check_refutation(cnf: &Cnf, proof: &DratProof) -> Result<CheckReport, CheckError> {
     // Size the clause store for everything the check may add, so it never
-    // grows by copying.
-    let mut nvars = cnf.num_vars();
-    let (mut clauses, mut lits) = (cnf.num_clauses(), 0);
-    for clause in cnf.iter() {
-        lits += clause.len();
-    }
-    for step in proof.steps() {
-        for l in step.lits() {
-            nvars = nvars.max(l.var().index() + 1);
-        }
-        if let Step::Add(added) = step {
-            clauses += 1;
-            lits += added.len();
-        }
-    }
-
+    // grows by copying. The proof keeps the counts as it records.
+    let nvars = cnf.num_vars().max(proof.num_vars());
+    let clauses = cnf.num_clauses() + proof.num_additions();
+    let lits = cnf.num_lits() + proof.num_addition_lits();
     let mut db = Propagator::new(nvars, clauses, lits);
     let mut report = CheckReport::default();
 
@@ -152,37 +140,41 @@ pub fn check_refutation(cnf: &Cnf, proof: &DratProof) -> Result<CheckReport, Che
     }
     db.propagate_persistent();
 
+    // Each step's literals, decoded once.
+    let mut lits = Vec::new();
     for (i, step) in proof.steps().enumerate() {
         if db.contradiction {
             report.steps_after_empty = proof.len() - i;
             return Ok(report);
         }
+        lits.clear();
+        lits.extend(step.lits());
         match step {
-            Step::Add(lits) => {
+            Step::Add(_) => {
                 let hints = proof.hints(i);
                 let chained = !hints.is_empty();
-                if chained && db.chain_refutes(lits, hints) {
+                if chained && db.chain_refutes(&lits, hints) {
                     report.additions_hinted += 1;
                 } else {
                     if chained {
                         report.chain_failures += 1;
                     }
-                    if !db.is_rup(lits) {
+                    if !db.is_rup(&lits) {
                         return Err(CheckError::NotRup {
                             step: i,
-                            clause: lits.to_vec(),
+                            clause: lits,
                         });
                     }
                 }
                 report.additions_checked += 1;
-                let cref = db.add_clause(lits);
+                let cref = db.add_clause(&lits);
                 if !lits.is_empty() {
                     db.lemmas.push(cref);
                 }
                 db.propagate_persistent();
             }
-            Step::Delete(lits) => {
-                if db.delete_clause(lits) {
+            Step::Delete(_) => {
+                if db.delete_clause(&lits) {
                     report.deletions_applied += 1;
                 } else {
                     report.deletions_ignored += 1;

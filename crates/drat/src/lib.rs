@@ -45,4 +45,4 @@ mod checker;
 mod proof;
 
 pub use checker::{check_refutation, CheckError, CheckReport};
-pub use proof::{DratProof, Hints, ParseDratError, Step, TextDratWriter};
+pub use proof::{DratProof, Hints, Lits, ParseDratError, Step, TextDratWriter};

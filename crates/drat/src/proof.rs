@@ -1,25 +1,25 @@
 //! Proof containers and serialization.
 
 use berkmin::{ClauseId, ProofSink};
-use berkmin_cnf::Lit;
+use berkmin_cnf::{dimacs, Lit};
 use std::fmt;
 use std::io::{self, Write};
 
 /// One step of a clausal proof, borrowed from the [`DratProof`] that holds
 /// it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Step<'a> {
     /// A clause asserted to be a reverse-unit-propagation consequence.
-    Add(&'a [Lit]),
+    Add(Lits<'a>),
     /// A clause removed from the database.
-    Delete(&'a [Lit]),
+    Delete(Lits<'a>),
 }
 
 impl<'a> Step<'a> {
     /// The step's literals.
-    pub fn lits(self) -> &'a [Lit] {
+    pub fn lits(&self) -> Lits<'a> {
         match self {
-            Step::Add(lits) | Step::Delete(lits) => lits,
+            Step::Add(lits) | Step::Delete(lits) => lits.clone(),
         }
     }
 
@@ -30,40 +30,85 @@ impl<'a> Step<'a> {
 }
 
 /// Appends one textual DRAT line to `out`: a `d ` prefix for a deletion,
-/// the DIMACS literals each followed by a space, and the `0` terminator.
-/// Digits are written straight into `out`; nothing is allocated per
-/// literal.
-fn render_line(out: &mut Vec<u8>, deletion: bool, lits: &[Lit]) {
+/// then the clause line of [`dimacs::render_clause`].
+fn render_line(out: &mut Vec<u8>, deletion: bool, lits: impl IntoIterator<Item = Lit>) {
     if deletion {
         out.extend_from_slice(b"d ");
     }
-    for l in lits {
-        let n = l.to_dimacs();
-        if n < 0 {
-            out.push(b'-');
-        }
-        let mut digits = [0u8; 10];
-        let mut at = digits.len();
-        let mut v = n.unsigned_abs();
-        loop {
-            at -= 1;
-            digits[at] = b'0' + (v % 10) as u8;
-            v /= 10;
-            if v == 0 {
-                break;
-            }
-        }
-        out.extend_from_slice(&digits[at..]);
-        out.push(b' ');
+    dimacs::render_clause(out, lits);
+}
+
+/// The length of `l`'s entry in a DRAT or DIMACS line: sign, digits and
+/// the space after them.
+fn text_width(l: Lit) -> usize {
+    let n = l.to_dimacs();
+    usize::from(n < 0) + n.unsigned_abs().ilog10() as usize + 2
+}
+
+/// Appends the LEB128 encoding of `v`: seven bits per byte, low bits
+/// first, the high bit set on every byte but the last.
+fn push_leb128(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
     }
-    out.extend_from_slice(b"0\n");
+    out.push(v as u8);
+}
+
+/// Decodes the LEB128 value at the front of `bytes` and advances past it;
+/// `None` once `bytes` is empty.
+fn next_leb128(bytes: &mut &[u8]) -> Option<u64> {
+    let mut v = 0u64;
+    let mut shift = 0;
+    loop {
+        let (&byte, rest) = bytes.split_first()?;
+        *bytes = rest;
+        v |= u64::from(byte & 0x7f) << shift;
+        shift += 7;
+        if byte & 0x80 == 0 {
+            return Some(v);
+        }
+    }
+}
+
+/// The literals of one step, decoded as they are iterated.
+///
+/// Two views are equal when they hold the same literals in the same order
+/// (each literal has exactly one encoding).
+#[derive(Clone, PartialEq, Eq)]
+pub struct Lits<'a> {
+    /// LEB128 of each literal's [`Lit::code`], back to back.
+    bytes: &'a [u8],
+}
+
+impl Lits<'_> {
+    /// `true` if the step has no literal (the empty clause).
+    pub fn is_empty(&self) -> bool {
+        self.bytes.is_empty()
+    }
+}
+
+impl Iterator for Lits<'_> {
+    type Item = Lit;
+
+    fn next(&mut self) -> Option<Lit> {
+        // Only codes of `Lit`s are stored, so each fits in a `u32`.
+        next_leb128(&mut self.bytes).map(|code| Lit::from_code(code as u32))
+    }
+}
+
+impl fmt::Debug for Lits<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.clone()).finish()
+    }
 }
 
 /// Where one step ends in the proof's flat buffers; it starts where the
 /// previous step ends.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct StepEnd {
-    /// End of the step's literals, with [`DELETION`] set for a deletion.
+    /// End of the step's encoded literals, with [`DELETION`] set for a
+    /// deletion.
     lits: u32,
     /// End of the step's encoded hints.
     hints: u32,
@@ -92,28 +137,33 @@ impl Iterator for Hints<'_> {
     type Item = ClauseId;
 
     fn next(&mut self) -> Option<ClauseId> {
-        let mut tagged = 0u64;
-        let mut shift = 0;
-        loop {
-            let (&byte, rest) = self.bytes.split_first()?;
-            self.bytes = rest;
-            tagged |= u64::from(byte & 0x7f) << shift;
-            shift += 7;
-            if byte & 0x80 == 0 {
-                // Only encoded IDs are stored, so this always decodes.
-                return ClauseId::from_tagged(tagged);
-            }
-        }
+        // Only encoded IDs are stored, so each decodes.
+        next_leb128(&mut self.bytes).and_then(ClauseId::from_tagged)
     }
 }
 
 /// An in-memory DRAT proof: the stream of clause additions and deletions a
 /// solver emitted, in order, with the hint chain of each addition.
 ///
-/// The steps live in three flat buffers — every step's literals back to
-/// back, one end-offset pair per step, and every hint LEB128-encoded back
-/// to back — so recording a step allocates nothing of its own. Hints are
-/// not part of the DRAT text: [`DratProof::to_text`] and
+/// The steps live in three flat buffers, so recording a step allocates
+/// nothing of its own:
+///
+/// - every step's literal codes ([`Lit::code`]), LEB128-encoded back to
+///   back — the way binary DRAT stores them. A code below 2^7 takes one
+///   byte, below 2^14 two, and so on up to five bytes; a formula with
+///   fewer than 8,192 variables spends at most 2 bytes per literal, half
+///   of a 4-byte `Lit`;
+/// - one 8-byte end-offset pair per step;
+/// - every hint's [`ClauseId::tagged`] form, LEB128-encoded back to back.
+///
+/// Recording also keeps running counts — deletions, addition literals,
+/// the largest variable, whether the empty clause was added and the
+/// length of the rendered text — so [`DratProof::num_deletions`],
+/// [`DratProof::ends_with_empty_clause`] and [`DratProof::text_len`] take
+/// constant time, and neither rendering nor checking makes a pass over the
+/// literals just to size its buffers.
+///
+/// Hints are not part of the DRAT text: [`DratProof::to_text`] and
 /// [`DratProof::write_text`] render the literals only, and a proof read
 /// back with [`DratProof::parse`] has no hints, so a checker verifies each
 /// of its additions by full unit propagation.
@@ -142,9 +192,15 @@ impl Iterator for Hints<'_> {
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DratProof {
-    lits: Vec<Lit>,
+    lits: Vec<u8>,
     ends: Vec<StepEnd>,
     hints: Vec<u8>,
+    deletions: usize,
+    addition_lits: usize,
+    /// One more than the largest variable index of any step.
+    num_vars: usize,
+    empty_clause: bool,
+    text_len: usize,
 }
 
 impl DratProof {
@@ -164,7 +220,9 @@ impl DratProof {
         let start = i
             .checked_sub(1)
             .map_or(0, |p| self.ends[p].lits & !DELETION);
-        let lits = &self.lits[start as usize..(end & !DELETION) as usize];
+        let lits = Lits {
+            bytes: &self.lits[start as usize..(end & !DELETION) as usize],
+        };
         if end & DELETION != 0 {
             Step::Delete(lits)
         } else {
@@ -196,78 +254,85 @@ impl DratProof {
 
     /// Number of clause additions.
     pub fn num_additions(&self) -> usize {
-        self.len() - self.num_deletions()
+        self.len() - self.deletions
     }
 
     /// Number of deletions.
     pub fn num_deletions(&self) -> usize {
-        self.ends.iter().filter(|e| e.lits & DELETION != 0).count()
+        self.deletions
+    }
+
+    /// Number of literals over all additions.
+    pub(crate) fn num_addition_lits(&self) -> usize {
+        self.addition_lits
+    }
+
+    /// One more than the largest variable index any step names (`0` for a
+    /// proof without literals).
+    pub(crate) fn num_vars(&self) -> usize {
+        self.num_vars
     }
 
     /// `true` if some addition is the empty clause (an UNSAT run's final
     /// emission).
     pub fn ends_with_empty_clause(&self) -> bool {
-        self.steps()
-            .any(|s| matches!(s, Step::Add(lits) if lits.is_empty()))
+        self.empty_clause
     }
 
-    /// Appends a step without hints (for programmatic proof construction
-    /// in tests).
-    pub fn push(&mut self, step: Step<'_>) {
-        self.record(step, &[]);
+    /// The length in bytes of [`DratProof::to_text`].
+    pub fn text_len(&self) -> usize {
+        self.text_len
     }
 
-    /// Appends `step` with the hint chain `hints`.
-    fn record(&mut self, step: Step<'_>, hints: &[ClauseId]) {
-        self.lits.extend_from_slice(step.lits());
-        for id in hints {
-            let mut tagged = id.tagged();
-            while tagged >= 0x80 {
-                self.hints.push(tagged as u8 | 0x80);
-                tagged >>= 7;
-            }
-            self.hints.push(tagged as u8);
+    /// Appends a step; `None`, with nothing recorded, if the proof's
+    /// encoded literals or hints would reach 2^31 bytes.
+    fn try_record(&mut self, deletion: bool, lits: &[Lit], hints: &[ClauseId]) -> Option<()> {
+        let (lits_start, hints_start) = (self.lits.len(), self.hints.len());
+        let (mut num_vars, mut text_len) = (self.num_vars, 2 + 2 * usize::from(deletion));
+        for &l in lits {
+            push_leb128(&mut self.lits, l.code() as u64);
+            num_vars = num_vars.max(l.var().index() + 1);
+            text_len += text_width(l);
         }
-        let flag = if matches!(step, Step::Delete(_)) {
-            DELETION
-        } else {
-            0
-        };
-        let offset = |len: usize| {
-            u32::try_from(len)
-                .ok()
-                .filter(|&n| n < DELETION)
-                .expect("a proof holds fewer than 2^31 literals and hint bytes")
+        for id in hints {
+            push_leb128(&mut self.hints, id.tagged());
+        }
+        let offset = |len: usize| u32::try_from(len).ok().filter(|&n| n < DELETION);
+        let Some((lits_end, hints_end)) = offset(self.lits.len()).zip(offset(self.hints.len()))
+        else {
+            self.lits.truncate(lits_start);
+            self.hints.truncate(hints_start);
+            return None;
         };
         self.ends.push(StepEnd {
-            lits: offset(self.lits.len()) | flag,
-            hints: offset(self.hints.len()),
+            lits: lits_end | if deletion { DELETION } else { 0 },
+            hints: hints_end,
         });
+        if deletion {
+            self.deletions += 1;
+        } else {
+            self.addition_lits += lits.len();
+            self.empty_clause |= lits.is_empty();
+        }
+        self.num_vars = num_vars;
+        self.text_len += text_len;
+        Some(())
+    }
+
+    /// Appends a step logged by a solver.
+    fn record(&mut self, deletion: bool, lits: &[Lit], hints: &[ClauseId]) {
+        self.try_record(deletion, lits, hints)
+            .expect("a proof holds fewer than 2^31 bytes of literals and of hints");
     }
 
     /// Renders the proof in the standard textual DRAT format
     /// (`d` prefix for deletions, DIMACS literals, `0` terminators).
     pub fn to_text(&self) -> String {
-        let mut out = Vec::with_capacity(self.text_len());
+        let mut out = Vec::with_capacity(self.text_len);
         for step in self.steps() {
             step.render(&mut out);
         }
         String::from_utf8(out).expect("rendered DRAT text is ASCII")
-    }
-
-    /// The length of [`DratProof::to_text`], so the text is rendered into
-    /// one buffer of the right size instead of a growing one.
-    fn text_len(&self) -> usize {
-        let digits = |n: u32| (n.checked_ilog10().unwrap_or(0) + 1) as usize;
-        let lits: usize = self
-            .lits
-            .iter()
-            .map(|l| {
-                let n = l.to_dimacs();
-                usize::from(n < 0) + digits(n.unsigned_abs()) + 1
-            })
-            .sum();
-        lits + 2 * (self.len() + self.num_deletions())
     }
 
     /// Writes the textual DRAT format to `writer` (a `&mut` reference works
@@ -294,7 +359,8 @@ impl DratProof {
     ///
     /// # Errors
     ///
-    /// Returns [`ParseDratError`] on malformed tokens or unterminated steps.
+    /// Returns [`ParseDratError`] on malformed tokens, literals outside the
+    /// DIMACS range `1..=2^31-1` in magnitude, or unterminated steps.
     pub fn parse(text: &str) -> Result<DratProof, ParseDratError> {
         let mut proof = DratProof::new();
         let mut current: Vec<Lit> = Vec::new();
@@ -305,34 +371,32 @@ impl DratProof {
             if line.is_empty() || line.starts_with('c') {
                 continue;
             }
+            let error = |message: String| ParseDratError {
+                line: lineno + 1,
+                message,
+            };
             for tok in line.split_whitespace() {
                 if tok == "d" {
                     if !at_start {
-                        return Err(ParseDratError {
-                            line: lineno + 1,
-                            message: "'d' must start a step".into(),
-                        });
+                        return Err(error("'d' must start a step".into()));
                     }
                     deleting = true;
                     continue;
                 }
-                let n: i32 = tok.parse().map_err(|_| ParseDratError {
-                    line: lineno + 1,
-                    message: format!("bad token {tok:?}"),
-                })?;
+                let n: i64 = tok
+                    .parse()
+                    .map_err(|_| error(format!("bad token {tok:?}")))?;
+                // The DIMACS parser's range, so that every literal and its
+                // negation render as an `i32`.
+                if n.unsigned_abs() > i32::MAX as u64 {
+                    return Err(error(format!("literal {tok:?} out of range")));
+                }
+                let n = n as i32;
                 at_start = false;
                 if n == 0 {
-                    if proof.lits.len() + current.len() >= DELETION as usize {
-                        return Err(ParseDratError {
-                            line: lineno + 1,
-                            message: "a proof holds fewer than 2^31 literals".into(),
-                        });
-                    }
-                    proof.push(if deleting {
-                        Step::Delete(&current)
-                    } else {
-                        Step::Add(&current)
-                    });
+                    proof.try_record(deleting, &current, &[]).ok_or_else(|| {
+                        error("a proof holds fewer than 2^31 bytes of literals".into())
+                    })?;
                     current.clear();
                     deleting = false;
                     at_start = true;
@@ -353,15 +417,15 @@ impl DratProof {
 
 impl ProofSink for DratProof {
     fn add_clause(&mut self, lits: &[Lit]) {
-        self.record(Step::Add(lits), &[]);
+        self.record(false, lits, &[]);
     }
 
     fn delete_clause(&mut self, lits: &[Lit]) {
-        self.record(Step::Delete(lits), &[]);
+        self.record(true, lits, &[]);
     }
 
     fn add_clause_hinted(&mut self, lits: &[Lit], hints: &[ClauseId]) {
-        self.record(Step::Add(lits), hints);
+        self.record(false, lits, hints);
     }
 }
 
@@ -415,7 +479,7 @@ impl<W: Write> TextDratWriter<W> {
             return;
         }
         self.line.clear();
-        render_line(&mut self.line, deletion, lits);
+        render_line(&mut self.line, deletion, lits.iter().copied());
         if let Err(e) = self.writer.write_all(&self.line) {
             self.error = Some(e);
         }
@@ -489,14 +553,17 @@ mod tests {
         assert_eq!(p.hints(0).collect::<Vec<_>>(), ids);
         assert!(p.hints(1).is_empty() && p.hints(2).is_empty());
         assert_eq!(p.hints(3).collect::<Vec<_>>(), [ids[1]]);
-        assert_eq!(p.step(1), Step::Delete(&[lit(2), lit(3)]));
+        let decoded: Vec<(bool, Vec<Lit>)> = p
+            .steps()
+            .map(|s| (matches!(s, Step::Delete(_)), s.lits().collect()))
+            .collect();
         assert_eq!(
-            p.steps().collect::<Vec<_>>(),
+            decoded,
             [
-                Step::Add(&[lit(1)]),
-                Step::Delete(&[lit(2), lit(3)]),
-                Step::Add(&[lit(-1)]),
-                Step::Add(&[]),
+                (false, vec![lit(1)]),
+                (true, vec![lit(2), lit(3)]),
+                (false, vec![lit(-1)]),
+                (false, vec![]),
             ]
         );
         let parsed = DratProof::parse(&p.to_text()).unwrap();
@@ -524,6 +591,36 @@ mod tests {
         assert!(DratProof::parse("1 x 0\n").is_err());
         assert!(DratProof::parse("1 2\n").is_err());
         assert!(DratProof::parse("1 d 2 0\n").is_err());
+    }
+
+    #[test]
+    fn parse_rejects_literals_outside_the_dimacs_range() {
+        for tok in ["-2147483648", "2147483648", "99999999999"] {
+            let err = DratProof::parse(&format!("1 0\n{tok} 0\n")).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                format!("line 2: literal {tok:?} out of range")
+            );
+        }
+        let p = DratProof::parse("2147483647 -2147483647 0\n").unwrap();
+        assert_eq!(p.num_vars(), i32::MAX as usize);
+        assert_eq!(p.to_text(), "2147483647 -2147483647 0\n");
+    }
+
+    #[test]
+    fn counters_follow_the_steps() {
+        let mut p = DratProof::new();
+        p.add_clause(&[lit(3), lit(-7)]);
+        p.delete_clause(&[lit(12)]);
+        p.add_clause_hinted(&[lit(-2)], &[ClauseId::Original(0)]);
+        assert_eq!(p.num_vars(), 12);
+        assert_eq!(p.num_addition_lits(), 3);
+        assert_eq!((p.num_additions(), p.num_deletions()), (2, 1));
+        assert_eq!(p.text_len(), p.to_text().len());
+        assert_eq!(
+            format!("{:?}", p.steps().next().unwrap()),
+            "Add([Lit(3), Lit(-7)])"
+        );
     }
 
     #[test]

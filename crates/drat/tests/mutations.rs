@@ -115,7 +115,7 @@ fn owned_steps(proof: &DratProof) -> Vec<OwnedStep> {
         .enumerate()
         .map(|(i, step)| OwnedStep {
             deletion: matches!(step, Step::Delete(_)),
-            lits: step.lits().to_vec(),
+            lits: step.lits().collect(),
             hints: proof.hints(i).collect(),
         })
         .collect()
@@ -390,20 +390,21 @@ fn reference_check(cnf: &Cnf, proof: &DratProof) -> Result<CheckReport, CheckErr
             report.steps_after_empty = proof.len() - i;
             return Ok(report);
         }
+        let lits: Vec<Lit> = step.lits().collect();
         match step {
-            Step::Add(lits) => {
-                if !db.is_rup(lits) {
+            Step::Add(_) => {
+                if !db.is_rup(&lits) {
                     return Err(CheckError::NotRup {
                         step: i,
-                        clause: lits.to_vec(),
+                        clause: lits,
                     });
                 }
                 report.additions_checked += 1;
-                db.add(lits);
+                db.add(&lits);
                 db.settle();
             }
-            Step::Delete(lits) => {
-                if db.delete(lits) {
+            Step::Delete(_) => {
+                if db.delete(&lits) {
                     report.deletions_applied += 1;
                 } else {
                     report.deletions_ignored += 1;

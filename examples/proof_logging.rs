@@ -67,8 +67,8 @@ fn main() {
 
     // A tampered proof must be rejected.
     let mut tampered = DratProof::new();
-    tampered.push(berkmin_drat::Step::Add(&[Lit::pos(Var::new(0))]));
-    tampered.push(berkmin_drat::Step::Add(&[]));
+    tampered.add_clause(&[Lit::pos(Var::new(0))]);
+    tampered.add_clause(&[]);
     match check_refutation(&inst.cnf, &tampered) {
         Err(e) => println!("tampered proof correctly rejected: {e}"),
         Ok(_) => unreachable!("bogus proof must not verify"),

@@ -211,3 +211,20 @@ fn ci_keeps_the_hinted_proof_step() {
         );
     }
 }
+
+#[test]
+fn ci_keeps_the_drat_text_stability_step() {
+    // The search fingerprint hashes only the in-memory text; this step is
+    // the one that pins the CLI's streamed proof file byte for byte.
+    let ci = ci_config();
+    for required in [
+        "--proof h7.drat --check-proof h7.cnf",
+        "5af8a4f0cc9f0efc2ef9ca0716e48df6bddc61e36c195c453961b8e21e8cdaaf  h7.drat\" | sha256sum -c -",
+    ] {
+        assert!(
+            ci.contains(required),
+            "CI workflow dropped `{required}` from the DRAT text stability \
+             step; a change to the streamed proof file would go unnoticed"
+        );
+    }
+}
