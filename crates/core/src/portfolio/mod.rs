@@ -7,28 +7,37 @@
 //! conflicts and at restart boundaries). Optionally the workers exchange
 //! short / low-LBD learnt clauses through a bounded [`share::ClausePool`]:
 //! each worker's learnt-clause tap offers every clause to the pool, which
-//! keeps those passing the sharing rule (`len ≤ 2 || lbd ≤ cap`) and hands
+//! keeps those passing the sharing rule (`len ≤ 2 || lbd ≤ cap`) while
+//! some worker other than the source is staged (see below), and hands
 //! them to the other workers at their solve entries and restart
 //! boundaries. The pool also counts what each worker published.
 //!
 //! The workers are **persistent**: they are built once, at the first solve
 //! call, and every later call only hands each worker the clauses and
-//! variables added since the previous call, stages the assumptions and
-//! races again. Learnt clauses, activities, saved phases and the share pool
-//! all stay warm across incremental calls.
+//! variables added since it last ran (each worker keeps its own cursor
+//! into the engine's clause log), stages the assumptions and races again.
+//! Learnt clauses, activities, saved phases and the share pool all stay
+//! warm across incremental calls.
 //!
 //! Two execution modes, behind one race core:
 //!
 //! * **Threaded** (default): one long-lived `std::thread` per worker,
 //!   started at the first call and joined when the engine is dropped; real
 //!   wall-clock racing. Non-deterministic — the winner depends on
-//!   scheduling.
+//!   scheduling. Every worker runs from the first call on, so all of them
+//!   count as staged from spawn.
 //! * **Deterministic** ([`PortfolioConfig::deterministic`]): the workers
 //!   run round-robin on the calling thread in fixed conflict-budget slices
 //!   ([`PortfolioConfig::slice_conflicts`]); the first definitive answer in
 //!   worker order wins. Same code paths (including sharing), reproducible
 //!   verdicts, winner and statistics — what the test suite and the fuzz
-//!   harness drive.
+//!   harness drive. The workers are built empty and each is **staged**
+//!   right before its first slice: it receives the front's seed and the
+//!   log from its cursor then. A worker the schedule never reaches (worker
+//!   1 while worker 0 answers every call inside its first slice, as on an
+//!   incremental BMC sweep) holds no formula and makes its peers publish
+//!   nothing. A worker staged in a later call starts without the clauses
+//!   its peers learnt before: they were never published.
 //!
 //! # Pre-simplification
 //!
@@ -39,8 +48,10 @@
 //! (at the first call, after a simplification, after a worker panic) the
 //! front absorbs the log, runs the ordinary [`crate::preprocess`] passes
 //! when its schedule says they are due (the first call, or every call
-//! under [`SimplifyConfig::inprocess`]), and seeds the new workers with its
-//! level-0 units plus its live original clauses. Subsumption,
+//! under [`SimplifyConfig::inprocess`]), and becomes the seed of the new
+//! workers: its level-0 units plus its live original clauses, read as each
+//! worker is staged. The front then rests parked (its watch lists, heap
+//! and activity tables released) until the next crew build. Subsumption,
 //! strengthening and variable elimination are thus paid once instead of
 //! once per worker; the workers themselves run with simplification off.
 //! The front also owns the freeze/melt contract
@@ -221,7 +232,8 @@ pub struct WorkerReport {
 /// [`Solver`](crate::Solver). The first [`solve`](SatEngine::solve) call
 /// builds the diversified workers over the accumulated formula; every later
 /// call extends the same workers with the clauses added since and races
-/// them again (threaded or deterministic per [`PortfolioConfig`]). Each
+/// them again (threaded or deterministic per [`PortfolioConfig`];
+/// deterministic workers take the formula only when they first run). Each
 /// worker keeps its learnt clauses, activities and phases between calls,
 /// so an incremental session (BMC depth after depth, say) stays warm, as
 /// it does on a single solver.
@@ -243,8 +255,8 @@ pub struct WorkerReport {
 pub struct PortfolioEngine {
     config: PortfolioConfig,
     num_vars: usize,
-    /// Clauses added since the front last absorbed the formula; the live
-    /// crew reads them through its `synced` cursor.
+    /// Clauses added since the front last absorbed the formula; each live
+    /// worker reads them through its own cursor.
     log: Vec<Vec<Lit>>,
     /// `false` once an empty clause was added or the front refuted the
     /// formula.
@@ -395,14 +407,15 @@ impl PortfolioEngine {
         self.front.is_eliminated(var)
     }
 
-    /// Builds a crew over the front's formula. The front absorbs the log
-    /// (which starts again empty), simplifies if its schedule says so —
-    /// its DRAT stream going straight into the sink and its events to the
-    /// observer — and seeds the workers with its level-0 units plus its
-    /// live original clauses (it never searches, so it has no learnt
-    /// ones).
+    /// Builds a crew over the front's formula. The front wakes up (see
+    /// [`Solver::unpark`]), absorbs the log (which starts again empty),
+    /// simplifies if its schedule says so — its DRAT stream going straight
+    /// into the sink and its events to the observer — and parks again: the
+    /// workers read their seed from its formula (see [`Formula::seed`]),
+    /// which stays fixed while the crew lives.
     fn build_crew(&mut self, assumptions: &[Lit], shared: &Option<SharedObserver>) -> Crew {
         let front = &mut self.front;
+        front.unpark();
         front.reserve_vars(self.num_vars);
         for clause in std::mem::take(&mut self.log) {
             front.add_clause(clause);
@@ -424,26 +437,16 @@ impl PortfolioEngine {
         };
         front.simplify_formula(sink);
         front.set_observer(None);
-
-        let mut seed: Vec<Vec<Lit>> = front.trail.iter().map(|&l| vec![l]).collect();
-        seed.extend(
-            front
-                .db
-                .iter_live()
-                .filter(|&cref| !front.db.is_learnt(cref))
-                .map(|cref| front.db.lits(cref).to_vec()),
-        );
-        if !front.ok {
+        front.park();
+        if !front.ok && self.ok {
             // Refuted at level 0. The empty clause is RUP here (unit
             // propagation over the front's formula conflicts), so it
-            // completes the front's proof and resolves the race trivially.
-            if self.ok {
-                sink.add_clause(&[]);
-            }
-            seed.push(Vec::new());
+            // completes the front's proof; the seed carries it too, which
+            // resolves the race trivially.
+            sink.add_clause(&[]);
             self.ok = false;
         }
-        Crew::new(&self.config, self.proof.is_some(), self.num_vars, &seed)
+        Crew::new(&self.config, self.proof.is_some(), front)
     }
 
     /// The race core, shared by both modes: builds the workers if none are
@@ -468,13 +471,17 @@ impl PortfolioEngine {
                 self.build_crew(assumptions, shared)
             }
         };
-        crew.extend(self.num_vars, &self.log);
         if let Some(obs) = shared {
             for id in 0..self.config.threads {
                 emit_shared(obs, &SolveEvent::WorkerStart { worker: id });
             }
         }
-        let mut results = crew.solve(assumptions, &self.config, shared);
+        let formula = Formula {
+            front: &self.front,
+            log: &self.log,
+            num_vars: self.num_vars,
+        };
+        let mut results = crew.solve(&formula, assumptions, &self.config, shared);
         let pool = crew.pool_accounting();
         let formula_len = crew.seeded + self.log.len();
         self.crew = Some(crew);
@@ -578,38 +585,71 @@ fn worker_config(config: &PortfolioConfig, id: usize) -> SolverConfig {
         .with_simplify(SimplifyConfig::off())
 }
 
+/// The formula a live crew races on: the front's seed, fixed while the crew
+/// lives, followed by the clauses logged since the crew was built.
+struct Formula<'a> {
+    front: &'a Solver,
+    log: &'a [Vec<Lit>],
+    num_vars: usize,
+}
+
+impl<'a> Formula<'a> {
+    /// The seed: the front's level-0 units, its live original clauses (it
+    /// never searches, so it has no learnt ones) and, when it refuted the
+    /// formula, the empty clause.
+    fn seed(front: &'a Solver) -> impl Iterator<Item = &'a [Lit]> {
+        let units = front.trail.iter().map(std::slice::from_ref);
+        let clauses = front
+            .db
+            .iter_live()
+            .filter(|&cref| !front.db.is_learnt(cref))
+            .map(|cref| front.db.lits(cref));
+        let empty: Option<&[Lit]> = (!front.ok).then_some(&[]);
+        units.chain(clauses).chain(empty)
+    }
+
+    /// The clauses a worker whose log cursor is `cursor` (`None`: never
+    /// staged) has not absorbed yet — the seed first if it was never
+    /// staged, then the log from its cursor — advancing the cursor past
+    /// them.
+    fn unseen(&self, cursor: &mut Option<usize>) -> impl Iterator<Item = &'a [Lit]> {
+        let seed = cursor.is_none().then(|| Formula::seed(self.front));
+        let from = cursor.replace(self.log.len()).unwrap_or(0);
+        let log: &'a [Vec<Lit>] = self.log;
+        seed.into_iter()
+            .flatten()
+            .chain(log[from..].iter().map(Vec::as_slice))
+    }
+}
+
 /// The live workers of one formula generation, with their share pool:
 /// built at the first call (and again after the formula was rewritten),
-/// then extended and raced again on every call.
+/// then raced again on every call.
 struct Crew {
     workers: Workers,
+    /// Per worker, how many of the engine's logged clauses it has absorbed
+    /// — `None` until the worker is staged with the seed.
+    cursors: Vec<Option<usize>>,
     pool: Option<Arc<ClausePool>>,
     /// The pool's accounting at the end of the previous call.
     pool_seen: PoolSummary,
-    /// How many clauses the front seeded the workers with.
+    /// How many clauses the front seeds the workers with.
     seeded: usize,
-    /// How many of the engine's logged clauses every worker has absorbed —
-    /// the workers advance together, so one cursor serves them all.
-    synced: usize,
 }
 
 /// Where a crew's workers run.
 enum Workers {
-    /// Deterministic mode: sliced round-robin on the calling thread.
+    /// Deterministic mode: sliced round-robin on the calling thread, each
+    /// worker staged right before its first slice.
     Inline(Vec<Worker>),
-    /// Threaded mode: each worker on its own long-lived thread.
+    /// Threaded mode: each worker on its own long-lived thread, all of
+    /// them staged at their first call.
     Threads(WorkerThreads),
 }
 
 impl Crew {
-    /// Builds the workers and hands each the variables and the `seed`
-    /// clauses.
-    fn new(
-        config: &PortfolioConfig,
-        record_proof: bool,
-        num_vars: usize,
-        seed: &[Vec<Lit>],
-    ) -> Crew {
+    /// Builds the workers empty over the parked `front`.
+    fn new(config: &PortfolioConfig, record_proof: bool, front: &Solver) -> Crew {
         let n = config.threads;
         let pool = config
             .share_lbd
@@ -623,58 +663,65 @@ impl Crew {
                     .collect(),
             )
         } else {
+            // Threaded workers all run from their first call on: they read
+            // the pool from the moment they spawn.
+            if let Some(pool) = &pool {
+                (0..n).for_each(|id| pool.stage(id));
+            }
             Workers::Threads(WorkerThreads::spawn(
                 configs.collect(),
                 pool.clone(),
                 record_proof,
             ))
         };
-        let mut crew = Crew {
+        Crew {
             workers,
+            cursors: vec![None; n],
             pool,
             pool_seen: PoolSummary::default(),
-            seeded: seed.len(),
-            synced: 0,
-        };
-        crew.feed(num_vars, seed);
-        crew
-    }
-
-    /// Hands every worker the variables and the clauses of `log` (the
-    /// engine's whole log) it has not absorbed yet.
-    fn extend(&mut self, num_vars: usize, log: &[Vec<Lit>]) {
-        self.feed(num_vars, &log[self.synced..]);
-        self.synced = log.len();
-    }
-
-    /// Hands every worker the variables and `clauses`.
-    fn feed(&mut self, num_vars: usize, clauses: &[Vec<Lit>]) {
-        match &mut self.workers {
-            Workers::Inline(workers) => {
-                for worker in workers {
-                    worker.extend(num_vars, clauses);
-                }
-            }
-            Workers::Threads(threads) => threads.extend(num_vars, clauses),
+            seeded: Formula::seed(front).count(),
         }
     }
 
     /// Runs one call on every worker; results come back in worker order.
+    /// Each worker is first handed the variables and the clauses of
+    /// `formula` it has not absorbed: in deterministic mode right before
+    /// its slices (a worker the schedule never reaches stays as it is),
+    /// in threaded mode all at once.
     fn solve(
         &mut self,
+        formula: &Formula,
         assumptions: &[Lit],
         config: &PortfolioConfig,
         observer: &Option<SharedObserver>,
     ) -> Vec<CallResult> {
+        let cursors = &mut self.cursors;
         match &mut self.workers {
-            Workers::Inline(workers) => race_slices(
-                workers,
-                assumptions,
-                config.slice_conflicts,
-                config.budget.max_conflicts,
-                observer,
-            ),
-            Workers::Threads(threads) => threads.solve(assumptions, config.budget, observer),
+            Workers::Inline(workers) => {
+                let pool = self.pool.as_deref();
+                let stage = |id: usize, worker: &mut Worker| {
+                    if let (None, Some(pool)) = (cursors[id], pool) {
+                        pool.stage(id);
+                    }
+                    worker.extend(formula.num_vars, formula.unseen(&mut cursors[id]));
+                };
+                race_slices(
+                    workers,
+                    stage,
+                    assumptions,
+                    config.slice_conflicts,
+                    config.budget.max_conflicts,
+                    observer,
+                )
+            }
+            Workers::Threads(threads) => {
+                // The threads advance together: worker 0's cursor is
+                // everyone's.
+                threads.extend(formula.num_vars, formula.unseen(&mut cursors[0]));
+                let synced = cursors[0];
+                cursors.fill(synced);
+                threads.solve(assumptions, config.budget, observer)
+            }
         }
     }
 
@@ -688,11 +735,13 @@ impl Crew {
 }
 
 /// Deterministic mode's schedule: round-robin conflict slices on the
-/// calling thread; the first definitive answer in worker order wins. A
-/// worker retires once the conflicts it spent in this call reach the
-/// per-worker cap.
+/// calling thread; the first definitive answer in worker order wins. Every
+/// slice is preceded by `stage(id, worker)`, which brings the worker up to
+/// date with the formula. A worker retires once the conflicts it spent in
+/// this call reach the per-worker cap.
 fn race_slices(
     workers: &mut [Worker],
+    mut stage: impl FnMut(usize, &mut Worker),
     assumptions: &[Lit],
     slice: u64,
     cap: u64,
@@ -717,6 +766,7 @@ fn race_slices(
                 continue;
             }
             live = true;
+            stage(id, worker);
             let status = worker.run(assumptions, Budget::conflicts(allowance));
             let definitive = !status.is_unknown();
             last[id] = Some(status);
@@ -936,12 +986,15 @@ mod tests {
     #[test]
     fn sharing_moves_clauses_between_workers() {
         // Small slices force many solve-entry import polls; hole(6) makes
-        // every worker learn plenty of short clauses.
-        let mut engine = PortfolioEngine::new(
-            PortfolioConfig::new(2)
+        // every worker learn plenty of short clauses. (Under the default
+        // 512-conflict slice, worker 1 refutes hole(6) in its first slice,
+        // before anything it could import was published.)
+        let mut engine = PortfolioEngine::new(PortfolioConfig {
+            slice_conflicts: 64,
+            ..PortfolioConfig::new(2)
                 .with_deterministic(true)
-                .with_share_lbd(Some(8)),
-        );
+                .with_share_lbd(Some(8))
+        });
         for c in pigeonhole(6) {
             engine.add_clause(&c);
         }

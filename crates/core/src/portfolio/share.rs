@@ -2,7 +2,10 @@
 //!
 //! Every worker offers each of its learnt clauses to the pool, which owns
 //! the sharing rule: a clause is kept when it is short (length ≤ 2) or its
-//! LBD is within the cap the pool was built with. Workers poll for foreign
+//! LBD is within the cap the pool was built with, and some worker other
+//! than its source is staged — has been handed the formula and may run (see
+//! [`ClausePool::stage`]); a clause nobody could import is not stored.
+//! Workers poll for foreign
 //! clauses at their solve entries and restart boundaries. The pool is a
 //! bounded FIFO guarded by one mutex: publishing appends (evicting the
 //! oldest entries past capacity), polling walks the suffix the consumer
@@ -45,6 +48,8 @@ struct PoolInner {
     evicted: u64,
     /// Per-source count of clauses published.
     published: Vec<u64>,
+    /// Per-consumer flag: the worker is staged (see [`ClausePool::stage`]).
+    staged: Vec<bool>,
     /// Per-consumer resume point: the sequence number each consumer's next
     /// [`ClausePool::collect`] starts from.
     cursors: Vec<u64>,
@@ -108,6 +113,7 @@ impl ClausePool {
         ClausePool {
             inner: Mutex::new(PoolInner {
                 published: vec![0; workers],
+                staged: vec![false; workers],
                 cursors: vec![0; workers],
                 missed: vec![0; workers],
                 ..PoolInner::default()
@@ -117,17 +123,29 @@ impl ClausePool {
         }
     }
 
+    /// Marks `consumer` as staged: it holds the formula and may run, so
+    /// from now on the other workers' clauses are kept for it. Until a
+    /// second worker is staged, publishing stores nothing.
+    pub(crate) fn stage(&self, consumer: usize) {
+        self.inner.lock().unwrap().staged[consumer] = true;
+    }
+
     /// Offers a clause learnt by worker `source`, with its LBD. The sharing
     /// rule is applied here and nowhere else: short clauses are always
     /// worth the wire, longer ones only when their glue is low (paper-era
     /// portfolio practice; the LBD cap is the one knob). A rejected clause
-    /// is dropped without taking the lock.
+    /// is dropped without taking the lock; a clause no other staged worker
+    /// could import is dropped uncounted.
     pub(crate) fn publish(&self, source: usize, lits: &[Lit], lbd: u32) {
         let shared = lits.len() <= 2 || lbd <= self.max_lbd;
         if !shared {
             return;
         }
         let mut inner = self.inner.lock().unwrap();
+        let read = |(reader, &staged): (usize, &bool)| staged && reader != source;
+        if !inner.staged.iter().enumerate().any(read) {
+            return;
+        }
         let seq = inner.next_seq;
         inner.next_seq += 1;
         inner.published[source] += 1;
@@ -190,9 +208,18 @@ mod tests {
         Lit::from_dimacs(n)
     }
 
+    /// A pool whose `workers` consumers are all staged.
+    fn staged_pool(capacity: usize, workers: usize, max_lbd: u32) -> ClausePool {
+        let pool = ClausePool::new(capacity, workers, max_lbd);
+        for consumer in 0..workers {
+            pool.stage(consumer);
+        }
+        pool
+    }
+
     #[test]
     fn consumers_skip_own_clauses_and_track_cursors() {
-        let pool = ClausePool::new(16, 2, 8);
+        let pool = staged_pool(16, 2, 8);
         pool.publish(0, &[lit(1), lit(2)], 2);
         pool.publish(1, &[lit(-3)], 1);
 
@@ -214,7 +241,7 @@ mod tests {
 
     #[test]
     fn publish_applies_the_sharing_rule_and_counts_per_source() {
-        let pool = ClausePool::new(16, 3, 2);
+        let pool = staged_pool(16, 3, 2);
         pool.publish(0, &[lit(1), lit(2), lit(3)], 9); // long, high glue: dropped
         pool.publish(0, &[lit(4), lit(5)], 9); // binary, high glue: kept
         pool.publish(1, &[lit(6), lit(7), lit(8)], 2); // long, glue at the cap: kept
@@ -238,7 +265,7 @@ mod tests {
 
     #[test]
     fn capacity_evicts_oldest_and_counts_it() {
-        let pool = ClausePool::new(2, 2, 8);
+        let pool = staged_pool(2, 2, 8);
         pool.publish(0, &[lit(1)], 1);
         pool.publish(0, &[lit(2)], 1);
         pool.publish(0, &[lit(3)], 1);
@@ -255,7 +282,7 @@ mod tests {
 
     #[test]
     fn slow_consumer_is_charged_for_evicted_entries() {
-        let pool = ClausePool::new(2, 3, 8);
+        let pool = staged_pool(2, 3, 8);
         // The fast consumer (1) polls while everything is still retained.
         pool.publish(0, &[lit(1)], 1);
         pool.publish(0, &[lit(2)], 1);
@@ -291,12 +318,32 @@ mod tests {
 
     #[test]
     fn since_reports_one_calls_share_per_source() {
-        let pool = ClausePool::new(16, 2, 8);
+        let pool = staged_pool(16, 2, 8);
         pool.publish(0, &[lit(1)], 1);
         let before = pool.summary();
         pool.publish(1, &[lit(2)], 1);
         pool.publish(1, &[lit(3)], 1);
         let call = pool.summary().since(&before);
         assert_eq!(call.published, vec![0, 2]);
+    }
+
+    #[test]
+    fn publishing_waits_for_a_second_staged_worker() {
+        let pool = ClausePool::new(16, 3, 8);
+        // Nobody staged, then only the source: nothing is stored or counted.
+        pool.publish(0, &[lit(1)], 1);
+        pool.stage(0);
+        pool.publish(0, &[lit(2)], 1);
+        assert_eq!(pool.summary().published, vec![0, 0, 0]);
+
+        // A second staged worker opens the pool to both of them; worker 2
+        // is still unstaged and receives what was kept once it polls.
+        pool.stage(1);
+        pool.publish(0, &[lit(3)], 1);
+        pool.publish(1, &[lit(4)], 1);
+        assert_eq!(pool.summary().published, vec![1, 1, 0]);
+        let mut got = Vec::new();
+        pool.collect(2, &mut got);
+        assert_eq!(got, vec![vec![lit(3)], vec![lit(4)]]);
     }
 }

@@ -5,10 +5,11 @@
 //! ([`SolverConfig::portfolio_worker`]), an optional cancellation flag wired
 //! through the `on_terminate` hook, its learnt-clause tap and import source
 //! connected to the shared [`ClausePool`] when sharing is on, and a private
-//! proof buffer. It is built once per formula generation and then, call
-//! after call, [extended](Worker::extend) with the clauses added since the
-//! previous call and run again — its learnt clauses, activities and saved phases stay warm
-//! across incremental calls.
+//! proof buffer. It is built empty once per formula generation and then,
+//! call after call, [extended](Worker::extend) with the clauses it has not
+//! seen yet (the first time with the front's whole seed) and run again —
+//! its learnt clauses, activities and saved phases stay warm across
+//! incremental calls.
 //!
 //! In threaded mode each worker lives on its own long-lived thread
 //! ([`WorkerThreads`]), which builds the worker itself and owns it until the
@@ -165,7 +166,11 @@ impl Worker {
 
     /// Grows the variable space to `num_vars` and adds `clauses` — the
     /// engine's clauses this worker has not seen yet.
-    pub(crate) fn extend(&mut self, num_vars: usize, clauses: &[Vec<Lit>]) {
+    pub(crate) fn extend<'a>(
+        &mut self,
+        num_vars: usize,
+        clauses: impl IntoIterator<Item = &'a [Lit]>,
+    ) {
         self.solver.reserve_vars(num_vars);
         for clause in clauses {
             self.solver.add_clause(clause.iter().copied());
@@ -301,10 +306,15 @@ impl WorkerThreads {
         WorkerThreads { lanes, cancel }
     }
 
-    /// Hands every worker the clauses added since the previous call; the
-    /// threads apply them ahead of the next [`WorkerThreads::solve`].
-    pub(crate) fn extend(&mut self, num_vars: usize, clauses: &[Vec<Lit>]) {
-        let clauses: Arc<[Vec<Lit>]> = clauses.into();
+    /// Hands every worker the clauses it has not seen yet (all of them
+    /// advance together); the threads apply them ahead of the next
+    /// [`WorkerThreads::solve`].
+    pub(crate) fn extend<'a>(
+        &mut self,
+        num_vars: usize,
+        clauses: impl IntoIterator<Item = &'a [Lit]>,
+    ) {
+        let clauses: Arc<[Vec<Lit>]> = clauses.into_iter().map(<[Lit]>::to_vec).collect();
         for lane in &self.lanes {
             // A dead thread surfaces (with its panic) in `solve`.
             let _ = lane.orders.send(Order::Extend {
@@ -387,7 +397,9 @@ fn serve(
 ) {
     for order in orders {
         match order {
-            Order::Extend { num_vars, clauses } => worker.extend(num_vars, &clauses),
+            Order::Extend { num_vars, clauses } => {
+                worker.extend(num_vars, clauses.iter().map(Vec::as_slice))
+            }
             Order::Solve {
                 assumptions,
                 budget,
@@ -440,7 +452,7 @@ mod tests {
             Some(cancel),
             false,
         );
-        worker.extend((n + 1) * n, &pigeonhole(n));
+        worker.extend((n + 1) * n, pigeonhole(n).iter().map(Vec::as_slice));
         worker.begin(None);
         let status = worker.run(&[], Budget::unlimited());
         worker.finish(status, false)

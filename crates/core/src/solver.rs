@@ -273,22 +273,10 @@ impl Solver {
         if n <= self.num_vars {
             return;
         }
-        self.watches.grow(n);
         self.trail.grow(n);
-        self.var_activity.resize(n, 0);
-        self.lit_activity.resize(2 * n, 0);
-        self.vsids.resize(2 * n, 0);
-        self.seen.resize(n, false);
         self.frozen.resize(n, false);
         self.eliminated.resize(n, false);
-        // Decision levels range over 0..=n, one stamp slot per level.
-        self.lbd_stamp.resize(n + 1, 0);
-        self.heap.grow(n);
-        if self.config.activity_index == ActivityIndex::Heap {
-            for i in self.num_vars..n {
-                self.heap.insert(Var::new(i as u32), &self.var_activity);
-            }
-        }
+        self.grow_search_tables(self.num_vars, n);
         self.num_vars = n;
     }
 

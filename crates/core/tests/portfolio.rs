@@ -252,14 +252,15 @@ fn check_call(engine: &PortfolioEngine, log: &Mutex<CallLog>, call: usize) -> u6
 fn per_call_accounting_adds_up_across_an_incremental_session() {
     // Every learnt clause is shared (binary or glue within the cap), so a
     // few thousand conflicts per call overflow the 4096-entry pool and
-    // the eviction accounting is exercised.
+    // the eviction accounting is exercised. hole(9) keeps the budgeted
+    // calls from reaching the refutation.
     let (mut engine, log) = logged(
         PortfolioConfig::new(2)
             .with_deterministic(true)
             .with_share_lbd(Some(u32::MAX))
             .with_budget(Budget::conflicts(700)),
     );
-    for c in pigeonhole(8) {
+    for c in pigeonhole(9) {
         engine.add_clause(&c);
     }
     let mut missed = 0;
@@ -270,7 +271,7 @@ fn per_call_accounting_adds_up_across_an_incremental_session() {
         if call == 2 {
             // Two pigeons in hole 0: refuted under the assumptions.
             engine.assume(lit(1));
-            engine.assume(lit(9));
+            engine.assume(lit(10));
         }
         if call == 4 {
             // A new clause between calls: pigeon 0 avoids hole 0.
@@ -281,7 +282,7 @@ fn per_call_accounting_adds_up_across_an_incremental_session() {
             assert!(status.is_unsat());
             assert!(!engine.failed_assumptions().is_empty());
         } else {
-            assert!(!status.is_sat(), "call {call}: hole(8) is UNSAT");
+            assert!(!status.is_sat(), "call {call}: hole(9) is UNSAT");
         }
         let reports = engine.reports();
         if status.is_unknown() {
@@ -331,11 +332,14 @@ fn check_model(model: &berkmin_cnf::Assignment, formula: &[Vec<Lit>], assumed: &
 fn models_reconstruct_on_calls_that_rebuild_the_workers() {
     // Elimination plus inprocessing rewrites the shared formula on every
     // call, so every call rebuilds the workers; the assumption variables
-    // (1..=8) are frozen up front, and later clauses only use them.
+    // (1..=8) are frozen up front, and later clauses only use them. The
+    // paranoid audit after each simplification checks the watch lists the
+    // parked front rebuilt.
     let (mut engine, log) = logged(
         PortfolioConfig::new(2)
             .with_deterministic(true)
             .with_share_lbd(Some(4))
+            .with_paranoid(true)
             .with_simplify(SimplifyConfig {
                 var_elim: true,
                 inprocess: true,
@@ -550,4 +554,72 @@ fn threaded_warm_session_agrees_with_a_single_solver_and_shuts_down() {
     dropped
         .recv_timeout(Duration::from_secs(60))
         .expect("dropping a threaded portfolio mid-session must not hang");
+}
+
+#[test]
+fn idle_workers_stay_unstaged_until_a_call_needs_them() {
+    // Worker 0 answers the easy calls inside its first slice, so worker 1
+    // is never staged and nothing is published: no worker but the source
+    // could import it. The last call is hard enough to reach worker 1,
+    // which is staged then and shares from its first slice on.
+    let mut config = PortfolioConfig::new(2)
+        .with_deterministic(true)
+        .with_share_lbd(Some(8));
+    config.slice_conflicts = 16;
+    let mut engine = PortfolioEngine::new(config);
+    let formula: Vec<Vec<Lit>> = random_ksat(150, 639, 3, 3)
+        .cnf
+        .iter()
+        .map(|c| c.lits().to_vec())
+        .collect();
+    let mut lone = Solver::with_config(SolverConfig::berkmin());
+    let mut added = 0;
+    for (call, upto) in [60, 120, 180, formula.len()].into_iter().enumerate() {
+        for c in &formula[added..upto] {
+            engine.add_clause(c);
+            lone.add_clause(c.iter().copied());
+        }
+        added = upto;
+        let status = engine.solve();
+        let reports = engine.reports();
+        assert_eq!(status.is_sat(), lone.solve().is_sat(), "call {call}");
+        let model = status.model().expect("every prefix is satisfiable");
+        check_model(model, &formula[..added], &[]);
+        if added < formula.len() {
+            assert_eq!(engine.winner(), Some(0), "call {call}: {reports:?}");
+            assert_eq!(reports[1].conflicts, 0, "call {call}: {reports:?}");
+            assert!(
+                reports.iter().all(|r| r.exported == 0),
+                "call {call}: {reports:?}"
+            );
+            assert_eq!(engine.stats().clauses_exported, 0, "call {call}");
+        } else {
+            assert!(reports[1].conflicts > 0, "worker 1 must run: {reports:?}");
+            assert!(
+                reports.iter().map(|r| r.exported).sum::<u64>() > 0,
+                "the hard call must share: {reports:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn threaded_workers_share_from_the_start() {
+    // Threaded workers count as staged from spawn, so the gate that keeps
+    // an idle deterministic worker's peers from publishing never closes
+    // here: on hole(7) both directions of the exchange carry clauses.
+    let mut engine = PortfolioEngine::new(PortfolioConfig::new(2).with_share_lbd(Some(4)));
+    for c in pigeonhole(7) {
+        engine.add_clause(&c);
+    }
+    assert!(engine.solve().is_unsat());
+    let reports = engine.reports();
+    assert!(
+        reports.iter().map(|r| r.exported).sum::<u64>() > 0,
+        "{reports:?}"
+    );
+    assert!(
+        reports.iter().map(|r| r.imported).sum::<u64>() > 0,
+        "{reports:?}"
+    );
 }

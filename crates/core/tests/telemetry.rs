@@ -125,11 +125,13 @@ fn assert_stats_json_round_trips(engine: &mut dyn SatEngine) {
 #[test]
 fn stats_json_round_trips_for_the_solver_and_the_sharing_portfolio() {
     assert_stats_json_round_trips(&mut SolverBuilder::new().build());
-    let mut portfolio = PortfolioEngine::new(
-        PortfolioConfig::new(2)
+    // Short slices let both workers run, and share, before hole(6) falls.
+    let mut portfolio = PortfolioEngine::new(PortfolioConfig {
+        slice_conflicts: 64,
+        ..PortfolioConfig::new(2)
             .with_deterministic(true)
-            .with_share_lbd(Some(4)),
-    );
+            .with_share_lbd(Some(4))
+    });
     assert_stats_json_round_trips(&mut portfolio);
     let stats = portfolio.stats();
     assert!(stats.clauses_exported > 0 && stats.clauses_imported > 0);

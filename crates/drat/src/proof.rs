@@ -39,20 +39,71 @@ fn render_line(out: &mut Vec<u8>, deletion: bool, lits: impl IntoIterator<Item =
 }
 
 /// The length of `l`'s entry in a DRAT or DIMACS line: sign, digits and
-/// the space after them.
+/// the space after them. The digits are counted by comparisons, without a
+/// branch, so a loop over a clause's literals stays cheap.
+#[inline]
 fn text_width(l: Lit) -> usize {
-    let n = l.to_dimacs();
-    usize::from(n < 0) + n.unsigned_abs().ilog10() as usize + 2
+    const POWERS_OF_TEN: [u32; 9] = [
+        10,
+        100,
+        1_000,
+        10_000,
+        100_000,
+        1_000_000,
+        10_000_000,
+        100_000_000,
+        1_000_000_000,
+    ];
+    let n = l.var().raw() + 1;
+    let digits = 1 + POWERS_OF_TEN
+        .iter()
+        .map(|&p| usize::from(n >= p))
+        .sum::<usize>();
+    usize::from(l.is_negative()) + digits + 1
 }
 
-/// Appends the LEB128 encoding of `v`: seven bits per byte, low bits
-/// first, the high bit set on every byte but the last.
-fn push_leb128(out: &mut Vec<u8>, mut v: u64) {
-    while v >= 0x80 {
-        out.push(v as u8 | 0x80);
-        v >>= 7;
+/// The most bytes one LEB128 code of a `u64` takes.
+const MAX_LEB128: usize = 10;
+
+/// Writes the LEB128 encoding of `v` at the front of `out` (which has room
+/// for [`MAX_LEB128`] bytes) and returns its length: seven bits per byte,
+/// low bits first, the high bit set on every byte but the last.
+#[inline]
+fn put_leb128(out: &mut [u8], mut v: u64) -> usize {
+    // The one- and two-byte codes cover every literal of a formula with
+    // fewer than 8,192 variables.
+    if v < 0x80 {
+        out[0] = v as u8;
+        return 1;
     }
-    out.push(v as u8);
+    if v < 0x4000 {
+        out[0] = v as u8 | 0x80;
+        out[1] = (v >> 7) as u8;
+        return 2;
+    }
+    let mut n = 0;
+    while v >= 0x80 {
+        out[n] = v as u8 | 0x80;
+        v >>= 7;
+        n += 1;
+    }
+    out[n] = v as u8;
+    n + 1
+}
+
+/// Appends the LEB128 encodings of `values` to `out`, encoding into a
+/// stack buffer that is copied over a block at a time.
+fn extend_leb128(out: &mut Vec<u8>, values: impl IntoIterator<Item = u64>) {
+    let mut buf = [0u8; 256];
+    let mut n = 0;
+    for v in values {
+        if n > buf.len() - MAX_LEB128 {
+            out.extend_from_slice(&buf[..n]);
+            n = 0;
+        }
+        n += put_leb128(&mut buf[n..], v);
+    }
+    out.extend_from_slice(&buf[..n]);
 }
 
 /// Decodes the LEB128 value at the front of `bytes` and advances past it;
@@ -288,15 +339,15 @@ impl DratProof {
     /// encoded literals or hints would reach 2^31 bytes.
     fn try_record(&mut self, deletion: bool, lits: &[Lit], hints: &[ClauseId]) -> Option<()> {
         let (lits_start, hints_start) = (self.lits.len(), self.hints.len());
+        // One pass over the literals encodes them and updates the counters.
         let (mut num_vars, mut text_len) = (self.num_vars, 2 + 2 * usize::from(deletion));
-        for &l in lits {
-            push_leb128(&mut self.lits, l.code() as u64);
+        let codes = lits.iter().map(|&l| {
             num_vars = num_vars.max(l.var().index() + 1);
             text_len += text_width(l);
-        }
-        for id in hints {
-            push_leb128(&mut self.hints, id.tagged());
-        }
+            l.code() as u64
+        });
+        extend_leb128(&mut self.lits, codes);
+        extend_leb128(&mut self.hints, hints.iter().map(|id| id.tagged()));
         let offset = |len: usize| u32::try_from(len).ok().filter(|&n| n < DELETION);
         let Some((lits_end, hints_end)) = offset(self.lits.len()).zip(offset(self.hints.len()))
         else {

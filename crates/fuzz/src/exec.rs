@@ -175,17 +175,21 @@ pub fn run_case(case: &Case) -> Result<CaseReport, String> {
     // front runs the `--elim` path (elimination at the first call), so its
     // SAT models exercise the front's reconstruction. Clause import makes
     // its DRAT stream unsound, so its absolute refutations are certified
-    // through the independent DPLL reference instead of a proof.
-    let mut portfolio = PortfolioEngine::new(
-        PortfolioConfig::new(2)
+    // through the independent DPLL reference instead of a proof. Its
+    // 4-conflict slices let a fuzz case's first hard call come late in the
+    // session, so worker 1 is often staged only then, over the formula
+    // and log the earlier calls built.
+    let mut portfolio = PortfolioEngine::new(PortfolioConfig {
+        slice_conflicts: 4,
+        ..PortfolioConfig::new(2)
             .with_share_lbd(Some(4))
             .with_deterministic(true)
             .with_paranoid(true)
             .with_simplify(SimplifyConfig {
                 var_elim: true,
                 ..SimplifyConfig::default()
-            }),
-    );
+            })
+    });
     // Variable elimination forbids re-introducing an eliminated variable,
     // so the eliminating engines freeze up front every variable the rest
     // of the case will assume, or add after the first solve — the contract

@@ -16,12 +16,16 @@ fn run_with_stdin(args: &[&str], input: &str) -> (String, i32) {
         .stderr(Stdio::null())
         .spawn()
         .expect("spawn berkmin-cli");
-    child
+    // A usage error exits before reading stdin, which can close the pipe
+    // under the write; the exit code tells the rest.
+    let written = child
         .stdin
         .as_mut()
         .expect("stdin piped")
-        .write_all(input.as_bytes())
-        .expect("write stdin");
+        .write_all(input.as_bytes());
+    if let Err(e) = written {
+        assert_eq!(e.kind(), std::io::ErrorKind::BrokenPipe, "write stdin: {e}");
+    }
     let out = child.wait_with_output().expect("cli runs");
     (
         String::from_utf8_lossy(&out.stdout).into_owned(),
@@ -151,6 +155,38 @@ fn bmc_subcommand_accepts_the_portfolio_and_agrees_on_depth() {
     ]);
     assert_eq!(single, "7");
     assert_eq!(portfolio, single);
+}
+
+#[test]
+fn bmc_portfolio_publishes_nothing_while_worker_1_idles() {
+    // Worker 0 answers every depth of the 3-bit counter inside its first
+    // slice, so worker 1 is never staged, and a clause only worker 0 could
+    // read is not published.
+    let (stdout, code) = run_with_stdin(
+        &[
+            "bmc",
+            "--bits",
+            "3",
+            "--engine",
+            "portfolio",
+            "--threads",
+            "2",
+            "--deterministic",
+        ],
+        "",
+    );
+    assert_eq!(code, 10, "{stdout}");
+    let workers = stdout
+        .lines()
+        .find(|l| l.starts_with("c workers"))
+        .unwrap_or_else(|| panic!("no workers line in {stdout}"));
+    for w in ["w0", "w1"] {
+        let report = workers
+            .split("  ")
+            .find(|part| part.starts_with(w))
+            .unwrap_or_else(|| panic!("no {w} report in {workers}"));
+        assert!(report.contains(" exported 0 "), "{workers}");
+    }
 }
 
 #[test]
