@@ -43,11 +43,11 @@ pub struct RunResult {
 pub fn run_instance(inst: &BenchInstance, config: &SolverConfig, budget: Budget) -> RunResult {
     let mut engine = SolverBuilder::with_config(config.clone().with_budget(budget)).build_engine();
     // Feed the borrowed formula straight through the trait surface rather
-    // than `SolverBuilder::cnf`, which would buffer a per-clause copy only
-    // for `build()` to replay — this path runs 50× per sweep.
+    // than `SolverBuilder::cnf`, which would buffer a copy of the formula
+    // only for `build()` to replay — this path runs 50× per sweep.
     engine.reserve_vars(inst.cnf.num_vars());
     for clause in &inst.cnf {
-        engine.add_clause(clause.lits());
+        engine.add_clause(clause);
     }
     let start = Instant::now();
     let status = engine.solve();

@@ -307,8 +307,8 @@ impl<E: SatEngine> BmcDriver<E> {
     /// (primary inputs).
     fn sync(&mut self) {
         self.engine.reserve_vars(self.enc.cnf.num_vars());
-        for clause in &self.enc.cnf.clauses()[self.clauses_fed..] {
-            self.engine.add_clause(clause.lits());
+        for clause in self.enc.cnf.iter().skip(self.clauses_fed) {
+            self.engine.add_clause(clause);
         }
         self.clauses_fed = self.enc.cnf.num_clauses();
     }
@@ -383,7 +383,7 @@ pub fn scratch_first_reaching_depth<E: SatEngine>(
         let mut engine = make();
         engine.reserve_vars(enc.cnf.num_vars());
         for clause in &enc.cnf {
-            engine.add_clause(clause.lits());
+            engine.add_clause(clause);
         }
         let status = engine.solve();
         total_conflicts += engine.stats().conflicts;

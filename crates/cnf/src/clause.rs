@@ -110,19 +110,7 @@ impl Clause {
     /// Returns [`LBool::True`] if some literal is true, [`LBool::False`] if
     /// all literals are false, and [`LBool::Undef`] otherwise.
     pub fn eval(&self, assignment: &Assignment) -> LBool {
-        let mut all_false = true;
-        for &lit in &self.lits {
-            match assignment.lit_value(lit) {
-                LBool::True => return LBool::True,
-                LBool::Undef => all_false = false,
-                LBool::False => {}
-            }
-        }
-        if all_false {
-            LBool::False
-        } else {
-            LBool::Undef
-        }
+        eval_lits(&self.lits, assignment)
     }
 
     /// Consumes the clause and returns the underlying literal vector.
@@ -188,17 +176,40 @@ impl fmt::Debug for Clause {
 
 impl fmt::Display for Clause {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.lits.is_empty() {
-            return write!(f, "⊥");
-        }
-        for (i, lit) in self.lits.iter().enumerate() {
-            if i > 0 {
-                write!(f, " ∨ ")?;
-            }
-            write!(f, "{lit}")?;
-        }
-        Ok(())
+        fmt_lits(&self.lits, f)
     }
+}
+
+/// The value of the disjunction `lits` under `assignment` (see
+/// [`Clause::eval`]).
+pub(crate) fn eval_lits(lits: &[Lit], assignment: &Assignment) -> LBool {
+    let mut all_false = true;
+    for &lit in lits {
+        match assignment.lit_value(lit) {
+            LBool::True => return LBool::True,
+            LBool::Undef => all_false = false,
+            LBool::False => {}
+        }
+    }
+    if all_false {
+        LBool::False
+    } else {
+        LBool::Undef
+    }
+}
+
+/// Renders the disjunction `lits` as `x0 ∨ ¬x1`, or `⊥` when empty.
+pub(crate) fn fmt_lits(lits: &[Lit], f: &mut fmt::Formatter<'_>) -> fmt::Result {
+    if lits.is_empty() {
+        return write!(f, "⊥");
+    }
+    for (i, lit) in lits.iter().enumerate() {
+        if i > 0 {
+            write!(f, " ∨ ")?;
+        }
+        write!(f, "{lit}")?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]

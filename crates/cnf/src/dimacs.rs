@@ -17,7 +17,7 @@
 //!
 //! let rendered = dimacs::to_string(&cnf);
 //! let reparsed = dimacs::parse(&rendered)?;
-//! assert_eq!(cnf.clauses(), reparsed.clauses());
+//! assert_eq!(cnf, reparsed);
 //! # Ok::<(), dimacs::ParseDimacsError>(())
 //! ```
 
@@ -310,7 +310,7 @@ pub fn write<W: Write>(mut writer: W, cnf: &Cnf) -> io::Result<()> {
     }
     writeln!(buf, "p cnf {} {}", cnf.num_vars(), cnf.num_clauses())?;
     for clause in cnf.iter() {
-        render_clause(&mut buf, clause.lits().iter().copied());
+        render_clause(&mut buf, clause.iter().copied());
         if buf.len() >= CHUNK {
             writer.write_all(&buf)?;
             buf.clear();
@@ -355,10 +355,7 @@ mod tests {
         let cnf = parse("p cnf 3 2\n1 -2 0\n-1 3 0\n").unwrap();
         assert_eq!(cnf.num_vars(), 3);
         assert_eq!(cnf.num_clauses(), 2);
-        assert_eq!(
-            cnf.clauses()[0].lits(),
-            &[Lit::from_dimacs(1), Lit::from_dimacs(-2)]
-        );
+        assert_eq!(cnf.clause(0), &[Lit::from_dimacs(1), Lit::from_dimacs(-2)]);
     }
 
     #[test]
@@ -371,7 +368,7 @@ mod tests {
     fn clause_may_span_lines_and_share_lines() {
         let cnf = parse("p cnf 3 3\n1 2\n3 0 -1 0\n-2 0\n").unwrap();
         assert_eq!(cnf.num_clauses(), 3);
-        assert_eq!(cnf.clauses()[0].len(), 3);
+        assert_eq!(cnf.clause(0).len(), 3);
     }
 
     #[test]
@@ -414,8 +411,7 @@ mod tests {
         let src = "c demo\np cnf 4 3\n1 -2 0\n3 4 -1 0\n-4 0\n";
         let cnf = parse(src).unwrap();
         let again = parse(&to_string(&cnf)).unwrap();
-        assert_eq!(cnf.clauses(), again.clauses());
-        assert_eq!(cnf.num_vars(), again.num_vars());
+        assert_eq!(cnf, again);
     }
 
     #[test]
@@ -425,7 +421,7 @@ mod tests {
         let mut buf = Vec::new();
         write(&mut buf, &cnf).unwrap();
         let again = read(&buf[..]).unwrap();
-        assert_eq!(cnf.clauses(), again.clauses());
+        assert_eq!(cnf, again);
     }
 
     #[test]
@@ -449,8 +445,8 @@ mod tests {
     fn empty_clause_roundtrips() {
         let cnf = parse("p cnf 1 1\n0\n").unwrap();
         assert_eq!(cnf.num_clauses(), 1);
-        assert!(cnf.clauses()[0].is_empty());
+        assert!(cnf.clause(0).is_empty());
         let again = parse(&to_string(&cnf)).unwrap();
-        assert!(again.clauses()[0].is_empty());
+        assert!(again.clause(0).is_empty());
     }
 }

@@ -1,16 +1,30 @@
 //! CNF formulas.
 
 use std::fmt;
+use std::iter::FusedIterator;
 
-use crate::{Assignment, Clause, LBool, Lit, Var};
+use crate::clause::{eval_lits, fmt_lits};
+use crate::{Assignment, LBool, Lit, Var};
 
-/// A formula in conjunctive normal form: a conjunction of [`Clause`]s over
+/// A formula in conjunctive normal form: a conjunction of clauses over
 /// variables `x0 .. x(n-1)`.
 ///
 /// `Cnf` is the interchange type between benchmark generators, the solver
 /// and the DIMACS reader/writer. It tracks the number of variables
 /// explicitly so that formulas with unreferenced variables (common in
 /// DIMACS files) round-trip faithfully.
+///
+/// # Layout
+///
+/// All clauses share one literal buffer: clause `i` is the slice of that
+/// buffer between the end offsets of clauses `i - 1` and `i`. A clause
+/// costs 4 bytes per literal plus a 4-byte end offset (16 bytes for a
+/// ternary clause, against about 56 for a `Vec` of its own), clauses are
+/// read back as `&[Lit]` in insertion order, and [`Cnf::num_lits`] is
+/// O(1). Offsets are `u32`, so one formula holds fewer than 2^32 literal
+/// occurrences. The owned [`Clause`](crate::Clause) is for code that
+/// builds one clause at a time; [`Cnf::add_clause`] takes it, or any
+/// other literal iterator, and copies its literals in place.
 ///
 /// # Examples
 ///
@@ -23,12 +37,16 @@ use crate::{Assignment, Clause, LBool, Lit, Var};
 /// let x1 = cnf.fresh_var();
 /// cnf.add_clause([Lit::pos(x0), Lit::neg(x1)]);
 /// cnf.add_clause([Lit::pos(x1)]);
-/// assert_eq!((cnf.num_vars(), cnf.num_clauses()), (2, 2));
+/// assert_eq!((cnf.num_vars(), cnf.num_clauses(), cnf.num_lits()), (2, 2, 3));
+/// assert_eq!(cnf.clause(1), &[Lit::pos(x1)]);
 /// ```
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
+#[derive(Clone, PartialEq, Eq, Default)]
 pub struct Cnf {
     num_vars: usize,
-    clauses: Vec<Clause>,
+    /// Every clause's literals, back to back.
+    lits: Vec<Lit>,
+    /// `ends[i]` is the offset in `lits` one past clause `i`.
+    ends: Vec<u32>,
     /// Optional human-readable comment lines (serialized as DIMACS `c` lines).
     comments: Vec<String>,
 }
@@ -45,6 +63,14 @@ impl Cnf {
             num_vars,
             ..Cnf::default()
         }
+    }
+
+    /// Reserves room for `clauses` more clauses holding `lits` more
+    /// literals in total, so a producer that knows its size appends
+    /// without reallocating.
+    pub fn reserve(&mut self, clauses: usize, lits: usize) {
+        self.ends.reserve(clauses);
+        self.lits.reserve(lits);
     }
 
     /// Allocates and returns a fresh variable.
@@ -75,36 +101,40 @@ impl Cnf {
     /// Number of clauses.
     #[inline]
     pub fn num_clauses(&self) -> usize {
-        self.clauses.len()
+        self.ends.len()
     }
 
     /// Total number of literal occurrences across all clauses.
+    #[inline]
     pub fn num_lits(&self) -> usize {
-        self.clauses.iter().map(Clause::len).sum()
+        self.lits.len()
     }
 
-    /// Returns the clauses as a slice.
+    /// The literals of clause `i`, in insertion order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= self.num_clauses()`.
     #[inline]
-    pub fn clauses(&self) -> &[Clause] {
-        &self.clauses
+    pub fn clause(&self, i: usize) -> &[Lit] {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.lits[start as usize..self.ends[i] as usize]
     }
 
     /// Appends a clause built from `lits`, growing the variable count to
     /// cover every referenced variable.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the formula would hold 2^32 or more literal occurrences.
     pub fn add_clause<I: IntoIterator<Item = Lit>>(&mut self, lits: I) {
-        let clause = Clause::from_lits(lits);
-        for lit in &clause {
-            let need = lit.var().index() + 1;
-            if need > self.num_vars {
-                self.num_vars = need;
-            }
+        let start = self.lits.len();
+        self.lits.extend(lits);
+        if let Some(need) = self.lits[start..].iter().map(|l| l.var().index() + 1).max() {
+            self.num_vars = self.num_vars.max(need);
         }
-        self.clauses.push(clause);
-    }
-
-    /// Appends an already-built [`Clause`].
-    pub fn push_clause(&mut self, clause: Clause) {
-        self.add_clause(clause.into_lits());
+        let end = u32::try_from(self.lits.len()).expect("a Cnf holds fewer than 2^32 literals");
+        self.ends.push(end);
     }
 
     /// Adds a comment line, emitted as a DIMACS `c` line by the writer.
@@ -117,9 +147,13 @@ impl Cnf {
         &self.comments
     }
 
-    /// Iterates over the clauses.
-    pub fn iter(&self) -> std::slice::Iter<'_, Clause> {
-        self.clauses.iter()
+    /// Iterates over the clauses, each as a literal slice.
+    pub fn iter(&self) -> Clauses<'_> {
+        Clauses {
+            lits: &self.lits,
+            start: 0,
+            ends: self.ends.iter(),
+        }
     }
 
     /// Evaluates the formula under `assignment`.
@@ -128,8 +162,8 @@ impl Cnf {
     /// if some clause is falsified, otherwise [`LBool::Undef`].
     pub fn eval(&self, assignment: &Assignment) -> LBool {
         let mut all_true = true;
-        for clause in &self.clauses {
-            match clause.eval(assignment) {
+        for clause in self {
+            match eval_lits(clause, assignment) {
                 LBool::False => return LBool::False,
                 LBool::Undef => all_true = false,
                 LBool::True => {}
@@ -155,7 +189,8 @@ impl Cnf {
     /// miters into one CNF).
     pub fn append_disjoint(&mut self, other: &Cnf) -> usize {
         let offset = self.num_vars;
-        for clause in other.iter() {
+        self.reserve(other.num_clauses(), other.num_lits());
+        for clause in other {
             let shifted = clause
                 .iter()
                 .map(|l| Lit::new(Var::new((l.var().index() + offset) as u32), l.is_negative()));
@@ -189,43 +224,94 @@ impl Cnf {
     }
 }
 
-impl FromIterator<Clause> for Cnf {
-    fn from_iter<I: IntoIterator<Item = Clause>>(iter: I) -> Self {
-        let mut cnf = Cnf::new();
-        for c in iter {
-            cnf.push_clause(c);
+/// Iterator over the clauses of a [`Cnf`] as literal slices, from
+/// [`Cnf::iter`]. Skipping ahead (`nth`, `skip`) is O(1).
+#[derive(Clone, Debug)]
+pub struct Clauses<'a> {
+    lits: &'a [Lit],
+    /// Offset of the next clause from the front.
+    start: u32,
+    ends: std::slice::Iter<'a, u32>,
+}
+
+impl<'a> Iterator for Clauses<'a> {
+    type Item = &'a [Lit];
+
+    #[inline]
+    fn next(&mut self) -> Option<&'a [Lit]> {
+        let end = *self.ends.next()?;
+        let clause = &self.lits[self.start as usize..end as usize];
+        self.start = end;
+        Some(clause)
+    }
+
+    #[inline]
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.ends.size_hint()
+    }
+
+    fn nth(&mut self, n: usize) -> Option<&'a [Lit]> {
+        if n > 0 {
+            self.start = *self.ends.nth(n - 1)?;
         }
+        self.next()
+    }
+}
+
+impl ExactSizeIterator for Clauses<'_> {}
+
+impl FusedIterator for Clauses<'_> {}
+
+/// Collects clauses given as literal iterators (a [`Clause`](crate::Clause),
+/// a `Vec<Lit>`, an array), in order.
+impl<C: IntoIterator<Item = Lit>> FromIterator<C> for Cnf {
+    fn from_iter<I: IntoIterator<Item = C>>(iter: I) -> Self {
+        let mut cnf = Cnf::new();
+        cnf.extend(iter);
         cnf
     }
 }
 
-impl Extend<Clause> for Cnf {
-    fn extend<I: IntoIterator<Item = Clause>>(&mut self, iter: I) {
-        for c in iter {
-            self.push_clause(c);
+impl<C: IntoIterator<Item = Lit>> Extend<C> for Cnf {
+    fn extend<I: IntoIterator<Item = C>>(&mut self, iter: I) {
+        for clause in iter {
+            self.add_clause(clause);
         }
     }
 }
 
 impl<'a> IntoIterator for &'a Cnf {
-    type Item = &'a Clause;
-    type IntoIter = std::slice::Iter<'a, Clause>;
+    type Item = &'a [Lit];
+    type IntoIter = Clauses<'a>;
 
-    fn into_iter(self) -> Self::IntoIter {
-        self.clauses.iter()
+    fn into_iter(self) -> Clauses<'a> {
+        self.iter()
+    }
+}
+
+/// Shows the clauses, not the buffer layout.
+impl fmt::Debug for Cnf {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Cnf")
+            .field("num_vars", &self.num_vars)
+            .field("clauses", &self.iter().collect::<Vec<_>>())
+            .field("comments", &self.comments)
+            .finish()
     }
 }
 
 impl fmt::Display for Cnf {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.clauses.is_empty() {
+        if self.ends.is_empty() {
             return write!(f, "⊤");
         }
-        for (i, clause) in self.clauses.iter().enumerate() {
+        for (i, clause) in self.iter().enumerate() {
             if i > 0 {
                 write!(f, " ∧ ")?;
             }
-            write!(f, "({clause})")?;
+            write!(f, "(")?;
+            fmt_lits(clause, f)?;
+            write!(f, ")")?;
         }
         Ok(())
     }
@@ -289,7 +375,7 @@ mod tests {
     #[test]
     fn formula_with_empty_clause_is_unsat() {
         let mut cnf = Cnf::new();
-        cnf.push_clause(Clause::new());
+        cnf.add_clause([]);
         assert!(cnf.solve_by_enumeration().is_none());
     }
 
@@ -302,7 +388,7 @@ mod tests {
         let off = a.append_disjoint(&b);
         assert_eq!(off, 2);
         assert_eq!(a.num_vars(), 3);
-        assert_eq!(a.clauses()[1].lits()[0], lit(3));
+        assert_eq!(a.clause(1), &[lit(3)]);
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! This crate provides the vocabulary shared by every other crate in the
 //! workspace: [`Var`] and [`Lit`] (packed, copyable handles), [`Clause`]
-//! (an owned disjunction of literals), [`Cnf`] (a formula plus variable
-//! bookkeeping), [`Assignment`] (a total/partial valuation) and DIMACS
-//! reading/writing in [`dimacs`].
+//! (an owned disjunction of literals), [`Cnf`] (a formula: every clause in
+//! one literal buffer, plus variable bookkeeping), [`Assignment`] (a
+//! total/partial valuation) and DIMACS reading/writing in [`dimacs`].
 //!
 //! # Conventions
 //!
@@ -39,6 +39,6 @@ mod sink;
 
 pub use assignment::{Assignment, LBool};
 pub use clause::Clause;
-pub use formula::Cnf;
+pub use formula::{Clauses, Cnf};
 pub use lit::{Lit, Var};
 pub use sink::ClauseSink;

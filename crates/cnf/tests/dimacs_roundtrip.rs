@@ -24,8 +24,7 @@ proptest! {
     fn parse_print_parse_is_identity(cnf in arb_cnf(14, 24)) {
         let text = dimacs::to_string(&cnf);
         let parsed = dimacs::parse(&text).expect("own output must parse");
-        prop_assert_eq!(cnf.clauses(), parsed.clauses());
-        prop_assert_eq!(cnf.num_vars(), parsed.num_vars());
+        prop_assert_eq!(cnf, parsed);
     }
 
     /// Printing is a fixpoint: print(parse(print(f))) == print(f), so the

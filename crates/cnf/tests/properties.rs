@@ -45,16 +45,16 @@ proptest! {
     fn dimacs_roundtrip_preserves_formula(cnf in arb_cnf(12, 20)) {
         let text = dimacs::to_string(&cnf);
         let parsed = dimacs::parse(&text).expect("own output parses");
-        prop_assert_eq!(cnf.clauses(), parsed.clauses());
-        prop_assert_eq!(cnf.num_vars(), parsed.num_vars());
+        prop_assert_eq!(cnf, parsed);
     }
 
     #[test]
     fn eval_agrees_with_clausewise_eval(cnf in arb_cnf(8, 12), bits in any::<u8>()) {
         let a = Assignment::from_bools((0..8).map(|i| bits >> i & 1 == 1));
-        let expected = if cnf.iter().all(|c| c.eval(&a) == LBool::True) {
+        let clauses: Vec<Clause> = cnf.iter().map(|c| Clause::from(c.to_vec())).collect();
+        let expected = if clauses.iter().all(|c| c.eval(&a) == LBool::True) {
             LBool::True
-        } else if cnf.iter().any(|c| c.eval(&a) == LBool::False) {
+        } else if clauses.iter().any(|c| c.eval(&a) == LBool::False) {
             LBool::False
         } else {
             LBool::Undef

@@ -114,9 +114,7 @@ fn assert_paths_agree(text: &str) -> Result<bool, TestCaseError> {
     let streamed = dimacs::stream_into(text.as_bytes(), &mut streamed_cnf);
     match (parsed, streamed) {
         (Ok(cnf), Ok(summary)) => {
-            prop_assert_eq!(cnf.clauses(), streamed_cnf.clauses());
-            prop_assert_eq!(cnf.num_vars(), streamed_cnf.num_vars());
-            prop_assert_eq!(cnf.comments(), streamed_cnf.comments());
+            prop_assert_eq!(&cnf, &streamed_cnf);
             prop_assert_eq!(summary.num_vars, cnf.num_vars());
             prop_assert_eq!(summary.num_clauses, cnf.num_clauses());
             Ok(true)
@@ -142,8 +140,7 @@ proptest! {
         // And the streamed reconstruction equals the original formula.
         let mut rebuilt = Cnf::new();
         dimacs::stream_into(text.as_bytes(), &mut rebuilt).expect("own output streams");
-        prop_assert_eq!(cnf.clauses(), rebuilt.clauses());
-        prop_assert_eq!(cnf.num_vars(), rebuilt.num_vars());
+        prop_assert_eq!(cnf, rebuilt);
     }
 
     #[test]

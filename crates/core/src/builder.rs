@@ -65,7 +65,7 @@ pub struct SolverBuilder {
     config: SolverConfig,
     proof: Option<Box<dyn ProofSink>>,
     reserve_vars: usize,
-    clauses: Vec<Vec<Lit>>,
+    clauses: Cnf,
     frozen: Vec<Var>,
     terminate: Option<TerminateCallback>,
     on_learnt: Option<LearntCallback>,
@@ -92,7 +92,7 @@ impl SolverBuilder {
             config,
             proof: None,
             reserve_vars: 0,
-            clauses: Vec::new(),
+            clauses: Cnf::new(),
             frozen: Vec::new(),
             terminate: None,
             on_learnt: None,
@@ -124,7 +124,7 @@ impl SolverBuilder {
 
     /// Appends one initial clause.
     pub fn clause(mut self, lits: impl IntoIterator<Item = Lit>) -> Self {
-        self.clauses.push(lits.into_iter().collect());
+        self.clauses.add_clause(lits);
         self
     }
 
@@ -142,9 +142,7 @@ impl SolverBuilder {
     /// Appends every clause of `cnf` and reserves its variable space.
     pub fn cnf(mut self, cnf: &Cnf) -> Self {
         self.reserve_vars = self.reserve_vars.max(cnf.num_vars());
-        for clause in cnf {
-            self.clauses.push(clause.iter().copied().collect());
-        }
+        self.clauses.extend(cnf.iter().map(|c| c.iter().copied()));
         self
     }
 
@@ -227,8 +225,8 @@ impl SolverBuilder {
         for var in self.frozen {
             solver.freeze(var);
         }
-        for clause in self.clauses {
-            solver.add_clause(clause);
+        for clause in &self.clauses {
+            solver.add_clause(clause.iter().copied());
         }
         solver
     }
@@ -249,7 +247,7 @@ impl ClauseSink for SolverBuilder {
     }
 
     fn clause(&mut self, lits: &[Lit]) {
-        self.clauses.push(lits.to_vec());
+        self.clauses.add_clause(lits.iter().copied());
     }
 }
 

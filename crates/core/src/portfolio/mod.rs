@@ -84,7 +84,7 @@ pub(crate) use share::ClausePool;
 
 use std::sync::{Arc, Mutex};
 
-use berkmin_cnf::{Assignment, LBool, Lit, Var};
+use berkmin_cnf::{Assignment, Cnf, LBool, Lit, Var};
 
 use crate::config::{Budget, SimplifyConfig, SolverConfig};
 use crate::engine::SatEngine;
@@ -257,7 +257,7 @@ pub struct PortfolioEngine {
     num_vars: usize,
     /// Clauses added since the front last absorbed the formula; each live
     /// worker reads them through its own cursor.
-    log: Vec<Vec<Lit>>,
+    log: Cnf,
     /// `false` once an empty clause was added or the front refuted the
     /// formula.
     ok: bool,
@@ -289,7 +289,7 @@ impl std::fmt::Debug for PortfolioEngine {
         f.debug_struct("PortfolioEngine")
             .field("config", &self.config)
             .field("num_vars", &self.num_vars)
-            .field("log", &self.log.len())
+            .field("log", &self.log.num_clauses())
             .field("eliminated", &self.front.stats().vars_eliminated)
             .field("winner", &self.winner)
             .field("proof", &self.proof.is_some())
@@ -313,7 +313,7 @@ impl PortfolioEngine {
                 ..config
             },
             num_vars: 0,
-            log: Vec::new(),
+            log: Cnf::new(),
             ok: true,
             pending: Vec::new(),
             calls: 0,
@@ -417,8 +417,8 @@ impl PortfolioEngine {
         let front = &mut self.front;
         front.unpark();
         front.reserve_vars(self.num_vars);
-        for clause in std::mem::take(&mut self.log) {
-            front.add_clause(clause);
+        for clause in &std::mem::take(&mut self.log) {
+            front.add_clause(clause.iter().copied());
         }
         if front.ok && front.propagate().is_some() {
             front.ok = false;
@@ -483,7 +483,7 @@ impl PortfolioEngine {
         };
         let mut results = crew.solve(&formula, assumptions, &self.config, shared);
         let pool = crew.pool_accounting();
-        let formula_len = crew.seeded + self.log.len();
+        let formula_len = crew.seeded + self.log.num_clauses();
         self.crew = Some(crew);
 
         // The counters are set, not accumulated: the front, the retired
@@ -589,7 +589,7 @@ fn worker_config(config: &PortfolioConfig, id: usize) -> SolverConfig {
 /// lives, followed by the clauses logged since the crew was built.
 struct Formula<'a> {
     front: &'a Solver,
-    log: &'a [Vec<Lit>],
+    log: &'a Cnf,
     num_vars: usize,
 }
 
@@ -614,11 +614,8 @@ impl<'a> Formula<'a> {
     /// them.
     fn unseen(&self, cursor: &mut Option<usize>) -> impl Iterator<Item = &'a [Lit]> {
         let seed = cursor.is_none().then(|| Formula::seed(self.front));
-        let from = cursor.replace(self.log.len()).unwrap_or(0);
-        let log: &'a [Vec<Lit>] = self.log;
-        seed.into_iter()
-            .flatten()
-            .chain(log[from..].iter().map(Vec::as_slice))
+        let from = cursor.replace(self.log.num_clauses()).unwrap_or(0);
+        seed.into_iter().flatten().chain(self.log.iter().skip(from))
     }
 }
 
@@ -805,7 +802,7 @@ impl SatEngine for PortfolioEngine {
         if lits.is_empty() {
             self.ok = false;
         }
-        self.log.push(lits.to_vec());
+        self.log.add_clause(lits.iter().copied());
         self.ok
     }
 
@@ -833,7 +830,8 @@ impl SatEngine for PortfolioEngine {
                 &SolveEvent::SolveStart {
                     call: self.calls,
                     num_vars: self.num_vars,
-                    num_clauses: self.crew.as_ref().map_or(0, |c| c.seeded) + self.log.len(),
+                    num_clauses: self.crew.as_ref().map_or(0, |c| c.seeded)
+                        + self.log.num_clauses(),
                     assumptions: assumptions.len(),
                 },
             );
@@ -1135,7 +1133,7 @@ mod tests {
         for c in pigeonhole(4) {
             engine.add_clause(&c);
         }
-        let num_clauses = engine.log.len() as u64;
+        let num_clauses = engine.log.num_clauses() as u64;
         assert!(engine.solve().is_unsat());
         assert_eq!(engine.stats().initial_clauses, num_clauses);
         assert_eq!(engine.stats().solve_calls, 1);

@@ -23,7 +23,7 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
-use berkmin_cnf::Lit;
+use berkmin_cnf::{Cnf, Lit};
 
 use crate::builder::SolverBuilder;
 use crate::config::{Budget, SolverConfig};
@@ -242,10 +242,7 @@ impl Worker {
 /// A request to a worker thread.
 enum Order {
     /// [`Worker::extend`].
-    Extend {
-        num_vars: usize,
-        clauses: Arc<[Vec<Lit>]>,
-    },
+    Extend { num_vars: usize, clauses: Arc<Cnf> },
     /// Run one call and send back its [`CallResult`].
     Solve {
         assumptions: Arc<[Lit]>,
@@ -314,7 +311,7 @@ impl WorkerThreads {
         num_vars: usize,
         clauses: impl IntoIterator<Item = &'a [Lit]>,
     ) {
-        let clauses: Arc<[Vec<Lit>]> = clauses.into_iter().map(<[Lit]>::to_vec).collect();
+        let clauses: Arc<Cnf> = Arc::new(clauses.into_iter().map(|c| c.iter().copied()).collect());
         for lane in &self.lanes {
             // A dead thread surfaces (with its panic) in `solve`.
             let _ = lane.orders.send(Order::Extend {
@@ -397,9 +394,7 @@ fn serve(
 ) {
     for order in orders {
         match order {
-            Order::Extend { num_vars, clauses } => {
-                worker.extend(num_vars, clauses.iter().map(Vec::as_slice))
-            }
+            Order::Extend { num_vars, clauses } => worker.extend(num_vars, clauses.iter()),
             Order::Solve {
                 assumptions,
                 budget,

@@ -353,7 +353,7 @@ fn models_reconstruct_on_calls_that_rebuild_the_workers() {
     let mut formula: Vec<Vec<Lit>> = random_ksat(40, 120, 3, 7)
         .cnf
         .iter()
-        .map(|c| c.lits().to_vec())
+        .map(<[Lit]>::to_vec)
         .collect();
     for c in &formula {
         engine.add_clause(c);
@@ -415,7 +415,7 @@ fn the_front_answers_like_a_single_solver() {
         let mut formula: Vec<Vec<Lit>> = random_ksat(40, 110, 3, seed)
             .cnf
             .iter()
-            .map(|c| c.lits().to_vec())
+            .map(<[Lit]>::to_vec)
             .collect();
         // A subsumed clause and a strengthenable one, so every counter moves.
         formula.push(vec![lit(1), lit(2)]);
@@ -496,10 +496,11 @@ fn proof_spliced_from_several_winners_checks() {
     let mut cnf = Cnf::new();
     let mut winners = Vec::new();
     let mut refuted = false;
-    for (call, batch) in pool.clauses().chunks(25).enumerate() {
-        for c in batch {
-            cnf.add_clause(c.lits().iter().copied());
-            engine.add_clause(c.lits());
+    let pool: Vec<&[Lit]> = pool.iter().collect();
+    for (call, batch) in pool.chunks(25).enumerate() {
+        for &c in batch {
+            cnf.add_clause(c.iter().copied());
+            engine.add_clause(c);
         }
         engine.assume(lit((call * 7 % 50 + 1) as i32));
         engine.assume(lit(-((call * 13 % 50 + 1) as i32)));
@@ -570,7 +571,7 @@ fn idle_workers_stay_unstaged_until_a_call_needs_them() {
     let formula: Vec<Vec<Lit>> = random_ksat(150, 639, 3, 3)
         .cnf
         .iter()
-        .map(|c| c.lits().to_vec())
+        .map(<[Lit]>::to_vec)
         .collect();
     let mut lone = Solver::with_config(SolverConfig::berkmin());
     let mut added = 0;

@@ -97,9 +97,7 @@ fn solve_single(cnf: &Cnf) -> Fingerprint {
     let status = solver.solve();
     if let SolveStatus::Sat(model) = &status {
         assert!(
-            cnf.clauses()
-                .iter()
-                .all(|c| c.lits().iter().any(|&l| model.satisfies(l))),
+            cnf.is_satisfied_by(model),
             "model does not satisfy the formula"
         );
     }

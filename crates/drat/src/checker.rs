@@ -135,7 +135,7 @@ pub fn check_refutation(cnf: &Cnf, proof: &DratProof) -> Result<CheckReport, Che
 
     // Load the original formula; a conflict here already refutes it.
     for clause in cnf.iter() {
-        let cref = db.add_clause(clause.lits());
+        let cref = db.add_clause(clause);
         db.originals.push(cref);
     }
     db.propagate_persistent();

@@ -133,9 +133,7 @@ fn deleted_ids(cnf: &Cnf, steps: &[OwnedStep]) -> Vec<(usize, ClauseId)> {
     let mut live: HashMap<Vec<Lit>, VecDeque<ClauseId>> = HashMap::new();
     for (k, clause) in cnf.iter().enumerate() {
         let id = ClauseId::Original(k as u32);
-        live.entry(normalized(clause.lits()))
-            .or_default()
-            .push_back(id);
+        live.entry(normalized(clause)).or_default().push_back(id);
     }
     let mut lemmas = 0;
     let mut deleted = Vec::new();
@@ -381,7 +379,7 @@ fn reference_check(cnf: &Cnf, proof: &DratProof) -> Result<CheckReport, CheckErr
         contradiction: false,
     };
     for clause in cnf.iter() {
-        db.add(clause.lits());
+        db.add(clause);
     }
     db.settle();
     let mut report = CheckReport::default();

@@ -171,25 +171,36 @@ pub fn run_case(case: &Case) -> Result<CaseReport, String> {
                 .with_simplify(SimplifyConfig::full()),
         ),
     ];
-    // The last arm: a deterministic two-worker sharing portfolio whose
-    // front runs the `--elim` path (elimination at the first call), so its
-    // SAT models exercise the front's reconstruction. Clause import makes
-    // its DRAT stream unsound, so its absolute refutations are certified
-    // through the independent DPLL reference instead of a proof. Its
-    // 4-conflict slices let a fuzz case's first hard call come late in the
-    // session, so worker 1 is often staged only then, over the formula
-    // and log the earlier calls built.
-    let mut portfolio = PortfolioEngine::new(PortfolioConfig {
-        slice_conflicts: 4,
-        ..PortfolioConfig::new(2)
-            .with_share_lbd(Some(4))
-            .with_deterministic(true)
-            .with_paranoid(true)
-            .with_simplify(SimplifyConfig {
-                var_elim: true,
-                ..SimplifyConfig::default()
-            })
-    });
+    // The last two arms: deterministic two-worker sharing portfolios whose
+    // front runs the `--elim` path, so their SAT models exercise the
+    // front's reconstruction. Clause import makes their DRAT streams
+    // unsound, so their absolute refutations are certified through the
+    // independent DPLL reference instead of a proof. Their 4-conflict
+    // slices let a fuzz case's first hard call come late in the session,
+    // so worker 1 is often staged only then, over the formula and log the
+    // earlier calls built. The first eliminates at its first call only and
+    // keeps its crew; the second re-simplifies at every call, so every
+    // call unparks the front and builds a new crew over the rewritten
+    // formula.
+    let portfolio = |name: &'static str, inprocess: bool| {
+        let engine = PortfolioEngine::new(PortfolioConfig {
+            slice_conflicts: 4,
+            ..PortfolioConfig::new(2)
+                .with_share_lbd(Some(4))
+                .with_deterministic(true)
+                .with_paranoid(true)
+                .with_simplify(SimplifyConfig {
+                    var_elim: true,
+                    inprocess,
+                    ..SimplifyConfig::default()
+                })
+        });
+        (name, engine)
+    };
+    let mut portfolios = [
+        portfolio("portfolio", false),
+        portfolio("portfolio-inprocess", true),
+    ];
     // Variable elimination forbids re-introducing an eliminated variable,
     // so the eliminating engines freeze up front every variable the rest
     // of the case will assume, or add after the first solve — the contract
@@ -209,7 +220,9 @@ pub fn run_case(case: &Case) -> Result<CaseReport, String> {
         };
         for l in vars {
             simplify.solver.freeze(l.var());
-            portfolio.freeze(l.var());
+            for (_, engine) in &mut portfolios {
+                engine.freeze(l.var());
+            }
         }
     }
 
@@ -228,7 +241,9 @@ pub fn run_case(case: &Case) -> Result<CaseReport, String> {
                 for arm in &mut arms {
                     arm.solver.reserve_vars(*n);
                 }
-                portfolio.reserve_vars(*n);
+                for (_, engine) in &mut portfolios {
+                    engine.reserve_vars(*n);
+                }
             }
             Op::Add(lits) => {
                 for l in lits {
@@ -238,7 +253,9 @@ pub fn run_case(case: &Case) -> Result<CaseReport, String> {
                 for arm in &mut arms {
                     arm.solver.add_clause(lits.iter().copied());
                 }
-                portfolio.add_clause(lits);
+                for (_, engine) in &mut portfolios {
+                    engine.add_clause(lits);
+                }
             }
             Op::Assume(l) => {
                 num_vars = num_vars.max(l.var().index() + 1);
@@ -246,7 +263,9 @@ pub fn run_case(case: &Case) -> Result<CaseReport, String> {
                 for arm in &mut arms {
                     arm.solver.assume(*l);
                 }
-                portfolio.assume(*l);
+                for (_, engine) in &mut portfolios {
+                    engine.assume(*l);
+                }
             }
             Op::Budget(b) => {
                 budget = *b;
@@ -257,12 +276,14 @@ pub fn run_case(case: &Case) -> Result<CaseReport, String> {
                 for arm in &mut arms {
                     arm.solver.set_budget(budget);
                 }
-                portfolio.set_budget(budget);
+                for (_, engine) in &mut portfolios {
+                    engine.set_budget(budget);
+                }
             }
             Op::Solve => {
                 report.solves += 1;
                 let assumptions = std::mem::take(&mut staged);
-                let mut verdicts = Vec::with_capacity(arms.len() + 1);
+                let mut verdicts = Vec::with_capacity(arms.len() + portfolios.len());
                 for arm in &mut arms {
                     let status = arm.solver.solve();
                     let core = arm.solver.failed_assumptions().to_vec();
@@ -286,21 +307,23 @@ pub fn run_case(case: &Case) -> Result<CaseReport, String> {
                         .check(arm.name, at, arm.solver.stats())?;
                     verdicts.push(verdict(&status));
                 }
-                let status = portfolio.solve();
-                let core = portfolio.failed_assumptions().to_vec();
-                certify(
-                    "portfolio",
-                    None,
-                    at,
-                    &status,
-                    &core,
-                    &formula,
-                    &assumptions,
-                    num_vars,
-                    budget,
-                    &mut report,
-                )?;
-                verdicts.push(verdict(&status));
+                for (name, engine) in &mut portfolios {
+                    let status = engine.solve();
+                    let core = engine.failed_assumptions().to_vec();
+                    certify(
+                        name,
+                        None,
+                        at,
+                        &status,
+                        &core,
+                        &formula,
+                        &assumptions,
+                        num_vars,
+                        budget,
+                        &mut report,
+                    )?;
+                    verdicts.push(verdict(&status));
+                }
                 cross_check(at, &verdicts, &formula, &assumptions, num_vars, &mut report)?;
             }
         }
@@ -369,9 +392,7 @@ fn certify(
                     // whole session must check against the accumulated
                     // formula.
                     let mut cnf = Cnf::with_vars(num_vars);
-                    for clause in formula {
-                        cnf.add_clause(berkmin_cnf::Clause::from_lits(clause.iter().copied()));
-                    }
+                    cnf.extend(formula.iter().map(|c| c.iter().copied()));
                     match check_refutation(&cnf, &proof.borrow()) {
                         Err(e) => return fail(format!("DRAT check of the refutation failed: {e}")),
                         // A single solver hints every addition; a chain that

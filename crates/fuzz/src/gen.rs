@@ -39,12 +39,7 @@ impl Rng {
 
 /// The pigeonhole clauses PHP(holes+1 → holes), as plain literal vectors.
 pub fn pigeonhole_clauses(holes: usize) -> Vec<Vec<Lit>> {
-    hole::pigeonhole(holes)
-        .cnf
-        .clauses()
-        .iter()
-        .map(|c| c.lits().to_vec())
-        .collect()
+    clause_vecs(hole::pigeonhole(holes))
 }
 
 fn adds_of(clauses: Vec<Vec<Lit>>) -> Vec<Op> {
@@ -155,12 +150,7 @@ pub fn gen_case(seed: u64) -> Case {
 }
 
 fn clause_vecs(instance: berkmin_gens::BenchInstance) -> Vec<Vec<Lit>> {
-    instance
-        .cnf
-        .clauses()
-        .iter()
-        .map(|c| c.lits().to_vec())
-        .collect()
+    instance.cnf.iter().map(<[Lit]>::to_vec).collect()
 }
 
 #[cfg(test)]

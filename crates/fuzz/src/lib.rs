@@ -2,10 +2,11 @@
 //!
 //! Each fuzz **case** is a sequence of incremental solver operations
 //! ([`Op`]): clause additions, staged assumptions, budget changes and
-//! `solve` calls. A case is executed simultaneously on two production
-//! engines (the BerkMin preset and the Chaff-like ablation, both with the
-//! `paranoid` invariant audits enabled) and every answer is *certified*
-//! rather than trusted:
+//! `solve` calls. A case is executed simultaneously on several production
+//! engines (four single-solver configurations and two deterministic
+//! sharing portfolios, one of them re-simplifying and rebuilding its
+//! workers at every call, all with the `paranoid` invariant audits
+//! enabled) and every answer is *certified* rather than trusted:
 //!
 //! - **SAT** — the model must satisfy every clause added so far and every
 //!   assumption of the call, and must cover all reserved variables.
@@ -20,7 +21,7 @@
 //!   full-RUP fallback counts as a discrepancy).
 //! - **Unknown** — only legal when a finite budget was installed.
 //!
-//! On top of per-answer certification, the two engines are cross-checked
+//! On top of per-answer certification, the engines are cross-checked
 //! against each other and against the reference solver (decided answers
 //! must agree). Any discrepancy — including a panic from the paranoid
 //! audits — is [shrunk](shrink::shrink_case) to a minimal op script and

@@ -122,7 +122,7 @@ fn search(assigns: &mut Vec<LBool>, clauses: &[Vec<Lit>], nodes: &mut u64) -> Op
 #[cfg(test)]
 mod tests {
     use super::*;
-    use berkmin_cnf::{Clause, Cnf};
+    use berkmin_cnf::Cnf;
 
     fn lit(n: i32) -> Lit {
         Lit::from_dimacs(n)
@@ -162,7 +162,7 @@ mod tests {
                         Lit::new(berkmin_cnf::Var::new(v), rng() % 2 == 1)
                     })
                     .collect();
-                cnf.add_clause(Clause::from_lits(c.clone()));
+                cnf.add_clause(c.iter().copied());
                 clauses.push(c);
             }
             let expected = cnf.solve_by_enumeration().is_some();

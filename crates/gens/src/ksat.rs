@@ -15,9 +15,7 @@ pub fn random_ksat(n: usize, m: usize, k: usize, seed: u64) -> BenchInstance {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut cnf = Cnf::with_vars(n);
     cnf.add_comment(format!("uniform {k}-SAT: n={n}, m={m}"));
-    for _ in 0..m {
-        cnf.push_clause(random_clause(n, k, &mut rng, None));
-    }
+    add_random_clauses(&mut cnf, m, k, &mut rng, None);
     BenchInstance::new(format!("uf{k}_{n}_{m}_{seed}"), cnf, None)
 }
 
@@ -29,39 +27,44 @@ pub fn planted_ksat(n: usize, m: usize, k: usize, seed: u64) -> BenchInstance {
     let planted: Vec<bool> = (0..n).map(|_| rng.gen()).collect();
     let mut cnf = Cnf::with_vars(n);
     cnf.add_comment(format!("planted {k}-SAT: n={n}, m={m} (SAT)"));
-    for _ in 0..m {
-        cnf.push_clause(random_clause(n, k, &mut rng, Some(&planted)));
-    }
+    add_random_clauses(&mut cnf, m, k, &mut rng, Some(&planted));
     BenchInstance::new(format!("pr{k}_{n}_{m}_{seed}"), cnf, Some(true))
 }
 
-fn random_clause(
-    n: usize,
+/// Appends `m` clauses of `k` distinct variables drawn uniformly from the
+/// formula's `n`, each literal's sign a fair coin. With `planted`, a
+/// clause the hidden assignment falsifies is redrawn.
+fn add_random_clauses(
+    cnf: &mut Cnf,
+    m: usize,
     k: usize,
     rng: &mut StdRng,
     planted: Option<&[bool]>,
-) -> berkmin_cnf::Clause {
-    loop {
-        let mut vars: Vec<usize> = Vec::with_capacity(k);
-        while vars.len() < k {
-            let v = rng.gen_range(0..n);
-            if !vars.contains(&v) {
-                vars.push(v);
+) {
+    let n = cnf.num_vars();
+    cnf.reserve(m, m * k);
+    let mut lits: Vec<Lit> = Vec::with_capacity(k);
+    for _ in 0..m {
+        loop {
+            lits.clear();
+            while lits.len() < k {
+                let v = Var::new(rng.gen_range(0..n) as u32);
+                if !lits.iter().any(|l| l.var() == v) {
+                    lits.push(Lit::pos(v));
+                }
+            }
+            for l in &mut lits {
+                *l = Lit::new(l.var(), rng.gen());
+            }
+            let witnessed = |assign: &[bool]| {
+                lits.iter()
+                    .any(|l| assign[l.var().index()] != l.is_negative())
+            };
+            if planted.map_or(true, witnessed) {
+                break;
             }
         }
-        let lits: Vec<Lit> = vars
-            .iter()
-            .map(|&v| Lit::new(Var::new(v as u32), rng.gen()))
-            .collect();
-        if let Some(assign) = planted {
-            let satisfied = lits
-                .iter()
-                .any(|l| assign[l.var().index()] != l.is_negative());
-            if !satisfied {
-                continue; // resample until the planted witness survives
-            }
-        }
-        return berkmin_cnf::Clause::from_lits(lits);
+        cnf.add_clause(lits.iter().copied());
     }
 }
 
@@ -157,9 +160,6 @@ mod tests {
 
     #[test]
     fn generators_are_deterministic() {
-        assert_eq!(
-            random_ksat(15, 60, 3, 4).cnf.clauses(),
-            random_ksat(15, 60, 3, 4).cnf.clauses()
-        );
+        assert_eq!(random_ksat(15, 60, 3, 4).cnf, random_ksat(15, 60, 3, 4).cnf);
     }
 }

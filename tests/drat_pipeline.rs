@@ -114,11 +114,8 @@ fn explicit_empty_clause_proof_checks_and_does_not_regrow() {
     // emitted refutation must still check, and re-solving the refuted
     // session must not re-emit proof steps.
     let mut cnf = Cnf::new();
-    cnf.add_clause(Clause::from_lits([
-        Lit::from_dimacs(1),
-        Lit::from_dimacs(2),
-    ]));
-    cnf.add_clause(Clause::from_lits([]));
+    cnf.add_clause([Lit::from_dimacs(1), Lit::from_dimacs(2)]);
+    cnf.add_clause([]);
     let (mut solver, proof) = proof_logged_solver(&cnf, SolverConfig::berkmin());
     assert!(solver.solve().is_unsat());
     assert!(solver.failed_assumptions().is_empty());
@@ -134,8 +131,8 @@ fn level0_contradiction_proof_checks() {
     // Two contradictory units refute the formula during level-0
     // propagation — before any search — and the proof must still check.
     let mut cnf = Cnf::new();
-    cnf.add_clause(Clause::from_lits([Lit::from_dimacs(1)]));
-    cnf.add_clause(Clause::from_lits([Lit::from_dimacs(-1)]));
+    cnf.add_clause([Lit::from_dimacs(1)]);
+    cnf.add_clause([Lit::from_dimacs(-1)]);
     let (mut solver, proof) = proof_logged_solver(&cnf, SolverConfig::berkmin());
     assert!(solver.solve().is_unsat());
     check_refutation(&cnf, &proof.borrow()).expect("unit-contradiction proof must check");

@@ -264,7 +264,7 @@ fn portfolio_for(cnf: &Cnf, share_lbd: Option<u32>) -> PortfolioEngine {
     let mut engine = PortfolioEngine::new(config);
     engine.reserve_vars(cnf.num_vars());
     for clause in cnf.iter() {
-        engine.add_clause(clause.lits());
+        engine.add_clause(clause);
     }
     engine
 }
@@ -383,7 +383,7 @@ fn portfolio_threaded_with_sharing_agrees_with_berkmin() {
         let mut portfolio = PortfolioEngine::new(PortfolioConfig::new(2).with_share_lbd(Some(4)));
         portfolio.reserve_vars(inst.cnf.num_vars());
         for clause in inst.cnf.iter() {
-            portfolio.add_clause(clause.lits());
+            portfolio.add_clause(clause);
         }
         match portfolio.solve() {
             SolveStatus::Sat(model) => {

@@ -228,3 +228,16 @@ fn ci_keeps_the_drat_text_stability_step() {
         );
     }
 }
+
+#[test]
+fn ci_keeps_the_benchmark_package_step() {
+    // The benchmark is a package outside the workspace, so no workspace
+    // invocation builds it; this step is what notices a workspace API
+    // change that breaks it.
+    let ci = ci_config();
+    assert!(
+        ci.contains("cargo test --release --offline --manifest-path benchmark/Cargo.toml"),
+        "CI workflow dropped the benchmark package step; a workspace API \
+         change could break the benchmark unnoticed"
+    );
+}
