@@ -13,7 +13,7 @@ use berkmin_cnf::{ClauseSink, Cnf, Lit, Var};
 use crate::config::SolverConfig;
 use crate::engine::SatEngine;
 use crate::proof::ProofSink;
-use crate::search::{ImportCallback, LearntCallback, TerminateCallback};
+use crate::search::{ImportCallback, LearntCallback, SolveEvents, TerminateCallback};
 use crate::solver::Solver;
 use crate::telemetry::SolveObserver;
 
@@ -146,8 +146,9 @@ impl SolverBuilder {
         self
     }
 
-    /// Installs the terminate callback: polled at solve entry and at every
-    /// restart boundary; returning `true` aborts the running call with
+    /// Installs the terminate callback: polled at solve entry, at every
+    /// restart boundary and every 1024 conflicts (so a restart-free search
+    /// honors it too); returning `true` aborts the running call with
     /// [`SolveStatus::Unknown`](crate::SolveStatus::Unknown)\(
     /// [`StopReason::Callback`](crate::StopReason::Callback)\). Budgets are
     /// unaffected — a later call proceeds with its full per-call allowance.
@@ -215,12 +216,17 @@ impl SolverBuilder {
         );
         let mut solver = Solver::with_config(self.config);
         if let Some(sink) = self.proof {
-            solver.replace_proof_sink(sink);
+            // From here on the solver collects hint chains for the sink
+            // (see `ProofSink::add_clause_hinted`).
+            solver.proof = sink;
+            solver.hints.on = true;
         }
-        solver.set_terminate(self.terminate);
-        solver.set_learnt_callback(self.on_learnt);
-        solver.set_import_source(self.import);
-        solver.set_observer(self.observer);
+        solver.events = SolveEvents {
+            terminate: self.terminate,
+            on_learnt: self.on_learnt,
+            import: self.import,
+            observer: self.observer,
+        };
         solver.reserve_vars(self.reserve_vars);
         for var in self.frozen {
             solver.freeze(var);

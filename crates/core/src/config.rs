@@ -1,4 +1,8 @@
-//! Solver configuration: every heuristic of the paper is a switch here.
+//! Solver configuration: every heuristic the paper ablates is a switch
+//! here. A value with only one setting in use — §8's keep rule (43 / 7 /
+//! 9 / 60, +1 per reduction), the simplifier's SatELite caps, the
+//! progress-tick period — is instead a named constant beside the code
+//! that reads it.
 //!
 //! Each ablation arm of the paper's Tables 1, 2, 4 and 5 is a preset
 //! constructor on [`SolverConfig`]:
@@ -128,26 +132,16 @@ impl Default for RestartPolicy {
 
 /// Clause-database management policy, applied between search trees
 /// (paper §8, Table 5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum DbPolicy {
-    /// BerkMin's policy. A learnt clause at distance `< 15/16·stack` from
-    /// the top is *young* and kept iff `len < young_len ∨ activity >
-    /// young_act`; otherwise it is *old* and kept iff `len < old_len ∨
-    /// activity > old_threshold`, where the old-clause activity threshold
-    /// starts at `old_act_init` and grows by `old_act_inc` per reduction.
-    /// The topmost stack clause is never removed (anti-looping guard).
-    BerkMin {
-        /// Young clauses shorter than this are always kept (paper: 43).
-        young_len: u32,
-        /// Young clauses more active than this are kept (paper: 7).
-        young_act: u32,
-        /// Old clauses shorter than this are always kept (paper: 9).
-        old_len: u32,
-        /// Initial old-clause activity threshold (paper: 60).
-        old_act_init: u32,
-        /// Per-reduction increment of the old-clause threshold.
-        old_act_inc: u32,
-    },
+    /// BerkMin's policy with the paper's constants. A learnt clause at
+    /// distance `< 15/16·stack` from the top is *young* and kept iff
+    /// `len < 43 ∨ activity > 7`; otherwise it is *old* and kept iff
+    /// `len < 9 ∨ activity > threshold`, where the old-clause threshold
+    /// starts at 60 and grows by 1 per reduction. The topmost stack clause
+    /// is never removed (anti-looping guard).
+    #[default]
+    BerkMin,
     /// GRASP-style `limited_keeping` (Table 5): remove every learnt clause
     /// longer than `max_len` (paper used 42), regardless of age/activity.
     LengthBounded {
@@ -156,25 +150,6 @@ pub enum DbPolicy {
     },
     /// Keep every learnt clause (memory permitting).
     KeepAll,
-}
-
-impl DbPolicy {
-    /// The paper's BerkMin policy with its published constants.
-    pub const fn berkmin_default() -> Self {
-        DbPolicy::BerkMin {
-            young_len: 43,
-            young_act: 7,
-            old_len: 9,
-            old_act_init: 60,
-            old_act_inc: 1,
-        }
-    }
-}
-
-impl Default for DbPolicy {
-    fn default() -> Self {
-        DbPolicy::berkmin_default()
-    }
 }
 
 /// Configuration of the SatELite-style preprocessor (the
@@ -197,8 +172,6 @@ impl Default for DbPolicy {
 ///   sees the raw formula exactly as before this subsystem existed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SimplifyConfig {
-    /// Master switch: when false the preprocessor never runs.
-    pub enable: bool,
     /// Backward subsumption + self-subsuming resolution (clause
     /// strengthening) over the occurrence lists.
     pub subsumption: bool,
@@ -206,21 +179,9 @@ pub struct SimplifyConfig {
     /// removes variables, which constrains later incremental reuse (see
     /// the freeze/melt contract on [`crate::Solver::freeze`]).
     pub var_elim: bool,
-    /// Skip eliminating a variable when either polarity occurs in more
-    /// than this many clauses (the classic SatELite occurrence cap).
-    pub elim_occ_cap: usize,
-    /// Eliminate only when the number of non-tautological resolvents is at
-    /// most `pos + neg + elim_growth` (0 = never let the database grow).
-    pub elim_growth: usize,
-    /// Abort eliminating a variable if any resolvent would exceed this
-    /// many literals.
-    pub elim_clause_cap: usize,
     /// Re-run the simplifier at every solve call (inprocessing) instead of
     /// only the first.
     pub inprocess: bool,
-    /// Maximum subsumption/elimination rounds per simplifier run (each
-    /// round re-processes the clauses touched by the previous one).
-    pub rounds: u32,
 }
 
 impl SimplifyConfig {
@@ -228,22 +189,18 @@ impl SimplifyConfig {
     /// elimination, re-run on every solve call.
     pub const fn full() -> Self {
         SimplifyConfig {
-            enable: true,
             subsumption: true,
             var_elim: true,
-            elim_occ_cap: 10,
-            elim_growth: 0,
-            elim_clause_cap: 20,
             inprocess: true,
-            rounds: 3,
         }
     }
 
     /// Preprocessing disabled entirely.
     pub const fn off() -> Self {
         SimplifyConfig {
-            enable: false,
-            ..SimplifyConfig::full()
+            subsumption: false,
+            var_elim: false,
+            inprocess: false,
         }
     }
 }
@@ -253,9 +210,9 @@ impl Default for SimplifyConfig {
     /// solve call only — safe for unrestricted incremental use.
     fn default() -> Self {
         SimplifyConfig {
+            subsumption: true,
             var_elim: false,
             inprocess: false,
-            ..SimplifyConfig::full()
         }
     }
 }
@@ -272,30 +229,18 @@ impl Default for SimplifyConfig {
 pub struct Budget {
     /// Abort after this many conflicts.
     pub max_conflicts: u64,
-    /// Abort after this many decisions.
-    pub max_decisions: u64,
-    /// Abort after this many propagated literals.
-    pub max_propagations: u64,
 }
 
 impl Budget {
     /// An unlimited budget.
     pub const fn unlimited() -> Self {
-        Budget {
-            max_conflicts: u64::MAX,
-            max_decisions: u64::MAX,
-            max_propagations: u64::MAX,
-        }
+        Budget::conflicts(u64::MAX)
     }
 
-    /// A budget capping only the number of conflicts — the harness's
+    /// A budget capping the number of conflicts — the harness's
     /// deterministic analog of the paper's wall-clock timeouts.
     pub const fn conflicts(n: u64) -> Self {
-        Budget {
-            max_conflicts: n,
-            max_decisions: u64::MAX,
-            max_propagations: u64::MAX,
-        }
+        Budget { max_conflicts: n }
     }
 }
 
@@ -345,10 +290,6 @@ pub struct SolverConfig {
     /// Record every decision variable in [`crate::Stats::decision_log`]
     /// (used by the Fig. 1 experiment; costs memory on long runs).
     pub record_decisions: bool,
-    /// Conflicts between [`SolveEvent::Progress`](crate::SolveEvent::Progress)
-    /// ticks within one solve call (0 disables ticks). Only consulted when
-    /// an observer is attached — without one the search never looks at it.
-    pub progress_every: u64,
     /// Run [`Solver::audit_invariants`](crate::Solver::audit_invariants)
     /// at every quiescent point of the search (after propagation, conflict
     /// handling and restarts), panicking on the first violation. Expensive —
@@ -370,13 +311,12 @@ impl SolverConfig {
             top_polarity: TopClausePolarity::Symmetrize,
             free_polarity: FreeVarPolarity::NbTwo,
             restart: RestartPolicy::default(),
-            db_policy: DbPolicy::berkmin_default(),
+            db_policy: DbPolicy::BerkMin,
             nb_two_threshold: 100,
             minimize_learnt: false,
             seed: 0x5EED_B16B_00B5,
             budget: Budget::unlimited(),
             record_decisions: false,
-            progress_every: 1024,
             paranoid: false,
             simplify: SimplifyConfig::default(),
         }
@@ -506,14 +446,6 @@ impl SolverConfig {
         self
     }
 
-    /// Sets the conflict interval between progress-tick events, returning
-    /// the modified config (builder-style). See
-    /// [`SolverConfig::progress_every`].
-    pub fn with_progress_every(mut self, conflicts: u64) -> Self {
-        self.progress_every = conflicts;
-        self
-    }
-
     /// Sets the preprocessor configuration, returning the modified config
     /// (builder-style). See [`SimplifyConfig`].
     pub fn with_simplify(mut self, simplify: SimplifyConfig) -> Self {
@@ -554,29 +486,9 @@ mod tests {
     }
 
     #[test]
-    fn berkmin_db_constants_match_paper() {
-        match DbPolicy::berkmin_default() {
-            DbPolicy::BerkMin {
-                young_len,
-                young_act,
-                old_len,
-                old_act_init,
-                ..
-            } => {
-                assert_eq!(
-                    (young_len, young_act, old_len, old_act_init),
-                    (43, 7, 9, 60)
-                );
-            }
-            _ => unreachable!(),
-        }
-    }
-
-    #[test]
     fn budget_constructors() {
-        let b = Budget::conflicts(100);
-        assert_eq!(b.max_conflicts, 100);
-        assert_eq!(b.max_decisions, u64::MAX);
+        assert_eq!(Budget::conflicts(100).max_conflicts, 100);
+        assert_eq!(Budget::unlimited().max_conflicts, u64::MAX);
         assert_eq!(Budget::default(), Budget::unlimited());
     }
 

@@ -77,11 +77,11 @@
 //! A structured observer installs via [`SolverBuilder::on_event`] (or
 //! [`SatEngine::set_observer`] on any engine, including the portfolio):
 //! every [`SolveEvent`] the search emits — solve-call brackets, restarts,
-//! reductions, periodic progress ticks, sharing traffic, worker-tagged
-//! portfolio events — flows to the [`SolveObserver`]. Without an observer
-//! the solver constructs no events at all. [`StatsSnapshot`] renders (and
-//! parses back) a [`Stats`] block as JSON for machine consumption; see
-//! [`telemetry`] for the full vocabulary.
+//! reductions, a progress tick every 1024 conflicts, sharing traffic,
+//! worker-tagged portfolio events — flows to the [`SolveObserver`].
+//! Without an observer the solver constructs no events at all.
+//! [`StatsSnapshot`] renders a [`Stats`] block as JSON for machine
+//! consumption; see [`telemetry`] for the full vocabulary.
 //!
 //! # Proof logging
 //!
@@ -143,7 +143,7 @@ pub use config::{
 pub use engine::SatEngine;
 pub use portfolio::{PortfolioConfig, PortfolioEngine, WorkerOutcome, WorkerReport};
 pub use proof::{ClauseId, NoProof, ProofSink};
-pub use search::{ImportCallback, LearntCallback, SolveStatus, StopReason, TerminateCallback};
+pub use search::{SolveStatus, StopReason};
 pub use solver::Solver;
 pub use stats::Stats;
 pub use telemetry::{SolveEvent, SolveObserver, SolveVerdict, StatsSnapshot};

@@ -15,13 +15,18 @@
 //! until the conflict is fully handled, so the batch stays coherent while
 //! the loop works through it).
 
-use crate::config::{Budget, DecisionStrategy, RestartPolicy, SolverConfig};
+use crate::config::{DecisionStrategy, RestartPolicy, SolverConfig};
 use crate::stats::Stats;
 
 /// Conflicts between terminate-callback polls inside a search tree. Restart
 /// boundaries also poll, but a policy like [`RestartPolicy::Never`] (or a
 /// huge fixed interval) would otherwise never hand control back.
 pub(crate) const TERMINATE_POLL_CONFLICTS: u64 = 1024;
+
+/// Conflicts of one solve call between
+/// [`SolveEvent::Progress`](crate::telemetry::SolveEvent::Progress) ticks.
+/// Only an attached observer receives them.
+pub(crate) const PROGRESS_PERIOD: u64 = 1024;
 
 /// Conflicts between variable-activity aging steps (the paper's Chaff
 /// discussion uses "every 100 conflicts").
@@ -30,9 +35,9 @@ const ACTIVITY_DECAY_INTERVAL: u64 = 100;
 /// Conflicts between VSIDS literal-counter halvings (the zChaff preset).
 const VSIDS_DECAY_INTERVAL: u64 = 256;
 
-/// Per-solve-call baseline of the budgeted counters (plus restarts, which
-/// are not budgeted but are reported as a per-call delta in
-/// [`SolveEvent::SolveDone`](crate::telemetry::SolveEvent)).
+/// Per-solve-call baseline of the counters: conflicts for the budget, and
+/// all four for the per-call deltas of
+/// [`SolveEvent::SolveDone`](crate::telemetry::SolveEvent).
 #[derive(Debug, Clone, Copy, Default)]
 struct BudgetBase {
     conflicts: u64,
@@ -107,7 +112,7 @@ impl SearchLimits {
             decay_var_activity: c % ACTIVITY_DECAY_INTERVAL == 0,
             decay_vsids: config.decision == DecisionStrategy::Vsids
                 && c % VSIDS_DECAY_INTERVAL == 0,
-            progress_tick: config.progress_every > 0 && per_call % config.progress_every == 0,
+            progress_tick: per_call % PROGRESS_PERIOD == 0,
             poll_terminate: per_call % TERMINATE_POLL_CONFLICTS == 0,
             conflict_budget_exhausted: per_call >= config.budget.max_conflicts,
         }
@@ -159,18 +164,6 @@ impl SearchLimits {
     #[inline]
     pub(crate) fn restarts_spent(&self, stats: &Stats) -> u64 {
         stats.restarts - self.base.restarts
-    }
-
-    /// Whether the per-call decision budget is exhausted.
-    #[inline]
-    pub(crate) fn decision_budget_exhausted(&self, stats: &Stats, budget: &Budget) -> bool {
-        self.decisions_spent(stats) >= budget.max_decisions
-    }
-
-    /// Whether the per-call propagation budget is exhausted.
-    #[inline]
-    pub(crate) fn propagation_budget_exhausted(&self, stats: &Stats, budget: &Budget) -> bool {
-        self.propagations_spent(stats) >= budget.max_propagations
     }
 
     /// Whether preprocessing should run at this solve entry: always under
@@ -241,20 +234,11 @@ mod tests {
     fn budget_baseline_is_per_call() {
         let mut stats = Stats::new();
         stats.conflicts = 100;
-        stats.decisions = 40;
         let mut limits = SearchLimits::new();
         limits.begin_call(&stats);
         assert_eq!(limits.conflicts_spent(&stats), 0);
         stats.conflicts = 103;
         assert_eq!(limits.conflicts_spent(&stats), 3);
-        let budget = Budget {
-            max_decisions: 5,
-            ..Budget::unlimited()
-        };
-        stats.decisions = 44;
-        assert!(!limits.decision_budget_exhausted(&stats, &budget));
-        stats.decisions = 45;
-        assert!(limits.decision_budget_exhausted(&stats, &budget));
     }
 
     #[test]

@@ -117,9 +117,7 @@ pub struct PortfolioConfig {
     pub deterministic: bool,
     /// Conflict-budget slice per worker per round in deterministic mode.
     pub slice_conflicts: u64,
-    /// Per-worker resource budget for each solve call. In deterministic
-    /// mode only the conflict component is honored (the schedule slices by
-    /// conflicts).
+    /// Per-worker conflict budget for each solve call.
     pub budget: Budget,
     /// Run every worker with paranoid in-search self-audits (expensive;
     /// meant for the fuzz harness and debugging).
@@ -461,7 +459,7 @@ impl PortfolioEngine {
         // Under inprocessing the front rewrites the formula at every call,
         // which retires the live crew.
         let cfg = self.config.simplify;
-        if self.ok && cfg.enable && cfg.inprocess && (cfg.subsumption || cfg.var_elim) {
+        if self.ok && cfg.inprocess && (cfg.subsumption || cfg.var_elim) {
             self.crew = None;
         }
         let mut crew = match self.crew.take() {

@@ -8,8 +8,7 @@
 //! [`reconstruct`](super::reconstruct)). "Bounded" is the SatELite
 //! discipline: skip the variable unless each polarity's occurrence count,
 //! every resolvent's length, and the total resolvent count stay under the
-//! configured caps ([`SimplifyConfig`](crate::SimplifyConfig)), so the
-//! formula never blows up.
+//! caps below (SatELite's defaults), so the formula never blows up.
 //!
 //! Proof order matters: every (non-tautological, non-satisfied) resolvent
 //! is RUP **while its two parents are still present**, so the resolvents'
@@ -28,6 +27,18 @@ use crate::proof::ProofSink;
 use crate::solver::Solver;
 
 use super::SimpState;
+
+/// Skip a variable when either polarity occurs in more than this many
+/// clauses.
+const OCC_CAP: usize = 10;
+
+/// Eliminate only when the non-tautological resolvents number at most
+/// `pos + neg + GROWTH` (0: the clause count never grows).
+const GROWTH: usize = 0;
+
+/// Abort eliminating a variable if any resolvent would exceed this many
+/// literals.
+const CLAUSE_CAP: usize = 20;
 
 /// The resolvent of `pc` (containing `v` positively) and `nc` (containing
 /// `v` negatively) on `v`: the union of both clauses minus the pivot
@@ -73,13 +84,12 @@ impl Solver {
     /// Attempts to eliminate `v`; a cap violation aborts with no state
     /// changed at all.
     fn try_eliminate(&mut self, v: Var, st: &mut SimpState, proof: &mut dyn ProofSink) {
-        let cfg = self.config.simplify;
         if self.frozen[v.index()] || self.eliminated[v.index()] || !self.trail.value(v).is_undef() {
             return;
         }
         let p = Lit::pos(v);
         // Cheap cap check before compacting the (possibly long) lists.
-        if st.idx.occ_len_live(p) > cfg.elim_occ_cap || st.idx.occ_len_live(!p) > cfg.elim_occ_cap {
+        if st.idx.occ_len_live(p) > OCC_CAP || st.idx.occ_len_live(!p) > OCC_CAP {
             return;
         }
         let pos = st.idx.compact_occ(p);
@@ -87,7 +97,7 @@ impl Solver {
         if pos.is_empty() && neg.is_empty() {
             return; // unconstrained headroom — nothing to dissolve
         }
-        let budget = pos.len() + neg.len() + cfg.elim_growth;
+        let budget = pos.len() + neg.len() + GROWTH;
         // Each resolvent with its two parents, which form its hint chain.
         let mut resolvents: Vec<(Vec<Lit>, [ClauseRef; 2])> = Vec::new();
         for &pi in &pos {
@@ -96,7 +106,7 @@ impl Solver {
                 let pc = self.db.lits(parents[0]);
                 let nc = self.db.lits(parents[1]);
                 if let Some(r) = resolve(pc, nc, v) {
-                    if r.len() > cfg.elim_clause_cap {
+                    if r.len() > CLAUSE_CAP {
                         return;
                     }
                     resolvents.push((r, parents));
@@ -179,6 +189,7 @@ impl Solver {
 mod tests {
     use berkmin_cnf::{Lit, Var};
 
+    use super::OCC_CAP;
     use crate::config::{SimplifyConfig, SolverConfig};
     use crate::solver::Solver;
 
@@ -221,22 +232,33 @@ mod tests {
 
     #[test]
     fn occurrence_cap_blocks_busy_variables() {
-        let mut cfg = SimplifyConfig::full();
-        cfg.elim_occ_cap = 1;
-        let mut s = solver(cfg);
-        // x1 occurs positively twice — over the cap of 1.
-        s.add_clause([lit(1), lit(2)]);
-        s.add_clause([lit(1), lit(3)]);
-        s.add_clause([lit(-1), lit(4)]);
-        assert!(s.solve().is_sat());
-        assert!(!s.is_eliminated(Var::new(0)));
+        // x1 occurs positively `positive` times, each time with a fresh
+        // variable, and once negatively: `positive` resolvents fit the
+        // non-growing budget, so only the occurrence cap can block it.
+        let eliminated_with = |positive: i32| {
+            let mut s = solver(SimplifyConfig::full());
+            for i in 0..positive {
+                s.add_clause([lit(1), lit(i + 3)]);
+            }
+            s.add_clause([lit(-1), lit(2)]);
+            assert!(s.solve().is_sat());
+            s.is_eliminated(Var::new(0))
+        };
+        assert!(
+            eliminated_with(OCC_CAP as i32),
+            "at the cap x1 is eliminable"
+        );
+        assert!(
+            !eliminated_with(OCC_CAP as i32 + 1),
+            "one over the cap blocks x1"
+        );
     }
 
     #[test]
     fn growth_cap_blocks_expanding_eliminations() {
         // x1: 3 positive × 2 negative occurrences = 6 distinct resolvents,
-        // over the non-growing budget 3+2+0. Every other variable is frozen
-        // so x1 stays the only candidate across rounds.
+        // over the non-growing budget 3+2+GROWTH. Every other variable is
+        // frozen so x1 stays the only candidate across rounds.
         let mut s = solver(SimplifyConfig::full());
         for v in 1..6 {
             s.freeze(Var::new(v));

@@ -12,7 +12,7 @@
 //!   resolving `A` against `B` on `l` yields `B \ {¬l}`, which subsumes
 //!   `B`: `B` is strengthened in place by dropping `¬l`.
 //! * **Bounded variable elimination** — a variable whose resolvent set
-//!   stays under the configured caps is dissolved: the pairwise resolvents
+//!   stays under SatELite's caps is dissolved: the pairwise resolvents
 //!   replace the clauses containing it ([`eliminate`]), and the deleted
 //!   clauses of one side go onto the reconstruction stack
 //!   ([`reconstruct`]) so SAT models extend back over the variable.
@@ -48,6 +48,10 @@ use crate::solver::Solver;
 use crate::telemetry::SolveEvent;
 
 use occur::OccIndex;
+
+/// Maximum subsumption/elimination rounds per simplifier run (each round
+/// re-processes the clauses touched by the previous one).
+const ROUNDS: u32 = 3;
 
 /// Working state of one simplifier run: the occurrence index plus the two
 /// work queues (clauses pending a subsumption scan, variables touched since
@@ -102,7 +106,7 @@ impl Solver {
     /// [`Solver::is_ok`]).
     pub(crate) fn simplify_formula(&mut self, proof: &mut dyn ProofSink) {
         let cfg = self.config.simplify;
-        if !cfg.enable || (!cfg.subsumption && !cfg.var_elim) || !self.ok {
+        if (!cfg.subsumption && !cfg.var_elim) || !self.ok {
             return;
         }
         if !self.limits.simplify_due(cfg.inprocess) {
@@ -141,7 +145,7 @@ impl Solver {
         st.queue = (0..st.idx.clauses.len() as u32).collect();
 
         let mut rounds = 0u32;
-        while rounds < cfg.rounds && self.ok {
+        while rounds < ROUNDS && self.ok {
             rounds += 1;
             let mark = (
                 self.stats.clauses_subsumed,

@@ -22,6 +22,17 @@ use crate::config::DbPolicy;
 use crate::proof::ProofSink;
 use crate::solver::Solver;
 
+/// Young clauses shorter than this are always kept (§8: 43).
+pub(crate) const YOUNG_KEEP_LEN: u32 = 43;
+/// Young clauses more active than this are kept (§8: 7).
+pub(crate) const YOUNG_KEEP_ACT: u32 = 7;
+/// Old clauses shorter than this are always kept (§8: 9).
+pub(crate) const OLD_KEEP_LEN: u32 = 9;
+/// The old-clause activity threshold a solver starts with (§8: 60).
+pub(crate) const OLD_ACT_INIT: u32 = 60;
+/// Per-reduction increment of the old-clause activity threshold.
+pub(crate) const OLD_ACT_INC: u32 = 1;
+
 impl Solver {
     /// Performs database reduction. Must be called at decision level 0 with
     /// a fully propagated trail (i.e. right after a restart).
@@ -128,13 +139,7 @@ impl Solver {
             return;
         }
         match self.config.db_policy {
-            DbPolicy::BerkMin {
-                young_len,
-                young_act,
-                old_len,
-                old_act_inc,
-                ..
-            } => {
+            DbPolicy::BerkMin => {
                 for i in 0..n - 1 {
                     let cref = self.db.stack[i];
                     debug_assert!(self.db.is_learnt(cref), "original clause on the stack");
@@ -142,9 +147,9 @@ impl Solver {
                     let young = distance * 16 < 15 * n as u64;
                     let (len, act) = (self.db.len(cref) as u32, self.db.activity(cref));
                     let keep = if young {
-                        len < young_len || act > young_act
+                        len < YOUNG_KEEP_LEN || act > YOUNG_KEEP_ACT
                     } else {
-                        len < old_len || act > self.old_act_threshold
+                        len < OLD_KEEP_LEN || act > self.old_act_threshold
                     };
                     if !keep {
                         self.db.delete(cref);
@@ -154,7 +159,7 @@ impl Solver {
                 // "The threshold … is gradually increased so that long
                 // clauses that … stopped participating in conflicts will be
                 // removed" (§8).
-                self.old_act_threshold = self.old_act_threshold.saturating_add(old_act_inc);
+                self.old_act_threshold = self.old_act_threshold.saturating_add(OLD_ACT_INC);
             }
             DbPolicy::LengthBounded { max_len } => {
                 for i in 0..n - 1 {
@@ -172,10 +177,9 @@ impl Solver {
 
 #[cfg(test)]
 mod tests {
-    use crate::config::{DbPolicy, SolverConfig};
+    use super::*;
+    use crate::config::SolverConfig;
     use crate::proof::NoProof;
-    use crate::solver::Solver;
-    use berkmin_cnf::Lit;
 
     fn lit(n: i32) -> Lit {
         Lit::from_dimacs(n)
@@ -260,6 +264,22 @@ mod tests {
         s.reduce_db(&mut NoProof);
         s.reduce_db(&mut NoProof);
         assert_eq!(s.old_act_threshold, before + 2);
+    }
+
+    #[test]
+    fn berkmin_db_constants_match_paper() {
+        assert_eq!(
+            (
+                YOUNG_KEEP_LEN,
+                YOUNG_KEEP_ACT,
+                OLD_KEEP_LEN,
+                OLD_ACT_INIT,
+                OLD_ACT_INC
+            ),
+            (43, 7, 9, 60, 1)
+        );
+        let s = Solver::with_config(SolverConfig::berkmin());
+        assert_eq!(s.old_act_threshold, OLD_ACT_INIT);
     }
 
     #[test]

@@ -26,10 +26,6 @@ pub enum StopReason {
     /// The conflict budget was exhausted — the deterministic analog of the
     /// paper's wall-clock timeouts ("aborted" rows in Tables 2, 4, 7).
     ConflictBudget,
-    /// The decision budget was exhausted.
-    DecisionBudget,
-    /// The propagation budget was exhausted.
-    PropagationBudget,
     /// The terminate callback (see
     /// [`SolverBuilder::on_terminate`](crate::SolverBuilder::on_terminate))
     /// asked the solver to stop. Budgets are unaffected: a later
@@ -41,8 +37,6 @@ impl std::fmt::Display for StopReason {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             StopReason::ConflictBudget => write!(f, "conflict budget exhausted"),
-            StopReason::DecisionBudget => write!(f, "decision budget exhausted"),
-            StopReason::PropagationBudget => write!(f, "propagation budget exhausted"),
             StopReason::Callback => write!(f, "terminate callback requested stop"),
         }
     }
@@ -55,23 +49,23 @@ const ACTIVITY_DECAY_DIVISOR: u64 = 4;
 /// A boxed terminate callback: polled at solve entry, at restart
 /// boundaries, and every 1024 conflicts; returning `true` aborts with
 /// [`StopReason::Callback`].
-pub type TerminateCallback = Box<dyn FnMut() -> bool>;
+pub(crate) type TerminateCallback = Box<dyn FnMut() -> bool>;
 
 /// A boxed learnt-clause callback: receives every conflict-derived learnt
 /// clause (asserting literal first) together with its LBD. It filters
 /// nothing; callers keep what they want.
-pub type LearntCallback = Box<dyn FnMut(&[Lit], u32)>;
+pub(crate) type LearntCallback = Box<dyn FnMut(&[Lit], u32)>;
 
 /// A boxed share-import source: polled at solve entry and at every restart
 /// boundary, it pushes candidate clauses into the supplied buffer; the solver integrates them
 /// at decision level 0 (level-0-simplified, attached as learnt clauses).
 /// Every pushed clause **must** be implied by the original formula — the
 /// portfolio's inbound half of learnt-clause sharing.
-pub type ImportCallback = Box<dyn FnMut(&mut Vec<Vec<Lit>>)>;
+pub(crate) type ImportCallback = Box<dyn FnMut(&mut Vec<Vec<Lit>>)>;
 
-/// The solve-event hooks a solver carries (installed at construction time
-/// through [`SolverBuilder`](crate::SolverBuilder), replaceable later via
-/// [`Solver::set_terminate`] / [`Solver::set_learnt_callback`]). Callbacks
+/// The solve-event hooks a solver carries, installed at construction time
+/// through [`SolverBuilder`](crate::SolverBuilder) (only the observer is
+/// replaceable later, via [`Solver::set_observer`]). Callbacks
 /// receive no solver reference — they observe only what they captured plus
 /// the arguments passed, so they cannot perturb the search.
 #[derive(Default)]
@@ -250,12 +244,6 @@ impl Solver {
                 self.paranoid_audit("after propagation");
                 if self
                     .limits
-                    .propagation_budget_exhausted(&self.stats, &self.config.budget)
-                {
-                    return SolveStatus::Unknown(StopReason::PropagationBudget);
-                }
-                if self
-                    .limits
                     .restart_due(self.decision_level(), &self.stats, self.config.restart)
                 {
                     // The terminate callback is polled at every restart
@@ -300,12 +288,6 @@ impl Solver {
                 }
                 if asserted_assumption {
                     continue; // propagate the assumption before deciding
-                }
-                if self
-                    .limits
-                    .decision_budget_exhausted(&self.stats, &self.config.budget)
-                {
-                    return SolveStatus::Unknown(StopReason::DecisionBudget);
                 }
                 match self.decide() {
                     None => {
@@ -594,55 +576,6 @@ impl Solver {
             Some(callback) => callback(),
             None => false,
         }
-    }
-
-    /// Installs (or clears) the terminate callback — polled at solve entry,
-    /// at every restart boundary, and every 1024 conflicts (so even a
-    /// restart-free search honors it); returning `true` makes the current
-    /// and any later [`Solver::solve`] call return
-    /// [`SolveStatus::Unknown`]\([`StopReason::Callback`]\) until the
-    /// callback is cleared or starts returning `false`. Budgets are never
-    /// consumed by a callback stop. Usually installed at construction time
-    /// via [`SolverBuilder::on_terminate`](crate::SolverBuilder::on_terminate).
-    pub fn set_terminate(&mut self, callback: Option<TerminateCallback>) {
-        self.events.terminate = callback;
-    }
-
-    /// Installs (or clears) the learnt-clause callback: fired once per
-    /// conflict-derived learnt clause (asserting literal first) with its
-    /// LBD, after the clause is reported to the proof sink and before
-    /// search resumes. Every delivered clause is a logical consequence of
-    /// the original formula (never of the assumptions), so any solver on
-    /// the same formula may add it. Usually installed at construction time
-    /// via [`SolverBuilder::on_learnt`](crate::SolverBuilder::on_learnt).
-    pub fn set_learnt_callback(&mut self, callback: Option<LearntCallback>) {
-        self.events.on_learnt = callback;
-    }
-
-    /// Installs (or clears) the share-import source: polled at solve entry
-    /// and at every restart boundary (trail at level 0) with a scratch
-    /// buffer the source fills with foreign clauses. **Every supplied clause must be implied by the
-    /// original formula** — the solver attaches them without re-deriving
-    /// them, so an unsound import corrupts verdicts. For the same reason an
-    /// import source cannot be combined with a proof sink (the imports are
-    /// not RUP-derivable in this solver's proof);
-    /// [`SolverBuilder::build`](crate::SolverBuilder::build) enforces this.
-    /// Usually installed at construction time via
-    /// [`SolverBuilder::share_import`](crate::SolverBuilder::share_import).
-    pub fn set_import_source(&mut self, source: Option<ImportCallback>) {
-        self.events.import = source;
-    }
-
-    /// Replaces the construction-time proof sink, returning the previous
-    /// one — how a caller that attached a shared sink reclaims sole
-    /// ownership (e.g. to `Rc::try_unwrap` it) without dropping the solver.
-    ///
-    /// From the first call on, the solver also collects hint chains for the
-    /// sink (see [`ProofSink::add_clause_hinted`]); clauses stored before it
-    /// carry no ID, so additions resting on them go out unhinted.
-    pub fn replace_proof_sink(&mut self, sink: Box<dyn ProofSink>) -> Box<dyn ProofSink> {
-        self.hints.on = true;
-        std::mem::replace(&mut self.proof, sink)
     }
 
     /// Installs a freshly learnt clause: records activities, attaches

@@ -153,7 +153,7 @@ impl Solver {
     /// Creates an empty solver under `config` (see [`Solver::add_clause`]).
     pub fn with_config(config: SolverConfig) -> Self {
         let old_act_threshold = match config.db_policy {
-            crate::DbPolicy::BerkMin { old_act_init, .. } => old_act_init,
+            crate::DbPolicy::BerkMin => crate::reduce::OLD_ACT_INIT,
             _ => 0,
         };
         let rng = XorShift64::new(config.seed);

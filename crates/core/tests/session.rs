@@ -57,11 +57,13 @@ fn terminate_callback_aborts_with_callback_reason_and_spares_budgets() {
     let mut cfg = cfg;
     cfg.restart = RestartPolicy::FixedInterval(1);
     let polls = Rc::new(Cell::new(0u32));
-    let tap = Rc::clone(&polls);
+    // Whether the callback may stop the search at all; cleared below.
+    let armed = Rc::new(Cell::new(true));
+    let (tap, arm) = (Rc::clone(&polls), Rc::clone(&armed));
     let mut s = SolverBuilder::with_config(cfg)
         .on_terminate(move || {
             tap.set(tap.get() + 1);
-            tap.get() >= 3
+            arm.get() && tap.get() >= 3
         })
         .build();
     add_pigeonhole(&mut s, 6); // needs thousands of conflicts — never finishes here
@@ -77,9 +79,9 @@ fn terminate_callback_aborts_with_callback_reason_and_spares_budgets() {
         "callback stop must preempt the conflict budget, spent {spent_under_callback}"
     );
 
-    // Clearing the callback proves budgets were untouched: the next call
+    // Disarming the callback proves budgets were untouched: the next call
     // runs to its *full* fresh per-call allowance of 10 conflicts.
-    s.set_terminate(None);
+    armed.set(false);
     match s.solve() {
         SolveStatus::Unknown(StopReason::ConflictBudget) => {}
         other => panic!("expected budget abort, got {other:?}"),

@@ -10,6 +10,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::{Arc, Mutex};
 
+use berkmin::telemetry::{json, stats_to_json};
 use berkmin::{
     Budget, PortfolioConfig, PortfolioEngine, SatEngine, SolveEvent, SolveVerdict, Solver,
     SolverBuilder, SolverConfig, StatsSnapshot,
@@ -106,8 +107,9 @@ impl Tally {
 }
 
 /// Solves hole(6) on `engine`, renders the run as the `--stats-json`
-/// document and requires the parse to give back the exact verdict and
-/// `Stats`.
+/// document and requires its parse to hold the verdict's name and exactly
+/// the engine's `Stats` as JSON (`json::Value::Int` never passes through
+/// `f64`).
 fn assert_stats_json_round_trips(engine: &mut dyn SatEngine) {
     for c in pigeonhole(6) {
         engine.add_clause(&c);
@@ -117,9 +119,16 @@ fn assert_stats_json_round_trips(engine: &mut dyn SatEngine) {
     let stats = engine.stats();
     assert!(stats.conflicts > 0);
     let text = StatsSnapshot::new(verdict, 0.5, stats).render();
-    let parsed = StatsSnapshot::parse(&text).expect("stats JSON parses back");
-    assert_eq!(parsed.verdict, verdict);
-    assert_eq!(&parsed.stats, stats, "stats JSON is lossy");
+    let parsed = json::parse(&text).expect("stats JSON parses back");
+    assert_eq!(
+        parsed.get("verdict").and_then(json::Value::as_str),
+        Some(verdict.as_str())
+    );
+    assert_eq!(
+        parsed.get("stats"),
+        Some(&stats_to_json(stats)),
+        "stats JSON is lossy"
+    );
 }
 
 #[test]
@@ -192,19 +201,24 @@ fn solve_done_deltas_match_per_call_spend() {
 
 #[test]
 fn progress_ticks_follow_the_configured_period() {
+    // The period `SolveEvent::Progress` documents.
+    const PERIOD: u64 = 1024;
     let tally = Rc::new(RefCell::new(Tally::default()));
     let tap = Rc::clone(&tally);
-    let mut solver = SolverBuilder::with_config(SolverConfig::berkmin().with_progress_every(10))
+    let mut solver = SolverBuilder::with_config(SolverConfig::berkmin())
         .on_event(move |e: &SolveEvent| tap.borrow_mut().record(e))
         .build();
-    for c in pigeonhole(6) {
+    for c in pigeonhole(7) {
         solver.add_clause(c);
     }
     assert!(solver.solve().is_unsat());
     let conflicts = solver.stats().conflicts;
     let ticks = tally.borrow().progress;
-    assert!(ticks > 0, "hole(6) spends far more than 10 conflicts");
-    assert_eq!(ticks, conflicts / 10, "one tick per 10 conflicts");
+    assert!(
+        ticks >= 3,
+        "hole(7) spends several periods, got {ticks} ticks"
+    );
+    assert_eq!(ticks, conflicts / PERIOD, "one tick per {PERIOD} conflicts");
 }
 
 #[test]

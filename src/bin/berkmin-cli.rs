@@ -37,13 +37,7 @@
 //!   --elim                 enable bounded variable elimination (SAT models
 //!                          are reconstructed over eliminated variables;
 //!                          proofs carry the elimination additions and
-//!                          deletions)
-//!   --elim-occ-cap N       elimination: skip variables with more than N
-//!                          occurrences of either polarity (default 10)
-//!   --elim-growth N        elimination: allow at most N extra clauses over
-//!                          the number removed (default 0)
-//!   --elim-clause-cap N    elimination: skip resolvents longer than N
-//!                          literals (default 20; cap flags imply --elim)
+//!                          deletions; contradicts --no-simplify)
 //!   --proof FILE           write a DRAT refutation to FILE on UNSAT
 //!   --check-proof          verify the proof with the built-in RUP checker
 //!   --paranoid             audit solver invariants at every quiescent
@@ -70,8 +64,9 @@
 //!                          count only (no warm engine exists to snapshot)
 //!
 //! A flag that means nothing to the chosen subcommand is a usage error:
-//! FILE, --proof, --check-proof, --elim* and --no-model under bmc;
-//! --bits, --max-depth and --scratch without it.
+//! FILE, --proof, --check-proof, --elim and --no-model under bmc;
+//! --bits, --max-depth and --scratch without it. So is a contradictory
+//! pair: --elim with --no-simplify.
 //! ```
 //!
 //! Exit codes follow the SAT-competition convention: **10** = SAT,
@@ -109,10 +104,8 @@ fn usage() -> ! {
     die(
         "usage: berkmin-cli [--engine NAME] [--threads N] [--share-lbd K] [--no-share] \
          [--deterministic] [--max-conflicts N] [--seed N] \
-         [--no-simplify] [--elim] [--elim-occ-cap N] [--elim-growth N] \
-         [--elim-clause-cap N] \
-         [--proof FILE] [--check-proof] [--paranoid] [--stats-json FILE] [--verbose] \
-         [--no-model] [--quiet] [FILE]\n\
+         [--no-simplify] [--elim] [--proof FILE] [--check-proof] [--paranoid] \
+         [--stats-json FILE] [--verbose] [--no-model] [--quiet] [FILE]\n\
          \x20      berkmin-cli bmc [--bits N] [--max-depth D] [--scratch] [--engine NAME] \
          [--threads N] [--share-lbd K] [--no-share] [--deterministic] \
          [--max-conflicts N] [--seed N] [--no-simplify] [--paranoid] \
@@ -208,9 +201,6 @@ fn parse_args() -> Options {
     let mut paranoid = false;
     let mut no_simplify = false;
     let mut elim = false;
-    let mut elim_occ_cap: Option<usize> = None;
-    let mut elim_growth: Option<usize> = None;
-    let mut elim_clause_cap: Option<usize> = None;
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--engine" | "--config" => engine = args.next().unwrap_or_else(|| usage()),
@@ -225,9 +215,6 @@ fn parse_args() -> Options {
             "--seed" => seed = Some(value(&mut args)),
             "--no-simplify" => no_simplify = true,
             "--elim" => elim = true,
-            "--elim-occ-cap" => elim_occ_cap = Some(value(&mut args)),
-            "--elim-growth" => elim_growth = Some(value(&mut args)),
-            "--elim-clause-cap" => elim_clause_cap = Some(value(&mut args)),
             "--proof" => opts.proof_path = Some(args.next().unwrap_or_else(|| usage())),
             "--check-proof" => opts.check_proof = true,
             "--paranoid" => paranoid = true,
@@ -242,15 +229,12 @@ fn parse_args() -> Options {
             _ => usage(),
         }
     }
-    // Any elimination cap implies elimination itself.
-    let elim_flags =
-        elim || elim_occ_cap.is_some() || elim_growth.is_some() || elim_clause_cap.is_some();
     let misplaced = if opts.bmc {
         vec![
             (opts.file.is_some(), "FILE"),
             (opts.proof_path.is_some(), "--proof"),
             (opts.check_proof, "--check-proof"),
-            (elim_flags, "--elim"),
+            (elim, "--elim"),
             (!opts.print_model, "--no-model"),
         ]
     } else {
@@ -263,6 +247,9 @@ fn parse_args() -> Options {
     if let Some((_, flag)) = misplaced.iter().find(|(given, _)| *given) {
         let side = if opts.bmc { "under" } else { "without" };
         die(format!("{flag} has no meaning {side} the bmc subcommand"));
+    }
+    if no_simplify && elim {
+        die("--elim contradicts --no-simplify");
     }
     if opts.file.as_deref() == Some("-") {
         opts.file = None;
@@ -282,19 +269,8 @@ fn parse_args() -> Options {
     config.paranoid = paranoid;
     if no_simplify {
         config.simplify = SimplifyConfig::off();
-    } else {
-        let s = &mut config.simplify;
-        s.var_elim |= elim_flags;
-        if let Some(n) = elim_occ_cap {
-            s.elim_occ_cap = n;
-        }
-        if let Some(n) = elim_growth {
-            s.elim_growth = n;
-        }
-        if let Some(n) = elim_clause_cap {
-            s.elim_clause_cap = n;
-        }
     }
+    config.simplify.var_elim |= elim;
     opts
 }
 
@@ -838,7 +814,7 @@ fn main() -> ExitCode {
             s.lbd_max
         );
         let simp = opts.config.simplify;
-        if simp.enable && (simp.subsumption || simp.var_elim) {
+        if simp.subsumption || simp.var_elim {
             println!(
                 "c simplify subsumed {} strengthened {} eliminated {} resolvents {}",
                 s.clauses_subsumed, s.clauses_strengthened, s.vars_eliminated, s.elim_resolvents

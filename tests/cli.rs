@@ -2,7 +2,11 @@
 //! output and exit codes out, DRAT proof emission and self-checking.
 
 use std::io::Write;
+use std::path::Path;
 use std::process::{Command, Stdio};
+
+use berkmin::telemetry::json::{self, Value};
+use berkmin::SolveVerdict;
 
 fn cli() -> Command {
     Command::new(env!("CARGO_BIN_EXE_berkmin-cli"))
@@ -195,6 +199,19 @@ fn flags_of_the_other_subcommand_exit_2() {
     let (_, code) = run_with_stdin(&["bmc", "--bits", "3", "--proof", "out.drat"], "");
     assert_eq!(code, 2);
     let (_, code) = run_with_stdin(&["--bits", "3"], "p cnf 1 1\n1 0\n");
+    assert_eq!(code, 2);
+}
+
+#[test]
+fn no_simplify_skips_the_simplifier_and_contradicts_elim() {
+    let hole5 = pigeonhole_dimacs(5);
+    let (stdout, code) = run_with_stdin(&["--no-model"], &hole5);
+    assert_eq!(code, 20, "{stdout}");
+    assert!(stdout.contains("\nc simplify "), "{stdout}");
+    let (stdout, code) = run_with_stdin(&["--no-simplify", "--no-model"], &hole5);
+    assert_eq!(code, 20, "{stdout}");
+    assert!(!stdout.contains("c simplify"), "{stdout}");
+    let (_, code) = run_with_stdin(&["--no-simplify", "--elim"], &hole5);
     assert_eq!(code, 2);
 }
 
@@ -405,6 +422,26 @@ fn line_counter(stdout: &str, prefix: &str, name: &str) -> u64 {
     panic!("counter {name} not on line: {line}");
 }
 
+/// Parses a `--stats-json` file and checks its verdict name.
+fn read_stats_json(path: &Path, verdict: SolveVerdict) -> Value {
+    let text = std::fs::read_to_string(path).expect("stats written");
+    let value = json::parse(&text).expect("stats JSON parses");
+    assert_eq!(
+        value.get("verdict").and_then(Value::as_str),
+        Some(verdict.as_str())
+    );
+    value
+}
+
+/// One counter of a `--stats-json` document's `"stats"` object.
+fn stat(value: &Value, name: &str) -> u64 {
+    value
+        .get("stats")
+        .and_then(|s| s.get(name))
+        .and_then(Value::as_u64)
+        .unwrap_or_else(|| panic!("no stats.{name} counter"))
+}
+
 #[test]
 fn stats_json_matches_the_printed_stats_for_the_single_engine() {
     let dir = std::env::temp_dir().join(format!("berkmin_cli_stats_{}", std::process::id()));
@@ -415,34 +452,28 @@ fn stats_json_matches_the_printed_stats_for_the_single_engine() {
         &pigeonhole_dimacs(5),
     );
     assert_eq!(code, 20, "{stdout}");
-    let text = std::fs::read_to_string(&path).expect("stats written");
-    let snapshot = berkmin::StatsSnapshot::parse(&text).expect("stats JSON parses");
-    assert_eq!(snapshot.verdict, berkmin::SolveVerdict::Unsat);
-    assert!(snapshot.seconds >= 0.0);
+    let value = read_stats_json(&path, SolveVerdict::Unsat);
+    assert!(
+        value
+            .get("seconds")
+            .and_then(Value::as_f64)
+            .expect("seconds")
+            >= 0.0
+    );
     // The JSON is the same snapshot the human-readable lines came from.
-    assert_eq!(
-        snapshot.stats.conflicts,
-        stdout_counter(&stdout, "conflicts")
-    );
-    assert_eq!(
-        snapshot.stats.decisions,
-        stdout_counter(&stdout, "decisions")
-    );
-    assert_eq!(snapshot.stats.restarts, stdout_counter(&stdout, "restarts"));
+    for name in ["conflicts", "decisions", "restarts"] {
+        assert_eq!(stat(&value, name), stdout_counter(&stdout, name), "{name}");
+    }
     // The watch-visit split rides on the time line: hole(5)'s five-literal
     // clauses are watched through the long lists.
-    assert_eq!(
-        snapshot.stats.watchers_visited,
-        line_counter(&stdout, "c time", "visited")
-    );
-    assert_eq!(
-        snapshot.stats.clauses_touched,
-        line_counter(&stdout, "c time", "touched")
-    );
-    assert!(snapshot.stats.clauses_touched > 0);
-    assert!(snapshot.stats.watchers_visited >= snapshot.stats.clauses_touched);
-    assert!(snapshot.stats.conflicts > 0);
-    assert_eq!(snapshot.stats.solve_calls, 1);
+    let visited = stat(&value, "watchers_visited");
+    let touched = stat(&value, "clauses_touched");
+    assert_eq!(visited, line_counter(&stdout, "c time", "visited"));
+    assert_eq!(touched, line_counter(&stdout, "c time", "touched"));
+    assert!(touched > 0);
+    assert!(visited >= touched);
+    assert!(stat(&value, "conflicts") > 0);
+    assert_eq!(stat(&value, "solve_calls"), 1);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -465,17 +496,14 @@ fn stats_json_for_the_deterministic_portfolio_carries_worker_reports() {
         &pigeonhole_dimacs(5),
     );
     assert_eq!(code, 20, "{stdout}");
-    let text = std::fs::read_to_string(&path).expect("stats written");
-    let snapshot = berkmin::StatsSnapshot::parse(&text).expect("stats JSON parses");
-    assert_eq!(snapshot.verdict, berkmin::SolveVerdict::Unsat);
+    let value = read_stats_json(&path, SolveVerdict::Unsat);
     assert_eq!(
-        snapshot.stats.conflicts,
+        stat(&value, "conflicts"),
         stdout_counter(&stdout, "conflicts")
     );
 
     // The extra "workers" section: one entry per worker, whose exported
     // counts sum to the merged stats counter.
-    let value = berkmin::telemetry::json::parse(&text).expect("raw JSON parses");
     let workers = value
         .get("workers")
         .and_then(|w| w.as_array())
@@ -485,7 +513,7 @@ fn stats_json_for_the_deterministic_portfolio_carries_worker_reports() {
         .iter()
         .map(|w| w.get("exported").and_then(|v| v.as_u64()).unwrap())
         .sum();
-    assert_eq!(exported, snapshot.stats.clauses_exported);
+    assert_eq!(exported, stat(&value, "clauses_exported"));
     assert!(workers
         .iter()
         .any(|w| w.get("winner").and_then(|v| v.as_bool()) == Some(true)));
@@ -510,11 +538,8 @@ fn bmc_stats_json_records_per_depth_results() {
         "",
     );
     assert_eq!(code, 20, "{stdout}");
-    let text = std::fs::read_to_string(&path).expect("stats written");
-    let snapshot = berkmin::StatsSnapshot::parse(&text).expect("stats JSON parses");
-    assert_eq!(snapshot.verdict, berkmin::SolveVerdict::Unsat);
-    assert_eq!(snapshot.stats.solve_calls, 6, "one per depth 0..=5");
-    let value = berkmin::telemetry::json::parse(&text).unwrap();
+    let value = read_stats_json(&path, SolveVerdict::Unsat);
+    assert_eq!(stat(&value, "solve_calls"), 6, "one per depth 0..=5");
     let depths = value
         .get("depths")
         .and_then(|d| d.as_array())

@@ -215,11 +215,16 @@ fn ci_keeps_the_hinted_proof_step() {
 #[test]
 fn ci_keeps_the_drat_text_stability_step() {
     // The search fingerprint hashes only the in-memory text; this step is
-    // the one that pins the CLI's streamed proof file byte for byte.
+    // the one that pins the CLI's streamed proof files byte for byte, on
+    // the default, `--elim` and `--no-simplify` paths.
     let ci = ci_config();
     for required in [
         "--proof h7.drat --check-proof h7.cnf",
         "5af8a4f0cc9f0efc2ef9ca0716e48df6bddc61e36c195c453961b8e21e8cdaaf  h7.drat\" | sha256sum -c -",
+        "--elim --proof h7e.drat --check-proof h7.cnf",
+        "cd8415a177b59206811aa2deb3394d3f1140145c2dd35d40e9fab2f13c0e1960  h7e.drat\" | sha256sum -c -",
+        "--no-simplify --proof h7n.drat --check-proof h7.cnf",
+        "5af8a4f0cc9f0efc2ef9ca0716e48df6bddc61e36c195c453961b8e21e8cdaaf  h7n.drat\" | sha256sum -c -",
     ] {
         assert!(
             ci.contains(required),
