@@ -248,6 +248,21 @@ mod tests {
     }
 
     #[test]
+    fn only_the_vsids_strategy_keeps_vsids_counters() {
+        for (cfg, counters) in [
+            (SolverConfig::chaff_like(), 2 * 3),
+            (SolverConfig::berkmin(), 0),
+        ] {
+            let mut s = Solver::with_config(cfg);
+            s.add_clause([lit(1), lit(2)]);
+            s.add_clause([lit(-1), lit(3)]);
+            s.add_clause([lit(-2), lit(-3)]);
+            assert!(s.solve().is_sat());
+            assert_eq!(s.vsids.len(), counters);
+        }
+    }
+
+    #[test]
     fn window_one_matches_plain_berkmin() {
         // Same instance, window=1 vs plain: identical search statistics.
         let run = |strategy: DecisionStrategy| {

@@ -13,7 +13,7 @@
 use berkmin_cnf::{Assignment, LBool, Lit, Var};
 
 use crate::clause_db::ClauseRef;
-use crate::config::ActivityIndex;
+use crate::config::{ActivityIndex, DecisionStrategy};
 use crate::heap::VarHeap;
 use crate::proof::{ClauseId, ProofSink};
 use crate::solver::Solver;
@@ -439,14 +439,17 @@ impl Solver {
         self.watches.rebuild(&self.db);
     }
 
-    /// Sizes the tables only search uses — watch lists, activity and VSIDS
-    /// counters, analysis scratch, the decision heap — for `n` variables;
-    /// the non-eliminated variables from `from` on join the heap.
+    /// Sizes the tables only search uses — watch lists, activity counters
+    /// (and VSIDS counters under that strategy), analysis scratch, the
+    /// decision heap — for `n` variables; the non-eliminated variables from
+    /// `from` on join the heap.
     pub(crate) fn grow_search_tables(&mut self, from: usize, n: usize) {
         self.watches.grow(n);
         self.var_activity.resize(n, 0);
         self.lit_activity.resize(2 * n, 0);
-        self.vsids.resize(2 * n, 0);
+        if self.config.decision == DecisionStrategy::Vsids {
+            self.vsids.resize(2 * n, 0);
+        }
         self.seen.resize(n, false);
         // Decision levels range over 0..=n, one stamp slot per level.
         self.lbd_stamp.resize(n + 1, 0);
@@ -589,7 +592,11 @@ impl Solver {
         for &l in &lits {
             // lit_activity censuses every deduced conflict clause (§7).
             self.lit_activity[l.code()] += 1;
-            self.vsids[l.code()] += 1;
+        }
+        if self.config.decision == DecisionStrategy::Vsids {
+            for &l in &lits {
+                self.vsids[l.code()] += 1;
+            }
         }
         if lits.len() == 1 {
             // Unit conflict clause: becomes a retained level-0 fact (§8).

@@ -65,7 +65,8 @@ pub struct Solver {
     pub(crate) var_activity: Vec<u64>,
     /// `lit_activity(l)` counters indexed by literal code (paper §7).
     pub(crate) lit_activity: Vec<u64>,
-    /// VSIDS per-literal counters (zChaff baseline).
+    /// VSIDS per-literal counters (zChaff baseline); empty under every
+    /// other decision strategy, which never reads them.
     pub(crate) vsids: Vec<u64>,
     pub(crate) heap: VarHeap,
     pub(crate) seen: Vec<bool>,

@@ -15,13 +15,14 @@
 //! exactly one non-false literal, which is then assigned, until one clause
 //! has none. That proves the addition RUP without any propagation search.
 //! A missing chain, or one that names an unknown clause, a deleted clause
-//! with no live copy of its literal set, or a clause with two non-false
+//! with no live copy of its literal set (a copy added only after every
+//! copy was deleted does not count), or a clause with two non-false
 //! literals, changes nothing: the checker runs the full RUP check on that
-//! addition instead. A chain that works
-//! only ever confirms what the full check would find, so the accepted
-//! proofs, the errors and the counts of [`CheckReport`] are the same with
-//! or without hints; only [`CheckReport::additions_hinted`] and
-//! [`CheckReport::chain_failures`] tell the paths apart.
+//! addition instead. A chain that works only ever confirms what the full
+//! check would find, so the accepted proofs, the errors and the counts of
+//! [`CheckReport`] are the same with or without hints; only
+//! [`CheckReport::additions_hinted`] and [`CheckReport::chain_failures`]
+//! tell the paths apart.
 //!
 //! The checker resolves IDs through two tables: original `k` is the `k`-th
 //! clause of the formula, lemma `j` the `j`-th non-empty addition of the
@@ -29,22 +30,33 @@
 //!
 //! # Data structures
 //!
-//! - **One flat arena.** The literals of every clause ever added sit back
+//! - **One compacting arena.** The literals of the live clauses sit back
 //!   to back in a single `Vec<Lit>`, deduplicated; a clause is a start
-//!   offset and a length into it. Deleted clauses keep their slots.
+//!   offset and a length into it. A deleted clause's literals stay until
+//!   deleted literals outnumber live ones; then the live clauses slide
+//!   down over them, in order, and only their offsets change. Clause
+//!   indices never move, so the watchers, the ID tables and the deletion
+//!   index need no remapping. Each compaction moves at most as many
+//!   literals as were deleted since the last one, so it costs O(1) per
+//!   deleted literal, amortised, and the arena stays within about twice
+//!   the live literals.
 //! - **Watchers with a blocker.** Each watch-list entry names its clause
 //!   and carries a *blocker*, another literal of the clause: while the
 //!   blocker is true the clause is satisfied and the arena is not read.
 //!   A binary clause's blocker is its other literal and its watcher is
 //!   flagged binary, so it propagates straight from the watcher. Lists are
 //!   compacted in order as they are scanned; watchers of deleted clauses
-//!   are dropped when next visited.
+//!   are dropped when next visited, and at the latest by the next arena
+//!   compaction, which sweeps the lists of their watched literals.
 //! - **Values by literal code.** Assignments are stored per literal, so
 //!   reading a literal's value needs no sign test.
 //! - **A hashed deletion index.** A 64-bit hash of a clause's sorted,
 //!   deduplicated literal set maps to a chain of the live clauses with that
 //!   hash, oldest first. Every candidate is verified against the arena, so
-//!   a hash collision can never delete the wrong clause.
+//!   a hash collision can never delete the wrong clause. A deleted clause
+//!   keeps, in place of its chain link, the oldest live copy of its set at
+//!   the time it was deleted; a hint that names it follows those links to
+//!   a live copy without reading its (possibly compacted) literals.
 //!
 //! # Deletion semantics
 //!
@@ -63,6 +75,8 @@
 
 use std::collections::hash_map::{Entry, HashMap};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Range;
 
 use berkmin_cnf::{Cnf, LBool, Lit};
 
@@ -125,8 +139,12 @@ pub struct CheckReport {
 /// unit propagation, or [`CheckError::NoEmptyClause`] if the proof never
 /// reaches the empty clause.
 pub fn check_refutation(cnf: &Cnf, proof: &DratProof) -> Result<CheckReport, CheckError> {
-    // Size the clause store for everything the check may add, so it never
-    // grows by copying. The proof keeps the counts as it records.
+    // Size the per-clause tables for every clause the check may add, since
+    // clause indices are never reused, and reserve the arena for every
+    // literal, so that neither grows by copying; compaction keeps the part
+    // of the arena in use near twice the live literals, and the pages it
+    // never reaches are never touched. The proof keeps the counts as it
+    // records.
     let nvars = cnf.num_vars().max(proof.num_vars());
     let clauses = cnf.num_clauses() + proof.num_additions();
     let lits = cnf.num_lits() + proof.num_addition_lits();
@@ -192,14 +210,24 @@ pub fn check_refutation(cnf: &Cnf, proof: &DratProof) -> Result<CheckReport, Che
 /// Ends a chain of clauses in the deletion index.
 const NO_CLAUSE: u32 = u32::MAX;
 
-/// Where a clause's literals sit in the arena.
+/// Where a clause's literals sit in the arena, until a compaction drops
+/// them after the clause is deleted.
 #[derive(Clone, Copy)]
 struct ClauseSpan {
-    start: usize,
+    start: u32,
     len: u32,
-    /// The next live clause with the same literal-set hash, in insertion
-    /// order ([`NO_CLAUSE`] ends the chain).
+    /// For a live clause, the next live clause with the same literal-set
+    /// hash, in insertion order. For a deleted one, the oldest clause with
+    /// the same literal set that was live when it was deleted. [`NO_CLAUSE`]
+    /// ends either chain.
     next_same: u32,
+}
+
+impl ClauseSpan {
+    fn range(self) -> Range<usize> {
+        let start = self.start as usize;
+        start..start + self.len as usize
+    }
 }
 
 /// A watch-list entry.
@@ -228,6 +256,25 @@ impl Watcher {
     }
 }
 
+/// The deletion index's hasher: its keys are [`set_hash`] values already,
+/// so they are used as they are.
+#[derive(Default)]
+struct PassThrough(u64);
+
+impl Hasher for PassThrough {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("the deletion index hashes only u64 keys")
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n;
+    }
+}
+
 /// Hashes a sorted, deduplicated literal set.
 fn set_hash(set: &[Lit]) -> u64 {
     let mut h = set.len() as u64;
@@ -248,13 +295,18 @@ fn watch_rank(v: LBool) -> u8 {
 
 /// A two-watched-literal propagation engine for proof checking.
 struct Propagator {
-    /// The literals of every clause ever added, back to back. The first
-    /// two slots of a clause with two or more literals are its watches.
+    /// The literals of the resident clauses, back to back. The first two
+    /// slots of a clause with two or more literals are its watches.
     arena: Vec<Lit>,
+    /// The clauses whose literals are in the arena, in arena order: every
+    /// live clause, and the clauses deleted since the last compaction.
+    resident: Vec<u32>,
+    /// How many of the arena's literals belong to deleted clauses.
+    dead_lits: usize,
     clauses: Vec<ClauseSpan>,
     alive: Vec<bool>,
     /// Literal-set hash → the oldest live clause with that hash.
-    index: HashMap<u64, u32>,
+    index: HashMap<u64, u32, BuildHasherDefault<PassThrough>>,
     /// watches[lit.code()] = watchers of the clauses where ¬lit is watched.
     watches: Vec<Vec<Watcher>>,
     /// vals[lit.code()] = the value of `lit`.
@@ -279,9 +331,11 @@ impl Propagator {
     fn new(nvars: usize, clauses: usize, lits: usize) -> Self {
         Propagator {
             arena: Vec::with_capacity(lits),
+            resident: Vec::new(),
+            dead_lits: 0,
             clauses: Vec::with_capacity(clauses),
             alive: Vec::with_capacity(clauses),
-            index: HashMap::with_capacity(clauses),
+            index: HashMap::with_capacity_and_hasher(clauses, Default::default()),
             watches: vec![Vec::new(); 2 * nvars],
             vals: vec![LBool::Undef; 2 * nvars],
             trail: Vec::new(),
@@ -342,15 +396,17 @@ impl Propagator {
             _ => {}
         }
         let cref = self.register();
-        let span = self.clauses[cref as usize];
-        let c = &mut self.arena[span.start..][..span.len as usize];
-        // Prefer true, then unassigned literals as watches so the invariant
-        // holds under the current persistent trail.
-        for slot in 0..2 {
-            let best = (slot..c.len())
-                .min_by_key(|&k| watch_rank(self.vals[c[k].code()]))
-                .expect("a clause has at least two literals here");
-            c.swap(slot, best);
+        let c = &mut self.arena[self.clauses[cref as usize].range()];
+        // The first two literals are the watches unless one of them is false
+        // under the persistent trail (a lemma's rarely is); then prefer true,
+        // then unassigned literals, so the invariant holds.
+        if c[..2].iter().any(|l| self.vals[l.code()] == LBool::False) {
+            for slot in 0..2 {
+                let best = (slot..c.len())
+                    .min_by_key(|&k| watch_rank(self.vals[c[k].code()]))
+                    .expect("a clause has at least two literals here");
+                c.swap(slot, best);
+            }
         }
         let (w0, w1) = (c[0], c[1]);
         let binary = c.len() == 2;
@@ -380,11 +436,13 @@ impl Propagator {
             .filter(|&c| c < NO_CLAUSE >> 1)
             .expect("the checker holds fewer than 2^31 clauses");
         self.clauses.push(ClauseSpan {
-            start: self.arena.len(),
+            start: u32::try_from(self.arena.len())
+                .expect("the arena holds fewer than 2^32 literals"),
             len: u32::try_from(self.key.len()).expect("a clause has fewer than 2^32 literals"),
             next_same: NO_CLAUSE,
         });
         self.alive.push(true);
+        self.resident.push(cref);
         self.arena.extend_from_slice(&self.key);
         match self.index.entry(set_hash(&self.key)) {
             Entry::Vacant(e) => {
@@ -401,15 +459,14 @@ impl Propagator {
         cref
     }
 
-    /// Finds the oldest live clause whose literal set is the one in `key`,
-    /// which hashes to `hash`; returns it with its predecessor in the hash
-    /// chain ([`NO_CLAUSE`] when it heads the chain).
-    fn find_key(&self, hash: u64) -> Option<(u32, u32)> {
+    /// Finds the first clause, walking a hash chain of live clauses from
+    /// `cur` on, whose literal set is the one in `key`; returns it with its
+    /// predecessor in the chain ([`NO_CLAUSE`] when it is `cur` itself).
+    fn find_key(&self, mut cur: u32) -> Option<(u32, u32)> {
         let mut prev = NO_CLAUSE;
-        let mut cur = *self.index.get(&hash)?;
         while cur != NO_CLAUSE {
             let span = self.clauses[cur as usize];
-            let stored = &self.arena[span.start..][..span.len as usize];
+            let stored = &self.arena[span.range()];
             // Both sides are deduplicated, so equal length plus inclusion
             // is set equality.
             if stored.len() == self.key.len()
@@ -424,23 +481,67 @@ impl Propagator {
     }
 
     /// Removes the oldest live clause whose literal set equals that of
-    /// `lits`; returns whether a clause was found.
+    /// `lits`; returns whether a clause was found. Compacts the arena once
+    /// deleted clauses hold more of its literals than live ones.
     fn delete_clause(&mut self, lits: &[Lit]) -> bool {
         self.load_key(lits);
         let hash = set_hash(&self.key);
-        let Some((prev, cur)) = self.find_key(hash) else {
+        let Some((prev, cur)) = self.index.get(&hash).and_then(|&head| self.find_key(head)) else {
             return false;
         };
-        let next = self.clauses[cur as usize].next_same;
+        let span = self.clauses[cur as usize];
         if prev != NO_CLAUSE {
-            self.clauses[prev as usize].next_same = next;
-        } else if next != NO_CLAUSE {
-            self.index.insert(hash, next);
+            self.clauses[prev as usize].next_same = span.next_same;
+        } else if span.next_same != NO_CLAUSE {
+            self.index.insert(hash, span.next_same);
         } else {
             self.index.remove(&hash);
         }
+        // Younger copies of the set follow it in the chain; hints that
+        // still name this clause go to the oldest of them.
+        self.clauses[cur as usize].next_same = self
+            .find_key(span.next_same)
+            .map_or(NO_CLAUSE, |(_, twin)| twin);
         self.alive[cur as usize] = false;
+        self.dead_lits += span.len as usize;
+        if 2 * self.dead_lits > self.arena.len() {
+            self.compact();
+        }
         true
+    }
+
+    /// Slides the live clauses' literals down over the deleted ones' and
+    /// drops the deleted clauses' watchers. Clause indices do not change.
+    fn compact(&mut self) {
+        let mut stale = Vec::new();
+        let mut end = 0;
+        self.resident.retain(|&cref| {
+            let span = &mut self.clauses[cref as usize];
+            let range = span.range();
+            if !self.alive[cref as usize] {
+                // Its watchers sit in the lists of the negations of its
+                // first two literals.
+                if range.len() >= 2 {
+                    stale.push((!self.arena[range.start]).code());
+                    stale.push((!self.arena[range.start + 1]).code());
+                }
+                return false;
+            }
+            // Clauses before the first deleted one stay where they are.
+            if range.start != end {
+                span.start = end as u32;
+                self.arena.copy_within(range.clone(), end);
+            }
+            end += range.len();
+            true
+        });
+        self.arena.truncate(end);
+        self.dead_lits = 0;
+        stale.sort_unstable();
+        stale.dedup();
+        for code in stale {
+            self.watches[code].retain(|w| self.alive[w.cref()]);
+        }
     }
 
     /// Unit propagation; returns `true` on conflict.
@@ -473,8 +574,7 @@ impl Propagator {
                     }
                     continue;
                 }
-                let span = self.clauses[cref];
-                let c = &mut self.arena[span.start..][..span.len as usize];
+                let c = &mut self.arena[self.clauses[cref].range()];
                 if c[0] == false_lit {
                     c.swap(0, 1);
                 }
@@ -556,24 +656,20 @@ impl Propagator {
 
     /// A live clause with the literal set of the clause `id` names, if
     /// there is one: that clause itself, or else the oldest live copy of
-    /// its set. A deletion removes the oldest copy of a set while the
-    /// solver may have meant a younger one, and any copy serves a chain.
-    fn resolve(&mut self, id: ClauseId) -> Option<usize> {
+    /// its set, found by following each deleted copy to the copy that was
+    /// oldest live at its deletion. A deletion removes the oldest copy of a
+    /// set while the solver may have meant a younger one, and any copy
+    /// serves a chain.
+    fn resolve(&self, id: ClauseId) -> Option<usize> {
         let cref = match id {
             ClauseId::Original(k) => self.originals.get(k as usize),
             ClauseId::Lemma(j) => self.lemmas.get(j as usize),
         };
-        let cref = *cref?;
-        if *self.alive.get(cref as usize)? {
-            return Some(cref as usize);
+        let mut cref = *cref? as usize;
+        while !*self.alive.get(cref)? {
+            cref = self.clauses[cref].next_same as usize;
         }
-        let span = self.clauses[cref as usize];
-        self.key.clear();
-        self.key
-            .extend_from_slice(&self.arena[span.start..][..span.len as usize]);
-        self.key.sort_unstable();
-        let (_, twin) = self.find_key(set_hash(&self.key))?;
-        Some(twin as usize)
+        Some(cref)
     }
 
     /// Hint check: assume the negation of every literal of `lits`, then
@@ -590,10 +686,9 @@ impl Propagator {
                 let Some(cref) = self.resolve(id) else {
                     break;
                 };
-                let span = self.clauses[cref];
                 let mut open = None;
                 let mut stalled = false;
-                for &l in &self.arena[span.start..][..span.len as usize] {
+                for &l in &self.arena[self.clauses[cref].range()] {
                     if self.vals[l.code()] != LBool::False {
                         if open.is_some() {
                             stalled = true;
@@ -838,24 +933,79 @@ mod tests {
     }
 
     #[test]
+    fn compaction_keeps_the_live_clauses_and_drops_the_deleted_ones() {
+        // Each round adds a 4-clause, a 3-clause and a binary x → y, then
+        // deletes the first two (in another literal order): the 7 deleted
+        // literals then outnumber the live ones, so every round compacts.
+        let mut db = Propagator::new(40, 0, 0);
+        let mut compactions = 0;
+        for round in 0..3 {
+            let x = |k: i32| lit(10 * round + k);
+            db.add_clause(&[x(1), x(2), x(3), x(4)]);
+            db.add_clause(&[x(5), x(6), x(7)]);
+            db.add_clause(&[!x(1), x(8)]);
+            for deleted in [&[x(4), x(3), x(2), x(1)][..], &[x(7), x(5), x(6)]] {
+                let before = db.arena.len();
+                assert!(db.delete_clause(deleted));
+                compactions += usize::from(db.arena.len() < before);
+            }
+        }
+        assert_eq!(compactions, 3);
+        // Only the binaries' literals are left, and no watcher names a
+        // deleted clause.
+        assert_eq!(db.arena.len(), 2 * 3);
+        assert!(db.watches.iter().flatten().all(|w| db.alive[w.cref()]));
+        for round in 0..3 {
+            let x = |k: i32| lit(10 * round + k);
+            // The binaries still propagate and still match deletions; the
+            // deleted clauses do neither.
+            assert!(db.is_rup(&[!x(1), x(8)]));
+            assert!(!db.is_rup(&[x(1), x(2), x(3), x(4)]));
+            assert!(!db.delete_clause(&[x(5), x(6), x(7)]));
+            assert!(db.delete_clause(&[x(8), !x(1)]));
+        }
+        assert!(!db.is_rup(&[lit(-1), lit(8)]));
+    }
+
+    #[test]
     fn a_deleted_hint_resolves_to_a_live_copy_of_its_clause() {
-        // The formula holds (a∨b) twice. Deleting one copy removes the
-        // older one, so a hint naming original 0 still finds the set alive
-        // through original 1 — until both copies are gone.
-        let f = cnf(&[&[1, 2], &[2, 1], &[1, -2]]);
-        let chain = [ClauseId::Original(0), ClauseId::Original(2)];
-        let check = |deletions: usize| {
+        // Lemma 0 repeats original 0, (a∨b). Deleting (a∨b) removes the
+        // older copy, original 0; deleting the 8-literal original 2 then
+        // leaves 10 of the 18 stored literals dead, so the arena compacts
+        // and original 0's literals are gone. A chain naming original 0
+        // still reaches the live copy (with ¬a, lemma 0 gives b, and
+        // original 1 is falsified) until both copies are gone.
+        let f = cnf(&[
+            &[1, 2],
+            &[1, -2],
+            &[3, 4, 5, 6, 7, 8, 9, 10],
+            &[-1, 11],
+            &[-1, -11],
+        ]);
+        let check = |delete_twin: bool| {
             let mut p = DratProof::new();
-            for _ in 0..deletions {
+            p.add_clause_hinted(&[lit(1), lit(2)], &[ClauseId::Original(0)]);
+            p.delete_clause(&[lit(2), lit(1)]);
+            p.delete_clause(&[3, 4, 5, 6, 7, 8, 9, 10].map(lit));
+            if delete_twin {
                 p.delete_clause(&[lit(1), lit(2)]);
             }
-            p.add_clause_hinted(&[lit(1)], &chain);
+            p.add_clause_hinted(&[lit(1)], &[ClauseId::Original(0), ClauseId::Original(1)]);
+            p.add_clause(&[]);
             check_refutation(&f, &p)
         };
-        let Err(CheckError::NoEmptyClause) = check(1) else {
-            panic!("the lemma must verify");
-        };
-        assert!(matches!(check(2), Err(CheckError::NotRup { step: 2, .. })));
+        let report = check(false).expect("valid refutation");
+        assert_eq!(
+            (report.additions_hinted, report.chain_failures),
+            (report.additions_checked, 0),
+            "{report:?}"
+        );
+        assert_eq!(report.deletions_applied, 2);
+        // With both copies gone, `a` is no longer RUP at all.
+        assert!(matches!(
+            check(true),
+            Err(CheckError::NotRup { step: 4, .. })
+        ));
     }
 
     #[test]

@@ -39,11 +39,13 @@ fn render_line(out: &mut Vec<u8>, deletion: bool, lits: impl IntoIterator<Item =
 }
 
 /// The length of `l`'s entry in a DRAT or DIMACS line: sign, digits and
-/// the space after them. The digits are counted by comparisons, without a
-/// branch, so a loop over a clause's literals stays cheap.
+/// the space after them. The digits are counted from the bit length, with
+/// one comparison and no branch, so a loop over a clause's literals stays
+/// cheap.
 #[inline]
 fn text_width(l: Lit) -> usize {
-    const POWERS_OF_TEN: [u32; 9] = [
+    const POWERS_OF_TEN: [u32; 10] = [
+        1,
         10,
         100,
         1_000,
@@ -55,10 +57,12 @@ fn text_width(l: Lit) -> usize {
         1_000_000_000,
     ];
     let n = l.var().raw() + 1;
-    let digits = 1 + POWERS_OF_TEN
-        .iter()
-        .map(|&p| usize::from(n >= p))
-        .sum::<usize>();
+    // For every bit length up to 32, `bits * 1233 >> 12` is
+    // ⌊bits · log10 2⌋: `n` has that many digits, or one more iff it
+    // reaches the next power of ten.
+    let bits = (u32::BITS - n.leading_zeros()) as usize;
+    let fewest = (bits * 1233) >> 12;
+    let digits = fewest + usize::from(n >= POWERS_OF_TEN[fewest]);
     usize::from(l.is_negative()) + digits + 1
 }
 
@@ -71,15 +75,15 @@ const MAX_LEB128: usize = 10;
 #[inline]
 fn put_leb128(out: &mut [u8], mut v: u64) -> usize {
     // The one- and two-byte codes cover every literal of a formula with
-    // fewer than 8,192 variables.
-    if v < 0x80 {
-        out[0] = v as u8;
-        return 1;
-    }
+    // fewer than 8,192 variables. They share one path without a branch on
+    // the length, which a mix of short and long codes would mispredict: a
+    // one-byte code writes a second byte too, which the next code
+    // overwrites or the caller drops.
     if v < 0x4000 {
-        out[0] = v as u8 | 0x80;
+        let long = u8::from(v >= 0x80);
+        out[0] = v as u8 & 0x7f | long << 7;
         out[1] = (v >> 7) as u8;
-        return 2;
+        return 1 + usize::from(long);
     }
     let mut n = 0;
     while v >= 0x80 {

@@ -169,11 +169,14 @@ fn ci_keeps_the_fuzz_smoke_step() {
 #[test]
 fn ci_keeps_the_checker_mutation_step() {
     // The mutation test pins the DRAT checker to a naive reference on
-    // mutated solver proofs; in release mode it runs in well under a
-    // second, so CI must keep running it.
+    // mutated solver proofs, and `check_reports` pins its report counts on
+    // the solver's own proofs; in release mode both run in about a second,
+    // so CI must keep running them.
     let ci = ci_config();
     assert!(
-        ci.contains("cargo test -q --release -p berkmin-drat --test mutations"),
+        ci.contains(
+            "cargo test -q --release -p berkmin-drat --test mutations --test check_reports"
+        ),
         "CI workflow dropped the proof-checker mutation step; a checker \
          that accepts a bad proof or rejects a good one would go unnoticed"
     );
@@ -198,11 +201,13 @@ fn ci_keeps_the_hinted_proof_step() {
     // The checker falls back to full RUP whenever a hint chain fails, so a
     // solver that logs broken chains still passes every correctness test;
     // only the CI step that requires hole(8) to need no fallback notices
-    // the lost speed.
+    // the lost speed. An unmatched deletion is ignored just as quietly, so
+    // the step also requires that none of hole(8)'s deletions was.
     let ci = ci_config();
     for required in [
         "--proof hole8.drat --check-proof hole8.cnf",
         "grep -q ' by hints, 0 by full RUP)' hole8.log",
+        "grep -q ', 0 ignored,' hole8.log",
     ] {
         assert!(
             ci.contains(required),
