@@ -114,11 +114,6 @@ impl ClassResult {
         self.runs.iter().map(|r| r.stats.conflicts).sum()
     }
 
-    /// Total decisions over all instances.
-    pub fn total_decisions(&self) -> u64 {
-        self.runs.iter().map(|r| r.stats.decisions).sum()
-    }
-
     /// Formats the paper's "time (aborted)" cell: `12.34` or `>12.34 (2)`.
     pub fn time_cell(&self) -> String {
         let secs = self.total_time().as_secs_f64();
@@ -126,15 +121,6 @@ impl ClassResult {
             format!(">{:.2} ({})", secs, self.aborted())
         } else {
             format!("{secs:.2}")
-        }
-    }
-
-    /// Same formatting for the conflicts metric.
-    pub fn conflicts_cell(&self) -> String {
-        if self.aborted() > 0 {
-            format!(">{} ({})", self.total_conflicts(), self.aborted())
-        } else {
-            format!("{}", self.total_conflicts())
         }
     }
 }

@@ -164,12 +164,6 @@ impl Assignment {
         self.values[var.index()] = LBool::from(value);
     }
 
-    /// Clears the value of `var` back to [`LBool::Undef`].
-    #[inline]
-    pub fn unassign(&mut self, var: Var) {
-        self.values[var.index()] = LBool::Undef;
-    }
-
     /// Returns `true` if every variable has a definite value.
     pub fn is_total(&self) -> bool {
         self.values.iter().all(|v| !v.is_undef())
@@ -221,14 +215,12 @@ mod tests {
     }
 
     #[test]
-    fn assign_unassign_cycle() {
+    fn assign_sets_a_definite_value() {
         let mut a = Assignment::new(1);
         let x = Var::new(0);
         assert!(a.value(x).is_undef());
         a.assign(x, false);
         assert_eq!(a.value(x), LBool::False);
-        a.unassign(x);
-        assert!(a.value(x).is_undef());
     }
 
     #[test]

@@ -3,7 +3,6 @@
 use std::fmt;
 use std::iter::FusedIterator;
 
-use crate::clause::{eval_lits, fmt_lits};
 use crate::{Assignment, LBool, Lit, Var};
 
 /// A formula in conjunctive normal form: a conjunction of clauses over
@@ -22,9 +21,8 @@ use crate::{Assignment, LBool, Lit, Var};
 /// ternary clause, against about 56 for a `Vec` of its own), clauses are
 /// read back as `&[Lit]` in insertion order, and [`Cnf::num_lits`] is
 /// O(1). Offsets are `u32`, so one formula holds fewer than 2^32 literal
-/// occurrences. The owned [`Clause`](crate::Clause) is for code that
-/// builds one clause at a time; [`Cnf::add_clause`] takes it, or any
-/// other literal iterator, and copies its literals in place.
+/// occurrences. [`Cnf::add_clause`] takes any literal iterator and copies
+/// its literals in place.
 ///
 /// # Examples
 ///
@@ -78,11 +76,6 @@ impl Cnf {
         let v = Var::new(self.num_vars as u32);
         self.num_vars += 1;
         v
-    }
-
-    /// Allocates `n` fresh variables and returns them in order.
-    pub fn fresh_vars(&mut self, n: usize) -> Vec<Var> {
-        (0..n).map(|_| self.fresh_var()).collect()
     }
 
     /// Number of variables.
@@ -262,8 +255,8 @@ impl ExactSizeIterator for Clauses<'_> {}
 
 impl FusedIterator for Clauses<'_> {}
 
-/// Collects clauses given as literal iterators (a [`Clause`](crate::Clause),
-/// a `Vec<Lit>`, an array), in order.
+/// Collects clauses given as literal iterators (a `Vec<Lit>`, an array),
+/// in order.
 impl<C: IntoIterator<Item = Lit>> FromIterator<C> for Cnf {
     fn from_iter<I: IntoIterator<Item = C>>(iter: I) -> Self {
         let mut cnf = Cnf::new();
@@ -315,6 +308,38 @@ impl fmt::Display for Cnf {
         }
         Ok(())
     }
+}
+
+/// The value of the disjunction `lits` under `assignment`: true if some
+/// literal is, false if all are, otherwise undefined.
+fn eval_lits(lits: &[Lit], assignment: &Assignment) -> LBool {
+    let mut all_false = true;
+    for &lit in lits {
+        match assignment.lit_value(lit) {
+            LBool::True => return LBool::True,
+            LBool::Undef => all_false = false,
+            LBool::False => {}
+        }
+    }
+    if all_false {
+        LBool::False
+    } else {
+        LBool::Undef
+    }
+}
+
+/// Renders the disjunction `lits` as `x0 ∨ ¬x1`, or `⊥` when empty.
+fn fmt_lits(lits: &[Lit], f: &mut fmt::Formatter<'_>) -> fmt::Result {
+    if lits.is_empty() {
+        return write!(f, "⊥");
+    }
+    for (i, lit) in lits.iter().enumerate() {
+        if i > 0 {
+            write!(f, " ∨ ")?;
+        }
+        write!(f, "{lit}")?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]

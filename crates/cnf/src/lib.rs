@@ -1,10 +1,10 @@
 //! Core CNF data types for the BerkMin SAT-solver suite.
 //!
 //! This crate provides the vocabulary shared by every other crate in the
-//! workspace: [`Var`] and [`Lit`] (packed, copyable handles), [`Clause`]
-//! (an owned disjunction of literals), [`Cnf`] (a formula: every clause in
-//! one literal buffer, plus variable bookkeeping), [`Assignment`] (a
-//! total/partial valuation) and DIMACS reading/writing in [`dimacs`].
+//! workspace: [`Var`] and [`Lit`] (packed, copyable handles), [`Cnf`] (a
+//! formula: every clause in one literal buffer, read back as `&[Lit]`,
+//! plus variable bookkeeping), [`Assignment`] (a total/partial valuation)
+//! and DIMACS reading/writing in [`dimacs`].
 //!
 //! # Conventions
 //!
@@ -31,14 +31,12 @@
 #![warn(missing_docs)]
 
 mod assignment;
-mod clause;
 pub mod dimacs;
 mod formula;
 mod lit;
 mod sink;
 
 pub use assignment::{Assignment, LBool};
-pub use clause::Clause;
 pub use formula::{Clauses, Cnf};
 pub use lit::{Lit, Var};
 pub use sink::ClauseSink;

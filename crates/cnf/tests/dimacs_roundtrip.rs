@@ -2,7 +2,7 @@
 //! the identity, printing is a fixpoint, and malformed input is rejected
 //! with an error — never a panic.
 
-use berkmin_cnf::{dimacs, Clause, Cnf, Lit, Var};
+use berkmin_cnf::{dimacs, Cnf, Lit, Var};
 use proptest::prelude::*;
 
 fn arb_lit(max_vars: u32) -> impl Strategy<Value = Lit> {
@@ -11,7 +11,7 @@ fn arb_lit(max_vars: u32) -> impl Strategy<Value = Lit> {
 
 fn arb_cnf(max_vars: u32, max_clauses: usize) -> impl Strategy<Value = Cnf> {
     prop::collection::vec(
-        prop::collection::vec(arb_lit(max_vars), 0..=6).prop_map(Clause::from_lits),
+        prop::collection::vec(arb_lit(max_vars), 0..=6),
         0..=max_clauses,
     )
     .prop_map(|cs| cs.into_iter().collect())

@@ -4,7 +4,7 @@
 //! clause says. Empty clauses, duplicate literals and zero-clause
 //! formulas are all in range.
 
-use berkmin_cnf::{Assignment, Clause, Cnf, LBool, Lit, Var};
+use berkmin_cnf::{Assignment, Cnf, LBool, Lit, Var};
 use proptest::prelude::*;
 
 fn arb_lit(max_vars: u32) -> impl Strategy<Value = Lit> {
@@ -29,7 +29,15 @@ fn build(model: &[Vec<Lit>]) -> Cnf {
 fn model_eval(model: &[Vec<Lit>], a: &Assignment) -> LBool {
     let values: Vec<LBool> = model
         .iter()
-        .map(|c| Clause::from(c.clone()).eval(a))
+        .map(|c| {
+            if c.iter().any(|&l| a.lit_value(l) == LBool::True) {
+                LBool::True
+            } else if c.iter().all(|&l| a.lit_value(l) == LBool::False) {
+                LBool::False
+            } else {
+                LBool::Undef
+            }
+        })
         .collect();
     if values.contains(&LBool::False) {
         LBool::False
@@ -46,7 +54,13 @@ fn model_display(model: &[Vec<Lit>]) -> String {
     }
     let clauses: Vec<String> = model
         .iter()
-        .map(|c| format!("({})", Clause::from(c.clone())))
+        .map(|c| match &c[..] {
+            [] => "(⊥)".to_string(),
+            _ => {
+                let lits: Vec<String> = c.iter().map(Lit::to_string).collect();
+                format!("({})", lits.join(" ∨ "))
+            }
+        })
         .collect();
     clauses.join(" ∧ ")
 }
@@ -133,7 +147,7 @@ proptest! {
         prop_assert_eq!(&collected, &built);
         let split = split.min(model.len());
         let mut extended = build(&model[..split]);
-        extended.extend(model[split..].iter().map(|c| Clause::from(c.clone())));
+        extended.extend(model[split..].iter().cloned());
         prop_assert_eq!(&extended, &built);
     }
 }

@@ -5,15 +5,15 @@
 //! tokens) — the streaming path must produce clause-for-clause the same
 //! `Cnf`, the same summary, and the same accept/reject decisions.
 
-use berkmin_cnf::{dimacs, Clause, Cnf, Lit, Var};
+use berkmin_cnf::{dimacs, Cnf, Lit, Var};
 use proptest::prelude::*;
 
 fn arb_lit(max_vars: u32) -> impl Strategy<Value = Lit> {
     (0..max_vars, any::<bool>()).prop_map(|(v, neg)| Lit::new(Var::new(v), neg))
 }
 
-fn arb_clause(max_vars: u32, max_len: usize) -> impl Strategy<Value = Clause> {
-    prop::collection::vec(arb_lit(max_vars), 0..=max_len).prop_map(Clause::from_lits)
+fn arb_clause(max_vars: u32, max_len: usize) -> impl Strategy<Value = Vec<Lit>> {
+    prop::collection::vec(arb_lit(max_vars), 0..=max_len)
 }
 
 fn arb_cnf(max_vars: u32, max_clauses: usize) -> impl Strategy<Value = Cnf> {

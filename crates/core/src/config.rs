@@ -1,8 +1,8 @@
 //! Solver configuration: every heuristic the paper ablates is a switch
 //! here. A value with only one setting in use — §8's keep rule (43 / 7 /
-//! 9 / 60, +1 per reduction), the simplifier's SatELite caps, the
-//! progress-tick period — is instead a named constant beside the code
-//! that reads it.
+//! 9 / 60, +1 per reduction), §7's `nb_two` cut-off of 100, the
+//! simplifier's SatELite caps, the progress-tick period — is instead a
+//! named constant beside the code that reads it.
 //!
 //! Each ablation arm of the paper's Tables 1, 2, 4 and 5 is a preset
 //! constructor on [`SolverConfig`]:
@@ -154,20 +154,21 @@ pub enum DbPolicy {
 
 /// Configuration of the SatELite-style preprocessor (the
 /// `crate::preprocess` module): subsumption, self-subsuming resolution and
-/// bounded variable elimination, run at solve entry over the occurrence
-/// lists before the search starts.
+/// bounded variable elimination, run once, at the first solve call, over
+/// the occurrence lists before the search starts.
 ///
 /// Three presets cover the useful points of the space:
 ///
 /// * [`SimplifyConfig::default`] — subsumption and strengthening on,
-///   variable elimination **off**, first solve call only. This is the
-///   conservative default: it never removes a variable, so incremental
-///   sessions can keep adding clauses over any variable without ceremony.
+///   variable elimination **off**. This is the conservative default: it
+///   never removes a variable, so incremental sessions can keep adding
+///   clauses over any variable without ceremony.
 /// * [`SimplifyConfig::full`] — everything on, including bounded variable
 ///   elimination. Eliminated variables **may not** be mentioned by later
 ///   [`add_clause`](crate::Solver::add_clause)/[`assume`](crate::Solver::assume)
 ///   calls (the solver panics); incremental users must
-///   [`freeze`](crate::Solver::freeze) variables they intend to reuse.
+///   [`freeze`](crate::Solver::freeze) variables they intend to reuse
+///   before the first solve call.
 /// * [`SimplifyConfig::off`] — the preprocessor never runs; the search
 ///   sees the raw formula exactly as before this subsystem existed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -177,21 +178,17 @@ pub struct SimplifyConfig {
     pub subsumption: bool,
     /// Bounded variable elimination. Off in the default preset: BVE
     /// removes variables, which constrains later incremental reuse (see
-    /// the freeze/melt contract on [`crate::Solver::freeze`]).
+    /// the freeze contract on [`crate::Solver::freeze`]).
     pub var_elim: bool,
-    /// Re-run the simplifier at every solve call (inprocessing) instead of
-    /// only the first.
-    pub inprocess: bool,
 }
 
 impl SimplifyConfig {
     /// Everything on: subsumption, strengthening and bounded variable
-    /// elimination, re-run on every solve call.
+    /// elimination.
     pub const fn full() -> Self {
         SimplifyConfig {
             subsumption: true,
             var_elim: true,
-            inprocess: true,
         }
     }
 
@@ -200,19 +197,17 @@ impl SimplifyConfig {
         SimplifyConfig {
             subsumption: false,
             var_elim: false,
-            inprocess: false,
         }
     }
 }
 
 impl Default for SimplifyConfig {
-    /// Subsumption and strengthening on, variable elimination off, first
-    /// solve call only — safe for unrestricted incremental use.
+    /// Subsumption and strengthening on, variable elimination off — safe
+    /// for unrestricted incremental use.
     fn default() -> Self {
         SimplifyConfig {
             subsumption: true,
             var_elim: false,
-            inprocess: false,
         }
     }
 }
@@ -277,8 +272,6 @@ pub struct SolverConfig {
     pub restart: RestartPolicy,
     /// Clause-database management policy (paper §8).
     pub db_policy: DbPolicy,
-    /// Stop `nb_two` evaluation once the sum exceeds this (paper §7: 100).
-    pub nb_two_threshold: u32,
     /// Apply conflict-clause minimization (self-subsumption) — a *post-paper*
     /// technique (MiniSat 2005), off by default for faithfulness; exposed for
     /// the extension ablation bench.
@@ -297,7 +290,7 @@ pub struct SolverConfig {
     /// production runs.
     pub paranoid: bool,
     /// Preprocessor configuration (subsumption, self-subsuming resolution,
-    /// bounded variable elimination) applied at solve entry.
+    /// bounded variable elimination) applied at the first solve call.
     pub simplify: SimplifyConfig,
 }
 
@@ -312,7 +305,6 @@ impl SolverConfig {
             free_polarity: FreeVarPolarity::NbTwo,
             restart: RestartPolicy::default(),
             db_policy: DbPolicy::BerkMin,
-            nb_two_threshold: 100,
             minimize_learnt: false,
             seed: 0x5EED_B16B_00B5,
             budget: Budget::unlimited(),

@@ -40,7 +40,7 @@ impl VarHeap {
     }
 
     #[inline]
-    #[cfg_attr(not(test), allow(dead_code))] // exercised by the unit tests
+    #[cfg(test)]
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }

@@ -78,8 +78,8 @@ pub(crate) struct SearchLimits {
     /// Conflicts since the last restart (or solve entry) — the restart
     /// policies' clock.
     conflicts_since_restart: u64,
-    /// Whether the preprocessor has run at least once (the default
-    /// configuration simplifies only the first solve call).
+    /// Whether the preprocessor has run (it simplifies only the first
+    /// solve call).
     simplified_once: bool,
 }
 
@@ -166,15 +166,10 @@ impl SearchLimits {
         stats.restarts - self.base.restarts
     }
 
-    /// Whether preprocessing should run at this solve entry: always under
-    /// `inprocess`, otherwise only once per solver lifetime. Marks the
-    /// latch, so ask exactly once per call.
-    pub(crate) fn simplify_due(&mut self, inprocess: bool) -> bool {
-        if self.simplified_once && !inprocess {
-            return false;
-        }
-        self.simplified_once = true;
-        true
+    /// Whether preprocessing should run at this solve entry: only once
+    /// per solver lifetime. Marks the latch, so ask exactly once per call.
+    pub(crate) fn simplify_due(&mut self) -> bool {
+        !std::mem::replace(&mut self.simplified_once, true)
     }
 
     /// Human-readable "what falls due next" summary for `Debug` output:
@@ -242,14 +237,11 @@ mod tests {
     }
 
     #[test]
-    fn simplify_latch_fires_once_unless_inprocessing() {
+    fn simplify_latch_fires_once() {
         let mut limits = SearchLimits::new();
-        assert!(limits.simplify_due(false));
-        assert!(!limits.simplify_due(false));
-        assert!(limits.simplify_due(true), "inprocessing re-arms every call");
-        let mut inproc = SearchLimits::new();
-        assert!(inproc.simplify_due(true));
-        assert!(inproc.simplify_due(true));
+        assert!(limits.simplify_due());
+        assert!(!limits.simplify_due());
+        assert!(!limits.simplify_due());
     }
 
     #[test]

@@ -7,6 +7,9 @@ use berkmin_cnf::{LBool, Lit, Var};
 use crate::config::{FreeVarPolarity, TopClausePolarity};
 use crate::solver::Solver;
 
+/// `nb_two` evaluation stops once its sum exceeds this (paper §7: 100).
+const NB_TWO_THRESHOLD: u32 = 100;
+
 impl Solver {
     /// Chooses the branch for a decision taken on the current top clause.
     ///
@@ -69,8 +72,8 @@ impl Solver {
     /// The `nb_two(l)` cost function (§7): the number of live binary clauses
     /// containing `l`, plus for each such clause `l ∨ v` the number of
     /// binary clauses containing `¬v` — a rough estimate of the BCP power of
-    /// setting `l` to 0. Evaluation stops once the sum exceeds the
-    /// configured threshold (the paper used 100).
+    /// setting `l` to 0. Evaluation stops once the sum exceeds
+    /// [`NB_TWO_THRESHOLD`].
     ///
     /// Clauses whose second literal is already true are skipped (they are
     /// satisfied); the second-level counts use the static occurrence lists,
@@ -88,7 +91,7 @@ impl Solver {
                 continue;
             }
             total += 1 + self.watches.binary(other.code()).len() as u32;
-            if total > self.config.nb_two_threshold {
+            if total > NB_TWO_THRESHOLD {
                 break;
             }
         }
@@ -201,17 +204,15 @@ mod tests {
 
     #[test]
     fn nb_two_respects_threshold_cutoff() {
-        let mut cfg = SolverConfig::berkmin();
-        cfg.nb_two_threshold = 5;
-        let mut s = Solver::with_config(cfg);
-        // 20 binary clauses containing a.
-        for i in 0..20 {
+        let mut s = solver(TopClausePolarity::Symmetrize);
+        // 150 binary clauses containing a, each worth 1.
+        for i in 0..150 {
             s.add_clause([lit(1), lit(2 + i)]);
         }
-        let v = s.nb_two(lit(1));
-        assert!(
-            v > 5 && v <= 7,
-            "evaluation must stop just past threshold, got {v}"
+        assert_eq!(
+            s.nb_two(lit(1)),
+            super::NB_TWO_THRESHOLD + 1,
+            "evaluation must stop just past the threshold"
         );
     }
 

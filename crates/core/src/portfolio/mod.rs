@@ -45,20 +45,16 @@
 //! [`SolverConfig::berkmin`] with the portfolio's
 //! [`PortfolioConfig::simplify`], which never searches. Added clauses only
 //! go to a log the live workers read; whenever a crew of workers is built
-//! (at the first call, after a simplification, after a worker panic) the
-//! front absorbs the log, runs the ordinary [`crate::preprocess`] passes
-//! when its schedule says they are due (the first call, or every call
-//! under [`SimplifyConfig::inprocess`]), and becomes the seed of the new
-//! workers: its level-0 units plus its live original clauses, read as each
-//! worker is staged. The front then rests parked (its watch lists, heap
-//! and activity tables released) until the next crew build. Subsumption,
-//! strengthening and variable elimination are thus paid once instead of
-//! once per worker; the workers themselves run with simplification off.
-//! The front also owns the freeze/melt contract
-//! ([`PortfolioEngine::freeze`]) and the reconstruction stack that extends
-//! winning SAT models over eliminated variables. Under inprocessing the
-//! shared formula is rewritten on every call, so the workers are rebuilt
-//! on every call too.
+//! (at the first call, and again after a worker panic) the front absorbs
+//! the log, runs the ordinary [`crate::preprocess`] passes if this is the
+//! first call, and becomes the seed of the new workers: its level-0 units
+//! plus its live original clauses, read as each worker is staged. The
+//! front then rests parked (its watch lists, heap and activity tables
+//! released) until the next crew build. Subsumption, strengthening and
+//! variable elimination are thus paid once instead of once per worker; the
+//! workers themselves run with simplification off. The front also owns the
+//! freeze contract ([`PortfolioEngine::freeze`]) and the reconstruction
+//! stack that extends winning SAT models over eliminated variables.
 //!
 //! # Proofs
 //!
@@ -122,10 +118,10 @@ pub struct PortfolioConfig {
     /// Run every worker with paranoid in-search self-audits (expensive;
     /// meant for the fuzz harness and debugging).
     pub paranoid: bool,
-    /// Simplification of the shared formula by the engine's front, on the
-    /// same schedule as a single solver's (the workers themselves never
+    /// Simplification of the shared formula by the engine's front at the
+    /// first call, as on a single solver (the workers themselves never
     /// simplify). Defaults to [`SimplifyConfig::default`] — subsumption
-    /// on, elimination off, first call only.
+    /// on, elimination off.
     pub simplify: SimplifyConfig,
 }
 
@@ -269,11 +265,11 @@ pub struct PortfolioEngine {
     proof: Option<Box<dyn ProofSink>>,
     observer: Option<Box<dyn SolveObserver + Send>>,
     /// The formula front: a simplifier that never searches, owning the
-    /// freeze/melt flags, the eliminated variables and the reconstruction
+    /// freeze flags, the eliminated variables and the reconstruction
     /// stack (see the module docs).
     front: Solver,
-    /// The live workers (`None` before the first call, and after an event
-    /// that forces a rebuild).
+    /// The live workers (`None` before the first call, and after a worker
+    /// panic).
     crew: Option<Crew>,
     /// The lifetime counters of retired crews.
     retired: Stats,
@@ -388,12 +384,6 @@ impl PortfolioEngine {
         self.front.freeze(var);
     }
 
-    /// Lifts a [`PortfolioEngine::freeze`]: the next simplification (under
-    /// [`SimplifyConfig::inprocess`]) may eliminate `var` again.
-    pub fn melt(&mut self, var: Var) {
-        self.front.melt(var);
-    }
-
     /// Whether `var` is currently protected from elimination.
     pub fn is_frozen(&self, var: Var) -> bool {
         self.front.is_frozen(var)
@@ -407,10 +397,10 @@ impl PortfolioEngine {
 
     /// Builds a crew over the front's formula. The front wakes up (see
     /// [`Solver::unpark`]), absorbs the log (which starts again empty),
-    /// simplifies if its schedule says so — its DRAT stream going straight
-    /// into the sink and its events to the observer — and parks again: the
-    /// workers read their seed from its formula (see [`Formula::seed`]),
-    /// which stays fixed while the crew lives.
+    /// simplifies if this is the first call — its DRAT stream going
+    /// straight into the sink and its events to the observer — and parks
+    /// again: the workers read their seed from its formula (see
+    /// [`Formula::seed`]), which stays fixed while the crew lives.
     fn build_crew(&mut self, assumptions: &[Lit], shared: &Option<SharedObserver>) -> Crew {
         let front = &mut self.front;
         front.unpark();
@@ -421,8 +411,8 @@ impl PortfolioEngine {
         if front.ok && front.propagate().is_some() {
             front.ok = false;
         }
-        // A simplifying call freezes its assumption variables, as on a
-        // single solver.
+        // The simplifying (first) call freezes its assumption variables, as
+        // on a single solver.
         front.assumptions = assumptions.to_vec();
         if let Some(obs) = shared {
             let obs = Arc::clone(obs);
@@ -456,12 +446,6 @@ impl PortfolioEngine {
     /// (in schedule order when deterministic), then `WorkerDone` in worker
     /// order.
     fn race(&mut self, assumptions: &[Lit], shared: &Option<SharedObserver>) -> SolveStatus {
-        // Under inprocessing the front rewrites the formula at every call,
-        // which retires the live crew.
-        let cfg = self.config.simplify;
-        if self.ok && cfg.inprocess && (cfg.subsumption || cfg.var_elim) {
-            self.crew = None;
-        }
         let mut crew = match self.crew.take() {
             Some(crew) => crew,
             None => {
@@ -618,8 +602,8 @@ impl<'a> Formula<'a> {
 }
 
 /// The live workers of one formula generation, with their share pool:
-/// built at the first call (and again after the formula was rewritten),
-/// then raced again on every call.
+/// built at the first call (and again after a worker panic), then raced
+/// again on every call.
 struct Crew {
     workers: Workers,
     /// Per worker, how many of the engine's logged clauses it has absorbed
@@ -712,10 +696,16 @@ impl Crew {
             Workers::Threads(threads) => {
                 // The threads advance together: worker 0's cursor is
                 // everyone's.
-                threads.extend(formula.num_vars, formula.unseen(&mut cursors[0]));
+                let clauses = formula.unseen(&mut cursors[0]);
                 let synced = cursors[0];
                 cursors.fill(synced);
-                threads.solve(assumptions, config.budget, observer)
+                threads.solve(
+                    formula.num_vars,
+                    clauses,
+                    assumptions,
+                    config.budget,
+                    observer,
+                )
             }
         }
     }
@@ -1163,7 +1153,7 @@ mod tests {
             engine.stats().initial_clauses < 3,
             "the workers must race on the reduced formula"
         );
-        // Without inprocessing the second call reuses the reduction.
+        // The second call reuses the reduction.
         assert!(engine.solve().is_sat());
         assert_eq!(engine.stats().clauses_subsumed, 1);
     }

@@ -239,16 +239,14 @@ impl Worker {
     }
 }
 
-/// A request to a worker thread.
-enum Order {
-    /// [`Worker::extend`].
-    Extend { num_vars: usize, clauses: Arc<Cnf> },
-    /// Run one call and send back its [`CallResult`].
-    Solve {
-        assumptions: Arc<[Lit]>,
-        budget: Budget,
-        observer: Option<SharedObserver>,
-    },
+/// One call's order to a worker thread: the variables and clauses it has
+/// not seen yet (for [`Worker::extend`]), then the race ([`Worker::run`]).
+struct Order {
+    num_vars: usize,
+    clauses: Arc<Cnf>,
+    assumptions: Arc<[Lit]>,
+    budget: Budget,
+    observer: Option<SharedObserver>,
 }
 
 /// One worker thread's end of the engine: its order and result channels.
@@ -304,37 +302,27 @@ impl WorkerThreads {
     }
 
     /// Hands every worker the clauses it has not seen yet (all of them
-    /// advance together); the threads apply them ahead of the next
-    /// [`WorkerThreads::solve`].
-    pub(crate) fn extend<'a>(
+    /// advance together), then races them on one call and collects the
+    /// results in worker order. The first definitive answer claims the win
+    /// by raising the cancel flag, which also stops the others. A worker
+    /// that panicked is re-raised here, on the caller's thread, once the
+    /// others stopped.
+    pub(crate) fn solve<'a>(
         &mut self,
         num_vars: usize,
         clauses: impl IntoIterator<Item = &'a [Lit]>,
-    ) {
-        let clauses: Arc<Cnf> = Arc::new(clauses.into_iter().map(|c| c.iter().copied()).collect());
-        for lane in &self.lanes {
-            // A dead thread surfaces (with its panic) in `solve`.
-            let _ = lane.orders.send(Order::Extend {
-                num_vars,
-                clauses: Arc::clone(&clauses),
-            });
-        }
-    }
-
-    /// Races every worker on one call and collects the results in worker
-    /// order. The first definitive answer claims the win by raising the
-    /// cancel flag, which also stops the others. A worker that panicked is
-    /// re-raised here, on the caller's thread, once the others stopped.
-    pub(crate) fn solve(
-        &mut self,
         assumptions: &[Lit],
         budget: Budget,
         observer: &Option<SharedObserver>,
     ) -> Vec<CallResult> {
         self.cancel.store(false, Ordering::SeqCst);
+        let clauses: Arc<Cnf> = Arc::new(clauses.into_iter().map(|c| c.iter().copied()).collect());
         let assumptions: Arc<[Lit]> = assumptions.into();
         for lane in &self.lanes {
-            let _ = lane.orders.send(Order::Solve {
+            // A dead thread surfaces (with its panic) below.
+            let _ = lane.orders.send(Order {
+                num_vars,
+                clauses: Arc::clone(&clauses),
                 assumptions: Arc::clone(&assumptions),
                 budget,
                 observer: observer.clone(),
@@ -384,8 +372,8 @@ impl Drop for WorkerThreads {
     }
 }
 
-/// A worker thread's loop: apply orders until the engine closes the
-/// channel.
+/// A worker thread's loop: extend and run the worker for each order until
+/// the engine closes the channel.
 fn serve(
     mut worker: Worker,
     cancel: &AtomicBool,
@@ -393,23 +381,15 @@ fn serve(
     results: Sender<CallResult>,
 ) {
     for order in orders {
-        match order {
-            Order::Extend { num_vars, clauses } => worker.extend(num_vars, clauses.iter()),
-            Order::Solve {
-                assumptions,
-                budget,
-                observer,
-            } => {
-                worker.begin(observer);
-                let status = worker.run(&assumptions, budget);
-                let won = !status.is_unknown()
-                    && cancel
-                        .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
-                        .is_ok();
-                if results.send(worker.finish(status, won)).is_err() {
-                    return;
-                }
-            }
+        worker.extend(order.num_vars, order.clauses.iter());
+        worker.begin(order.observer);
+        let status = worker.run(&order.assumptions, order.budget);
+        let won = !status.is_unknown()
+            && cancel
+                .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
+                .is_ok();
+        if results.send(worker.finish(status, won)).is_err() {
+            return;
         }
     }
 }

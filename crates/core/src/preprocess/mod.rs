@@ -1,9 +1,9 @@
-//! SatELite-style preprocessing/inprocessing over occurrence lists.
+//! SatELite-style preprocessing over occurrence lists.
 //!
-//! The simplifier runs at solve entry (and, with
-//! [`SimplifyConfig::inprocess`](crate::SimplifyConfig), at every later
-//! call) over the live *original* clauses, performing three passes under
-//! one occurrence index:
+//! The simplifier runs once, at the entry of the first solve call, over
+//! the original clauses — before any conflict or import, so the database
+//! holds no learnt clause yet — performing three passes under one
+//! occurrence index:
 //!
 //! * **Backward subsumption** — a clause `A ⊆ B` kills `B`; candidate sets
 //!   come from the occurrence list of `A`'s rarest literal, pre-filtered by
@@ -99,24 +99,24 @@ impl SimpState {
 }
 
 impl Solver {
-    /// Runs the configured simplification passes. Called at solve entry
-    /// with the trail at level 0 and fully propagated; afterwards the
-    /// clause arena is compacted, the watch lists rebuilt, and every unit
-    /// consequence propagated (a level-0 conflict clears
-    /// [`Solver::is_ok`]).
+    /// Runs the configured simplification passes at the first solve call
+    /// (later calls return at once). Called at solve entry with the trail
+    /// at level 0 and fully propagated; afterwards the clause arena is
+    /// compacted, the watch lists rebuilt, and every unit consequence
+    /// propagated (a level-0 conflict clears [`Solver::is_ok`]).
     pub(crate) fn simplify_formula(&mut self, proof: &mut dyn ProofSink) {
         let cfg = self.config.simplify;
         if (!cfg.subsumption && !cfg.var_elim) || !self.ok {
             return;
         }
-        if !self.limits.simplify_due(cfg.inprocess) {
+        if !self.limits.simplify_due() {
             return;
         }
         debug_assert_eq!(self.decision_level(), 0);
         debug_assert!(self.trail.queue_drained(), "trail must be propagated");
 
-        // The current call's assumption variables must survive: freeze them
-        // (permanently — a later call may assume them again).
+        // The first call's assumption variables must survive: freeze them
+        // (a later call may assume them again).
         for i in 0..self.assumptions.len() {
             let v = self.assumptions[i].var();
             self.frozen[v.index()] = true;
@@ -131,15 +131,14 @@ impl Solver {
             self.stats.elim_resolvents,
         );
 
-        // Index every live original clause as-is; stale literals (falsified
-        // by units learnt since insertion) are stripped by the initial
-        // apply_units sweep over the whole trail.
+        // Index every live clause as-is (all of them original: nothing has
+        // been learnt yet); stale literals (falsified by units found since
+        // insertion) are stripped by the initial apply_units sweep over the
+        // whole trail.
         let mut st = SimpState::new(self.num_vars);
         let live: Vec<ClauseRef> = self.db.iter_live().collect();
         for cref in live {
-            if self.db.is_learnt(cref) {
-                continue;
-            }
+            debug_assert!(!self.db.is_learnt(cref), "simplifying after search");
             st.idx.add(cref, self.db.lits(cref));
         }
         st.queue = (0..st.idx.clauses.len() as u32).collect();
@@ -174,33 +173,13 @@ impl Solver {
             }
         }
 
-        if self.stats.vars_eliminated > base.2 {
-            // Learnt clauses mentioning an eliminated variable are sound
-            // but useless (the variable is unbranchable and unconstrained):
-            // drop them so no live clause mentions an eliminated variable.
-            let learnts: Vec<ClauseRef> = self
-                .db
-                .iter_live()
-                .filter(|&c| self.db.is_learnt(c))
-                .collect();
-            for cref in learnts {
-                let dead = self
-                    .db
-                    .lits(cref)
-                    .iter()
-                    .any(|l| self.eliminated[l.var().index()]);
-                if dead {
-                    self.db.delete(cref);
-                    self.stats.deleted_clauses += 1;
-                }
-            }
-            // An eliminated variable must never surface as a branching
-            // candidate again.
-            if self.config.activity_index == ActivityIndex::Heap {
-                for i in 0..self.num_vars {
-                    if self.eliminated[i] {
-                        self.heap.remove(Var::new(i as u32), &self.var_activity);
-                    }
+        // An eliminated variable must never surface as a branching
+        // candidate.
+        if self.stats.vars_eliminated > base.2 && self.config.activity_index == ActivityIndex::Heap
+        {
+            for i in 0..self.num_vars {
+                if self.eliminated[i] {
+                    self.heap.remove(Var::new(i as u32), &self.var_activity);
                 }
             }
         }
@@ -262,11 +241,12 @@ impl Solver {
     }
 
     /// Rewrites clause `id` to its current literal set minus `remove` and
-    /// minus every literal false at level 0, reporting the change to the
-    /// proof sink (`add` of the new set, then `d` of the old — the order
-    /// that keeps the stream RUP-checkable). A clause that is satisfied at
-    /// level 0 is deleted instead; one that degenerates to a unit asserts
-    /// the unit and dissolves; the empty clause clears [`Solver::is_ok`].
+    /// minus every literal false at level 0, through
+    /// [`Solver::strengthen_at_level0`] (`add` of the new set, then `d` of
+    /// the old — the order that keeps the stream RUP-checkable), and keeps
+    /// the index in step. A clause that is satisfied at level 0 is deleted
+    /// instead; one that degenerates to a unit asserts the unit and
+    /// dissolves; the empty clause clears [`Solver::is_ok`].
     ///
     /// `remove` is false at level 0, or `subsuming` names the clause that
     /// implies it false once the new set is (self-subsumption); the hint
@@ -280,54 +260,38 @@ impl Solver {
         proof: &mut dyn ProofSink,
     ) {
         let cref = st.idx.cref(id);
-        let old: Vec<Lit> = self.db.lits(cref).to_vec();
-        if old
+        if self
+            .db
+            .lits(cref)
             .iter()
             .any(|&l| l != remove && self.lit_value(l) == LBool::True)
         {
             // Satisfied at level 0: remove outright (`d` line at GC time).
             st.idx.kill(id);
-            for &x in &old {
+            for &x in self.db.lits(cref) {
                 st.touch(x.var());
             }
             self.db.delete(cref);
             self.stats.deleted_clauses += 1;
             return;
         }
-        let new: Vec<Lit> = old
-            .iter()
-            .copied()
-            .filter(|&l| l != remove && self.lit_value(l) != LBool::False)
-            .collect();
-        debug_assert!(new.len() < old.len(), "strengthening removed nothing");
-        for c in subsuming.into_iter().chain([cref]) {
+        if let Some(c) = subsuming {
             self.hints.push(self.db.id(c));
         }
-        let lemma = self.hints.add(proof, &new);
-        match new.len() {
-            0 => {
-                self.ok = false;
-                st.idx.kill(id);
-                self.db.delete(cref);
-            }
+        let (old, len) = self.strengthen_at_level0(cref, Some(remove), proof);
+        match len {
+            0 => st.idx.kill(id),
             1 => {
-                if self.lit_value(new[0]).is_undef() {
-                    self.unchecked_enqueue(new[0], None);
-                }
                 st.idx.kill(id);
                 for &x in &old {
                     st.touch(x.var());
                 }
-                self.db.delete(cref);
-                self.stats.deleted_clauses += 1;
             }
-            n => {
-                proof.delete_clause(&old);
-                self.db.lits_mut(cref)[..n].copy_from_slice(&new);
-                self.db.shrink(cref, n, lemma);
+            _ => {
+                let new = self.db.lits(cref);
                 for &l in &old {
                     if !new.contains(&l) {
-                        st.idx.detach_lit(id, l, &new);
+                        st.idx.detach_lit(id, l, new);
                         st.touch(l.var());
                     }
                 }
@@ -415,7 +379,7 @@ mod tests {
         s.add_clause([lit(4), lit(5)]);
         s.add_clause([lit(4), lit(5), lit(6)]);
         assert!(s.solve().is_sat());
-        // Second call: no inprocessing under the default preset.
+        // Second call: the simplifier runs only at the first.
         assert_eq!(s.stats().clauses_subsumed, 1);
     }
 

@@ -91,40 +91,56 @@ impl Solver {
             }
             // Strengthen: drop the falsified literals. The shortened clause
             // is a unit-propagation consequence of the old one (its hint
-            // chain), so emit add-then-delete.
-            let old: Vec<Lit> = self.db.lits(cref).to_vec();
-            let new: Vec<Lit> = old
-                .iter()
-                .copied()
-                .filter(|&l| self.lit_value(l) != LBool::False)
-                .collect();
-            self.hints.push(self.db.id(cref));
-            let id = self.hints.add(proof, &new);
-            match new.len() {
-                0 => {
-                    // Cannot happen after complete BCP, but stay sound.
-                    self.ok = false;
-                    self.db.delete(cref);
+            // chain).
+            self.strengthen_at_level0(cref, None, proof);
+        }
+    }
+
+    /// Level-0 strengthening of clause `cref`: drops `remove` (if given)
+    /// and every literal false at level 0, then logs the shorter clause
+    /// with its hint chain — the hints pushed so far, then `cref` — and
+    /// applies it. The empty clause clears [`Solver::is_ok`]; a unit is
+    /// asserted and the clause deleted; a longer clause is shrunk in place
+    /// (the record keeps its `ClauseRef` and takes the new addition's ID).
+    /// The old literal set is overwritten then, so its `d` line follows the
+    /// `add` at once rather than coming from the GC.
+    ///
+    /// Returns the old literals and the new length; when that is 2 or more
+    /// the new literals are `self.db.lits(cref)`.
+    pub(crate) fn strengthen_at_level0<S: ProofSink + ?Sized>(
+        &mut self,
+        cref: ClauseRef,
+        remove: Option<Lit>,
+        proof: &mut S,
+    ) -> (Vec<Lit>, usize) {
+        let old: Vec<Lit> = self.db.lits(cref).to_vec();
+        let new: Vec<Lit> = old
+            .iter()
+            .copied()
+            .filter(|&l| Some(l) != remove && self.lit_value(l) != LBool::False)
+            .collect();
+        debug_assert!(new.len() < old.len(), "strengthening removed nothing");
+        self.hints.push(self.db.id(cref));
+        let id = self.hints.add(proof, &new);
+        match new.len() {
+            0 => {
+                self.ok = false;
+                self.db.delete(cref);
+            }
+            1 => {
+                if self.lit_value(new[0]).is_undef() {
+                    self.unchecked_enqueue(new[0], None);
                 }
-                1 => {
-                    // Degenerated to a unit: assert it and drop the clause.
-                    if self.lit_value(new[0]).is_undef() {
-                        self.unchecked_enqueue(new[0], None);
-                    }
-                    self.db.delete(cref);
-                    self.stats.deleted_clauses += 1;
-                }
-                n => {
-                    // Shrink in place — the record keeps its `ClauseRef`
-                    // and takes the new addition's ID. The old literal set
-                    // is overwritten here, so its `d` line is emitted now
-                    // rather than by the GC.
-                    proof.delete_clause(&old);
-                    self.db.lits_mut(cref)[..n].copy_from_slice(&new);
-                    self.db.shrink(cref, n, id);
-                }
+                self.db.delete(cref);
+                self.stats.deleted_clauses += 1;
+            }
+            n => {
+                proof.delete_clause(&old);
+                self.db.lits_mut(cref)[..n].copy_from_slice(&new);
+                self.db.shrink(cref, n, id);
             }
         }
+        (old, new.len())
     }
 
     /// Applies the configured keep/remove rule to the learnt-clause stack.

@@ -40,18 +40,6 @@ impl XorShift64 {
     pub fn next_bool(&mut self) -> bool {
         self.next_u64() & 1 == 1
     }
-
-    /// Returns a pseudo-random value in `0..bound`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bound == 0`.
-    #[cfg_attr(not(test), allow(dead_code))] // kept for heuristic experiments
-    pub fn next_below(&mut self, bound: u64) -> u64 {
-        assert!(bound > 0, "bound must be positive");
-        // Multiply-shift reduction; bias is negligible for heuristic use.
-        ((self.next_u64() as u128 * bound as u128) >> 64) as u64
-    }
 }
 
 impl Default for XorShift64 {
@@ -87,14 +75,6 @@ mod tests {
     fn zero_seed_is_remapped() {
         let mut r = XorShift64::new(0);
         assert_ne!(r.next_u64(), 0);
-    }
-
-    #[test]
-    fn next_below_respects_bound() {
-        let mut r = XorShift64::new(7);
-        for _ in 0..1000 {
-            assert!(r.next_below(13) < 13);
-        }
     }
 
     #[test]

@@ -183,11 +183,11 @@ impl Solver {
             self.ok = false;
             return self.conclude_unsat(proof);
         }
-        // Preprocess at solve entry, over the propagated level-0 trail:
-        // subsumption, strengthening and bounded variable elimination (see
-        // `crate::preprocess`), with every change reported to the proof
-        // sink and eliminated variables pushed onto the reconstruction
-        // stack.
+        // Preprocess at the first call's entry, over the propagated
+        // level-0 trail: subsumption, strengthening and bounded variable
+        // elimination (see `crate::preprocess`), with every change reported
+        // to the proof sink and eliminated variables pushed onto the
+        // reconstruction stack.
         self.simplify_formula(proof);
         if !self.ok {
             return self.conclude_unsat(proof);

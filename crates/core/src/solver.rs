@@ -6,7 +6,7 @@
 //! cadence/budget scheduler in [`crate::limits`], the CDCL loop in
 //! [`crate::search`]. This module owns the [`Solver`] struct that wires
 //! them together plus the thin API that does not run search: construction,
-//! clause ingestion, assumption staging, freeze/melt, accessors, and the
+//! clause ingestion, assumption staging, freezing, accessors, and the
 //! `solve()` entry point.
 
 use berkmin_cnf::{Cnf, LBool, Lit, Var};
@@ -292,7 +292,7 @@ impl Solver {
     /// # Panics
     ///
     /// Panics if the clause mentions an eliminated variable — see the
-    /// freeze/melt contract on [`Solver::freeze`].
+    /// freeze contract on [`Solver::freeze`].
     pub fn add_clause<I: IntoIterator<Item = Lit>>(&mut self, lits: I) -> bool {
         self.cancel_until(0);
         let mut ls: Vec<Lit> = lits.into_iter().collect();
@@ -405,7 +405,7 @@ impl Solver {
     /// # Panics
     ///
     /// Panics if `lit`'s variable has been eliminated by the preprocessor
-    /// — see the freeze/melt contract on [`Solver::freeze`].
+    /// — see the freeze contract on [`Solver::freeze`].
     pub fn assume(&mut self, lit: Lit) {
         self.reject_eliminated("assume", &[lit]);
         self.pending_assumptions.push(lit);
@@ -413,28 +413,21 @@ impl Solver {
 
     /// Protects `var` from bounded variable elimination.
     ///
-    /// **The freeze/melt contract.** With
+    /// **The freeze contract.** With
     /// [`SimplifyConfig::var_elim`](crate::SimplifyConfig) enabled, the
-    /// preprocessor may dissolve a variable into resolvents; an eliminated
-    /// variable is gone from the formula, and mentioning it again in
-    /// [`Solver::add_clause`] or [`Solver::assume`] panics (its deleted
-    /// defining clauses cannot be restored soundly under a DRAT proof).
-    /// Incremental users must therefore freeze every variable they intend
-    /// to constrain or assume *after* the next solve call. Assumption
-    /// variables of each call are frozen automatically, as are variables
-    /// with no occurrences. [`Solver::melt`] lifts the protection again
-    /// once a variable's incremental role is over.
+    /// preprocessor may dissolve a variable into resolvents at the first
+    /// solve call; an eliminated variable is gone from the formula, and
+    /// mentioning it again in [`Solver::add_clause`] or [`Solver::assume`]
+    /// panics (its deleted defining clauses cannot be restored soundly
+    /// under a DRAT proof). Incremental users must therefore freeze, before
+    /// the first solve call, every variable they intend to constrain or
+    /// assume after it. The first call's assumption variables are frozen
+    /// automatically, as are variables with no occurrences. The simplifier
+    /// never runs again, so a freeze after the first call changes nothing,
+    /// and a frozen variable stays frozen.
     pub fn freeze(&mut self, var: Var) {
         self.ensure_vars(var.index() + 1);
         self.frozen[var.index()] = true;
-    }
-
-    /// Lifts a [`Solver::freeze`]: the next simplifier run may eliminate
-    /// `var` again.
-    pub fn melt(&mut self, var: Var) {
-        if let Some(f) = self.frozen.get_mut(var.index()) {
-            *f = false;
-        }
     }
 
     /// Whether `var` is currently protected from elimination.
@@ -448,7 +441,7 @@ impl Solver {
         self.eliminated.get(var.index()).copied().unwrap_or(false)
     }
 
-    /// Panics if `lits` mention an eliminated variable (the freeze/melt
+    /// Panics if `lits` mention an eliminated variable (the freeze
     /// contract on [`Solver::freeze`]); `op` names the offending call.
     pub(crate) fn reject_eliminated(&self, op: &str, lits: &[Lit]) {
         if let Some(l) = lits.iter().find(|l| self.is_eliminated(l.var())) {

@@ -42,8 +42,8 @@ pub(crate) struct BinWatcher {
 
 /// One entry yielded by [`Watches::for_each_watcher`]: either a
 /// long-clause watcher or an inline binary watcher.
+#[cfg(test)]
 #[derive(Debug, Clone, Copy)]
-#[cfg_attr(not(test), allow(dead_code))]
 pub(crate) enum WatchRef<'a> {
     /// A long-clause (length ≥ 3) watcher with its blocker.
     Long(&'a Watcher),
@@ -77,7 +77,7 @@ impl Watches {
     }
 
     /// Number of literal codes covered (2 × variables).
-    #[cfg_attr(not(test), allow(dead_code))]
+    #[cfg(test)]
     pub(crate) fn num_codes(&self) -> usize {
         self.long.len()
     }
@@ -93,22 +93,6 @@ impl Watches {
         } else {
             self.long[(!l0).code()].push(Watcher { cref, blocker: l1 });
             self.long[(!l1).code()].push(Watcher { cref, blocker: l0 });
-        }
-    }
-
-    /// Removes every watcher entry of `cref` from the lists of its two
-    /// watched literals (positions 0 and 1 of `lits`) — the inverse of
-    /// [`Watches::attach`], for detaching a single clause without the full
-    /// [`Watches::rebuild`].
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn detach(&mut self, cref: ClauseRef, lits: &[Lit]) {
-        for &watched in &lits[..2] {
-            let code = (!watched).code();
-            if lits.len() == 2 {
-                self.binary[code].retain(|w| w.cref != cref);
-            } else {
-                self.long[code].retain(|w| w.cref != cref);
-            }
         }
     }
 
@@ -179,7 +163,7 @@ impl Watches {
 
     /// Visits every watcher entry (long and binary) together with the
     /// clause literal it watches.
-    #[cfg_attr(not(test), allow(dead_code))]
+    #[cfg(test)]
     pub(crate) fn for_each_watcher<'a>(&'a self, mut f: impl FnMut(Lit, WatchRef<'a>)) {
         for code in 0..self.long.len().min(self.binary.len()) {
             // `long[l]` is visited when `l` becomes true, i.e. it holds
@@ -334,38 +318,5 @@ impl std::fmt::Debug for Watches {
             .field("binary_watchers", &bin_entries)
             .field("populated_lists", &populated)
             .finish()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::clause_db::ClauseDb;
-    use berkmin_cnf::Lit;
-
-    fn lit(n: i32) -> Lit {
-        Lit::from_dimacs(n)
-    }
-
-    #[test]
-    fn detach_is_the_inverse_of_attach() {
-        let mut db = ClauseDb::new();
-        let mut w = Watches::new();
-        w.grow(3);
-        let long = db.add_original(&[lit(1), lit(2), lit(3)], None);
-        let bin = db.add_original(&[lit(-1), lit(2)], None);
-        w.attach(long, db.lits(long));
-        w.attach(bin, db.lits(bin));
-        let mut count = 0;
-        w.for_each_watcher(|_, _| count += 1);
-        assert_eq!(count, 4, "each clause is watched twice");
-
-        let lits: Vec<Lit> = db.lits(long).to_vec();
-        w.detach(long, &lits);
-        let lits: Vec<Lit> = db.lits(bin).to_vec();
-        w.detach(bin, &lits);
-        let mut count = 0;
-        w.for_each_watcher(|_, _| count += 1);
-        assert_eq!(count, 0, "detach removed every entry");
     }
 }

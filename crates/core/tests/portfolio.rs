@@ -6,8 +6,8 @@
 //! re-certified by solving F ∧ ¬C: if F ⊨ C that conjunction is UNSAT.
 //!
 //! Persistent workers across incremental calls: per-call accounting adds
-//! up with nothing counted twice, models reconstruct on calls that rebuild
-//! the workers, the proof spliced from several winners checks, and a
+//! up with nothing counted twice, models reconstruct after a worker panic
+//! rebuilds the workers, the proof spliced from several winners checks, and a
 //! threaded session agrees with a warm single solver and shuts down
 //! cleanly.
 
@@ -204,8 +204,6 @@ struct CallLog {
     done: Vec<(u64, u64)>,
     /// The `PoolEvicted` totals, one per call that evicted.
     evicted: Vec<u64>,
-    /// Portfolio-level `Simplify` events (one per pre-simplification run).
-    simplifies: usize,
 }
 
 /// A portfolio whose untagged events land in the returned log.
@@ -222,7 +220,6 @@ fn logged(config: PortfolioConfig) -> (PortfolioEngine, Arc<Mutex<CallLog>>) {
                 ..
             } => log.done.push((*conflicts, *decisions)),
             SolveEvent::PoolEvicted { evicted } => log.evicted.push(*evicted),
-            SolveEvent::Simplify { .. } => log.simplifies += 1,
             _ => {}
         }
     })));
@@ -329,20 +326,21 @@ fn check_model(model: &berkmin_cnf::Assignment, formula: &[Vec<Lit>], assumed: &
 }
 
 #[test]
-fn models_reconstruct_on_calls_that_rebuild_the_workers() {
-    // Elimination plus inprocessing rewrites the shared formula on every
-    // call, so every call rebuilds the workers; the assumption variables
-    // (1..=8) are frozen up front, and later clauses only use them. The
-    // paranoid audit after each simplification checks the watch lists the
-    // parked front rebuilt.
-    let (mut engine, log) = logged(
+fn models_reconstruct_after_a_worker_panic_rebuilds_the_crew() {
+    // Elimination runs at the first call only; the assumption variables
+    // (1..=8) are frozen up front, and later clauses only use them and
+    // fresh variables. Call
+    // 2's observer panics at the first worker event, which drops the crew
+    // mid-call, so call 3 unparks the front and builds a new crew from it
+    // without simplifying again. The paranoid workers audit the seed the
+    // rebuilt front hands them.
+    let mut engine = PortfolioEngine::new(
         PortfolioConfig::new(2)
             .with_deterministic(true)
             .with_share_lbd(Some(4))
             .with_paranoid(true)
             .with_simplify(SimplifyConfig {
                 var_elim: true,
-                inprocess: true,
                 ..SimplifyConfig::default()
             }),
     );
@@ -358,17 +356,51 @@ fn models_reconstruct_on_calls_that_rebuild_the_workers() {
     for c in &formula {
         engine.add_clause(c);
     }
+    let mut eliminated = 0;
     let mut sat_calls = 0;
-    let calls = 6;
-    for call in 0..calls {
+    for call in 0..7 {
         if call > 0 {
-            let extra = vec![!frozen[call], frozen[(call + 3) % 8]];
-            engine.add_clause(&extra);
-            formula.push(extra);
+            // A fresh variable chains two frozen ones: simplifying again
+            // would eliminate it.
+            let fresh = lit(40 + call as i32);
+            for extra in [
+                vec![!frozen[call % 8], fresh],
+                vec![!fresh, frozen[(call + 3) % 8]],
+            ] {
+                engine.add_clause(&extra);
+                formula.push(extra);
+            }
         }
         let assumed = vec![frozen[call % 8], !frozen[(call + 5) % 8]];
         for &a in &assumed {
             engine.assume(a);
+        }
+        if call == 2 {
+            engine.set_observer(Some(Box::new(|e: &SolveEvent| {
+                if matches!(e, SolveEvent::Worker { .. }) {
+                    panic!("observer refuses worker events");
+                }
+            })));
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| engine.solve()));
+            assert!(
+                caught.is_err(),
+                "the observer's panic must reach the caller"
+            );
+            engine.set_observer(None);
+            continue;
+        }
+        // Call 3 runs on a new crew: worker 0's first solve call is its
+        // solver's first.
+        let first_call = Arc::new(Mutex::new(None));
+        if call == 3 {
+            let seen = Arc::clone(&first_call);
+            engine.set_observer(Some(Box::new(move |e: &SolveEvent| {
+                if let SolveEvent::Worker { worker: 0, event } = e {
+                    if let SolveEvent::SolveStart { call, .. } = **event {
+                        seen.lock().unwrap().get_or_insert(call);
+                    }
+                }
+            })));
         }
         match engine.solve() {
             SolveStatus::Sat(model) => {
@@ -381,27 +413,29 @@ fn models_reconstruct_on_calls_that_rebuild_the_workers() {
                 .all(|l| assumed.contains(l))),
             SolveStatus::Unknown(r) => panic!("call {call}: unbudgeted portfolio stopped: {r}"),
         }
-        check_call(&engine, &log, call);
+        if call == 3 {
+            engine.set_observer(None);
+            assert_eq!(*first_call.lock().unwrap(), Some(1), "the crew was rebuilt");
+        }
+        if call == 0 {
+            eliminated = engine.stats().vars_eliminated;
+            assert!(eliminated > 0, "elimination must run");
+        }
+        assert_eq!(
+            engine.stats().vars_eliminated,
+            eliminated,
+            "call {call}: the front simplifies only the first call"
+        );
     }
-    assert!(engine.stats().vars_eliminated > 0, "elimination must run");
     assert!(
         sat_calls >= 3,
         "too few SAT calls to check models: {sat_calls}"
-    );
-    let log = log.lock().unwrap();
-    assert_eq!(
-        log.simplifies, calls,
-        "every call re-simplified and rebuilt"
-    );
-    assert_eq!(
-        engine.stats().conflicts,
-        log.done.iter().map(|d| d.0).sum::<u64>()
     );
 }
 
 #[test]
 fn the_front_answers_like_a_single_solver() {
-    // The `--elim` path: elimination on, inprocessing off. After the first
+    // The `--elim` path: elimination on. After the first
     // solve over the same clauses, freezes and assumptions, a portfolio's
     // front and a lone solver with the same `SimplifyConfig` must agree on
     // every variable's freeze and elimination state and on the

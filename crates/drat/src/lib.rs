@@ -8,7 +8,6 @@
 //! * [`DratProof`] — an in-memory proof that attaches to a solver at
 //!   construction time via [`berkmin::SolverBuilder::proof`] as a
 //!   [`berkmin::ProofSink`];
-//! * [`TextDratWriter`] — a streaming sink emitting standard textual DRAT;
 //! * [`check_refutation`] — a forward RUP checker with a hint fast path
 //!   that independently validates the solver's UNSAT verdicts (used
 //!   throughout the integration test suite). An addition that carries a
@@ -45,4 +44,4 @@ mod checker;
 mod proof;
 
 pub use checker::{check_refutation, CheckError, CheckReport};
-pub use proof::{DratProof, Hints, Lits, ParseDratError, Step, TextDratWriter};
+pub use proof::{DratProof, Hints, Lits, ParseDratError, Step};

@@ -499,58 +499,6 @@ impl fmt::Display for ParseDratError {
 
 impl std::error::Error for ParseDratError {}
 
-/// A [`ProofSink`] that streams textual DRAT to any writer as the solver
-/// runs (no in-memory buffering of the whole proof).
-#[derive(Debug)]
-pub struct TextDratWriter<W: Write> {
-    writer: W,
-    /// First I/O error encountered, if any (sinks cannot fail mid-solve).
-    error: Option<io::Error>,
-    /// The line being rendered, reused across steps.
-    line: Vec<u8>,
-}
-
-impl<W: Write> TextDratWriter<W> {
-    /// Wraps a writer.
-    pub fn new(writer: W) -> Self {
-        TextDratWriter {
-            writer,
-            error: None,
-            line: Vec::new(),
-        }
-    }
-
-    /// Finishes writing and returns the writer, or the first I/O error
-    /// swallowed during the run.
-    pub fn into_inner(mut self) -> io::Result<W> {
-        match self.error.take() {
-            Some(e) => Err(e),
-            None => Ok(self.writer),
-        }
-    }
-
-    fn emit(&mut self, deletion: bool, lits: &[Lit]) {
-        if self.error.is_some() {
-            return;
-        }
-        self.line.clear();
-        render_line(&mut self.line, deletion, lits.iter().copied());
-        if let Err(e) = self.writer.write_all(&self.line) {
-            self.error = Some(e);
-        }
-    }
-}
-
-impl<W: Write> ProofSink for TextDratWriter<W> {
-    fn add_clause(&mut self, lits: &[Lit]) {
-        self.emit(false, lits);
-    }
-
-    fn delete_clause(&mut self, lits: &[Lit]) {
-        self.emit(true, lits);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -682,20 +630,5 @@ mod tests {
     fn parse_skips_comments() {
         let p = DratProof::parse("c hello\n1 0\nc bye\n").unwrap();
         assert_eq!(p.len(), 1);
-    }
-
-    #[test]
-    fn streaming_writer_matches_in_memory() {
-        let mut mem = DratProof::new();
-        let mut buf = Vec::new();
-        {
-            let mut w = TextDratWriter::new(&mut buf);
-            for sink in [&mut mem as &mut dyn ProofSink, &mut w] {
-                sink.add_clause(&[lit(2), lit(3)]);
-                sink.delete_clause(&[lit(-1)]);
-            }
-            w.into_inner().unwrap();
-        }
-        assert_eq!(String::from_utf8(buf).unwrap(), mem.to_text());
     }
 }

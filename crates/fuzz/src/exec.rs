@@ -159,11 +159,11 @@ pub fn run_case(case: &Case) -> Result<CaseReport, String> {
         Arm::new("berkmin", SolverConfig::berkmin().with_seed(0x5EED)),
         Arm::new("chaff", SolverConfig::chaff_like().with_seed(7)),
         Arm::new("churn", churn_cfg),
-        // Full preprocessing with inprocessing: subsumption, strengthening
-        // and bounded variable elimination re-run before *every* solve. Its
-        // SAT models exercise reconstruction (certified against the original
-        // accumulated formula below) and its refutations carry elimination
-        // additions and deletions through the same DRAT check as the others.
+        // Full preprocessing: subsumption, strengthening and bounded
+        // variable elimination at the first solve. Its SAT models exercise
+        // reconstruction (certified against the original accumulated
+        // formula below) and its refutations carry elimination additions
+        // and deletions through the same DRAT check as the others.
         Arm::new(
             "simplify",
             SolverConfig::berkmin()
@@ -171,36 +171,25 @@ pub fn run_case(case: &Case) -> Result<CaseReport, String> {
                 .with_simplify(SimplifyConfig::full()),
         ),
     ];
-    // The last two arms: deterministic two-worker sharing portfolios whose
-    // front runs the `--elim` path, so their SAT models exercise the
-    // front's reconstruction. Clause import makes their DRAT streams
-    // unsound, so their absolute refutations are certified through the
-    // independent DPLL reference instead of a proof. Their 4-conflict
-    // slices let a fuzz case's first hard call come late in the session,
-    // so worker 1 is often staged only then, over the formula and log the
-    // earlier calls built. The first eliminates at its first call only and
-    // keeps its crew; the second re-simplifies at every call, so every
-    // call unparks the front and builds a new crew over the rewritten
-    // formula.
-    let portfolio = |name: &'static str, inprocess: bool| {
-        let engine = PortfolioEngine::new(PortfolioConfig {
-            slice_conflicts: 4,
-            ..PortfolioConfig::new(2)
-                .with_share_lbd(Some(4))
-                .with_deterministic(true)
-                .with_paranoid(true)
-                .with_simplify(SimplifyConfig {
-                    var_elim: true,
-                    inprocess,
-                    ..SimplifyConfig::default()
-                })
-        });
-        (name, engine)
-    };
-    let mut portfolios = [
-        portfolio("portfolio", false),
-        portfolio("portfolio-inprocess", true),
-    ];
+    // The last arm: a deterministic two-worker sharing portfolio whose
+    // front runs the `--elim` path, so its SAT models exercise the front's
+    // reconstruction. Clause import makes its DRAT stream unsound, so its
+    // absolute refutations are certified through the independent DPLL
+    // reference instead of a proof. Its 4-conflict slices let a fuzz
+    // case's first hard call come late in the session, so worker 1 is
+    // often staged only then, over the formula and log the earlier calls
+    // built.
+    let mut portfolio = PortfolioEngine::new(PortfolioConfig {
+        slice_conflicts: 4,
+        ..PortfolioConfig::new(2)
+            .with_share_lbd(Some(4))
+            .with_deterministic(true)
+            .with_paranoid(true)
+            .with_simplify(SimplifyConfig {
+                var_elim: true,
+                ..SimplifyConfig::default()
+            })
+    });
     // Variable elimination forbids re-introducing an eliminated variable,
     // so the eliminating engines freeze up front every variable the rest
     // of the case will assume, or add after the first solve — the contract
@@ -220,9 +209,7 @@ pub fn run_case(case: &Case) -> Result<CaseReport, String> {
         };
         for l in vars {
             simplify.solver.freeze(l.var());
-            for (_, engine) in &mut portfolios {
-                engine.freeze(l.var());
-            }
+            portfolio.freeze(l.var());
         }
     }
 
@@ -241,9 +228,7 @@ pub fn run_case(case: &Case) -> Result<CaseReport, String> {
                 for arm in &mut arms {
                     arm.solver.reserve_vars(*n);
                 }
-                for (_, engine) in &mut portfolios {
-                    engine.reserve_vars(*n);
-                }
+                portfolio.reserve_vars(*n);
             }
             Op::Add(lits) => {
                 for l in lits {
@@ -253,9 +238,7 @@ pub fn run_case(case: &Case) -> Result<CaseReport, String> {
                 for arm in &mut arms {
                     arm.solver.add_clause(lits.iter().copied());
                 }
-                for (_, engine) in &mut portfolios {
-                    engine.add_clause(lits);
-                }
+                portfolio.add_clause(lits);
             }
             Op::Assume(l) => {
                 num_vars = num_vars.max(l.var().index() + 1);
@@ -263,9 +246,7 @@ pub fn run_case(case: &Case) -> Result<CaseReport, String> {
                 for arm in &mut arms {
                     arm.solver.assume(*l);
                 }
-                for (_, engine) in &mut portfolios {
-                    engine.assume(*l);
-                }
+                portfolio.assume(*l);
             }
             Op::Budget(b) => {
                 budget = *b;
@@ -276,14 +257,12 @@ pub fn run_case(case: &Case) -> Result<CaseReport, String> {
                 for arm in &mut arms {
                     arm.solver.set_budget(budget);
                 }
-                for (_, engine) in &mut portfolios {
-                    engine.set_budget(budget);
-                }
+                portfolio.set_budget(budget);
             }
             Op::Solve => {
                 report.solves += 1;
                 let assumptions = std::mem::take(&mut staged);
-                let mut verdicts = Vec::with_capacity(arms.len() + portfolios.len());
+                let mut verdicts = Vec::with_capacity(arms.len() + 1);
                 for arm in &mut arms {
                     let status = arm.solver.solve();
                     let core = arm.solver.failed_assumptions().to_vec();
@@ -307,23 +286,21 @@ pub fn run_case(case: &Case) -> Result<CaseReport, String> {
                         .check(arm.name, at, arm.solver.stats())?;
                     verdicts.push(verdict(&status));
                 }
-                for (name, engine) in &mut portfolios {
-                    let status = engine.solve();
-                    let core = engine.failed_assumptions().to_vec();
-                    certify(
-                        name,
-                        None,
-                        at,
-                        &status,
-                        &core,
-                        &formula,
-                        &assumptions,
-                        num_vars,
-                        budget,
-                        &mut report,
-                    )?;
-                    verdicts.push(verdict(&status));
-                }
+                let status = portfolio.solve();
+                let core = portfolio.failed_assumptions().to_vec();
+                certify(
+                    "portfolio",
+                    None,
+                    at,
+                    &status,
+                    &core,
+                    &formula,
+                    &assumptions,
+                    num_vars,
+                    budget,
+                    &mut report,
+                )?;
+                verdicts.push(verdict(&status));
                 cross_check(at, &verdicts, &formula, &assumptions, num_vars, &mut report)?;
             }
         }

@@ -3,10 +3,8 @@
 //! Each fuzz **case** is a sequence of incremental solver operations
 //! ([`Op`]): clause additions, staged assumptions, budget changes and
 //! `solve` calls. A case is executed simultaneously on several production
-//! engines (four single-solver configurations and two deterministic
-//! sharing portfolios, one of them re-simplifying and rebuilding its
-//! workers at every call, all with the `paranoid` invariant audits
-//! enabled) and every answer is *certified* rather than trusted:
+//! engines (four single-solver configurations and a deterministic
+//! sharing portfolio, all with the `paranoid` invariant audits enabled) and every answer is *certified* rather than trusted:
 //!
 //! - **SAT** — the model must satisfy every clause added so far and every
 //!   assumption of the call, and must cover all reserved variables.

@@ -9,7 +9,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use berkmin_drat::{check_refutation, DratProof, TextDratWriter};
+use berkmin_drat::{check_refutation, DratProof};
 use berkmin_gens::hole;
 use berkmin_suite::prelude::*;
 
@@ -39,17 +39,9 @@ fn main() {
     );
 
     // Serialize to the standard DRAT text format (as `drat-trim` reads).
-    let writer = Rc::new(RefCell::new(TextDratWriter::new(Vec::new())));
-    let mut solver2 = SolverBuilder::with_config(SolverConfig::berkmin())
-        .proof(Rc::clone(&writer))
-        .cnf(&inst.cnf)
-        .build();
-    assert!(solver2.solve().is_unsat());
-    drop(solver2); // release the solver's handle on the shared sink
-    let buffer = Rc::try_unwrap(writer)
-        .unwrap_or_else(|_| panic!("sole owner after drop"))
-        .into_inner()
-        .into_inner()
+    let mut buffer = Vec::new();
+    proof
+        .write_text(&mut buffer)
         .expect("in-memory writer cannot fail");
     println!("textual DRAT: {} bytes; first lines:", buffer.len());
     let text = String::from_utf8(buffer).expect("DRAT text is ASCII");

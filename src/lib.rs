@@ -48,7 +48,7 @@ pub mod prelude {
         StatsSnapshot, StopReason, WorkerOutcome, WorkerReport,
     };
     pub use berkmin_circuit::bmc::{BmcDriver, BmcEncoding, BmcOutcome};
-    pub use berkmin_cnf::{Assignment, Clause, ClauseSink, Cnf, LBool, Lit, Var};
+    pub use berkmin_cnf::{Assignment, ClauseSink, Cnf, LBool, Lit, Var};
     pub use berkmin_drat::{check_refutation, DratProof};
     pub use berkmin_gens::BenchInstance;
 }

@@ -7,7 +7,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use berkmin::{DbPolicy, RestartPolicy};
-use berkmin_drat::{check_refutation, DratProof, TextDratWriter};
+use berkmin_drat::{check_refutation, DratProof};
 use berkmin_gens::hole;
 use berkmin_suite::prelude::*;
 
@@ -41,21 +41,15 @@ fn hole5_refutation_is_machine_checkable() {
 
 #[test]
 fn streamed_text_proof_checks_after_reparsing() {
-    // The same run, but streamed as textual DRAT and re-parsed — the
+    // The same run, but written out as textual DRAT and re-parsed — the
     // on-disk format must carry everything the checker needs.
     let inst = hole::pigeonhole(5);
-    let sink = Rc::new(RefCell::new(TextDratWriter::new(Vec::new())));
-    let mut solver = SolverBuilder::with_config(SolverConfig::berkmin())
-        .proof(Rc::clone(&sink))
-        .cnf(&inst.cnf)
-        .build();
+    let (mut solver, proof) = proof_logged_solver(&inst.cnf, SolverConfig::berkmin());
     assert!(solver.solve().is_unsat());
-
-    drop(solver); // release the solver's handle on the shared sink
-    let sink = Rc::try_unwrap(sink).unwrap_or_else(|_| panic!("sole owner after drop"));
-    let bytes = sink
-        .into_inner()
-        .into_inner()
+    let mut bytes = Vec::new();
+    proof
+        .borrow()
+        .write_text(&mut bytes)
         .expect("in-memory writer cannot fail");
     let text = String::from_utf8(bytes).expect("DRAT text is ASCII");
     let proof = DratProof::parse(&text).expect("emitted DRAT must re-parse");

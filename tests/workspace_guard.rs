@@ -251,3 +251,87 @@ fn ci_keeps_the_benchmark_package_step() {
          change could break the benchmark unnoticed"
     );
 }
+
+/// Every `.rs` file under `dir`, recursively.
+fn rust_files(dir: &Path, out: &mut Vec<std::path::PathBuf>) {
+    for entry in fs::read_dir(dir).unwrap_or_else(|e| panic!("cannot list {}: {e}", dir.display()))
+    {
+        let path = entry.expect("directory entry").path();
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|x| x == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// `source` without its `#[cfg(test)]` items (each from the attribute to
+/// its matching closing brace, or to its `;`), plus the names of the
+/// test-only module files it declares (`#[cfg(test)] mod name;`).
+fn non_test_code(source: &str) -> (String, Vec<String>) {
+    let mut code = String::new();
+    let mut test_mods = Vec::new();
+    let mut lines = source.lines();
+    while let Some(line) = lines.next() {
+        if line.trim() != "#[cfg(test)]" {
+            code.push_str(line);
+            code.push('\n');
+            continue;
+        }
+        let mut depth = 0i64;
+        for item in lines.by_ref() {
+            let item = item.trim();
+            if depth == 0 && item.starts_with('#') {
+                continue; // further attributes on the same item
+            }
+            if depth == 0 && item.ends_with(';') {
+                if let Some(name) = item.strip_prefix("mod ") {
+                    test_mods.push(name.trim_end_matches(';').to_string());
+                }
+                break;
+            }
+            depth += item.matches('{').count() as i64 - item.matches('}').count() as i64;
+            if depth <= 0 && item.contains('}') {
+                break;
+            }
+        }
+    }
+    (code, test_mods)
+}
+
+#[test]
+fn non_test_code_allows_no_dead_code() {
+    // An item only tests reach should be `#[cfg(test)]`, so that clippy's
+    // `-D warnings` in CI flags the next one instead of an allowance
+    // hiding it.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    rust_files(&root.join("src"), &mut files);
+    for krate in fs::read_dir(root.join("crates")).expect("crates directory") {
+        let src = krate.expect("directory entry").path().join("src");
+        if src.is_dir() {
+            rust_files(&src, &mut files);
+        }
+    }
+    assert!(files.len() > 50, "found only {} source files", files.len());
+    let mut test_only = Vec::new();
+    let mut offenders = Vec::new();
+    for file in &files {
+        let source = fs::read_to_string(file).expect("readable source");
+        let (code, test_mods) = non_test_code(&source);
+        let dir = file.parent().expect("file in a directory");
+        for name in test_mods {
+            test_only.push(dir.join(format!("{name}.rs")));
+            test_only.push(dir.join(name).join("mod.rs"));
+        }
+        if code.contains("allow(dead_code)") {
+            offenders.push(file.clone());
+        }
+    }
+    offenders.retain(|f| !test_only.contains(f));
+    assert!(
+        offenders.is_empty(),
+        "non-test code allows dead code in {offenders:?}; gate test-only \
+         items with #[cfg(test)] instead"
+    );
+}
