@@ -34,7 +34,7 @@ fn scratch_sweep(bits: usize, max_depth: usize) -> (Option<usize>, u64) {
 fn incremental_sweep(bits: usize, max_depth: usize) -> (Option<usize>, u64) {
     let pattern: Vec<(usize, bool)> = (0..bits).map(|o| (o, true)).collect();
     let mut driver = BmcDriver::new(enabled_counter(bits), SolverConfig::berkmin());
-    let depth = match driver.first_reaching_depth(&pattern, max_depth) {
+    let depth = match driver.first_reaching_depth(&pattern, max_depth, |_, _, _| {}) {
         BmcOutcome::Reached { depth, .. } => Some(depth),
         BmcOutcome::Exhausted => None,
         BmcOutcome::Aborted { reason, .. } => panic!("aborted without budget: {reason}"),
@@ -51,7 +51,7 @@ fn dyn_engine_sweep(bits: usize, max_depth: usize) -> (Option<usize>, u64) {
     let engine: Box<dyn SatEngine> =
         SolverBuilder::with_config(SolverConfig::berkmin()).build_engine();
     let mut driver = BmcDriver::with_engine(enabled_counter(bits), engine);
-    let depth = match driver.first_reaching_depth(&pattern, max_depth) {
+    let depth = match driver.first_reaching_depth(&pattern, max_depth, |_, _, _| {}) {
         BmcOutcome::Reached { depth, .. } => Some(depth),
         BmcOutcome::Exhausted => None,
         BmcOutcome::Aborted { reason, .. } => panic!("aborted without budget: {reason}"),
@@ -70,7 +70,7 @@ fn portfolio_sweep(bits: usize, max_depth: usize) -> (Option<usize>, u64) {
             .with_share_lbd(Some(4)),
     );
     let mut driver = BmcDriver::with_engine(enabled_counter(bits), engine);
-    let depth = match driver.first_reaching_depth(&pattern, max_depth) {
+    let depth = match driver.first_reaching_depth(&pattern, max_depth, |_, _, _| {}) {
         BmcOutcome::Reached { depth, .. } => Some(depth),
         BmcOutcome::Exhausted => None,
         BmcOutcome::Aborted { reason, .. } => panic!("portfolio aborted without budget: {reason}"),

@@ -236,7 +236,7 @@ pub enum BmcOutcome {
 /// // A 3-bit counter first shows all-ones at cycle 7.
 /// let mut driver = BmcDriver::new(counter(3), SolverConfig::berkmin());
 /// let all_ones = [(0, true), (1, true), (2, true)];
-/// match driver.first_reaching_depth(&all_ones, 10) {
+/// match driver.first_reaching_depth(&all_ones, 10, |_, _, _| {}) {
 ///     BmcOutcome::Reached { depth, .. } => assert_eq!(depth, 7),
 ///     other => panic!("expected Reached, got {other:?}"),
 /// }
@@ -342,14 +342,19 @@ impl<E: SatEngine> BmcDriver<E> {
 
     /// Sweeps depths `0..=max_depth` for the first cycle at which the
     /// outputs can match `pattern`, reusing the growing encoding and the
-    /// warm solver across the per-depth queries.
+    /// warm solver across the per-depth queries. `on_depth` is invoked
+    /// after each per-depth solve (depth, status, the engine's conflicts
+    /// so far), as in [`scratch_first_reaching_depth`].
     pub fn first_reaching_depth(
         &mut self,
         pattern: &[(usize, bool)],
         max_depth: usize,
+        mut on_depth: impl FnMut(usize, &SolveStatus, u64),
     ) -> BmcOutcome {
         for t in 0..=max_depth {
-            match self.check_outputs_at(t, pattern) {
+            let status = self.check_outputs_at(t, pattern);
+            on_depth(t, &status, self.engine.stats().conflicts);
+            match status {
                 SolveStatus::Sat(model) => return BmcOutcome::Reached { depth: t, model },
                 SolveStatus::Unsat => {}
                 SolveStatus::Unknown(reason) => return BmcOutcome::Aborted { depth: t, reason },
@@ -526,7 +531,7 @@ mod tests {
         assert_eq!(scratch_depth, Some(7));
 
         let mut driver = BmcDriver::new(enabled_counter(bits), berkmin::SolverConfig::berkmin());
-        match driver.first_reaching_depth(&pattern, 10) {
+        match driver.first_reaching_depth(&pattern, 10, |_, _, _| {}) {
             BmcOutcome::Reached { depth, model } => {
                 assert_eq!(Some(depth), scratch_depth);
                 // The witness satisfies the whole unrolled formula…
@@ -571,10 +576,11 @@ mod tests {
             driver.engine().num_learnt_clauses() > 0,
             "learnt clauses wiped between depths"
         );
-        assert!(
-            driver.engine().decision_heap_len() > 0,
-            "decision heap emptied between calls"
-        );
+        // The audit checks heap membership: every free variable is queued.
+        driver
+            .engine()
+            .audit_invariants()
+            .expect("decision heap emptied between calls");
         assert_eq!(driver.engine().stats().solve_calls, 7);
         // Depth 7 is then reachable on the same warm solver.
         assert!(driver.check_outputs_at(7, &pattern).is_sat());
@@ -592,7 +598,7 @@ mod tests {
         assert_eq!(scratch_depth, Some(7));
 
         let mut driver = BmcDriver::new(enabled_counter(bits), berkmin::SolverConfig::berkmin());
-        match driver.first_reaching_depth(&pattern, 10) {
+        match driver.first_reaching_depth(&pattern, 10, |_, _, _| {}) {
             BmcOutcome::Reached { depth, .. } => assert_eq!(depth, 7),
             other => panic!("expected Reached, got {other:?}"),
         }
@@ -610,7 +616,7 @@ mod tests {
         let pattern: Vec<(usize, bool)> = (0..bits).map(|o| (o, true)).collect();
         let cfg = berkmin::SolverConfig::berkmin().with_budget(berkmin::Budget::conflicts(1));
         let mut driver = BmcDriver::new(enabled_counter(bits), cfg);
-        match driver.first_reaching_depth(&pattern, 10) {
+        match driver.first_reaching_depth(&pattern, 10, |_, _, _| {}) {
             BmcOutcome::Aborted { reason, .. } => {
                 assert_eq!(reason, StopReason::ConflictBudget);
             }

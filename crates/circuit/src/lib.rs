@@ -18,8 +18,7 @@
 //! * [`rewrite`] — equivalence-preserving restructuring (De Morgan, XOR
 //!   decomposition, …) and single-gate fault injection;
 //! * [`random`] — seeded random DAG circuits with controllable depth;
-//! * [`bmc`] — time-frame expansion of sequential circuits;
-//! * [`gated`] — the gated-cone circuit of the paper's Fig. 1.
+//! * [`bmc`] — time-frame expansion of sequential circuits.
 //!
 //! # Example: equivalence checking end to end
 //!
@@ -38,7 +37,6 @@
 
 pub mod arith;
 pub mod bmc;
-pub mod gated;
 mod miter;
 mod netlist;
 pub mod random;

@@ -164,11 +164,6 @@ impl Assignment {
         self.values[var.index()] = LBool::from(value);
     }
 
-    /// Returns `true` if every variable has a definite value.
-    pub fn is_total(&self) -> bool {
-        self.values.iter().all(|v| !v.is_undef())
-    }
-
     /// Iterates over `(Var, LBool)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (Var, LBool)> + '_ {
         self.values
@@ -242,7 +237,7 @@ mod tests {
     #[test]
     fn from_bools_is_total() {
         let a = Assignment::from_bools([true, false]);
-        assert!(a.is_total());
+        assert_eq!(a.value(Var::new(0)), LBool::True);
         assert_eq!(a.value(Var::new(1)), LBool::False);
     }
 

@@ -23,11 +23,11 @@
 
 use berkmin_cnf::Lit;
 
+use crate::cdcl::Cdcl;
 use crate::clause_db::ClauseRef;
 use crate::config::{ActivityIndex, Sensitivity};
-use crate::solver::Solver;
 
-impl Solver {
+impl Cdcl {
     /// Analyzes `confl` and returns `(learnt_clause, backtrack_level, lbd)`.
     ///
     /// The learnt clause is in asserting form: `learnt[0]` is the 1-UIP
@@ -287,9 +287,9 @@ impl Solver {
 
 #[cfg(test)]
 mod tests {
+    use crate::cdcl::Cdcl;
     use crate::config::{Sensitivity, SolverConfig};
     use crate::search::SolveStatus;
-    use crate::solver::Solver;
     use berkmin_cnf::{Lit, Var};
 
     fn lit(n: i32) -> Lit {
@@ -299,8 +299,8 @@ mod tests {
     /// The paper's §2 worked example: F = (a∨¬b)(b∨¬c∨y)(c∨¬d∨x)(c∨d)
     /// with x=0, y=0 forced; branching a=0 yields a conflict whose clause
     /// is c∨x (modulo the exact resolution order).
-    fn paper_example_solver(cfg: SolverConfig) -> Solver {
-        let mut s = Solver::with_config(cfg);
+    fn paper_example_solver(cfg: SolverConfig) -> Cdcl {
+        let mut s = Cdcl::new(cfg);
         // Vars: a=1, b=2, c=3, d=4, x=5, y=6 (DIMACS numbering).
         s.add_clause([lit(1), lit(-2)]);
         s.add_clause([lit(2), lit(-3), lit(6)]);

@@ -1,7 +1,7 @@
 //! Runtime self-auditing: one deep consistency check over every piece of
 //! solver state the search trusts implicitly.
 //!
-//! [`Solver::audit_invariants`] validates, in one pass:
+//! [`Solver::audit_invariants`](crate::Solver::audit_invariants) validates, in one pass:
 //!
 //! * **Arena integrity** — every record header is walkable, filler pads are
 //!   marked garbage, live clauses store ≥ 2 literals, and the running
@@ -32,11 +32,11 @@ use std::collections::HashSet;
 
 use berkmin_cnf::{LBool, Lit, Var};
 
+use crate::cdcl::Cdcl;
 use crate::clause_db::ClauseRef;
 use crate::config::ActivityIndex;
-use crate::solver::Solver;
 
-/// Every invariant violation found by one [`Solver::audit_invariants`]
+/// Every invariant violation found by one [`Solver::audit_invariants`](crate::Solver::audit_invariants)
 /// call, in discovery order.
 ///
 /// The report is the `Err` payload; its [`std::fmt::Display`] output is a
@@ -63,31 +63,12 @@ impl std::fmt::Display for AuditReport {
 
 impl std::error::Error for AuditReport {}
 
-impl Solver {
-    /// Deep-checks every structural invariant of the solver — watch lists,
-    /// trail/reason consistency, decision-heap membership and clause-arena
-    /// header integrity — returning an [`AuditReport`] describing each
-    /// violation found.
-    ///
-    /// Valid at any *quiescent* point: after [`Solver::solve`] returns,
-    /// between incremental calls, or — internally — after propagation,
-    /// conflict handling, backtracking and garbage collection. The
-    /// watch-semantics check arms itself only when the propagation queue is
-    /// drained and the solver is still consistent, so calling this on a
-    /// partially propagated trail is safe, merely less thorough.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use berkmin::{Solver, SolverConfig};
-    /// use berkmin_cnf::Lit;
-    ///
-    /// let mut s = Solver::with_config(SolverConfig::berkmin());
-    /// s.add_clause([Lit::from_dimacs(1), Lit::from_dimacs(2)]);
-    /// assert!(s.solve().is_sat());
-    /// s.audit_invariants().expect("solver state is consistent");
-    /// ```
-    pub fn audit_invariants(&self) -> Result<(), AuditReport> {
+impl Cdcl {
+    /// The deep check behind
+    /// [`Solver::audit_invariants`](crate::Solver::audit_invariants), also
+    /// valid internally after propagation, conflict handling, backtracking
+    /// and garbage collection.
+    pub(crate) fn audit_invariants(&self) -> Result<(), AuditReport> {
         let mut out = Vec::new();
         self.db.audit(&mut out);
         self.trail.self_check(self.num_vars, &mut out);
@@ -305,13 +286,13 @@ mod tests {
         Lit::from_dimacs(n)
     }
 
-    fn solved_solver() -> Solver {
+    fn solved_solver() -> Cdcl {
         // Simplification off: these tests corrupt watch/trail state by hand
         // and need the exact clauses (the ternary one in particular) to
         // survive to the arena untouched.
         let mut cfg = SolverConfig::berkmin();
         cfg.simplify = crate::config::SimplifyConfig::off();
-        let mut s = Solver::with_config(cfg);
+        let mut s = Cdcl::new(cfg);
         s.add_clause([lit(1), lit(2), lit(3)]);
         s.add_clause([lit(-1), lit(2)]);
         s.add_clause([lit(-2), lit(3)]);

@@ -4,15 +4,18 @@
 //! solve call: the [`SolverConfig`], the proof sink (attached once, at
 //! construction — not per call), a reserved variable space, initial
 //! clauses, and the solve-event hooks (terminate, learnt-clause tap, share
-//! import and telemetry observer). `build()` yields a concrete [`Solver`];
+//! import and telemetry observer). The hooks must be `Send`: they live in
+//! the solver's CDCL core, which the portfolio lends to worker threads.
+//! The proof sink need not be; it stays on the [`Solver`] facade. `build()` yields a concrete [`Solver`];
 //! `build_engine()` yields it as a `Box<dyn SatEngine>` for drivers that
 //! are generic over engines.
 
 use berkmin_cnf::{ClauseSink, Cnf, Lit, Var};
 
+use crate::cdcl::Cdcl;
 use crate::config::SolverConfig;
 use crate::engine::SatEngine;
-use crate::proof::ProofSink;
+use crate::proof::{NoProof, ProofSink};
 use crate::search::{ImportCallback, LearntCallback, SolveEvents, TerminateCallback};
 use crate::solver::Solver;
 use crate::telemetry::SolveObserver;
@@ -39,26 +42,27 @@ use crate::telemetry::SolveObserver;
 /// ```
 ///
 /// Event hooks are installed here too — a terminate callback polled at
-/// restart boundaries and a learnt-clause tap that keeps the short clauses:
+/// restart boundaries and a learnt-clause tap that keeps the short clauses.
+/// Hooks are `Send` (so is the core they are installed on), which is why
+/// the tap shares its log through `Arc<Mutex<_>>`:
 ///
 /// ```
-/// use std::cell::RefCell;
-/// use std::rc::Rc;
+/// use std::sync::{Arc, Mutex};
 /// use berkmin::SolverBuilder;
 /// use berkmin_cnf::Lit;
 ///
-/// let learnt = Rc::new(RefCell::new(Vec::new()));
-/// let tap = Rc::clone(&learnt);
+/// let learnt = Arc::new(Mutex::new(Vec::new()));
+/// let tap = Arc::clone(&learnt);
 /// let mut solver = SolverBuilder::new()
 ///     .on_learnt(move |clause, _lbd| {
 ///         if clause.len() <= 4 {
-///             tap.borrow_mut().push(clause.to_vec());
+///             tap.lock().unwrap().push(clause.to_vec());
 ///         }
 ///     })
 ///     .clause([Lit::from_dimacs(1), Lit::from_dimacs(2)])
 ///     .build();
 /// assert!(solver.solve().is_sat()); // (trivially SAT: nothing learnt)
-/// assert!(learnt.borrow().is_empty());
+/// assert!(learnt.lock().unwrap().is_empty());
 /// ```
 #[must_use = "a builder does nothing until `build()` or `build_engine()`"]
 pub struct SolverBuilder {
@@ -70,7 +74,7 @@ pub struct SolverBuilder {
     terminate: Option<TerminateCallback>,
     on_learnt: Option<LearntCallback>,
     import: Option<ImportCallback>,
-    observer: Option<Box<dyn SolveObserver>>,
+    observer: Option<Box<dyn SolveObserver + Send>>,
 }
 
 impl Default for SolverBuilder {
@@ -154,7 +158,7 @@ impl SolverBuilder {
     /// unaffected — a later call proceeds with its full per-call allowance.
     /// The callback observes only its captured state (no solver access), so
     /// it cannot perturb the search it interrupts.
-    pub fn on_terminate(mut self, callback: impl FnMut() -> bool + 'static) -> Self {
+    pub fn on_terminate(mut self, callback: impl FnMut() -> bool + Send + 'static) -> Self {
         self.terminate = Some(Box::new(callback));
         self
     }
@@ -167,7 +171,7 @@ impl SolverBuilder {
     /// assumptions never leak into learnt clauses — so IC3/BMC-style
     /// drivers and the portfolio's share pool may forward them to sibling
     /// solvers on the same formula.
-    pub fn on_learnt(mut self, callback: impl FnMut(&[Lit], u32) + 'static) -> Self {
+    pub fn on_learnt(mut self, callback: impl FnMut(&[Lit], u32) + Send + 'static) -> Self {
         self.on_learnt = Some(Box::new(callback));
         self
     }
@@ -184,7 +188,7 @@ impl SolverBuilder {
     /// from the solver's own resolutions, so any DRAT log containing search
     /// steps that depend on them would be unsound. `build()` panics rather
     /// than silently emitting an uncheckable proof.
-    pub fn share_import(mut self, source: impl FnMut(&mut Vec<Vec<Lit>>) + 'static) -> Self {
+    pub fn share_import(mut self, source: impl FnMut(&mut Vec<Vec<Lit>>) + Send + 'static) -> Self {
         self.import = Some(Box::new(source));
         self
     }
@@ -195,7 +199,7 @@ impl SolverBuilder {
     /// Any `FnMut(&SolveEvent)` closure qualifies; see [`crate::telemetry`]
     /// for the vocabulary. Without an observer the solver skips event
     /// construction entirely — each emission site is one `Option` check.
-    pub fn on_event(mut self, observer: impl SolveObserver + 'static) -> Self {
+    pub fn on_event(mut self, observer: impl SolveObserver + Send + 'static) -> Self {
         self.observer = Some(Box::new(observer));
         self
     }
@@ -207,34 +211,42 @@ impl SolverBuilder {
     /// Panics if both a proof sink and a share-import source were attached —
     /// see [`SolverBuilder::share_import`] for why that combination cannot
     /// produce a sound proof.
-    pub fn build(self) -> Solver {
+    pub fn build(mut self) -> Solver {
         assert!(
             self.proof.is_none() || self.import.is_none(),
             "configuration error: a proof sink cannot be combined with a \
              share-import source (imported clauses are not RUP-derivable in \
              this solver's DRAT log; disable clause sharing to keep proofs)"
         );
-        let mut solver = Solver::with_config(self.config);
-        if let Some(sink) = self.proof {
-            // From here on the solver collects hint chains for the sink
-            // (see `ProofSink::add_clause_hinted`).
-            solver.proof = sink;
-            solver.hints.on = true;
+        let proof = self.proof.take();
+        // With a sink the core collects hint chains for it (see
+        // `ProofSink::add_clause_hinted`).
+        let core = self.build_core(proof.is_some());
+        Solver {
+            core,
+            proof: proof.unwrap_or_else(|| Box::new(NoProof)),
         }
-        solver.events = SolveEvents {
+    }
+
+    /// Builds the bare core (any attached proof sink is ignored), with
+    /// hint chains collected when `hints` is set.
+    pub(crate) fn build_core(self, hints: bool) -> Cdcl {
+        let mut core = Cdcl::new(self.config);
+        core.hints.on = hints;
+        core.events = SolveEvents {
             terminate: self.terminate,
             on_learnt: self.on_learnt,
             import: self.import,
             observer: self.observer,
         };
-        solver.reserve_vars(self.reserve_vars);
+        core.ensure_vars(self.reserve_vars);
         for var in self.frozen {
-            solver.freeze(var);
+            core.freeze(var);
         }
         for clause in &self.clauses {
-            solver.add_clause(clause.iter().copied());
+            core.add_clause(clause.iter().copied());
         }
-        solver
+        core
     }
 
     /// Builds the solver as a boxed [`SatEngine`] trait object — the form
@@ -292,7 +304,7 @@ mod tests {
         ClauseSink::clause(&mut builder, &[lit(1), lit(-2)]);
         let mut solver = builder.build();
         assert_eq!(solver.num_vars(), 7);
-        assert_eq!(solver.num_original_clauses(), 1);
+        assert_eq!(solver.core.num_original_clauses(), 1);
         assert!(solver.solve().is_sat());
     }
 

@@ -305,7 +305,7 @@ impl ClauseDb {
     }
 
     /// Number of live original clauses.
-    #[inline]
+    #[cfg(test)]
     pub fn num_original(&self) -> usize {
         self.num_original_live
     }

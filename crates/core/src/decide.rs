@@ -3,10 +3,10 @@
 
 use berkmin_cnf::{LBool, Lit, Var};
 
+use crate::cdcl::Cdcl;
 use crate::config::{ActivityIndex, DecisionStrategy};
-use crate::solver::Solver;
 
-impl Solver {
+impl Cdcl {
     /// Picks the next decision literal, or `None` when every variable is
     /// assigned (i.e. the formula is satisfied).
     pub(crate) fn decide(&mut self) -> Option<Lit> {
@@ -135,8 +135,8 @@ impl Solver {
 
 #[cfg(test)]
 mod tests {
+    use crate::cdcl::Cdcl;
     use crate::config::{ActivityIndex, DecisionStrategy, SolverConfig, TopClausePolarity};
-    use crate::solver::Solver;
     use berkmin_cnf::{Lit, Var};
 
     fn lit(n: i32) -> Lit {
@@ -145,10 +145,10 @@ mod tests {
 
     /// Builds a solver with two learnt clauses on the stack, the top one
     /// satisfied, so the decision must come from the one below (r = 1).
-    fn solver_with_stack() -> Solver {
+    fn solver_with_stack() -> Cdcl {
         let mut cfg = SolverConfig::berkmin();
         cfg.top_polarity = TopClausePolarity::SatTop; // deterministic polarity
-        let mut s = Solver::with_config(cfg);
+        let mut s = Cdcl::new(cfg);
         // Original clauses keep vars 1..=6 alive.
         s.add_clause([lit(1), lit(2), lit(3)]);
         s.add_clause([lit(4), lit(5), lit(6)]);
@@ -171,8 +171,8 @@ mod tests {
         let d = s.decide().expect("free vars remain");
         assert!(s.lit_value(d).is_undef());
         // Both learnt clauses satisfied → fallback path was taken.
-        assert_eq!(s.stats().decisions_from_top_clause, 0);
-        assert_eq!(s.stats().decisions_from_free_var, 1);
+        assert_eq!(s.stats.decisions_from_top_clause, 0);
+        assert_eq!(s.stats.decisions_from_free_var, 1);
     }
 
     #[test]
@@ -180,7 +180,7 @@ mod tests {
         // Solve a pigeonhole instance end-to-end: the BerkMin strategy must
         // take decisions from top clauses, and the histogram must account
         // for exactly those decisions (paper §6).
-        let mut s = Solver::with_config(SolverConfig::berkmin());
+        let mut s = Cdcl::new(SolverConfig::berkmin());
         let hole = 4usize; // PHP(4): 5 pigeons, 4 holes — UNSAT
         let l = |p: usize, h: usize| lit((p * hole + h + 1) as i32);
         for p in 0..=hole {
@@ -194,7 +194,7 @@ mod tests {
             }
         }
         assert!(s.solve().is_unsat());
-        let st = s.stats();
+        let st = s.stats;
         assert!(
             st.decisions_from_top_clause > 0,
             "stack decisions must occur"
@@ -211,7 +211,7 @@ mod tests {
     fn most_active_scan_prefers_higher_activity() {
         let mut cfg = SolverConfig::berkmin();
         cfg.decision = DecisionStrategy::MostActiveVar;
-        let mut s = Solver::with_config(cfg);
+        let mut s = Cdcl::new(cfg);
         s.add_clause([lit(1), lit(2), lit(3)]);
         s.bump_var(Var::new(1));
         s.bump_var(Var::new(1));
@@ -226,7 +226,7 @@ mod tests {
             let mut cfg = SolverConfig::berkmin();
             cfg.decision = DecisionStrategy::MostActiveVar;
             cfg.activity_index = idx;
-            let mut s = Solver::with_config(cfg);
+            let mut s = Cdcl::new(cfg);
             s.add_clause([lit(1), lit(2), lit(3), lit(4)]);
             for _ in 0..3 {
                 s.bump_var(Var::new(2));
@@ -240,7 +240,7 @@ mod tests {
     fn vsids_picks_highest_counter_literal() {
         let mut cfg = SolverConfig::chaff_like();
         cfg.restart = crate::RestartPolicy::Never;
-        let mut s = Solver::with_config(cfg);
+        let mut s = Cdcl::new(cfg);
         s.add_clause([lit(1), lit(2)]);
         s.vsids[lit(-2).code()] = 5;
         s.vsids[lit(1).code()] = 3;
@@ -253,7 +253,7 @@ mod tests {
             (SolverConfig::chaff_like(), 2 * 3),
             (SolverConfig::berkmin(), 0),
         ] {
-            let mut s = Solver::with_config(cfg);
+            let mut s = Cdcl::new(cfg);
             s.add_clause([lit(1), lit(2)]);
             s.add_clause([lit(-1), lit(3)]);
             s.add_clause([lit(-2), lit(-3)]);
@@ -268,7 +268,7 @@ mod tests {
         let run = |strategy: DecisionStrategy| {
             let mut cfg = SolverConfig::berkmin();
             cfg.decision = strategy;
-            let mut s = Solver::with_config(cfg);
+            let mut s = Cdcl::new(cfg);
             let hole = 4usize;
             let l = |p: usize, h: usize| lit((p * hole + h + 1) as i32);
             for p in 0..=hole {
@@ -282,7 +282,7 @@ mod tests {
                 }
             }
             assert!(s.solve().is_unsat());
-            (s.stats().decisions, s.stats().conflicts)
+            (s.stats.decisions, s.stats.conflicts)
         };
         assert_eq!(
             run(DecisionStrategy::BerkMin),
@@ -295,7 +295,7 @@ mod tests {
         for window in [2usize, 4, 16] {
             let mut cfg = SolverConfig::berkmin();
             cfg.decision = DecisionStrategy::BerkMinWindow { window };
-            let mut s = Solver::with_config(cfg);
+            let mut s = Cdcl::new(cfg);
             let hole = 4usize;
             let l = |p: usize, h: usize| lit((p * hole + h + 1) as i32);
             for p in 0..=hole {
@@ -314,7 +314,7 @@ mod tests {
 
     #[test]
     fn decide_none_when_all_assigned() {
-        let mut s = Solver::with_config(SolverConfig::berkmin());
+        let mut s = Cdcl::new(SolverConfig::berkmin());
         s.add_clause([lit(1)]);
         assert!(s.propagate().is_none());
         assert_eq!(s.decide(), None);

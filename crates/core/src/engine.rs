@@ -70,10 +70,9 @@ pub trait SatEngine {
     fn stats(&self) -> &Stats;
 
     /// Attaches (or clears) a structured telemetry observer (see
-    /// [`crate::telemetry`]). The observer must be `Send` because the
-    /// portfolio engine forwards its workers' events across threads; a
-    /// single-threaded [`Solver`] also accepts non-`Send` observers
-    /// through [`Solver::set_observer`] directly.
+    /// [`crate::telemetry`]). The observer is `Send`, like every solver
+    /// hook: the portfolio engine forwards its workers' events across
+    /// threads.
     fn set_observer(&mut self, observer: Option<Box<dyn SolveObserver + Send>>);
 }
 
@@ -107,15 +106,7 @@ impl SatEngine for Solver {
     }
 
     fn set_observer(&mut self, observer: Option<Box<dyn SolveObserver + Send>>) {
-        // Coerce away the `Send` bound the trait imposes for the
-        // portfolio's benefit — a plain solver never moves its observer.
-        Solver::set_observer(
-            self,
-            observer.map(|b| {
-                let b: Box<dyn SolveObserver> = b;
-                b
-            }),
-        );
+        Solver::set_observer(self, observer);
     }
 }
 

@@ -11,10 +11,10 @@ use std::collections::{HashMap, HashSet};
 use berkmin_cnf::{LBool, Lit, Var};
 use proptest::prelude::*;
 
+use crate::cdcl::Cdcl;
 use crate::clause_db::ClauseRef;
 use crate::config::SolverConfig;
 use crate::proof::NoProof;
-use crate::solver::Solver;
 use crate::watch::WatchRef;
 
 /// Size of the variable pool the generated clauses draw from.
@@ -40,7 +40,7 @@ fn clause_from_seed(seed: u64, len: usize) -> Vec<Lit> {
 }
 
 /// Asserts every arena/watch/stack/reason invariant the solver relies on.
-fn check_invariants(s: &Solver) {
+fn check_invariants(s: &Cdcl) {
     assert_eq!(
         s.db.garbage_words(),
         0,
@@ -103,7 +103,7 @@ proptest! {
 
     #[test]
     fn gc_preserves_watch_invariant(ops in prop::collection::vec((0u8..4, any::<u64>()), 1..=64)) {
-        let mut s = Solver::with_config(SolverConfig::berkmin());
+        let mut s = Cdcl::new(SolverConfig::berkmin());
         s.ensure_vars(VARS);
         // Mirrors the solver's real discipline: deletions only mark records,
         // and search (propagation) resumes only after the following GC has
@@ -156,7 +156,7 @@ proptest! {
     fn gc_preserves_clause_contents(seeds in prop::collection::vec(any::<u64>(), 1..=24)) {
         // Adds + deletes, then GC: the surviving clauses' literal sets and
         // stack order must be exactly the non-deleted ones, in order.
-        let mut s = Solver::with_config(SolverConfig::berkmin());
+        let mut s = Cdcl::new(SolverConfig::berkmin());
         s.ensure_vars(VARS);
         let mut expect: Vec<Vec<Lit>> = Vec::new();
         for (i, &seed) in seeds.iter().enumerate() {

@@ -70,7 +70,9 @@
 //! without touching budgets) and [`SolverBuilder::on_learnt`] (delivers every
 //! conflict-derived learnt clause with its LBD, unfiltered — each one a
 //! consequence of the formula alone, never of the assumptions; the
-//! portfolio's clause sharing is built on this one tap).
+//! portfolio's clause sharing is built on this one tap). Hooks and
+//! observers are `Send`, so state they share with the caller goes through
+//! `Arc` and a `Mutex` or an atomic; the proof sink alone may be `!Send`.
 //!
 //! # Telemetry
 //!
@@ -112,6 +114,7 @@
 mod analyze;
 mod audit;
 mod builder;
+mod cdcl;
 mod clause_db;
 mod config;
 mod decide;

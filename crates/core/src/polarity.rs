@@ -4,13 +4,13 @@
 
 use berkmin_cnf::{LBool, Lit, Var};
 
+use crate::cdcl::Cdcl;
 use crate::config::{FreeVarPolarity, TopClausePolarity};
-use crate::solver::Solver;
 
 /// `nb_two` evaluation stops once its sum exceeds this (paper §7: 100).
 const NB_TWO_THRESHOLD: u32 = 100;
 
-impl Solver {
+impl Cdcl {
     /// Chooses the branch for a decision taken on the current top clause.
     ///
     /// `lit_in_clause` is the chosen variable's literal as it occurs in the
@@ -101,18 +101,18 @@ impl Solver {
 
 #[cfg(test)]
 mod tests {
+    use crate::cdcl::Cdcl;
     use crate::config::{FreeVarPolarity, SolverConfig, TopClausePolarity};
-    use crate::solver::Solver;
     use berkmin_cnf::{Lit, Var};
 
     fn lit(n: i32) -> Lit {
         Lit::from_dimacs(n)
     }
 
-    fn solver(top: TopClausePolarity) -> Solver {
+    fn solver(top: TopClausePolarity) -> Cdcl {
         let mut cfg = SolverConfig::berkmin();
         cfg.top_polarity = top;
-        let mut s = Solver::with_config(cfg);
+        let mut s = Cdcl::new(cfg);
         s.ensure_vars(4);
         s
     }
@@ -165,7 +165,7 @@ mod tests {
         let picks = |seed: u64| {
             let mut cfg = SolverConfig::berkmin().with_seed(seed);
             cfg.top_polarity = TopClausePolarity::TakeRand;
-            let mut s = Solver::with_config(cfg);
+            let mut s = Cdcl::new(cfg);
             s.ensure_vars(1);
             (0..16)
                 .map(|_| s.pick_top_polarity(Lit::pos(Var::new(0))))
@@ -235,7 +235,7 @@ mod tests {
         ] {
             let mut cfg = SolverConfig::berkmin();
             cfg.free_polarity = pol;
-            let mut s = Solver::with_config(cfg);
+            let mut s = Cdcl::new(cfg);
             s.ensure_vars(1);
             assert_eq!(s.pick_free_polarity(Var::new(0)), want);
         }

@@ -21,11 +21,11 @@
 //!
 //! Two execution modes, behind one race core:
 //!
-//! * **Threaded** (default): one long-lived `std::thread` per worker,
-//!   started at the first call and joined when the engine is dropped; real
-//!   wall-clock racing. Non-deterministic — the winner depends on
+//! * **Threaded** (default): every call lends worker 0 to the calling
+//!   thread and each other worker to a `std::thread::scope` thread of its
+//!   own; real wall-clock racing. Non-deterministic — the winner depends on
 //!   scheduling. Every worker runs from the first call on, so all of them
-//!   count as staged from spawn.
+//!   count as staged from the start.
 //! * **Deterministic** ([`PortfolioConfig::deterministic`]): the workers
 //!   run round-robin on the calling thread in fixed conflict-budget slices
 //!   ([`PortfolioConfig::slice_conflicts`]); the first definitive answer in
@@ -41,7 +41,7 @@
 //!
 //! # Pre-simplification
 //!
-//! The engine owns one **front**: an ordinary [`Solver`] built from
+//! The engine owns one **front**: an ordinary CDCL core built from
 //! [`SolverConfig::berkmin`] with the portfolio's
 //! [`PortfolioConfig::simplify`], which never searches. Added clauses only
 //! go to a log the live workers read; whenever a crew of workers is built
@@ -78,20 +78,21 @@ mod worker;
 
 pub(crate) use share::ClausePool;
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use berkmin_cnf::{Assignment, Cnf, LBool, Lit, Var};
 
+use crate::cdcl::Cdcl;
 use crate::config::{Budget, SimplifyConfig, SolverConfig};
 use crate::engine::SatEngine;
 use crate::proof::{NoProof, ProofSink};
 use crate::search::{SolveStatus, StopReason};
-use crate::solver::Solver;
 use crate::stats::Stats;
 use crate::telemetry::{SolveEvent, SolveObserver, SolveVerdict};
 
 use share::PoolSummary;
-use worker::{emit_shared, CallResult, ProofOp, SharedObserver, Worker, WorkerThreads};
+use worker::{emit_shared, CallResult, ProofOp, SharedObserver, Worker};
 
 /// Maximum clauses the share pool retains; older entries are evicted
 /// (sharing is best-effort — dropping a clause never costs soundness).
@@ -267,7 +268,7 @@ pub struct PortfolioEngine {
     /// The formula front: a simplifier that never searches, owning the
     /// freeze flags, the eliminated variables and the reconstruction
     /// stack (see the module docs).
-    front: Solver,
+    front: Cdcl,
     /// The live workers (`None` before the first call, and after a worker
     /// panic).
     crew: Option<Crew>,
@@ -284,7 +285,7 @@ impl std::fmt::Debug for PortfolioEngine {
             .field("config", &self.config)
             .field("num_vars", &self.num_vars)
             .field("log", &self.log.num_clauses())
-            .field("eliminated", &self.front.stats().vars_eliminated)
+            .field("eliminated", &self.front.stats.vars_eliminated)
             .field("winner", &self.winner)
             .field("proof", &self.proof.is_some())
             .field("observer", &self.observer.is_some())
@@ -295,7 +296,7 @@ impl std::fmt::Debug for PortfolioEngine {
 impl PortfolioEngine {
     /// Creates an empty portfolio engine.
     pub fn new(config: PortfolioConfig) -> Self {
-        let front = Solver::with_config(
+        let front = Cdcl::new(
             SolverConfig::berkmin()
                 .with_simplify(config.simplify)
                 .with_paranoid(config.paranoid),
@@ -384,11 +385,6 @@ impl PortfolioEngine {
         self.front.freeze(var);
     }
 
-    /// Whether `var` is currently protected from elimination.
-    pub fn is_frozen(&self, var: Var) -> bool {
-        self.front.is_frozen(var)
-    }
-
     /// Whether the front has eliminated `var` (see
     /// [`PortfolioEngine::freeze`] for the contract this implies).
     pub fn is_eliminated(&self, var: Var) -> bool {
@@ -396,7 +392,7 @@ impl PortfolioEngine {
     }
 
     /// Builds a crew over the front's formula. The front wakes up (see
-    /// [`Solver::unpark`]), absorbs the log (which starts again empty),
+    /// [`Cdcl::unpark`]), absorbs the log (which starts again empty),
     /// simplifies if this is the first call — its DRAT stream going
     /// straight into the sink and its events to the observer — and parks
     /// again: the workers read their seed from its formula (see
@@ -404,7 +400,7 @@ impl PortfolioEngine {
     fn build_crew(&mut self, assumptions: &[Lit], shared: &Option<SharedObserver>) -> Crew {
         let front = &mut self.front;
         front.unpark();
-        front.reserve_vars(self.num_vars);
+        front.ensure_vars(self.num_vars);
         for clause in &std::mem::take(&mut self.log) {
             front.add_clause(clause.iter().copied());
         }
@@ -416,7 +412,7 @@ impl PortfolioEngine {
         front.assumptions = assumptions.to_vec();
         if let Some(obs) = shared {
             let obs = Arc::clone(obs);
-            front.set_observer(Some(Box::new(move |e: &SolveEvent| emit_shared(&obs, e))));
+            front.events.observer = Some(Box::new(move |e: &SolveEvent| emit_shared(&obs, e)));
         }
         let mut no_proof = NoProof;
         let sink: &mut dyn ProofSink = match &mut self.proof {
@@ -424,7 +420,7 @@ impl PortfolioEngine {
             None => &mut no_proof,
         };
         front.simplify_formula(sink);
-        front.set_observer(None);
+        front.events.observer = None;
         front.park();
         if !front.ok && self.ok {
             // Refuted at level 0. The empty clause is RUP here (unit
@@ -481,7 +477,7 @@ impl PortfolioEngine {
             self.live.pool_missed += total.missed.iter().sum::<u64>();
         }
         self.stats = Stats::new();
-        for part in [self.front.stats(), &self.retired, &self.live] {
+        for part in [&self.front.stats, &self.retired, &self.live] {
             self.stats.merge(part);
         }
         // `Stats::merge` leaves the formula-level counters alone; set the
@@ -570,7 +566,7 @@ fn worker_config(config: &PortfolioConfig, id: usize) -> SolverConfig {
 /// The formula a live crew races on: the front's seed, fixed while the crew
 /// lives, followed by the clauses logged since the crew was built.
 struct Formula<'a> {
-    front: &'a Solver,
+    front: &'a Cdcl,
     log: &'a Cnf,
     num_vars: usize,
 }
@@ -579,7 +575,7 @@ impl<'a> Formula<'a> {
     /// The seed: the front's level-0 units, its live original clauses (it
     /// never searches, so it has no learnt ones) and, when it refuted the
     /// formula, the empty clause.
-    fn seed(front: &'a Solver) -> impl Iterator<Item = &'a [Lit]> {
+    fn seed(front: &'a Cdcl) -> impl Iterator<Item = &'a [Lit]> {
         let units = front.trail.iter().map(std::slice::from_ref);
         let clauses = front
             .db
@@ -605,7 +601,7 @@ impl<'a> Formula<'a> {
 /// built at the first call (and again after a worker panic), then raced
 /// again on every call.
 struct Crew {
-    workers: Workers,
+    workers: Vec<Worker>,
     /// Per worker, how many of the engine's logged clauses it has absorbed
     /// — `None` until the worker is staged with the seed.
     cursors: Vec<Option<usize>>,
@@ -614,51 +610,37 @@ struct Crew {
     pool_seen: PoolSummary,
     /// How many clauses the front seeds the workers with.
     seeded: usize,
-}
-
-/// Where a crew's workers run.
-enum Workers {
-    /// Deterministic mode: sliced round-robin on the calling thread, each
-    /// worker staged right before its first slice.
-    Inline(Vec<Worker>),
-    /// Threaded mode: each worker on its own long-lived thread, all of
-    /// them staged at their first call.
-    Threads(WorkerThreads),
+    /// Threaded mode's cancel flag, polled by every worker's terminate
+    /// hook (`None` in deterministic mode).
+    cancel: Option<Arc<AtomicBool>>,
 }
 
 impl Crew {
     /// Builds the workers empty over the parked `front`.
-    fn new(config: &PortfolioConfig, record_proof: bool, front: &Solver) -> Crew {
+    fn new(config: &PortfolioConfig, record_proof: bool, front: &Cdcl) -> Crew {
         let n = config.threads;
         let pool = config
             .share_lbd
             .map(|cap| Arc::new(ClausePool::new(POOL_CAPACITY, n, cap)));
-        let configs = (0..n).map(|id| worker_config(config, id));
-        let workers = if config.deterministic {
-            Workers::Inline(
-                configs
-                    .enumerate()
-                    .map(|(id, c)| Worker::new(id, c, pool.clone(), None, record_proof))
-                    .collect(),
-            )
-        } else {
+        let cancel = (!config.deterministic).then(|| Arc::new(AtomicBool::new(false)));
+        if let (Some(pool), Some(_)) = (&pool, &cancel) {
             // Threaded workers all run from their first call on: they read
-            // the pool from the moment they spawn.
-            if let Some(pool) = &pool {
-                (0..n).for_each(|id| pool.stage(id));
-            }
-            Workers::Threads(WorkerThreads::spawn(
-                configs.collect(),
-                pool.clone(),
-                record_proof,
-            ))
-        };
+            // the pool from the start.
+            (0..n).for_each(|id| pool.stage(id));
+        }
+        let workers = (0..n)
+            .map(|id| {
+                let config = worker_config(config, id);
+                Worker::new(id, config, pool.clone(), cancel.clone(), record_proof)
+            })
+            .collect();
         Crew {
             workers,
             cursors: vec![None; n],
             pool,
             pool_seen: PoolSummary::default(),
             seeded: Formula::seed(front).count(),
+            cancel,
         }
     }
 
@@ -675,39 +657,39 @@ impl Crew {
         observer: &Option<SharedObserver>,
     ) -> Vec<CallResult> {
         let cursors = &mut self.cursors;
-        match &mut self.workers {
-            Workers::Inline(workers) => {
-                let pool = self.pool.as_deref();
-                let stage = |id: usize, worker: &mut Worker| {
-                    if let (None, Some(pool)) = (cursors[id], pool) {
-                        pool.stage(id);
-                    }
-                    worker.extend(formula.num_vars, formula.unseen(&mut cursors[id]));
-                };
-                race_slices(
-                    workers,
-                    stage,
-                    assumptions,
-                    config.slice_conflicts,
-                    config.budget.max_conflicts,
-                    observer,
-                )
-            }
-            Workers::Threads(threads) => {
-                // The threads advance together: worker 0's cursor is
-                // everyone's.
-                let clauses = formula.unseen(&mut cursors[0]);
-                let synced = cursors[0];
-                cursors.fill(synced);
-                threads.solve(
-                    formula.num_vars,
-                    clauses,
-                    assumptions,
-                    config.budget,
-                    observer,
-                )
-            }
-        }
+        let Some(cancel) = &self.cancel else {
+            let pool = self.pool.as_deref();
+            let stage = |id: usize, worker: &mut Worker| {
+                if let (None, Some(pool)) = (cursors[id], pool) {
+                    pool.stage(id);
+                }
+                worker.extend(formula.num_vars, formula.unseen(&mut cursors[id]));
+            };
+            return race_slices(
+                &mut self.workers,
+                stage,
+                assumptions,
+                config.slice_conflicts,
+                config.budget.max_conflicts,
+                observer,
+            );
+        };
+        // The threads advance together: worker 0's cursor is everyone's.
+        let clauses: Cnf = formula
+            .unseen(&mut cursors[0])
+            .map(|c| c.iter().copied())
+            .collect();
+        let synced = cursors[0];
+        cursors.fill(synced);
+        race_threads(
+            &mut self.workers,
+            formula.num_vars,
+            &clauses,
+            assumptions,
+            config.budget,
+            cancel,
+            observer,
+        )
     }
 
     /// The pool's totals and the share of them the last call produced.
@@ -775,6 +757,61 @@ fn race_slices(
             worker.finish(status, winner == Some(id))
         })
         .collect()
+}
+
+/// Threaded mode's race: every worker absorbs `clauses` (the variables
+/// and clauses it has not seen) and runs the call, worker 0 on the calling
+/// thread and each other worker on a scoped thread of its own. The first
+/// definitive answer claims the win by raising `cancel`, which also stops
+/// the others. A worker that panics raises the flag as it unwinds, so its
+/// peers stop too, and its panic is re-raised here with its original
+/// payload once every worker has stopped.
+fn race_threads(
+    workers: &mut [Worker],
+    num_vars: usize,
+    clauses: &Cnf,
+    assumptions: &[Lit],
+    budget: Budget,
+    cancel: &AtomicBool,
+    observer: &Option<SharedObserver>,
+) -> Vec<CallResult> {
+    cancel.store(false, Ordering::SeqCst);
+    let call = |worker: &mut Worker| {
+        let _stop_peers = CancelOnUnwind(cancel);
+        worker.extend(num_vars, clauses);
+        worker.begin(observer.clone());
+        let status = worker.run(assumptions, budget);
+        let won = !status.is_unknown()
+            && cancel
+                .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
+                .is_ok();
+        worker.finish(status, won)
+    };
+    let call = &call;
+    let (first, rest) = workers.split_first_mut().expect("a crew has a worker");
+    std::thread::scope(|scope| {
+        let peers: Vec<_> = rest
+            .iter_mut()
+            .map(|w| scope.spawn(move || call(w)))
+            .collect();
+        let mut results = vec![call(first)];
+        for peer in peers {
+            results.push(peer.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
+        }
+        results
+    })
+}
+
+/// Raises the cancel flag when dropped during a panic: the guard of one
+/// threaded worker's call, so a panicking worker stops its peers.
+struct CancelOnUnwind<'a>(&'a AtomicBool);
+
+impl Drop for CancelOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.store(true, Ordering::SeqCst);
+        }
+    }
 }
 
 impl SatEngine for PortfolioEngine {
@@ -1041,10 +1078,49 @@ mod tests {
             }
         })));
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| engine.solve()));
-        assert!(caught.is_err(), "the worker's panic must reach the caller");
-        // The dead crew was joined and dropped: the next call rebuilds it.
+        let payload = caught.expect_err("the worker's panic must reach the caller");
+        assert_eq!(
+            payload.downcast_ref::<&str>(),
+            Some(&"observer refuses worker events"),
+            "the caller sees the worker's own panic"
+        );
+        // The dead crew was dropped: the next call builds a new one.
+        assert!(engine.crew.is_none());
         assert!(engine.solve().is_unsat());
+        assert!(engine.crew.is_some());
         assert_eq!(engine.reports().len(), 2);
+    }
+
+    #[test]
+    fn a_panic_on_the_calling_thread_stops_the_other_workers() {
+        // Worker 0 runs on the caller and panics at its first event; worker
+        // 1 starts on hole(12), which takes it tens of seconds even in a
+        // release build. The panic must raise the cancel flag, so the call
+        // unwinds as soon as worker 1 polls it.
+        let mut engine = PortfolioEngine::new(PortfolioConfig::new(2).with_share_lbd(None));
+        for c in pigeonhole(12) {
+            engine.add_clause(&c);
+        }
+        engine.set_observer(Some(Box::new(|e: &SolveEvent| {
+            if matches!(e, SolveEvent::Worker { worker: 0, .. }) {
+                panic!("worker 0 fails");
+            }
+        })));
+        let start = std::time::Instant::now();
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| engine.solve()));
+        let payload = caught.expect_err("worker 0's panic must reach the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"worker 0 fails"));
+        let elapsed = start.elapsed();
+        assert!(
+            elapsed < std::time::Duration::from_secs(10),
+            "worker 1 searched on for {elapsed:?} after worker 0 panicked"
+        );
+        // The next call still answers: two pigeons in hole 0 conflict at
+        // once.
+        engine.assume(lit(1));
+        engine.assume(lit(13));
+        assert!(engine.solve().is_unsat());
+        assert!(!engine.failed_assumptions().is_empty());
     }
 
     #[test]
@@ -1180,7 +1256,7 @@ mod tests {
     fn frozen_variables_survive_engine_elimination() {
         let mut engine = simplifying(2);
         engine.freeze(Var::new(1));
-        assert!(engine.is_frozen(Var::new(1)));
+        assert!(engine.front.frozen[1]);
         engine.add_clause(&[lit(1), lit(2)]);
         engine.add_clause(&[lit(-2), lit(3)]);
         assert!(engine.solve().is_sat());

@@ -1,7 +1,6 @@
-//! One persistent portfolio worker, and the thread that hosts it in
-//! threaded mode.
+//! One persistent portfolio worker.
 //!
-//! A [`Worker`] owns an ordinary [`Solver`] with a diversified configuration
+//! A [`Worker`] owns a CDCL core ([`Cdcl`]) with a diversified configuration
 //! ([`SolverConfig::portfolio_worker`]), an optional cancellation flag wired
 //! through the `on_terminate` hook, its learnt-clause tap and import source
 //! connected to the shared [`ClausePool`] when sharing is on, and a private
@@ -11,25 +10,20 @@
 //! its learnt clauses, activities and saved phases stay warm across
 //! incremental calls.
 //!
-//! In threaded mode each worker lives on its own long-lived thread
-//! ([`WorkerThreads`]), which builds the worker itself and owns it until the
-//! engine is dropped: [`Solver`] is deliberately `!Send` (it carries boxed
-//! callbacks and `Rc` proof taps), so only plain data crosses the channels.
+//! Everything a worker holds is `Send`, so the threaded scheduler lends
+//! each worker to a scoped thread for the length of one call (see
+//! [`race_threads`](super::race_threads)).
 
-use std::cell::RefCell;
-use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use berkmin_cnf::{Cnf, Lit};
+use berkmin_cnf::Lit;
 
 use crate::builder::SolverBuilder;
+use crate::cdcl::Cdcl;
 use crate::config::{Budget, SolverConfig};
-use crate::proof::ProofSink;
+use crate::proof::{NoProof, ProofSink};
 use crate::search::SolveStatus;
-use crate::solver::Solver;
 use crate::stats::Stats;
 use crate::telemetry::{SolveEvent, SolveObserver};
 
@@ -55,13 +49,22 @@ impl SolveObserver for Forward {
             worker: self.worker,
             event: Box::new(event.clone()),
         };
-        self.shared.lock().unwrap().on_event(&tagged);
+        lock(&self.shared).on_event(&tagged);
     }
 }
 
 /// Emits a portfolio-level (untagged) event into the shared observer.
 pub(crate) fn emit_shared(observer: &SharedObserver, event: &SolveEvent) {
-    observer.lock().unwrap().on_event(event);
+    lock(observer).on_event(event);
+}
+
+/// Locks the shared observer even after an observer panic poisoned it, so
+/// every worker that panics in the observer does so with the observer's own
+/// payload, which the engine re-raises. A poisoned observer only sees the
+/// rest of the failing call: the engine drops it when the panic reaches the
+/// caller.
+fn lock(observer: &SharedObserver) -> MutexGuard<'_, Box<dyn SolveObserver + Send>> {
+    observer.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// One buffered proof operation — the `Send`-able form of a worker's DRAT
@@ -110,24 +113,33 @@ pub(crate) struct CallResult {
     pub(crate) proof_ops: Vec<ProofOp>,
 }
 
+/// A worker, and with it the core, can be lent to a thread: a `!Send`
+/// field fails the build here rather than bringing back a thread that
+/// must build and own its solver.
+const _: fn() = || {
+    fn send<T: Send>() {}
+    send::<Worker>();
+    send::<Cdcl>();
+};
+
 /// A persistent worker solver (see the module docs).
 pub(crate) struct Worker {
     id: usize,
-    solver: Solver,
+    core: Cdcl,
     /// Proof operations logged but not yet published (`None` when the
     /// engine has no proof sink).
-    proof: Option<Rc<RefCell<ProofBuffer>>>,
-    /// The solver's counters when the current call began.
+    proof: Option<ProofBuffer>,
+    /// The core's counters when the current call began.
     base: Stats,
 }
 
 impl Worker {
-    /// Builds an empty worker solver.
+    /// Builds an empty worker core.
     ///
     /// `config` is the fully diversified per-worker configuration; `pool`
     /// (when sharing) receives every learnt clause and supplies the other
     /// workers' clauses; `cancel` (when given) is polled through the
-    /// solver's `on_terminate` hook, so a raised flag stops the worker
+    /// core's `on_terminate` hook, so a raised flag stops the worker
     /// within one terminate-poll interval (~1024 conflicts); `record_proof`
     /// attaches the private [`ProofBuffer`].
     pub(crate) fn new(
@@ -150,16 +162,12 @@ impl Worker {
             builder = builder.on_learnt(move |lits, lbd| export_pool.publish(id, lits, lbd));
             builder = builder.share_import(move |buf| pool.collect(id, buf));
         }
-        let mut proof = None;
-        if record_proof {
-            let buffer = Rc::new(RefCell::new(ProofBuffer::default()));
-            builder = builder.proof(Rc::clone(&buffer));
-            proof = Some(buffer);
-        }
         Worker {
             id,
-            solver: builder.build(),
-            proof,
+            // A recording worker stores clause IDs, as a single solver with
+            // a proof sink does, so both lay out their arenas alike.
+            core: builder.build_core(record_proof),
+            proof: record_proof.then(ProofBuffer::default),
             base: Stats::new(),
         }
     }
@@ -171,46 +179,49 @@ impl Worker {
         num_vars: usize,
         clauses: impl IntoIterator<Item = &'a [Lit]>,
     ) {
-        self.solver.reserve_vars(num_vars);
+        self.core.ensure_vars(num_vars);
         for clause in clauses {
-            self.solver.add_clause(clause.iter().copied());
+            self.core.add_clause(clause.iter().copied());
         }
     }
 
     /// Opens a call: snapshots the counters the call's report is measured
     /// from and, when observing, installs the [`Forward`] adapter.
     pub(crate) fn begin(&mut self, observer: Option<SharedObserver>) {
-        self.base = self.solver.stats().clone();
+        self.base = self.core.stats.clone();
         if let Some(shared) = observer {
             let forward = Forward {
                 worker: self.id,
                 shared,
             };
-            self.solver.set_observer(Some(Box::new(forward)));
+            self.core.events.observer = Some(Box::new(forward));
         }
     }
 
     /// Runs the call, or one slice of it, under `budget` with `assumptions`
     /// staged.
     pub(crate) fn run(&mut self, assumptions: &[Lit], budget: Budget) -> SolveStatus {
-        self.solver.set_budget(budget);
+        self.core.config.budget = budget;
         for &a in assumptions {
-            self.solver.assume(a);
+            self.core.assume(a);
         }
-        self.solver.solve()
+        match &mut self.proof {
+            Some(buffer) => self.core.solve_session(buffer),
+            None => self.core.solve_session(&mut NoProof),
+        }
     }
 
     /// Conflicts spent since [`Worker::begin`].
     pub(crate) fn call_conflicts(&self) -> u64 {
-        self.solver.stats().conflicts - self.base.conflicts
+        self.core.stats.conflicts - self.base.conflicts
     }
 
     /// Closes the call that ended in `status`: removes the observer
     /// adapter (releasing its handle on the shared observer), reports the
     /// call's deltas and, if `won`, hands over the unpublished proof.
     pub(crate) fn finish(&mut self, status: SolveStatus, won: bool) -> CallResult {
-        self.solver.set_observer(None);
-        let stats = self.solver.stats();
+        self.core.events.observer = None;
+        let stats = &self.core.stats;
         let report = WorkerReport {
             id: self.id,
             outcome: match &status {
@@ -225,171 +236,16 @@ impl Worker {
             imported: stats.clauses_imported - self.base.clauses_imported,
             missed: 0,
         };
-        let proof_ops = match &self.proof {
-            Some(buffer) if won => std::mem::take(&mut buffer.borrow_mut().ops),
+        let proof_ops = match &mut self.proof {
+            Some(buffer) if won => std::mem::take(&mut buffer.ops),
             _ => Vec::new(),
         };
         CallResult {
-            failed: self.solver.failed_assumptions().to_vec(),
+            failed: self.core.failed.clone(),
             status,
             report,
             lifetime: stats.clone(),
             proof_ops,
-        }
-    }
-}
-
-/// One call's order to a worker thread: the variables and clauses it has
-/// not seen yet (for [`Worker::extend`]), then the race ([`Worker::run`]).
-struct Order {
-    num_vars: usize,
-    clauses: Arc<Cnf>,
-    assumptions: Arc<[Lit]>,
-    budget: Budget,
-    observer: Option<SharedObserver>,
-}
-
-/// One worker thread's end of the engine: its order and result channels.
-struct Lane {
-    orders: Sender<Order>,
-    results: Receiver<CallResult>,
-    thread: JoinHandle<()>,
-}
-
-/// Threaded mode's workers: one long-lived thread per worker, started at
-/// the first call and joined when this is dropped (closing the order
-/// channels ends each thread's loop).
-pub(crate) struct WorkerThreads {
-    lanes: Vec<Lane>,
-    /// Raised by the first definitive answer of a call (claiming the win)
-    /// or on shutdown; lowered at the start of every call.
-    cancel: Arc<AtomicBool>,
-}
-
-impl WorkerThreads {
-    /// Starts one thread per configuration; each builds its [`Worker`]
-    /// there (the solver never crosses a thread boundary).
-    pub(crate) fn spawn(
-        configs: Vec<SolverConfig>,
-        pool: Option<Arc<ClausePool>>,
-        record_proof: bool,
-    ) -> WorkerThreads {
-        let cancel = Arc::new(AtomicBool::new(false));
-        let lanes = configs
-            .into_iter()
-            .enumerate()
-            .map(|(id, config)| {
-                let (orders, order_rx) = channel();
-                let (result_tx, results) = channel();
-                let pool = pool.clone();
-                let cancel = Arc::clone(&cancel);
-                let thread = std::thread::Builder::new()
-                    .name(format!("berkmin-worker-{id}"))
-                    .spawn(move || {
-                        let worker =
-                            Worker::new(id, config, pool, Some(Arc::clone(&cancel)), record_proof);
-                        serve(worker, &cancel, order_rx, result_tx);
-                    })
-                    .expect("spawn portfolio worker thread");
-                Lane {
-                    orders,
-                    results,
-                    thread,
-                }
-            })
-            .collect();
-        WorkerThreads { lanes, cancel }
-    }
-
-    /// Hands every worker the clauses it has not seen yet (all of them
-    /// advance together), then races them on one call and collects the
-    /// results in worker order. The first definitive answer claims the win
-    /// by raising the cancel flag, which also stops the others. A worker
-    /// that panicked is re-raised here, on the caller's thread, once the
-    /// others stopped.
-    pub(crate) fn solve<'a>(
-        &mut self,
-        num_vars: usize,
-        clauses: impl IntoIterator<Item = &'a [Lit]>,
-        assumptions: &[Lit],
-        budget: Budget,
-        observer: &Option<SharedObserver>,
-    ) -> Vec<CallResult> {
-        self.cancel.store(false, Ordering::SeqCst);
-        let clauses: Arc<Cnf> = Arc::new(clauses.into_iter().map(|c| c.iter().copied()).collect());
-        let assumptions: Arc<[Lit]> = assumptions.into();
-        for lane in &self.lanes {
-            // A dead thread surfaces (with its panic) below.
-            let _ = lane.orders.send(Order {
-                num_vars,
-                clauses: Arc::clone(&clauses),
-                assumptions: Arc::clone(&assumptions),
-                budget,
-                observer: observer.clone(),
-            });
-        }
-        let mut results = Vec::with_capacity(self.lanes.len());
-        let mut died = false;
-        for lane in &self.lanes {
-            match lane.results.recv() {
-                Ok(result) => results.push(result),
-                Err(_) => {
-                    died = true;
-                    self.cancel.store(true, Ordering::SeqCst);
-                }
-            }
-        }
-        if died {
-            match self.shutdown() {
-                Some(payload) => std::panic::resume_unwind(payload),
-                None => panic!("a portfolio worker thread exited mid-call"),
-            }
-        }
-        results
-    }
-
-    /// Stops and joins every thread, returning the first panic payload.
-    fn shutdown(&mut self) -> Option<Box<dyn std::any::Any + Send>> {
-        self.cancel.store(true, Ordering::SeqCst);
-        // Dropping each lane's sender first ends every thread's loop.
-        let lanes = std::mem::take(&mut self.lanes);
-        let threads: Vec<JoinHandle<()>> = lanes.into_iter().map(|lane| lane.thread).collect();
-        let mut first_panic = None;
-        for thread in threads {
-            if let Err(payload) = thread.join() {
-                first_panic.get_or_insert(payload);
-            }
-        }
-        first_panic
-    }
-}
-
-impl Drop for WorkerThreads {
-    fn drop(&mut self) {
-        // A panic from a worker has already been re-raised by `solve` (or
-        // is unwinding right now); there is nothing left to report.
-        let _ = self.shutdown();
-    }
-}
-
-/// A worker thread's loop: extend and run the worker for each order until
-/// the engine closes the channel.
-fn serve(
-    mut worker: Worker,
-    cancel: &AtomicBool,
-    orders: Receiver<Order>,
-    results: Sender<CallResult>,
-) {
-    for order in orders {
-        worker.extend(order.num_vars, order.clauses.iter());
-        worker.begin(order.observer);
-        let status = worker.run(&order.assumptions, order.budget);
-        let won = !status.is_unknown()
-            && cancel
-                .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
-                .is_ok();
-        if results.send(worker.finish(status, won)).is_err() {
-            return;
         }
     }
 }

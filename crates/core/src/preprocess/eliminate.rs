@@ -22,9 +22,9 @@
 
 use berkmin_cnf::{LBool, Lit, Var};
 
+use crate::cdcl::Cdcl;
 use crate::clause_db::ClauseRef;
 use crate::proof::ProofSink;
-use crate::solver::Solver;
 
 use super::SimpState;
 
@@ -58,7 +58,7 @@ fn resolve(pc: &[Lit], nc: &[Lit], v: Var) -> Option<Vec<Lit>> {
     Some(r)
 }
 
-impl Solver {
+impl Cdcl {
     /// One elimination sweep: tries every candidate variable once. The
     /// first sweep of a run considers all variables; later sweeps only the
     /// ones touched since (deletions open new pure/low-occurrence spots).
@@ -190,17 +190,17 @@ mod tests {
     use berkmin_cnf::{Lit, Var};
 
     use super::OCC_CAP;
+    use crate::cdcl::Cdcl;
     use crate::config::{SimplifyConfig, SolverConfig};
-    use crate::solver::Solver;
 
     fn lit(n: i32) -> Lit {
         Lit::from_dimacs(n)
     }
 
-    fn solver(simplify: SimplifyConfig) -> Solver {
+    fn solver(simplify: SimplifyConfig) -> Cdcl {
         let mut cfg = SolverConfig::berkmin();
         cfg.simplify = simplify;
-        Solver::with_config(cfg)
+        Cdcl::new(cfg)
     }
 
     #[test]
@@ -270,7 +270,7 @@ mod tests {
         s.add_clause([lit(-1), lit(5)]);
         assert!(s.solve().is_sat());
         assert!(!s.is_eliminated(Var::new(0)));
-        assert_eq!(s.stats().vars_eliminated, 0);
+        assert_eq!(s.stats.vars_eliminated, 0);
     }
 
     #[test]
@@ -305,7 +305,7 @@ mod tests {
         }
         let status = s.solve();
         let m = status.model().expect("satisfiable");
-        assert!(s.stats().vars_eliminated >= 1, "the chain must eliminate");
+        assert!(s.stats.vars_eliminated >= 1, "the chain must eliminate");
         for c in &clauses {
             assert!(
                 c.iter().any(|&l| m.satisfies(l)),

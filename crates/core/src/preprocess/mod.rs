@@ -28,7 +28,7 @@
 //!
 //! The watch-safety contract: any clause this module rewrites or creates is
 //! stripped of **all** literals false at level 0 before it lands in the
-//! arena, so [`Solver::rebuild_watches`] (which blindly watches positions
+//! arena, so [`Cdcl::rebuild_watches`] (which blindly watches positions
 //! 0 and 1) can never install a watch on an already-false literal of an
 //! unsatisfied clause.
 
@@ -41,10 +41,10 @@ pub(crate) use reconstruct::Reconstructor;
 
 use berkmin_cnf::{LBool, Lit, Var};
 
+use crate::cdcl::Cdcl;
 use crate::clause_db::ClauseRef;
 use crate::config::ActivityIndex;
 use crate::proof::ProofSink;
-use crate::solver::Solver;
 use crate::telemetry::SolveEvent;
 
 use occur::OccIndex;
@@ -98,12 +98,12 @@ impl SimpState {
     }
 }
 
-impl Solver {
+impl Cdcl {
     /// Runs the configured simplification passes at the first solve call
     /// (later calls return at once). Called at solve entry with the trail
     /// at level 0 and fully propagated; afterwards the clause arena is
     /// compacted, the watch lists rebuilt, and every unit consequence
-    /// propagated (a level-0 conflict clears [`Solver::is_ok`]).
+    /// propagated (a level-0 conflict clears `ok`).
     pub(crate) fn simplify_formula(&mut self, proof: &mut dyn ProofSink) {
         let cfg = self.config.simplify;
         if (!cfg.subsumption && !cfg.var_elim) || !self.ok {
@@ -242,11 +242,11 @@ impl Solver {
 
     /// Rewrites clause `id` to its current literal set minus `remove` and
     /// minus every literal false at level 0, through
-    /// [`Solver::strengthen_at_level0`] (`add` of the new set, then `d` of
+    /// [`Cdcl::strengthen_at_level0`] (`add` of the new set, then `d` of
     /// the old — the order that keeps the stream RUP-checkable), and keeps
     /// the index in step. A clause that is satisfied at level 0 is deleted
     /// instead; one that degenerates to a unit asserts the unit and
-    /// dissolves; the empty clause clears [`Solver::is_ok`].
+    /// dissolves; the empty clause clears `ok`.
     ///
     /// `remove` is false at level 0, or `subsuming` names the clause that
     /// implies it false once the new set is (self-subsumption); the hint
@@ -313,10 +313,10 @@ mod tests {
         Lit::from_dimacs(n)
     }
 
-    fn solver(simplify: SimplifyConfig) -> Solver {
+    fn solver(simplify: SimplifyConfig) -> Cdcl {
         let mut cfg = SolverConfig::berkmin();
         cfg.simplify = simplify;
-        Solver::with_config(cfg)
+        Cdcl::new(cfg)
     }
 
     #[test]
@@ -326,7 +326,7 @@ mod tests {
         s.add_clause([lit(1), lit(2), lit(3)]); // subsumed
         s.add_clause([lit(-1), lit(-2), lit(4)]);
         assert!(s.solve().is_sat());
-        assert_eq!(s.stats().clauses_subsumed, 1);
+        assert_eq!(s.stats.clauses_subsumed, 1);
         assert_eq!(s.num_original_clauses(), 2);
     }
 
@@ -339,7 +339,7 @@ mod tests {
         s.add_clause([lit(-1), lit(2), lit(3)]);
         s.add_clause([lit(-2), lit(-3)]);
         assert!(s.solve().is_sat());
-        assert_eq!(s.stats().clauses_strengthened, 1);
+        assert_eq!(s.stats.clauses_strengthened, 1);
     }
 
     #[test]
@@ -352,7 +352,7 @@ mod tests {
         s.add_clause([lit(-1), lit(4)]);
         let status = s.solve();
         let model = status.model().expect("satisfiable");
-        assert!(s.stats().vars_eliminated >= 1);
+        assert!(s.stats.vars_eliminated >= 1);
         // The reconstructed model must satisfy the original clauses.
         assert!(model.satisfies(lit(1)) || model.satisfies(lit(2)));
         assert!(model.satisfies(lit(-2)) || model.satisfies(lit(3)));
@@ -365,7 +365,7 @@ mod tests {
         s.add_clause([lit(1), lit(2)]);
         s.add_clause([lit(1), lit(2), lit(3)]);
         assert!(s.solve().is_sat());
-        assert_eq!(s.stats().clauses_subsumed, 0);
+        assert_eq!(s.stats.clauses_subsumed, 0);
         assert_eq!(s.num_original_clauses(), 2);
     }
 
@@ -375,12 +375,12 @@ mod tests {
         s.add_clause([lit(1), lit(2)]);
         s.add_clause([lit(1), lit(2), lit(3)]);
         assert!(s.solve().is_sat());
-        assert_eq!(s.stats().clauses_subsumed, 1);
+        assert_eq!(s.stats.clauses_subsumed, 1);
         s.add_clause([lit(4), lit(5)]);
         s.add_clause([lit(4), lit(5), lit(6)]);
         assert!(s.solve().is_sat());
         // Second call: the simplifier runs only at the first.
-        assert_eq!(s.stats().clauses_subsumed, 1);
+        assert_eq!(s.stats.clauses_subsumed, 1);
     }
 
     #[test]
@@ -462,7 +462,7 @@ mod tests {
         s.strengthen_clause(&mut st, id, lit(1), None, &mut NoProof);
         let id = st.idx.compact_occ(lit(2))[0];
         s.strengthen_clause(&mut st, id, lit(2), None, &mut NoProof);
-        assert_eq!(s.value(Var::new(2)), LBool::True);
+        assert_eq!(s.trail.value_opt(Var::new(2)), LBool::True);
         assert!(!st.idx.is_live(id));
     }
 }

@@ -20,13 +20,13 @@
 
 use berkmin_cnf::Lit;
 
+use crate::cdcl::Cdcl;
 use crate::proof::ProofSink;
-use crate::solver::Solver;
 
 use super::occur::signature;
 use super::SimpState;
 
-impl Solver {
+impl Cdcl {
     /// Drains the subsumption queue, interleaving unit application.
     pub(crate) fn subsumption_pass(&mut self, st: &mut SimpState, proof: &mut dyn ProofSink) {
         loop {
@@ -115,17 +115,17 @@ impl Solver {
 mod tests {
     use berkmin_cnf::Lit;
 
+    use crate::cdcl::Cdcl;
     use crate::config::{SimplifyConfig, SolverConfig};
-    use crate::solver::Solver;
 
     fn lit(n: i32) -> Lit {
         Lit::from_dimacs(n)
     }
 
-    fn solver() -> Solver {
+    fn solver() -> Cdcl {
         let mut cfg = SolverConfig::berkmin();
         cfg.simplify = SimplifyConfig::default();
-        Solver::with_config(cfg)
+        Cdcl::new(cfg)
     }
 
     #[test]
@@ -135,7 +135,7 @@ mod tests {
         s.add_clause([lit(3), lit(2), lit(1)]); // same clause, same form
         s.add_clause([lit(-1), lit(-2)]);
         assert!(s.solve().is_sat());
-        assert_eq!(s.stats().clauses_subsumed, 1);
+        assert_eq!(s.stats.clauses_subsumed, 1);
     }
 
     #[test]
@@ -148,8 +148,8 @@ mod tests {
         s.add_clause([lit(2), lit(3), lit(4)]);
         s.add_clause([lit(-2), lit(5)]);
         assert!(s.solve().is_sat());
-        assert_eq!(s.stats().clauses_strengthened, 1);
-        assert_eq!(s.stats().clauses_subsumed, 1);
+        assert_eq!(s.stats.clauses_strengthened, 1);
+        assert_eq!(s.stats.clauses_subsumed, 1);
     }
 
     #[test]
@@ -162,7 +162,7 @@ mod tests {
         let status = s.solve();
         assert!(status.is_sat());
         assert!(status.model().unwrap().satisfies(lit(1)));
-        assert!(s.stats().clauses_strengthened >= 1);
+        assert!(s.stats.clauses_strengthened >= 1);
     }
 
     #[test]

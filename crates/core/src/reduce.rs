@@ -11,16 +11,16 @@
 //!
 //! Removal is a two-step affair on the flat clause arena: the policy *marks*
 //! records as garbage, and the compacting collector
-//! ([`Solver::collect_garbage`]) — run once at the end of every reduction —
+//! ([`Cdcl::collect_garbage`]) — run once at the end of every reduction —
 //! reclaims the space, emits the DRAT `d` lines, and rewrites every live
 //! [`ClauseRef`](crate::clause_db::ClauseRef).
 
 use berkmin_cnf::{LBool, Lit};
 
+use crate::cdcl::Cdcl;
 use crate::clause_db::ClauseRef;
 use crate::config::DbPolicy;
 use crate::proof::ProofSink;
-use crate::solver::Solver;
 
 /// Young clauses shorter than this are always kept (§8: 43).
 pub(crate) const YOUNG_KEEP_LEN: u32 = 43;
@@ -33,7 +33,7 @@ pub(crate) const OLD_ACT_INIT: u32 = 60;
 /// Per-reduction increment of the old-clause activity threshold.
 pub(crate) const OLD_ACT_INC: u32 = 1;
 
-impl Solver {
+impl Cdcl {
     /// Performs database reduction. Must be called at decision level 0 with
     /// a fully propagated trail (i.e. right after a restart).
     pub(crate) fn reduce_db<S: ProofSink>(&mut self, proof: &mut S) {
@@ -99,7 +99,7 @@ impl Solver {
     /// Level-0 strengthening of clause `cref`: drops `remove` (if given)
     /// and every literal false at level 0, then logs the shorter clause
     /// with its hint chain — the hints pushed so far, then `cref` — and
-    /// applies it. The empty clause clears [`Solver::is_ok`]; a unit is
+    /// applies it. The empty clause clears `ok`; a unit is
     /// asserted and the clause deleted; a longer clause is shrunk in place
     /// (the record keeps its `ClauseRef` and takes the new addition's ID).
     /// The old literal set is overwritten then, so its `d` line follows the
@@ -203,8 +203,8 @@ mod tests {
 
     /// Builds a solver with `n` learnt clauses of the given length on the
     /// stack (over disjoint fresh variables so none is satisfied).
-    fn stacked_solver(cfg: SolverConfig, n: usize, len: usize) -> Solver {
-        let mut s = Solver::with_config(cfg);
+    fn stacked_solver(cfg: SolverConfig, n: usize, len: usize) -> Cdcl {
+        let mut s = Cdcl::new(cfg);
         s.ensure_vars(n * len + 1);
         for i in 0..n {
             let lits: Vec<Lit> = (0..len).map(|j| lit((i * len + j + 1) as i32)).collect();
@@ -219,7 +219,7 @@ mod tests {
     /// Raises a clause's activity counter to `target` (test scaffolding; the
     /// arena only exposes unit bumps, as conflict analysis credits one
     /// conflict at a time).
-    fn set_activity(s: &mut Solver, cref: crate::clause_db::ClauseRef, target: u32) {
+    fn set_activity(s: &mut Cdcl, cref: crate::clause_db::ClauseRef, target: u32) {
         while s.db.activity(cref) < target {
             s.db.bump_activity(cref);
         }
@@ -250,7 +250,7 @@ mod tests {
             .stack
             .iter()
             .any(|&c| s.db.lits(c) == &survivor_lits[..] && s.db.activity(c) == 8));
-        assert_eq!(s.stats().deleted_clauses, 6);
+        assert_eq!(s.stats.deleted_clauses, 6);
     }
 
     #[test]
@@ -294,7 +294,7 @@ mod tests {
             ),
             (43, 7, 9, 60, 1)
         );
-        let s = Solver::with_config(SolverConfig::berkmin());
+        let s = Cdcl::new(SolverConfig::berkmin());
         assert_eq!(s.old_act_threshold, OLD_ACT_INIT);
     }
 
@@ -320,7 +320,7 @@ mod tests {
 
     #[test]
     fn satisfied_clauses_are_removed_and_false_lits_stripped() {
-        let mut s = Solver::with_config(SolverConfig::berkmin());
+        let mut s = Cdcl::new(SolverConfig::berkmin());
         s.add_clause([lit(1), lit(2), lit(3)]);
         s.add_clause([lit(-1), lit(4), lit(5)]);
         s.add_clause([lit(1)]); // level-0 fact: x1 = 1
@@ -345,10 +345,10 @@ mod tests {
             vec![lit(1), lit(-3)],
             vec![lit(-1), lit(-2), lit(3)],
         ];
-        let mut keep = Solver::with_config(SolverConfig::berkmin());
+        let mut keep = Cdcl::new(SolverConfig::berkmin());
         let mut cfg = SolverConfig::berkmin();
         cfg.restart = crate::RestartPolicy::FixedInterval(1);
-        let mut churn = Solver::with_config(cfg);
+        let mut churn = Cdcl::new(cfg);
         for c in &clauses {
             keep.add_clause(c.iter().copied());
             churn.add_clause(c.iter().copied());

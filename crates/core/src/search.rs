@@ -4,19 +4,19 @@
 //! propagate/analyze/decide loop, BCP over the watch structure, restart
 //! and garbage-collection plumbing, learnt-clause recording, the
 //! solve-event hooks ([`SolveEvents`]) and the session bracket that emits
-//! [`SolveEvent::SolveStart`]/[`SolveEvent::SolveDone`]. The thin
-//! [`Solver`] facade (`solver.rs`) composes the state subsystems — the
+//! [`SolveEvent::SolveStart`]/[`SolveEvent::SolveDone`]. The core
+//! ([`Cdcl`], `cdcl.rs`) composes the state subsystems — the
 //! [`Trail`](crate::Trail), the [`Watches`](crate::watch::Watches) and the
 //! [`SearchLimits`](crate::limits::SearchLimits) scheduler — and the
 //! public result types live here beside the loop that produces them.
 
 use berkmin_cnf::{Assignment, LBool, Lit, Var};
 
+use crate::cdcl::Cdcl;
 use crate::clause_db::ClauseRef;
 use crate::config::{ActivityIndex, DecisionStrategy};
 use crate::heap::VarHeap;
 use crate::proof::{ClauseId, ProofSink};
-use crate::solver::Solver;
 use crate::telemetry::{SolveEvent, SolveObserver, SolveVerdict};
 use crate::watch::{Watcher, Watches};
 
@@ -29,7 +29,7 @@ pub enum StopReason {
     /// The terminate callback (see
     /// [`SolverBuilder::on_terminate`](crate::SolverBuilder::on_terminate))
     /// asked the solver to stop. Budgets are unaffected: a later
-    /// [`Solver::solve`] call gets its usual per-call allowance.
+    /// [`Solver::solve`](crate::Solver::solve) call gets its usual per-call allowance.
     Callback,
 }
 
@@ -49,23 +49,23 @@ const ACTIVITY_DECAY_DIVISOR: u64 = 4;
 /// A boxed terminate callback: polled at solve entry, at restart
 /// boundaries, and every 1024 conflicts; returning `true` aborts with
 /// [`StopReason::Callback`].
-pub(crate) type TerminateCallback = Box<dyn FnMut() -> bool>;
+pub(crate) type TerminateCallback = Box<dyn FnMut() -> bool + Send>;
 
 /// A boxed learnt-clause callback: receives every conflict-derived learnt
 /// clause (asserting literal first) together with its LBD. It filters
 /// nothing; callers keep what they want.
-pub(crate) type LearntCallback = Box<dyn FnMut(&[Lit], u32)>;
+pub(crate) type LearntCallback = Box<dyn FnMut(&[Lit], u32) + Send>;
 
 /// A boxed share-import source: polled at solve entry and at every restart
 /// boundary, it pushes candidate clauses into the supplied buffer; the solver integrates them
 /// at decision level 0 (level-0-simplified, attached as learnt clauses).
 /// Every pushed clause **must** be implied by the original formula — the
 /// portfolio's inbound half of learnt-clause sharing.
-pub(crate) type ImportCallback = Box<dyn FnMut(&mut Vec<Vec<Lit>>)>;
+pub(crate) type ImportCallback = Box<dyn FnMut(&mut Vec<Vec<Lit>>) + Send>;
 
 /// The solve-event hooks a solver carries, installed at construction time
 /// through [`SolverBuilder`](crate::SolverBuilder) (only the observer is
-/// replaceable later, via [`Solver::set_observer`]). Callbacks
+/// replaceable later, via [`Solver::set_observer`](crate::Solver::set_observer)). Callbacks
 /// receive no solver reference — they observe only what they captured plus
 /// the arguments passed, so they cannot perturb the search.
 #[derive(Default)]
@@ -85,7 +85,7 @@ pub(crate) struct SolveEvents {
     /// Structured telemetry observer (see [`crate::telemetry`]): receives
     /// typed [`SolveEvent`]s. Every emission site checks this `Option`
     /// once, so an observer-less solver pays nothing.
-    pub(crate) observer: Option<Box<dyn SolveObserver>>,
+    pub(crate) observer: Option<Box<dyn SolveObserver + Send>>,
 }
 
 impl std::fmt::Debug for SolveEvents {
@@ -99,11 +99,11 @@ impl std::fmt::Debug for SolveEvents {
     }
 }
 
-/// Result of [`Solver::solve`].
+/// Result of [`Solver::solve`](crate::Solver::solve).
 ///
-/// For runs under assumptions (staged with [`Solver::assume`]),
+/// For runs under assumptions (staged with [`Solver::assume`](crate::Solver::assume)),
 /// [`SolveStatus::Unsat`] means *unsatisfiable under those assumptions*;
-/// consult [`Solver::failed_assumptions`] to distinguish an absolute
+/// consult [`Solver::failed_assumptions`](crate::Solver::failed_assumptions) to distinguish an absolute
 /// refutation (empty core) from an assumption conflict (non-empty core).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SolveStatus {
@@ -140,11 +140,11 @@ impl SolveStatus {
     }
 }
 
-impl Solver {
+impl Cdcl {
     /// One solve session: consumes the pending assumptions, emits the
     /// [`SolveEvent::SolveStart`]/[`SolveEvent::SolveDone`] bracket, and
-    /// runs the CDCL loop ([`Solver::search`]), reporting to `proof`. The
-    /// single implementation behind [`Solver::solve`].
+    /// runs the CDCL loop ([`Cdcl::search`]), reporting to `proof`. The
+    /// single implementation behind [`Solver::solve`](crate::Solver::solve).
     pub(crate) fn solve_session(&mut self, proof: &mut dyn ProofSink) -> SolveStatus {
         self.begin_solve();
         if self.events.observer.is_some() {
@@ -463,11 +463,11 @@ impl Solver {
         }
     }
 
-    /// Releases the search-only tables of [`Solver::grow_search_tables`]
+    /// Releases the search-only tables of [`Cdcl::grow_search_tables`]
     /// (their counters restart from zero). The formula stays: the trail,
     /// the clause database, the freeze flags and the reconstruction stack
     /// can still be read, but nothing may propagate, simplify or search
-    /// until [`Solver::unpark`]. The portfolio's front rests this way
+    /// until [`Cdcl::unpark`]. The portfolio's front rests this way
     /// between crew builds.
     pub(crate) fn park(&mut self) {
         debug_assert_eq!(self.decision_level(), 0);
@@ -480,7 +480,7 @@ impl Solver {
         self.heap = VarHeap::new();
     }
 
-    /// Rebuilds what [`Solver::park`] released: the tables at their full
+    /// Rebuilds what [`Cdcl::park`] released: the tables at their full
     /// size, every non-eliminated variable in the heap, and the watch lists
     /// from the live clauses.
     pub(crate) fn unpark(&mut self) {
@@ -562,15 +562,6 @@ impl Solver {
     #[inline]
     pub(crate) fn has_observer(&self) -> bool {
         self.events.observer.is_some()
-    }
-
-    /// Installs (or clears) the structured telemetry observer — the typed
-    /// counterpart of the `c`-line progress output. See
-    /// [`crate::telemetry`] for the event vocabulary and ordering
-    /// guarantees. Usually installed at construction time via
-    /// [`SolverBuilder::on_event`](crate::SolverBuilder::on_event).
-    pub fn set_observer(&mut self, observer: Option<Box<dyn SolveObserver>>) {
-        self.events.observer = observer;
     }
 
     /// Polls the terminate callback, if any.
@@ -737,13 +728,13 @@ mod tests {
 
     #[test]
     fn empty_formula_is_sat() {
-        let mut s = Solver::with_config(SolverConfig::berkmin());
+        let mut s = Cdcl::new(SolverConfig::berkmin());
         assert!(s.solve().is_sat());
     }
 
     #[test]
     fn single_unit_clause() {
-        let mut s = Solver::with_config(SolverConfig::berkmin());
+        let mut s = Cdcl::new(SolverConfig::berkmin());
         let x = Lit::from_dimacs(1);
         s.add_clause([x]);
         match s.solve() {
@@ -754,23 +745,23 @@ mod tests {
 
     #[test]
     fn contradictory_units_are_unsat() {
-        let mut s = Solver::with_config(SolverConfig::berkmin());
+        let mut s = Cdcl::new(SolverConfig::berkmin());
         s.add_clause([Lit::from_dimacs(1)]);
         s.add_clause([Lit::from_dimacs(-1)]);
         assert!(s.solve().is_unsat());
-        assert!(!s.is_ok());
+        assert!(!s.ok);
     }
 
     #[test]
     fn empty_clause_is_unsat() {
-        let mut s = Solver::with_config(SolverConfig::berkmin());
+        let mut s = Cdcl::new(SolverConfig::berkmin());
         assert!(!s.add_clause([]));
         assert!(s.solve().is_unsat());
     }
 
     #[test]
     fn tautologies_are_dropped() {
-        let mut s = Solver::with_config(SolverConfig::berkmin());
+        let mut s = Cdcl::new(SolverConfig::berkmin());
         s.add_clause([Lit::from_dimacs(1), Lit::from_dimacs(-1)]);
         assert_eq!(s.db.num_live(), 0);
         assert!(s.solve().is_sat());
@@ -778,30 +769,30 @@ mod tests {
 
     #[test]
     fn duplicate_literals_are_merged() {
-        let mut s = Solver::with_config(SolverConfig::berkmin());
+        let mut s = Cdcl::new(SolverConfig::berkmin());
         s.add_clause([Lit::from_dimacs(1), Lit::from_dimacs(1)]);
         // Collapses to a unit clause, asserted immediately.
         assert_eq!(s.db.num_live(), 0);
-        assert_eq!(s.value(Var::new(0)), LBool::True);
+        assert_eq!(s.trail.value_opt(Var::new(0)), LBool::True);
     }
 
     #[test]
     fn propagation_chain_resolves_without_decisions() {
         // x1 ∧ (¬x1∨x2) ∧ (¬x2∨x3): all forced.
-        let mut s = Solver::with_config(SolverConfig::berkmin());
+        let mut s = Cdcl::new(SolverConfig::berkmin());
         s.add_clause([Lit::from_dimacs(1)]);
         s.add_clause([Lit::from_dimacs(-1), Lit::from_dimacs(2)]);
         s.add_clause([Lit::from_dimacs(-2), Lit::from_dimacs(3)]);
         let status = s.solve();
         let m = status.model().unwrap();
         assert!(m.satisfies(Lit::from_dimacs(3)));
-        assert_eq!(s.stats().decisions, 0);
+        assert_eq!(s.stats.decisions, 0);
     }
 
     #[test]
     fn budget_abort_reports_unknown() {
         // A formula needing work: small pigeonhole, 1-conflict budget.
-        let mut s = Solver::with_config(SolverConfig::berkmin().with_budget(Budget::conflicts(1)));
+        let mut s = Cdcl::new(SolverConfig::berkmin().with_budget(Budget::conflicts(1)));
         // PHP(2): 3 pigeons, 2 holes.
         let lit = |p: usize, h: usize| Lit::from_dimacs((p * 2 + h + 1) as i32);
         for p in 0..3 {

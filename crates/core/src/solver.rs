@@ -1,27 +1,20 @@
-//! The solver facade: composes the state subsystems and exposes the
-//! public session API.
+//! The solver facade: the public session API over the CDCL core.
 //!
-//! The heavy machinery lives in the subsystem modules — assignment state
-//! in [`crate::trail`], watched-literal indexes in [`crate::watch`], the
-//! cadence/budget scheduler in [`crate::limits`], the CDCL loop in
-//! [`crate::search`]. This module owns the [`Solver`] struct that wires
-//! them together plus the thin API that does not run search: construction,
-//! clause ingestion, assumption staging, freezing, accessors, and the
-//! `solve()` entry point.
+//! All search state lives in [`Cdcl`] (`cdcl.rs`), which holds no proof
+//! sink and is therefore `Send`. The facade adds the one thing the core
+//! leaves out — the construction-time [`ProofSink`], which may be any
+//! user type (an `Rc<RefCell<_>>` reading handle included) — and forwards
+//! every public call.
 
 use berkmin_cnf::{Cnf, LBool, Lit, Var};
 
-use crate::clause_db::{ClauseDb, ClauseRef};
-use crate::config::{ActivityIndex, Budget, SolverConfig};
-use crate::heap::VarHeap;
-use crate::limits::SearchLimits;
-use crate::preprocess::Reconstructor;
-use crate::proof::{HintLog, NoProof, ProofSink};
-use crate::rng::XorShift64;
-use crate::search::{SolveEvents, SolveStatus};
+use crate::audit::AuditReport;
+use crate::cdcl::Cdcl;
+use crate::config::{Budget, SolverConfig};
+use crate::proof::{NoProof, ProofSink};
+use crate::search::SolveStatus;
 use crate::stats::Stats;
-use crate::trail::Trail;
-use crate::watch::Watches;
+use crate::telemetry::SolveObserver;
 
 /// The BerkMin CDCL SAT-solver.
 ///
@@ -49,72 +42,11 @@ use crate::watch::Watches;
 /// assert!(cnf.is_satisfied_by(model));
 /// ```
 pub struct Solver {
-    pub(crate) config: SolverConfig,
-    pub(crate) db: ClauseDb,
-    /// The two-watched-literal indexes (long lists with blockers, inline
-    /// binary lists) — see [`crate::watch`].
-    pub(crate) watches: Watches,
-    /// The assignment state: values, levels, reasons, the chronological
-    /// trail with its decision markers, and the BCP queue head — see
-    /// [`crate::trail`].
-    pub(crate) trail: Trail,
-    /// The search scheduler: per-call budget baseline, restart clock and
-    /// maintenance cadence — see [`crate::limits`].
-    pub(crate) limits: SearchLimits,
-    /// `var_activity(x)` counters (paper §4).
-    pub(crate) var_activity: Vec<u64>,
-    /// `lit_activity(l)` counters indexed by literal code (paper §7).
-    pub(crate) lit_activity: Vec<u64>,
-    /// VSIDS per-literal counters (zChaff baseline); empty under every
-    /// other decision strategy, which never reads them.
-    pub(crate) vsids: Vec<u64>,
-    pub(crate) heap: VarHeap,
-    pub(crate) seen: Vec<bool>,
-    /// LBD computation scratch: `lbd_stamp[level] == lbd_stamp_gen` marks a
-    /// decision level as already counted for the clause under measurement
-    /// (the Glucose stamping trick — no clearing pass needed).
-    pub(crate) lbd_stamp: Vec<u64>,
-    /// Generation counter for [`Solver::lbd_stamp`].
-    pub(crate) lbd_stamp_gen: u64,
-    /// Scratch buffer the share-import source fills at restart boundaries
-    /// (kept on the solver to avoid a per-restart allocation).
-    pub(crate) import_buf: Vec<Vec<Lit>>,
-    pub(crate) rng: XorShift64,
-    pub(crate) stats: Stats,
-    pub(crate) ok: bool,
-    pub(crate) num_vars: usize,
-    /// Current old-clause activity threshold (paper §8: starts at 60, rises).
-    pub(crate) old_act_threshold: u32,
-    /// Set once the empty clause has been reported to the proof sink.
-    pub(crate) emitted_empty: bool,
-    /// Assumptions of the current [`Solver::solve`] call, enqueued lazily
-    /// as pseudo-decisions at levels `1..=k` below any real decision.
-    pub(crate) assumptions: Vec<Lit>,
-    /// Failed-assumption core of the last assumption-UNSAT answer (empty
-    /// after an absolute refutation or a SAT/Unknown answer).
-    pub(crate) failed: Vec<Lit>,
-    /// Assumptions staged by [`Solver::assume`] since the last solve call;
-    /// consumed (IPASIR-style) by the next [`Solver::solve`].
-    pub(crate) pending_assumptions: Vec<Lit>,
+    pub(crate) core: Cdcl,
     /// The construction-time proof sink every [`Solver::solve`] call
     /// reports to ([`NoProof`] unless attached via
     /// [`SolverBuilder::proof`](crate::SolverBuilder::proof)).
     pub(crate) proof: Box<dyn ProofSink>,
-    /// Clause-ID counters and the hint chain of the next proof addition
-    /// (collected only once a proof sink is attached; see
-    /// [`ClauseId`](crate::ClauseId)).
-    pub(crate) hints: HintLog,
-    /// Terminate / learnt-clause hooks (see [`SolveEvents`]).
-    pub(crate) events: SolveEvents,
-    /// `frozen[v]`: the preprocessor may not eliminate `v` (user-frozen
-    /// via [`Solver::freeze`], or auto-frozen as an assumption variable).
-    pub(crate) frozen: Vec<bool>,
-    /// `eliminated[v]`: `v` was dissolved by bounded variable elimination
-    /// — absent from every live clause, watcher, trail entry and heap
-    /// slot; mentioning it again panics (see [`Solver::freeze`]).
-    pub(crate) eliminated: Vec<bool>,
-    /// Reconstruction stack extending SAT models over eliminated variables.
-    pub(crate) reconstructor: Reconstructor,
 }
 
 impl std::fmt::Debug for Solver {
@@ -123,19 +55,20 @@ impl std::fmt::Debug for Solver {
     /// summaries (trail heights per level, watch-list population) and the
     /// scheduler's next-due actions answer "what level am I at and why".
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let c = &self.core;
         f.debug_struct("Solver")
-            .field("num_vars", &self.num_vars)
-            .field("num_live_clauses", &self.db.num_live())
-            .field("num_learnt_clauses", &self.db.num_learnt())
-            .field("ok", &self.ok)
-            .field("trail", &self.trail)
-            .field("watches", &self.watches)
-            .field("limits", &self.limits)
-            .field("next_due", &self.limits.next_due(&self.stats, &self.config))
-            .field("pending_assumptions", &self.pending_assumptions)
-            .field("events", &self.events)
-            .field("config", &self.config)
-            .field("stats", &self.stats)
+            .field("num_vars", &c.num_vars)
+            .field("num_live_clauses", &c.db.num_live())
+            .field("num_learnt_clauses", &c.db.num_learnt())
+            .field("ok", &c.ok)
+            .field("trail", &c.trail)
+            .field("watches", &c.watches)
+            .field("limits", &c.limits)
+            .field("next_due", &c.limits.next_due(&c.stats, &c.config))
+            .field("pending_assumptions", &c.pending_assumptions)
+            .field("events", &c.events)
+            .field("config", &c.config)
+            .field("stats", &c.stats)
             .finish_non_exhaustive()
     }
 }
@@ -144,7 +77,7 @@ impl Solver {
     /// Creates a solver for `cnf` under `config`.
     pub fn new(cnf: &Cnf, config: SolverConfig) -> Self {
         let mut s = Solver::with_config(config);
-        s.ensure_vars(cnf.num_vars());
+        s.reserve_vars(cnf.num_vars());
         for clause in cnf {
             s.add_clause(clause.iter().copied());
         }
@@ -153,46 +86,15 @@ impl Solver {
 
     /// Creates an empty solver under `config` (see [`Solver::add_clause`]).
     pub fn with_config(config: SolverConfig) -> Self {
-        let old_act_threshold = match config.db_policy {
-            crate::DbPolicy::BerkMin => crate::reduce::OLD_ACT_INIT,
-            _ => 0,
-        };
-        let rng = XorShift64::new(config.seed);
         Solver {
-            config,
-            db: ClauseDb::new(),
-            watches: Watches::new(),
-            trail: Trail::new(),
-            limits: SearchLimits::new(),
-            var_activity: Vec::new(),
-            lit_activity: Vec::new(),
-            vsids: Vec::new(),
-            heap: VarHeap::new(),
-            seen: Vec::new(),
-            lbd_stamp: vec![0],
-            lbd_stamp_gen: 0,
-            import_buf: Vec::new(),
-            rng,
-            stats: Stats::new(),
-            ok: true,
-            num_vars: 0,
-            old_act_threshold,
-            emitted_empty: false,
-            assumptions: Vec::new(),
-            failed: Vec::new(),
-            pending_assumptions: Vec::new(),
+            core: Cdcl::new(config),
             proof: Box::new(NoProof),
-            hints: HintLog::default(),
-            events: SolveEvents::default(),
-            frozen: Vec::new(),
-            eliminated: Vec::new(),
-            reconstructor: Reconstructor::default(),
         }
     }
 
     /// Number of variables known to the solver.
     pub fn num_vars(&self) -> usize {
-        self.num_vars
+        self.core.num_vars
     }
 
     /// Grows the per-variable tables to cover `n` variables without
@@ -200,17 +102,17 @@ impl Solver {
     /// therefore its models — in sync with external allocators (e.g.
     /// Tseitin or activation literals).
     pub fn reserve_vars(&mut self, n: usize) {
-        self.ensure_vars(n);
+        self.core.ensure_vars(n);
     }
 
     /// Search statistics.
     pub fn stats(&self) -> &Stats {
-        &self.stats
+        &self.core.stats
     }
 
     /// The configuration this solver runs under.
     pub fn config(&self) -> &SolverConfig {
-        &self.config
+        &self.core.config
     }
 
     /// Replaces the resource budget. Budgets are accounted **per solve
@@ -218,7 +120,7 @@ impl Solver {
     /// limits, so an aborted run can simply be called again — with or
     /// without a new budget.
     pub fn set_budget(&mut self, budget: Budget) {
-        self.config.budget = budget;
+        self.core.config.budget = budget;
     }
 
     /// The failed-assumption core of the most recent assumption-carrying
@@ -228,57 +130,32 @@ impl Solver {
     /// when the formula is unsatisfiable outright (no assumptions needed),
     /// and after any SAT or Unknown answer.
     pub fn failed_assumptions(&self) -> &[Lit] {
-        &self.failed
-    }
-
-    /// Number of variables currently queued in the decision heap (only
-    /// populated under [`ActivityIndex::Heap`]); lets incremental callers
-    /// check that heuristic state survives between solve calls.
-    pub fn decision_heap_len(&self) -> usize {
-        self.heap.len()
+        &self.core.failed
     }
 
     /// `false` once the clause set has been proven contradictory.
     pub fn is_ok(&self) -> bool {
-        self.ok
+        self.core.ok
     }
 
     /// Current assignment of `var`.
     pub fn value(&self, var: Var) -> LBool {
-        self.trail.value_opt(var)
+        self.core.trail.value_opt(var)
     }
 
     /// Current `var_activity` counter of `var` (paper §4) — how much the
     /// variable has participated in conflict-making, after aging.
     pub fn var_activity(&self, var: Var) -> u64 {
-        self.var_activity.get(var.index()).copied().unwrap_or(0)
-    }
-
-    /// Number of live clauses (original + learnt) currently in the database.
-    pub fn num_live_clauses(&self) -> usize {
-        self.db.num_live()
+        self.core
+            .var_activity
+            .get(var.index())
+            .copied()
+            .unwrap_or(0)
     }
 
     /// Number of live learnt clauses (the conflict-clause stack size).
     pub fn num_learnt_clauses(&self) -> usize {
-        self.db.num_learnt()
-    }
-
-    /// Number of live original (problem) clauses.
-    pub fn num_original_clauses(&self) -> usize {
-        self.db.num_original()
-    }
-
-    /// Grows per-variable tables to cover `n` variables.
-    pub(crate) fn ensure_vars(&mut self, n: usize) {
-        if n <= self.num_vars {
-            return;
-        }
-        self.trail.grow(n);
-        self.frozen.resize(n, false);
-        self.eliminated.resize(n, false);
-        self.grow_search_tables(self.num_vars, n);
-        self.num_vars = n;
+        self.core.db.num_learnt()
     }
 
     /// Adds a clause to the original formula.
@@ -294,89 +171,7 @@ impl Solver {
     /// Panics if the clause mentions an eliminated variable — see the
     /// freeze contract on [`Solver::freeze`].
     pub fn add_clause<I: IntoIterator<Item = Lit>>(&mut self, lits: I) -> bool {
-        self.cancel_until(0);
-        let mut ls: Vec<Lit> = lits.into_iter().collect();
-        let max_var = ls.iter().map(|l| l.var().index() + 1).max().unwrap_or(0);
-        self.ensure_vars(max_var);
-        self.reject_eliminated("add_clause", &ls);
-        self.stats.initial_clauses += 1;
-        let id = self.hints.next_original();
-        if !self.ok {
-            return false;
-        }
-        ls.sort_unstable();
-        ls.dedup();
-        if ls.windows(2).any(|w| w[0].var() == w[1].var()) {
-            return true; // tautology carries no constraint
-        }
-        if ls.iter().any(|&l| self.lit_value(l) == LBool::True) {
-            return true; // already satisfied at level 0
-        }
-        ls.retain(|&l| self.lit_value(l) != LBool::False);
-        match ls.len() {
-            0 => {
-                self.ok = false;
-                false
-            }
-            1 => {
-                self.unchecked_enqueue(ls[0], None);
-                true
-            }
-            _ => {
-                let cref = self.db.add_original(&ls, id);
-                self.attach(cref);
-                let live = self.db.num_live() as u64;
-                self.stats.max_live_clauses = self.stats.max_live_clauses.max(live);
-                true
-            }
-        }
-    }
-
-    /// Current decision level (0 = root).
-    #[inline]
-    pub(crate) fn decision_level(&self) -> usize {
-        self.trail.decision_level()
-    }
-
-    /// Value of a literal under the current partial assignment.
-    #[inline]
-    pub(crate) fn lit_value(&self, l: Lit) -> LBool {
-        self.trail.lit_value(l)
-    }
-
-    /// Assigns `l` true with `reason`, pushing it on the trail.
-    #[inline]
-    pub(crate) fn unchecked_enqueue(&mut self, l: Lit, reason: Option<ClauseRef>) {
-        self.trail.assign(l, reason);
-    }
-
-    /// Opens a new decision level and assigns the decision literal (the
-    /// internal trail operation behind each search decision).
-    #[inline]
-    pub(crate) fn push_decision(&mut self, l: Lit) {
-        self.trail.push_decision(l);
-    }
-
-    /// Undoes all assignments above `level`, returning freed variables
-    /// to the decision heap (under [`ActivityIndex::Heap`]).
-    pub(crate) fn cancel_until(&mut self, level: usize) {
-        let heap = &mut self.heap;
-        let var_activity = &self.var_activity;
-        let use_heap = self.config.activity_index == ActivityIndex::Heap;
-        self.trail.backtrack_to(level, |v| {
-            if use_heap {
-                heap.insert(v, var_activity);
-            }
-        });
-    }
-
-    /// Bumps `var_activity(v)` by 1 (paper §4) and fixes up the heap index.
-    #[inline]
-    pub(crate) fn bump_var(&mut self, v: Var) {
-        self.var_activity[v.index()] += 1;
-        if self.config.activity_index == ActivityIndex::Heap {
-            self.heap.bumped(v, &self.var_activity);
-        }
+        self.core.add_clause(lits)
     }
 
     /// Stages an assumption for the next [`Solver::solve`] call
@@ -407,8 +202,7 @@ impl Solver {
     /// Panics if `lit`'s variable has been eliminated by the preprocessor
     /// — see the freeze contract on [`Solver::freeze`].
     pub fn assume(&mut self, lit: Lit) {
-        self.reject_eliminated("assume", &[lit]);
-        self.pending_assumptions.push(lit);
+        self.core.assume(lit);
     }
 
     /// Protects `var` from bounded variable elimination.
@@ -426,32 +220,48 @@ impl Solver {
     /// never runs again, so a freeze after the first call changes nothing,
     /// and a frozen variable stays frozen.
     pub fn freeze(&mut self, var: Var) {
-        self.ensure_vars(var.index() + 1);
-        self.frozen[var.index()] = true;
-    }
-
-    /// Whether `var` is currently protected from elimination.
-    pub fn is_frozen(&self, var: Var) -> bool {
-        self.frozen.get(var.index()).copied().unwrap_or(false)
+        self.core.freeze(var);
     }
 
     /// Whether the preprocessor has eliminated `var` (see
     /// [`Solver::freeze`] for the contract this implies).
     pub fn is_eliminated(&self, var: Var) -> bool {
-        self.eliminated.get(var.index()).copied().unwrap_or(false)
+        self.core.is_eliminated(var)
     }
 
-    /// Panics if `lits` mention an eliminated variable (the freeze
-    /// contract on [`Solver::freeze`]); `op` names the offending call.
-    pub(crate) fn reject_eliminated(&self, op: &str, lits: &[Lit]) {
-        if let Some(l) = lits.iter().find(|l| self.is_eliminated(l.var())) {
-            panic!(
-                "{op} mentions eliminated variable {:?}: freeze it before \
-                 solving, or disable variable elimination \
-                 (SimplifyConfig::var_elim)",
-                l.var()
-            );
-        }
+    /// Installs (or clears) the structured telemetry observer — the typed
+    /// counterpart of the `c`-line progress output. See
+    /// [`crate::telemetry`] for the event vocabulary and ordering
+    /// guarantees. Usually installed at construction time via
+    /// [`SolverBuilder::on_event`](crate::SolverBuilder::on_event).
+    pub fn set_observer(&mut self, observer: Option<Box<dyn SolveObserver + Send>>) {
+        self.core.events.observer = observer;
+    }
+
+    /// Deep-checks every structural invariant of the solver — watch lists,
+    /// trail/reason consistency, decision-heap membership and clause-arena
+    /// header integrity — returning an [`AuditReport`] describing each
+    /// violation found.
+    ///
+    /// Valid at any *quiescent* point: after [`Solver::solve`] returns or
+    /// between incremental calls. The watch-semantics check arms itself
+    /// only when the propagation queue is drained and the solver is still
+    /// consistent, so calling this on a partially propagated trail is
+    /// safe, merely less thorough.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use berkmin::{Solver, SolverConfig};
+    /// use berkmin_cnf::Lit;
+    ///
+    /// let mut s = Solver::with_config(SolverConfig::berkmin());
+    /// s.add_clause([Lit::from_dimacs(1), Lit::from_dimacs(2)]);
+    /// assert!(s.solve().is_sat());
+    /// s.audit_invariants().expect("solver state is consistent");
+    /// ```
+    pub fn audit_invariants(&self) -> Result<(), AuditReport> {
+        self.core.audit_invariants()
     }
 
     /// Solves the formula under the assumptions staged by
@@ -471,11 +281,6 @@ impl Solver {
     /// (the formula itself is not refuted); only an absolute refutation
     /// concludes the proof.
     pub fn solve(&mut self) -> SolveStatus {
-        // The sink is swapped out for the duration of the call so the
-        // search (which borrows `self` mutably) can report to it.
-        let mut sink = std::mem::replace(&mut self.proof, Box::new(NoProof));
-        let status = self.solve_session(&mut *sink);
-        self.proof = sink;
-        status
+        self.core.solve_session(&mut *self.proof)
     }
 }

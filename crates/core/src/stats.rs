@@ -146,14 +146,6 @@ impl Stats {
         self.max_live_clauses as f64 / self.initial_clauses as f64
     }
 
-    /// Average length of deduced conflict clauses.
-    pub fn avg_learnt_len(&self) -> f64 {
-        if self.learnt_total == 0 {
-            return 0.0;
-        }
-        self.learnt_lits_total as f64 / self.learnt_total as f64
-    }
-
     /// Average LBD ("glue") of deduced conflict clauses.
     pub fn avg_lbd(&self) -> f64 {
         if self.learnt_total == 0 {
@@ -240,7 +232,6 @@ mod tests {
         let s = Stats::new();
         assert_eq!(s.database_growth_ratio(), 0.0);
         assert_eq!(s.peak_memory_ratio(), 0.0);
-        assert_eq!(s.avg_learnt_len(), 0.0);
     }
 
     #[test]

@@ -197,23 +197,20 @@ pub enum SolveEvent {
 /// needs no named type:
 ///
 /// ```
-/// use std::cell::RefCell;
-/// use std::rc::Rc;
+/// use std::sync::{Arc, Mutex};
 /// use berkmin::{SolveEvent, SolverBuilder};
 /// use berkmin_cnf::Lit;
 ///
-/// let events = Rc::new(RefCell::new(Vec::new()));
-/// let tap = Rc::clone(&events);
+/// let events = Arc::new(Mutex::new(Vec::new()));
+/// let tap = Arc::clone(&events);
 /// let mut solver = SolverBuilder::new()
-///     .on_event(move |e: &SolveEvent| tap.borrow_mut().push(e.clone()))
+///     .on_event(move |e: &SolveEvent| tap.lock().unwrap().push(e.clone()))
 ///     .clause([Lit::from_dimacs(1)])
 ///     .build();
 /// assert!(solver.solve().is_sat());
-/// assert!(matches!(events.borrow()[0], SolveEvent::SolveStart { .. }));
-/// assert!(matches!(
-///     events.borrow().last(),
-///     Some(SolveEvent::SolveDone { .. })
-/// ));
+/// let events = events.lock().unwrap();
+/// assert!(matches!(events[0], SolveEvent::SolveStart { .. }));
+/// assert!(matches!(events.last(), Some(SolveEvent::SolveDone { .. })));
 /// ```
 pub trait SolveObserver {
     /// Called once per emitted event, synchronously, on the solving

@@ -252,7 +252,9 @@ fn learnt_clauses_and_heap_state_survive_across_assumption_calls() {
         .map(|i| s.var_activity(berkmin_cnf::Var::new(i as u32)))
         .sum();
     assert!(activity_sum > 0);
-    assert!(s.decision_heap_len() > 0, "heap must retain free variables");
+    // The audit checks heap membership: every free variable is queued.
+    s.audit_invariants()
+        .expect("heap must retain free variables");
     // Second call: warm start. The learnt clauses are still in the
     // database, and the heuristic state makes the re-proof cheaper than
     // the first proof.

@@ -77,12 +77,12 @@ fn shared(lits: &[Lit], lbd: u32, cap: u32) -> bool {
 fn tapped_clauses_carry_their_lbd_and_are_formula_implied() {
     let formula = pigeonhole(5);
     let cap = 3u32;
-    type TapLog = Rc<RefCell<Vec<(Vec<Lit>, u32)>>>;
-    let tapped: TapLog = Rc::new(RefCell::new(Vec::new()));
-    let tap = Rc::clone(&tapped);
+    type TapLog = Arc<Mutex<Vec<(Vec<Lit>, u32)>>>;
+    let tapped: TapLog = Arc::new(Mutex::new(Vec::new()));
+    let tap = Arc::clone(&tapped);
     let mut builder =
         SolverBuilder::with_config(SolverConfig::berkmin()).on_learnt(move |lits, lbd| {
-            tap.borrow_mut().push((lits.to_vec(), lbd));
+            tap.lock().unwrap().push((lits.to_vec(), lbd));
         });
     for c in &formula {
         builder = builder.clause(c.iter().copied());
@@ -90,7 +90,7 @@ fn tapped_clauses_carry_their_lbd_and_are_formula_implied() {
     let mut solver = builder.build();
     assert!(solver.solve().is_unsat());
 
-    let tapped = tapped.borrow();
+    let tapped = tapped.lock().unwrap();
     // The tap is unfiltered: one delivery per conflict-derived learnt
     // clause. (The final level-0 conflict derives the empty clause, which
     // is not delivered.)
@@ -123,12 +123,12 @@ fn imported_clauses_are_formula_implied_and_preserve_the_verdict() {
     // of the formula alone — checked by negation-assumption re-solving.
     let formula = pigeonhole(5);
 
-    let pool: Rc<RefCell<Vec<Vec<Lit>>>> = Rc::new(RefCell::new(Vec::new()));
-    let tap = Rc::clone(&pool);
+    let pool: Arc<Mutex<Vec<Vec<Lit>>>> = Arc::new(Mutex::new(Vec::new()));
+    let tap = Arc::clone(&pool);
     let mut builder =
         SolverBuilder::with_config(SolverConfig::berkmin()).on_learnt(move |lits, lbd| {
             if shared(lits, lbd, 3) {
-                tap.borrow_mut().push(lits.to_vec());
+                tap.lock().unwrap().push(lits.to_vec());
             }
         });
     for c in &formula {
@@ -136,18 +136,21 @@ fn imported_clauses_are_formula_implied_and_preserve_the_verdict() {
     }
     let mut exporter = builder.build();
     assert!(exporter.solve().is_unsat());
-    assert!(!pool.borrow().is_empty(), "exporter published nothing");
+    assert!(
+        !pool.lock().unwrap().is_empty(),
+        "exporter published nothing"
+    );
 
-    let imported: Rc<RefCell<Vec<Vec<Lit>>>> = Rc::new(RefCell::new(Vec::new()));
-    let log = Rc::clone(&imported);
-    let source = Rc::clone(&pool);
+    let imported: Arc<Mutex<Vec<Vec<Lit>>>> = Arc::new(Mutex::new(Vec::new()));
+    let log = Arc::clone(&imported);
+    let source = Arc::clone(&pool);
     let mut cursor = 0usize;
     let mut builder =
         SolverBuilder::with_config(SolverConfig::chaff_like()).share_import(move |buf| {
-            let pool = source.borrow();
+            let pool = source.lock().unwrap();
             for clause in &pool[cursor..] {
                 buf.push(clause.clone());
-                log.borrow_mut().push(clause.clone());
+                log.lock().unwrap().push(clause.clone());
             }
             cursor = pool.len();
         });
@@ -163,7 +166,7 @@ fn imported_clauses_are_formula_implied_and_preserve_the_verdict() {
         importer.stats().clauses_imported > 0,
         "the import source was never drained"
     );
-    certify_implied(&imported.borrow(), &formula, "imported");
+    certify_implied(&imported.lock().unwrap(), &formula, "imported");
 }
 
 #[test]
@@ -438,8 +441,8 @@ fn the_front_answers_like_a_single_solver() {
     // The `--elim` path: elimination on. After the first
     // solve over the same clauses, freezes and assumptions, a portfolio's
     // front and a lone solver with the same `SimplifyConfig` must agree on
-    // every variable's freeze and elimination state and on the
-    // simplification counters.
+    // every variable's elimination state (which the freezes protect) and
+    // on the simplification counters.
     let simplify = SimplifyConfig {
         var_elim: true,
         ..SimplifyConfig::default()
@@ -483,11 +486,6 @@ fn the_front_answers_like_a_single_solver() {
                 engine.is_eliminated(v),
                 solver.is_eliminated(v),
                 "seed {seed}: {v:?} eliminated"
-            );
-            assert_eq!(
-                engine.is_frozen(v),
-                solver.is_frozen(v),
-                "seed {seed}: {v:?} frozen"
             );
         }
         let (e, s) = (engine.stats(), solver.stats());
@@ -573,9 +571,10 @@ fn threaded_warm_session_agrees_with_a_single_solver_and_shuts_down() {
         assert_eq!(threaded.engine().stats().solve_calls, t as u64 + 1);
     }
 
-    // Dropping an engine mid-session closes its workers' channels and
-    // joins their threads. The engine is not `Send`, so it lives and dies
-    // on a helper thread that reports back once the drop returned.
+    // Dropping an engine mid-session must return at once: no worker
+    // thread outlives the call that lent it a worker. The engine is not
+    // `Send` (its proof sink need not be), so it lives and dies on a helper
+    // thread that reports back once the drop returned.
     let (done, dropped) = mpsc::channel();
     std::thread::spawn(move || {
         let engine = PortfolioEngine::new(PortfolioConfig::new(2).with_share_lbd(Some(4)));

@@ -2,8 +2,8 @@
 //! staging, solve-event hooks (terminate + learnt-clause callbacks), and
 //! trait objects.
 
-use std::cell::{Cell, RefCell};
-use std::rc::Rc;
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering::SeqCst};
+use std::sync::{Arc, Mutex};
 
 use berkmin::{
     Budget, RestartPolicy, SatEngine, SolveStatus, Solver, SolverBuilder, SolverConfig, StopReason,
@@ -56,14 +56,14 @@ fn terminate_callback_aborts_with_callback_reason_and_spares_budgets() {
     let cfg = SolverConfig::berkmin().with_budget(Budget::conflicts(10));
     let mut cfg = cfg;
     cfg.restart = RestartPolicy::FixedInterval(1);
-    let polls = Rc::new(Cell::new(0u32));
+    let polls = Arc::new(AtomicU32::new(0));
     // Whether the callback may stop the search at all; cleared below.
-    let armed = Rc::new(Cell::new(true));
-    let (tap, arm) = (Rc::clone(&polls), Rc::clone(&armed));
+    let armed = Arc::new(AtomicBool::new(true));
+    let (tap, arm) = (Arc::clone(&polls), Arc::clone(&armed));
     let mut s = SolverBuilder::with_config(cfg)
         .on_terminate(move || {
-            tap.set(tap.get() + 1);
-            arm.get() && tap.get() >= 3
+            let polled = tap.fetch_add(1, SeqCst) + 1;
+            arm.load(SeqCst) && polled >= 3
         })
         .build();
     add_pigeonhole(&mut s, 6); // needs thousands of conflicts — never finishes here
@@ -72,7 +72,7 @@ fn terminate_callback_aborts_with_callback_reason_and_spares_budgets() {
         SolveStatus::Unknown(StopReason::Callback) => {}
         other => panic!("expected callback stop, got {other:?}"),
     }
-    assert!(polls.get() >= 3, "callback was not polled");
+    assert!(polls.load(SeqCst) >= 3, "callback was not polled");
     let spent_under_callback = s.stats().conflicts;
     assert!(
         spent_under_callback < 10,
@@ -81,7 +81,7 @@ fn terminate_callback_aborts_with_callback_reason_and_spares_budgets() {
 
     // Disarming the callback proves budgets were untouched: the next call
     // runs to its *full* fresh per-call allowance of 10 conflicts.
-    armed.set(false);
+    armed.store(false, SeqCst);
     match s.solve() {
         SolveStatus::Unknown(StopReason::ConflictBudget) => {}
         other => panic!("expected budget abort, got {other:?}"),
@@ -102,12 +102,11 @@ fn terminate_callback_fires_without_any_restart() {
     // this config, so the solve cannot finish before the poll.
     let mut cfg = SolverConfig::berkmin();
     cfg.restart = RestartPolicy::Never;
-    let polls = Rc::new(Cell::new(0u32));
-    let tap = Rc::clone(&polls);
+    let polls = Arc::new(AtomicU32::new(0));
+    let tap = Arc::clone(&polls);
     let mut s = SolverBuilder::with_config(cfg)
         .on_terminate(move || {
-            tap.set(tap.get() + 1);
-            tap.get() >= 2 // first poll is solve entry; stop on the next
+            tap.fetch_add(1, SeqCst) + 1 >= 2 // first poll is solve entry; stop on the next
         })
         .build();
     add_pigeonhole(&mut s, 7);
@@ -122,7 +121,7 @@ fn terminate_callback_fires_without_any_restart() {
         1024,
         "the in-search poll happens on the 1024-conflict cadence"
     );
-    assert_eq!(polls.get(), 2, "entry poll + one cadence poll");
+    assert_eq!(polls.load(SeqCst), 2, "entry poll + one cadence poll");
 }
 
 #[test]
@@ -144,14 +143,14 @@ fn learnt_callback_clauses_are_implied_by_the_formula() {
     // Record every learnt clause, then certify each one by
     // re-solving the same formula with the clause's negation assumed: if
     // F ⊨ C then F ∧ ¬C must be UNSAT.
-    let learnt: Rc<RefCell<Vec<Vec<Lit>>>> = Rc::new(RefCell::new(Vec::new()));
-    let tap = Rc::clone(&learnt);
+    let learnt: Arc<Mutex<Vec<Vec<Lit>>>> = Arc::new(Mutex::new(Vec::new()));
+    let tap = Arc::clone(&learnt);
     let mut s = SolverBuilder::new()
-        .on_learnt(move |clause, _| tap.borrow_mut().push(clause.to_vec()))
+        .on_learnt(move |clause, _| tap.lock().unwrap().push(clause.to_vec()))
         .build();
     add_pigeonhole(&mut s, 4);
     assert!(s.solve().is_unsat());
-    let learnt = learnt.borrow();
+    let learnt = learnt.lock().unwrap();
     assert!(!learnt.is_empty(), "PHP(4) must force learning");
     assert!(learnt.iter().all(|c| !c.is_empty()));
 
@@ -172,18 +171,18 @@ fn learnt_callback_clauses_are_implied_by_the_formula() {
 fn learnt_callback_honors_the_length_cap() {
     // The tap is unfiltered; a caller that wants only short clauses keeps
     // its cap in the closure.
-    let lengths: Rc<RefCell<Vec<usize>>> = Rc::new(RefCell::new(Vec::new()));
-    let tap = Rc::clone(&lengths);
+    let lengths: Arc<Mutex<Vec<usize>>> = Arc::new(Mutex::new(Vec::new()));
+    let tap = Arc::clone(&lengths);
     let mut s = SolverBuilder::new()
         .on_learnt(move |clause, _| {
             if clause.len() <= 2 {
-                tap.borrow_mut().push(clause.len());
+                tap.lock().unwrap().push(clause.len());
             }
         })
         .build();
     add_pigeonhole(&mut s, 5);
     assert!(s.solve().is_unsat());
-    let lengths = lengths.borrow();
+    let lengths = lengths.lock().unwrap();
     assert!(
         lengths.iter().all(|&n| n <= 2),
         "callback fired for a clause longer than the cap: {lengths:?}"
@@ -194,16 +193,16 @@ fn learnt_callback_honors_the_length_cap() {
 fn learnt_callback_never_sees_assumption_dependent_clauses() {
     // Learnt clauses under assumptions are consequences of the formula
     // alone; each must still be implied after the assumptions are gone.
-    let learnt: Rc<RefCell<Vec<Vec<Lit>>>> = Rc::new(RefCell::new(Vec::new()));
-    let tap = Rc::clone(&learnt);
+    let learnt: Arc<Mutex<Vec<Vec<Lit>>>> = Arc::new(Mutex::new(Vec::new()));
+    let tap = Arc::clone(&learnt);
     let mut s = SolverBuilder::new()
-        .on_learnt(move |clause, _| tap.borrow_mut().push(clause.to_vec()))
+        .on_learnt(move |clause, _| tap.lock().unwrap().push(clause.to_vec()))
         .build();
     add_pigeonhole(&mut s, 4);
     s.assume(lit(1));
     assert!(s.solve().is_unsat());
 
-    for clause in learnt.borrow().iter() {
+    for clause in learnt.lock().unwrap().iter() {
         let mut checker = Solver::with_config(SolverConfig::berkmin());
         add_pigeonhole(&mut checker, 4);
         for &l in clause {

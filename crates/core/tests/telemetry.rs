@@ -6,8 +6,6 @@
 //! through, so it is pinned structurally: the observer slot is the only
 //! path events can travel).
 
-use std::cell::RefCell;
-use std::rc::Rc;
 use std::sync::{Arc, Mutex};
 
 use berkmin::telemetry::{json, stats_to_json};
@@ -148,17 +146,17 @@ fn stats_json_round_trips_for_the_solver_and_the_sharing_portfolio() {
 
 #[test]
 fn restart_and_reduce_events_match_stats() {
-    let tally = Rc::new(RefCell::new(Tally::default()));
-    let tap = Rc::clone(&tally);
+    let tally = Arc::new(Mutex::new(Tally::default()));
+    let tap = Arc::clone(&tally);
     let mut solver = SolverBuilder::with_config(SolverConfig::berkmin())
-        .on_event(move |e: &SolveEvent| tap.borrow_mut().record(e))
+        .on_event(move |e: &SolveEvent| tap.lock().unwrap().record(e))
         .build();
     for c in pigeonhole(6) {
         solver.add_clause(c);
     }
     assert!(solver.solve().is_unsat());
 
-    let t = tally.borrow();
+    let t = tally.lock().unwrap();
     let stats = solver.stats();
     assert!(stats.restarts > 0, "hole(6) must restart at least once");
     assert_eq!(t.restarts, stats.restarts, "one Restart event per restart");
@@ -172,10 +170,10 @@ fn restart_and_reduce_events_match_stats() {
 
 #[test]
 fn solve_done_deltas_match_per_call_spend() {
-    let tally = Rc::new(RefCell::new(Tally::default()));
-    let tap = Rc::clone(&tally);
+    let tally = Arc::new(Mutex::new(Tally::default()));
+    let tap = Arc::clone(&tally);
     let mut solver = SolverBuilder::with_config(SolverConfig::berkmin())
-        .on_event(move |e: &SolveEvent| tap.borrow_mut().record(e))
+        .on_event(move |e: &SolveEvent| tap.lock().unwrap().record(e))
         .build();
     for c in pigeonhole(5) {
         solver.add_clause(c);
@@ -186,7 +184,7 @@ fn solve_done_deltas_match_per_call_spend() {
     // deltas must be zero, not the lifetime totals.
     assert!(solver.solve().is_unsat());
 
-    let t = tally.borrow();
+    let t = tally.lock().unwrap();
     assert_eq!(t.solve_dones.len(), 2);
     let (v1, c1, d1, p1, r1) = t.solve_dones[0];
     assert_eq!(v1, SolveVerdict::Unsat);
@@ -203,17 +201,17 @@ fn solve_done_deltas_match_per_call_spend() {
 fn progress_ticks_follow_the_configured_period() {
     // The period `SolveEvent::Progress` documents.
     const PERIOD: u64 = 1024;
-    let tally = Rc::new(RefCell::new(Tally::default()));
-    let tap = Rc::clone(&tally);
+    let tally = Arc::new(Mutex::new(Tally::default()));
+    let tap = Arc::clone(&tally);
     let mut solver = SolverBuilder::with_config(SolverConfig::berkmin())
-        .on_event(move |e: &SolveEvent| tap.borrow_mut().record(e))
+        .on_event(move |e: &SolveEvent| tap.lock().unwrap().record(e))
         .build();
     for c in pigeonhole(7) {
         solver.add_clause(c);
     }
     assert!(solver.solve().is_unsat());
     let conflicts = solver.stats().conflicts;
-    let ticks = tally.borrow().progress;
+    let ticks = tally.lock().unwrap().progress;
     assert!(
         ticks >= 3,
         "hole(7) spends several periods, got {ticks} ticks"
@@ -236,24 +234,24 @@ fn observerless_solver_reports_no_observer() {
 
 #[test]
 fn clearing_the_observer_stops_the_stream() {
-    let tally = Rc::new(RefCell::new(Tally::default()));
-    let tap = Rc::clone(&tally);
+    let tally = Arc::new(Mutex::new(Tally::default()));
+    let tap = Arc::clone(&tally);
     let mut solver = SolverBuilder::with_config(SolverConfig::berkmin())
-        .on_event(move |e: &SolveEvent| tap.borrow_mut().record(e))
+        .on_event(move |e: &SolveEvent| tap.lock().unwrap().record(e))
         .build();
     for c in pigeonhole(4) {
         solver.add_clause(c);
     }
     assert!(solver.solve().is_unsat());
-    let seen = tally.borrow().clone();
+    let seen = tally.lock().unwrap().clone();
     assert!(seen.solve_starts == 1 && seen.solve_dones.len() == 1);
 
     Solver::set_observer(&mut solver, None);
     assert!(solver.solve().is_unsat());
-    assert_eq!(*tally.borrow(), seen, "no events after clearing");
+    assert_eq!(*tally.lock().unwrap(), seen, "no events after clearing");
 }
 
-/// Shared tally for portfolio observers (must be `Send`).
+/// Shared tally for portfolio observers.
 type SharedTally = Arc<Mutex<Tally>>;
 
 fn observed_portfolio(config: PortfolioConfig) -> (PortfolioEngine, SharedTally) {

@@ -4,6 +4,7 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
+use std::sync::{Arc, Mutex};
 
 use berkmin::{
     ActivityIndex, Budget, PortfolioConfig, PortfolioEngine, RestartPolicy, SatEngine,
@@ -121,17 +122,17 @@ struct Arm {
     name: &'static str,
     solver: Solver,
     proof: Rc<RefCell<DratProof>>,
-    events: Rc<RefCell<EventTally>>,
+    events: Arc<Mutex<EventTally>>,
 }
 
 impl Arm {
     fn new(name: &'static str, config: SolverConfig) -> Arm {
         let proof = Rc::new(RefCell::new(DratProof::new()));
-        let events = Rc::new(RefCell::new(EventTally::default()));
-        let tap = Rc::clone(&events);
+        let events = Arc::new(Mutex::new(EventTally::default()));
+        let tap = Arc::clone(&events);
         let solver = SolverBuilder::with_config(config.with_paranoid(true))
             .proof(Rc::clone(&proof))
-            .on_event(move |e: &SolveEvent| tap.borrow_mut().record(e))
+            .on_event(move |e: &SolveEvent| tap.lock().unwrap().record(e))
             .build();
         Arm {
             name,
@@ -282,7 +283,8 @@ pub fn run_case(case: &Case) -> Result<CaseReport, String> {
                         format!("[{} op {at}] post-solve audit failed: {e}", arm.name)
                     })?;
                     arm.events
-                        .borrow()
+                        .lock()
+                        .unwrap()
                         .check(arm.name, at, arm.solver.stats())?;
                     verdicts.push(verdict(&status));
                 }

@@ -610,81 +610,57 @@ fn run_bmc(opts: &Options) -> ExitCode {
 
     let netlist = enabled_counter(bits);
     let start = std::time::Instant::now();
-    let mut total_conflicts = 0u64;
-    let mut outcome: Option<usize> = None;
-    // An aborted sweep (budget/termination) records where it stopped; the
-    // summary lines below print on this path too — an unknown verdict must
-    // never swallow the run's accounting.
-    let mut aborted: Option<(usize, String)> = None;
     // Per-depth record for --stats-json: (depth, result, conflicts so far).
     let mut depths: Vec<(usize, &'static str, u64)> = Vec::new();
-    let mut final_stats = Stats::default();
-    let mut holder = (!opts.scratch).then(|| build_engine(opts, None));
-    if let Some(holder) = &mut holder {
-        // The incremental sweep runs entirely behind the trait object: the
-        // engine options only decide what gets assembled.
-        let mut driver = BmcDriver::with_engine(netlist, holder.as_engine());
-        for t in 0..=max_depth {
-            let status = driver.check_outputs_at(t, &pattern);
-            total_conflicts = driver.engine().stats().conflicts;
-            depths.push((t, describe(&status), total_conflicts));
-            if !opts.quiet {
-                println!(
-                    "c depth {t}: {} (conflicts so far {total_conflicts})",
-                    describe(&status)
-                );
-            }
-            match status {
-                SolveStatus::Sat(_) => {
-                    outcome = Some(t);
-                    break;
-                }
-                SolveStatus::Unsat => {}
-                SolveStatus::Unknown(reason) => {
-                    aborted = Some((t, reason.to_string()));
-                    break;
-                }
-            }
-        }
-        let s = holder.stats();
+    let on_depth = |t: usize, status: &SolveStatus, so_far: u64| {
+        depths.push((t, describe(status), so_far));
         if !opts.quiet {
             println!(
-                "c warm engine: {} solve calls, {} learnt total, {} deleted",
-                s.solve_calls, s.learnt_total, s.deleted_clauses
+                "c depth {t}: {} (conflicts so far {so_far})",
+                describe(status)
             );
-            if let Some(p) = holder.portfolio() {
-                println!("{}", workers_line(p));
-            }
         }
-        final_stats = s.clone();
-    } else {
-        let quiet = opts.quiet;
-        let depths = &mut depths;
-        let (result, conflicts) = scratch_first_reaching_depth(
+    };
+    let mut holder = (!opts.scratch).then(|| build_engine(opts, None));
+    // An aborted sweep (budget/termination) still prints the summary lines
+    // below: an unknown verdict must never swallow the run's accounting.
+    let (outcome, total_conflicts) = match &mut holder {
+        Some(holder) => {
+            // The incremental sweep runs entirely behind the trait object:
+            // the engine options only decide what gets assembled.
+            let mut driver = BmcDriver::with_engine(netlist, holder.as_engine());
+            let outcome = driver.first_reaching_depth(&pattern, max_depth, on_depth);
+            (outcome, driver.engine().stats().conflicts)
+        }
+        None => scratch_first_reaching_depth(
             &netlist,
             &pattern,
             max_depth,
             || build_engine(opts, None).into_engine(),
-            |t, status, so_far| {
-                depths.push((t, describe(status), so_far));
-                if !quiet {
-                    println!(
-                        "c depth {t}: {} (conflicts so far {so_far})",
-                        describe(status)
-                    );
+            on_depth,
+        ),
+    };
+    let final_stats = match &holder {
+        Some(holder) => {
+            let s = holder.stats();
+            if !opts.quiet {
+                println!(
+                    "c warm engine: {} solve calls, {} learnt total, {} deleted",
+                    s.solve_calls, s.learnt_total, s.deleted_clauses
+                );
+                if let Some(p) = holder.portfolio() {
+                    println!("{}", workers_line(p));
                 }
-            },
-        );
-        total_conflicts = conflicts;
-        match result {
-            BmcOutcome::Reached { depth, .. } => outcome = Some(depth),
-            BmcOutcome::Exhausted => {}
-            BmcOutcome::Aborted { depth, reason } => aborted = Some((depth, reason.to_string())),
+            }
+            s.clone()
         }
         // Scratch mode has no single engine to snapshot; the stats block
         // carries the summed conflict count only.
-        final_stats.conflicts = total_conflicts;
-    }
+        None => Stats {
+            conflicts: total_conflicts,
+            ..Stats::default()
+        },
+    };
 
     if !opts.quiet {
         println!(
@@ -693,12 +669,10 @@ fn run_bmc(opts: &Options) -> ExitCode {
         );
     }
 
-    let verdict = if outcome.is_some() {
-        SolveVerdict::Sat
-    } else if aborted.is_some() {
-        SolveVerdict::Unknown
-    } else {
-        SolveVerdict::Unsat
+    let verdict = match outcome {
+        BmcOutcome::Reached { .. } => SolveVerdict::Sat,
+        BmcOutcome::Aborted { .. } => SolveVerdict::Unknown,
+        BmcOutcome::Exhausted => SolveVerdict::Unsat,
     };
     if let Some(path) = &opts.stats_json {
         let depths_json = JsonValue::Array(
@@ -729,18 +703,18 @@ fn run_bmc(opts: &Options) -> ExitCode {
         }
     }
 
-    match (outcome, aborted) {
-        (Some(depth), _) => {
+    match outcome {
+        BmcOutcome::Reached { depth, .. } => {
             println!("s SATISFIABLE");
             println!("c all-ones first reachable at depth {depth}");
             ExitCode::from(10)
         }
-        (None, Some((depth, reason))) => {
+        BmcOutcome::Aborted { depth, reason } => {
             println!("s UNKNOWN");
             println!("c stopped at depth {depth}: {reason}");
             ExitCode::SUCCESS
         }
-        (None, None) => {
+        BmcOutcome::Exhausted => {
             println!("s UNSATISFIABLE");
             println!("c all-ones unreachable within depth {max_depth}");
             ExitCode::from(20)

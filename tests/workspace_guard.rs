@@ -89,6 +89,27 @@ fn ci_keeps_the_portfolio_steps() {
 }
 
 #[test]
+fn ci_keeps_the_threaded_portfolio_smoke_step() {
+    // Every other CLI portfolio step runs the deterministic scheduler; this
+    // one is the only end-to-end run of the threaded race (scoped worker
+    // threads, the cancel flag, a proof spliced from a threaded winner and
+    // one race per BMC depth).
+    let ci = ci_config();
+    for required in [
+        "--engine portfolio --threads 2 \\\n            --stats-json tstats.json hole5.cnf || rc=$?; [ \"$rc\" -eq 20 ]",
+        "--no-share \\\n            --proof hole5t.drat --check-proof hole5.cnf || rc=$?; [ \"$rc\" -eq 20 ]",
+        "bmc --bits 4 --engine portfolio --threads 2 \\\n            || rc=$?; [ \"$rc\" -eq 10 ]",
+        r#"s = json.load(open("tstats.json"))"#,
+    ] {
+        assert!(
+            ci.contains(required),
+            "CI workflow dropped `{required}` from the threaded portfolio \
+             smoke step; the threaded race would run in no CLI check"
+        );
+    }
+}
+
+#[test]
 fn ci_keeps_the_telemetry_smoke_step() {
     // The observability layer's end-to-end check: solve a generated
     // instance with --stats-json and -v, parse the emitted JSON back and
