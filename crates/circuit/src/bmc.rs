@@ -5,6 +5,10 @@
 //! encoding behind the SAT-2002 `bmc2/cnt10` instances the paper solves in
 //! Table 10 (reachability of a counter state).
 //!
+//! Each frame encodes its gates with the Tseitin gate encoder of
+//! [`crate::tseitin`]; this module adds only the flip-flop wiring: the
+//! power-on unit in frame 0 and `q_t ≡ d_{t-1}` after.
+//!
 //! Two ways to use it:
 //!
 //! * **Scratch** — [`unroll`] builds a fixed-depth [`BmcEncoding`] whose
@@ -23,6 +27,7 @@ use berkmin::{SatEngine, SolveStatus, Solver, SolverBuilder, SolverConfig, StopR
 use berkmin_cnf::{Assignment, Cnf, Lit, Var};
 
 use crate::netlist::{Gate, Netlist};
+use crate::tseitin::encode_gate;
 
 /// The unrolled encoding: CNF plus per-cycle variable maps. Grows one frame
 /// at a time via [`BmcEncoding::push_frame`]; [`unroll`] builds a
@@ -65,84 +70,21 @@ impl BmcEncoding {
     /// pass the same netlist on every call.
     pub fn push_frame(&mut self, netlist: &Netlist) {
         let first = self.steps() == 0;
-        // d-input node of each flip-flop, fixed across frames.
-        let dff_d: Vec<_> = netlist
-            .dffs()
-            .iter()
-            .map(|&q| match netlist.gate(q) {
-                Gate::Dff { d, .. } => d,
-                _ => unreachable!(),
-            })
-            .collect();
-
-        let cnf = &mut self.cnf;
         let mut frame: Vec<Var> = Vec::with_capacity(netlist.num_nodes());
         let mut frame_states = Vec::with_capacity(netlist.dffs().len());
-        let mut dff_idx = 0usize;
-        for gate in netlist.gates() {
-            let y = cnf.fresh_var();
-            let yp = Lit::pos(y);
-            let yn = Lit::neg(y);
-            match *gate {
-                Gate::Input(_) => {}
-                Gate::Const(v) => cnf.add_clause([Lit::new(y, !v)]),
-                Gate::Not(a) => {
-                    let a = frame[a.index()];
-                    cnf.add_clause([yp, Lit::pos(a)]);
-                    cnf.add_clause([yn, Lit::neg(a)]);
+        for &gate in netlist.gates() {
+            let y = encode_gate(&mut self.cnf, gate, &frame);
+            if let Gate::Dff { d, init } = gate {
+                if first {
+                    // Cycle 0: power-on value.
+                    self.cnf.add_clause([Lit::new(y, !init)]);
+                } else {
+                    // q_t ≡ d_{t-1}
+                    let d_prev = self.prev_frame[d.index()];
+                    self.cnf.add_clause([Lit::neg(y), Lit::pos(d_prev)]);
+                    self.cnf.add_clause([Lit::pos(y), Lit::neg(d_prev)]);
                 }
-                Gate::And(a, b) => {
-                    let (a, b) = (frame[a.index()], frame[b.index()]);
-                    cnf.add_clause([yn, Lit::pos(a)]);
-                    cnf.add_clause([yn, Lit::pos(b)]);
-                    cnf.add_clause([yp, Lit::neg(a), Lit::neg(b)]);
-                }
-                Gate::Or(a, b) => {
-                    let (a, b) = (frame[a.index()], frame[b.index()]);
-                    cnf.add_clause([yp, Lit::neg(a)]);
-                    cnf.add_clause([yp, Lit::neg(b)]);
-                    cnf.add_clause([yn, Lit::pos(a), Lit::pos(b)]);
-                }
-                Gate::Xor(a, b) => {
-                    let (a, b) = (frame[a.index()], frame[b.index()]);
-                    encode_xor(cnf, yp, yn, a, b);
-                }
-                Gate::Nand(a, b) => {
-                    let (a, b) = (frame[a.index()], frame[b.index()]);
-                    cnf.add_clause([yp, Lit::pos(a)]);
-                    cnf.add_clause([yp, Lit::pos(b)]);
-                    cnf.add_clause([yn, Lit::neg(a), Lit::neg(b)]);
-                }
-                Gate::Nor(a, b) => {
-                    let (a, b) = (frame[a.index()], frame[b.index()]);
-                    cnf.add_clause([yn, Lit::neg(a)]);
-                    cnf.add_clause([yn, Lit::neg(b)]);
-                    cnf.add_clause([yp, Lit::pos(a), Lit::pos(b)]);
-                }
-                Gate::Xnor(a, b) => {
-                    let (a, b) = (frame[a.index()], frame[b.index()]);
-                    encode_xor(cnf, yn, yp, a, b);
-                }
-                Gate::Mux { sel, lo, hi } => {
-                    let (s, l, h) = (frame[sel.index()], frame[lo.index()], frame[hi.index()]);
-                    cnf.add_clause([Lit::neg(s), yn, Lit::pos(h)]);
-                    cnf.add_clause([Lit::neg(s), yp, Lit::neg(h)]);
-                    cnf.add_clause([Lit::pos(s), yn, Lit::pos(l)]);
-                    cnf.add_clause([Lit::pos(s), yp, Lit::neg(l)]);
-                }
-                Gate::Dff { init, .. } => {
-                    if first {
-                        // Cycle 0: power-on value.
-                        cnf.add_clause([Lit::new(y, !init)]);
-                    } else {
-                        // q_t ≡ d_{t-1}
-                        let d_prev = self.prev_frame[dff_d[dff_idx].index()];
-                        cnf.add_clause([yn, Lit::pos(d_prev)]);
-                        cnf.add_clause([yp, Lit::neg(d_prev)]);
-                    }
-                    frame_states.push(y);
-                    dff_idx += 1;
-                }
+                frame_states.push(y);
             }
             frame.push(y);
         }
@@ -178,13 +120,6 @@ pub fn unroll(netlist: &Netlist, steps: usize) -> BmcEncoding {
         enc.push_frame(netlist);
     }
     enc
-}
-
-fn encode_xor(cnf: &mut Cnf, pos: Lit, neg: Lit, a: Var, b: Var) {
-    cnf.add_clause([neg, Lit::pos(a), Lit::pos(b)]);
-    cnf.add_clause([neg, Lit::neg(a), Lit::neg(b)]);
-    cnf.add_clause([pos, Lit::neg(a), Lit::pos(b)]);
-    cnf.add_clause([pos, Lit::pos(a), Lit::neg(b)]);
 }
 
 /// Result of a [`BmcDriver::first_reaching_depth`] sweep.

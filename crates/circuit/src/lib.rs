@@ -10,7 +10,8 @@
 //!   gates, muxes and D flip-flops;
 //! * [`sim`] — 64-way bit-parallel simulation and exhaustive equivalence
 //!   checking for tests;
-//! * [`tseitin`] — linear-size CNF encoding of combinational netlists;
+//! * [`tseitin`] — linear-size CNF encoding of combinational netlists; it
+//!   owns the clauses of every gate, for both encoders;
 //! * [`miter`] — miter construction: two circuits → one "are they
 //!   different?" output;
 //! * [`arith`] — adders (ripple / carry-select), an array multiplier, a
@@ -18,7 +19,9 @@
 //! * [`rewrite`] — equivalence-preserving restructuring (De Morgan, XOR
 //!   decomposition, …) and single-gate fault injection;
 //! * [`random`] — seeded random DAG circuits with controllable depth;
-//! * [`bmc`] — time-frame expansion of sequential circuits.
+//! * [`bmc`] — time-frame expansion of sequential circuits: each frame
+//!   encodes its gates through [`tseitin`] and adds only the flip-flop
+//!   wiring.
 //!
 //! # Example: equivalence checking end to end
 //!

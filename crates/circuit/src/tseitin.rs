@@ -4,10 +4,15 @@
 //! defining biconditional. The encoding is linear in circuit size and is
 //! how the paper's Miters / Beijing / microprocessor-verification CNFs were
 //! produced from circuits.
+//!
+//! This module is the one place that writes a gate's clauses: [`encode`]
+//! and each time frame of [`crate::bmc`] call the same per-gate encoder,
+//! so a combinational netlist and one frame of a sequential one get the
+//! same variables and clauses in the same order.
 
 use berkmin_cnf::{Cnf, Lit, Var};
 
-use crate::netlist::{Gate, Netlist};
+use crate::netlist::{Gate, Netlist, NodeId};
 
 /// The result of encoding a netlist: the CNF plus variable maps.
 #[derive(Debug, Clone)]
@@ -43,14 +48,11 @@ pub fn encode(netlist: &Netlist) -> TseitinEncoding {
         "Tseitin encoding requires a combinational netlist; unroll sequential ones first"
     );
     let mut cnf = Cnf::new();
-    let mut enc = Encoder {
-        cnf: &mut cnf,
-        node_vars: Vec::with_capacity(netlist.num_nodes()),
-    };
-    for gate in netlist.gates() {
-        enc.encode_gate(*gate);
+    let mut node_vars = Vec::with_capacity(netlist.num_nodes());
+    for &gate in netlist.gates() {
+        let y = encode_gate(&mut cnf, gate, &node_vars);
+        node_vars.push(y);
     }
-    let node_vars = enc.node_vars;
     let input_vars = netlist
         .inputs()
         .iter()
@@ -69,96 +71,57 @@ pub fn encode(netlist: &Netlist) -> TseitinEncoding {
     }
 }
 
-struct Encoder<'a> {
-    cnf: &'a mut Cnf,
-    node_vars: Vec<Var>,
-}
-
-impl Encoder<'_> {
-    fn var_of(&self, n: crate::netlist::NodeId) -> Var {
-        self.node_vars[n.index()]
-    }
-
-    fn encode_gate(&mut self, gate: Gate) {
-        let y = self.cnf.fresh_var();
-        let yp = Lit::pos(y);
-        let yn = Lit::neg(y);
-        match gate {
-            Gate::Input(_) => {} // free variable
-            Gate::Const(v) => {
-                self.cnf.add_clause([Lit::new(y, !v)]);
-            }
-            Gate::Not(a) => {
-                let a = self.var_of(a);
-                self.cnf.add_clause([yp, Lit::pos(a)]);
-                self.cnf.add_clause([yn, Lit::neg(a)]);
-            }
-            Gate::And(a, b) => self.encode_and(yp, yn, a, b, false),
-            Gate::Nand(a, b) => self.encode_and(yn, yp, a, b, false),
-            Gate::Or(a, b) => self.encode_and(yn, yp, a, b, true),
-            Gate::Nor(a, b) => self.encode_and(yp, yn, a, b, true),
-            Gate::Xor(a, b) => self.encode_xor(yp, yn, a, b),
-            Gate::Xnor(a, b) => self.encode_xor(yn, yp, a, b),
-            Gate::Mux { sel, lo, hi } => {
-                let s = self.var_of(sel);
-                let l = self.var_of(lo);
-                let h = self.var_of(hi);
-                // sel=1 ⇒ y ≡ hi
-                self.cnf.add_clause([Lit::neg(s), yn, Lit::pos(h)]);
-                self.cnf.add_clause([Lit::neg(s), yp, Lit::neg(h)]);
-                // sel=0 ⇒ y ≡ lo
-                self.cnf.add_clause([Lit::pos(s), yn, Lit::pos(l)]);
-                self.cnf.add_clause([Lit::pos(s), yp, Lit::neg(l)]);
-            }
-            Gate::Dff { .. } => unreachable!("checked combinational above"),
+/// Allocates the variable `y` of `gate` in `cnf`, writes the clauses of
+/// its defining biconditional over `vars` (the variables of the nodes
+/// before it, indexed by node id) and returns `y`. Inputs and flip-flops
+/// get a variable and no clauses: a flip-flop's value is wired by the
+/// caller ([`crate::bmc`] ties it to the previous time frame).
+///
+/// `#[inline]`: both encoders call it once per gate, `bmc` from another
+/// module, and an outlined call measurably slows their loops.
+#[inline]
+pub(crate) fn encode_gate(cnf: &mut Cnf, gate: Gate, vars: &[Var]) -> Var {
+    let y = cnf.fresh_var();
+    let (yp, yn) = (Lit::pos(y), Lit::neg(y));
+    let var = |n: NodeId| vars[n.index()];
+    match gate {
+        Gate::Input(_) | Gate::Dff { .. } => {}
+        Gate::Const(v) => cnf.add_clause([Lit::new(y, !v)]),
+        Gate::Not(a) => {
+            let a = var(a);
+            cnf.add_clause([yp, Lit::pos(a)]);
+            cnf.add_clause([yn, Lit::neg(a)]);
         }
-        self.node_vars.push(y);
+        Gate::And(a, b) | Gate::Nand(a, b) | Gate::Or(a, b) | Gate::Nor(a, b) => {
+            // o ≡ x ∧ z: NAND and OR complement the output, OR and NOR
+            // the inputs (De Morgan).
+            let o = Lit::new(y, matches!(gate, Gate::Nand(..) | Gate::Or(..)));
+            let inv = matches!(gate, Gate::Or(..) | Gate::Nor(..));
+            let (x, z) = (Lit::new(var(a), inv), Lit::new(var(b), inv));
+            cnf.add_clause([!o, x]);
+            cnf.add_clause([!o, z]);
+            cnf.add_clause([o, !x, !z]);
+        }
+        Gate::Xor(a, b) | Gate::Xnor(a, b) => {
+            // o ≡ a ⊕ b, with o = ¬y for XNOR.
+            let o = Lit::new(y, matches!(gate, Gate::Xnor(..)));
+            let (a, b) = (Lit::pos(var(a)), Lit::pos(var(b)));
+            cnf.add_clause([!o, a, b]);
+            cnf.add_clause([!o, !a, !b]);
+            cnf.add_clause([o, !a, b]);
+            cnf.add_clause([o, a, !b]);
+        }
+        Gate::Mux { sel, lo, hi } => {
+            let (s, l, h) = (var(sel), var(lo), var(hi));
+            // sel=1 ⇒ y ≡ hi
+            cnf.add_clause([Lit::neg(s), yn, Lit::pos(h)]);
+            cnf.add_clause([Lit::neg(s), yp, Lit::neg(h)]);
+            // sel=0 ⇒ y ≡ lo
+            cnf.add_clause([Lit::pos(s), yn, Lit::pos(l)]);
+            cnf.add_clause([Lit::pos(s), yp, Lit::neg(l)]);
+        }
     }
-
-    /// Encodes `pos ≡ a∧b` when `invert_inputs` is false (so passing
-    /// `(yp,yn)` yields AND, `(yn,yp)` yields NAND), or `neg ≡ ¬a∧¬b` when
-    /// true (De Morgan: OR/NOR).
-    fn encode_and(
-        &mut self,
-        pos: Lit,
-        neg: Lit,
-        a: crate::netlist::NodeId,
-        b: crate::netlist::NodeId,
-        invert_inputs: bool,
-    ) {
-        let (a, b) = (self.var_of(a), self.var_of(b));
-        let (ap, an) = if invert_inputs {
-            (Lit::neg(a), Lit::pos(a))
-        } else {
-            (Lit::pos(a), Lit::neg(a))
-        };
-        let (bp, bn) = if invert_inputs {
-            (Lit::neg(b), Lit::pos(b))
-        } else {
-            (Lit::pos(b), Lit::neg(b))
-        };
-        // pos → a, pos → b, (a ∧ b) → pos
-        self.cnf.add_clause([neg, ap]);
-        self.cnf.add_clause([neg, bp]);
-        self.cnf.add_clause([pos, an, bn]);
-    }
-
-    /// Encodes `pos ≡ a ⊕ b` (pass `(yn,yp)` for XNOR).
-    fn encode_xor(
-        &mut self,
-        pos: Lit,
-        neg: Lit,
-        a: crate::netlist::NodeId,
-        b: crate::netlist::NodeId,
-    ) {
-        let (a, b) = (self.var_of(a), self.var_of(b));
-        let (ap, an) = (Lit::pos(a), Lit::neg(a));
-        let (bp, bn) = (Lit::pos(b), Lit::neg(b));
-        self.cnf.add_clause([neg, ap, bp]);
-        self.cnf.add_clause([neg, an, bn]);
-        self.cnf.add_clause([pos, an, bp]);
-        self.cnf.add_clause([pos, ap, bn]);
-    }
+    y
 }
 
 #[cfg(test)]

@@ -15,7 +15,7 @@ use crate::config::{ActivityIndex, SolverConfig};
 use crate::heap::VarHeap;
 use crate::limits::SearchLimits;
 use crate::preprocess::Reconstructor;
-use crate::proof::HintLog;
+use crate::proof::{ClauseId, HintLog};
 use crate::rng::XorShift64;
 use crate::search::SolveEvents;
 use crate::stats::Stats;
@@ -155,32 +155,47 @@ impl Cdcl {
         if !self.ok {
             return false;
         }
-        ls.sort_unstable();
-        ls.dedup();
-        if ls.windows(2).any(|w| w[0].var() == w[1].var()) {
-            return true; // tautology carries no constraint
+        self.install_at_root(&mut ls, false, id);
+        self.ok
+    }
+
+    /// Installs a clause at decision level 0, the one path for original
+    /// and imported clauses: `lits` is sorted and deduplicated, a
+    /// tautology or a clause satisfied at level 0 is dropped, false
+    /// literals are stripped, and what is left makes the formula
+    /// unsatisfiable (`ok = false`), is enqueued as a unit, or is stored
+    /// (as a learnt clause when `learnt`, with proof ID `id`) and watched.
+    /// Returns `false` when the clause was dropped.
+    pub(crate) fn install_at_root(
+        &mut self,
+        lits: &mut Vec<Lit>,
+        learnt: bool,
+        id: Option<ClauseId>,
+    ) -> bool {
+        lits.sort_unstable();
+        lits.dedup();
+        if lits.windows(2).any(|w| w[0].var() == w[1].var()) {
+            return false; // tautology carries no constraint
         }
-        if ls.iter().any(|&l| self.lit_value(l) == LBool::True) {
-            return true; // already satisfied at level 0
+        if lits.iter().any(|&l| self.lit_value(l) == LBool::True) {
+            return false; // already satisfied at level 0
         }
-        ls.retain(|&l| self.lit_value(l) != LBool::False);
-        match ls.len() {
-            0 => {
-                self.ok = false;
-                false
-            }
-            1 => {
-                self.unchecked_enqueue(ls[0], None);
-                true
-            }
+        lits.retain(|&l| self.lit_value(l) != LBool::False);
+        match lits.len() {
+            0 => self.ok = false,
+            1 => self.unchecked_enqueue(lits[0], None),
             _ => {
-                let cref = self.db.add_original(&ls, id);
+                let cref = if learnt {
+                    self.db.add_learnt(lits, id)
+                } else {
+                    self.db.add_original(lits, id)
+                };
                 self.attach(cref);
                 let live = self.db.num_live() as u64;
                 self.stats.max_live_clauses = self.stats.max_live_clauses.max(live);
-                true
             }
         }
+        true
     }
 
     /// Current decision level (0 = root).

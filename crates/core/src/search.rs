@@ -643,14 +643,12 @@ impl Cdcl {
     }
 
     /// Drains the share-import source and installs its clauses at decision
-    /// level 0. Each clause is simplified against the level-0 assignment
-    /// (satisfied ⇒ skipped, false literals stripped), then attached as a
-    /// *learnt* clause — imports compete under the §8 retention policy like
-    /// any other conflict clause instead of bloating the original formula.
-    /// A clause degenerating to a unit becomes a level-0 fact (propagated
-    /// by the main loop); degenerating to the empty clause refutes the
-    /// formula (`ok = false` — legal because import sources only supply
-    /// formula-implied clauses).
+    /// level 0 through `install_at_root`, as *learnt* clauses — imports
+    /// compete under the §8 retention policy like any other conflict clause
+    /// instead of bloating the original formula. A clause degenerating to a
+    /// unit becomes a level-0 fact (propagated by the main loop);
+    /// degenerating to the empty clause refutes the formula (`ok = false` —
+    /// legal because import sources only supply formula-implied clauses).
     ///
     /// Imported clauses are **not** reported to the proof sink: they are
     /// not RUP-derivable from this solver's own deductions, so a DRAT log
@@ -667,32 +665,11 @@ impl Cdcl {
         if let Some(source) = &mut self.events.import {
             source(&mut buf);
         }
-        'clauses: for lits in &mut buf {
-            lits.sort_unstable();
-            lits.dedup();
-            if lits.windows(2).any(|w| w[0].var() == w[1].var()) {
-                continue; // tautology (defensive; learnt clauses never are)
-            }
-            if lits.iter().any(|&l| self.lit_value(l) == LBool::True) {
-                continue 'clauses; // already satisfied at level 0
-            }
-            lits.retain(|&l| self.lit_value(l) != LBool::False);
-            match lits.len() {
-                0 => {
-                    self.ok = false;
-                    self.stats.clauses_imported += 1;
+        for lits in &mut buf {
+            if self.install_at_root(lits, true, None) {
+                self.stats.clauses_imported += 1;
+                if !self.ok {
                     break;
-                }
-                1 => {
-                    self.stats.clauses_imported += 1;
-                    self.unchecked_enqueue(lits[0], None);
-                }
-                _ => {
-                    self.stats.clauses_imported += 1;
-                    let cref = self.db.add_learnt(lits, None);
-                    self.attach(cref);
-                    let live = self.db.num_live() as u64;
-                    self.stats.max_live_clauses = self.stats.max_live_clauses.max(live);
                 }
             }
         }

@@ -4,31 +4,30 @@
 use berkmin_circuit::arith::{counter, enabled_counter};
 use berkmin_circuit::bmc::unroll;
 use berkmin_circuit::Netlist;
-use berkmin_cnf::Lit;
+use berkmin_cnf::{Cnf, Lit};
 
 use crate::BenchInstance;
+
+/// Unrolls `netlist` to cycle `cycle` and demands every output high there.
+fn all_outputs_high_at(netlist: &Netlist, cycle: usize) -> Cnf {
+    let mut enc = unroll(netlist, cycle + 1);
+    for o in 0..netlist.outputs().len() {
+        enc.constrain_output_at(cycle, o, true);
+    }
+    enc.cnf
+}
 
 /// `cntN`: does the N-bit counter reach the all-ones state within its
 /// horizon? SAT exactly at `2^bits − 1` cycles after reset.
 pub fn bmc_counter(bits: usize) -> BenchInstance {
-    let horizon = (1usize << bits) - 1;
-    let n = counter(bits);
-    let mut enc = unroll(&n, horizon + 1);
-    for o in 0..bits {
-        enc.constrain_output_at(horizon, o, true);
-    }
-    BenchInstance::new(format!("cnt{bits}"), enc.cnf, Some(true))
+    let cnf = all_outputs_high_at(&counter(bits), (1usize << bits) - 1);
+    BenchInstance::new(format!("cnt{bits}"), cnf, Some(true))
 }
 
 /// The unsatisfiable sibling: all-ones demanded one cycle too early.
 pub fn bmc_counter_unsat(bits: usize) -> BenchInstance {
-    let horizon = (1usize << bits) - 2;
-    let n = counter(bits);
-    let mut enc = unroll(&n, horizon + 1);
-    for o in 0..bits {
-        enc.constrain_output_at(horizon, o, true);
-    }
-    BenchInstance::new(format!("cnt{bits}u"), enc.cnf, Some(false))
+    let cnf = all_outputs_high_at(&counter(bits), (1usize << bits) - 2);
+    BenchInstance::new(format!("cnt{bits}u"), cnf, Some(false))
 }
 
 /// `cntN` with a free enable input per cycle: reaching all-ones at cycle
@@ -36,25 +35,15 @@ pub fn bmc_counter_unsat(bits: usize) -> BenchInstance {
 /// enable trace the solver must discover (unlike the free-running counter,
 /// this is not solved by propagation alone).
 pub fn bmc_counter_enable(bits: usize) -> BenchInstance {
-    let horizon = (1usize << bits) - 1;
-    let n = enabled_counter(bits);
-    let mut enc = unroll(&n, horizon + 1);
-    for o in 0..bits {
-        enc.constrain_output_at(horizon, o, true);
-    }
-    BenchInstance::new(format!("cnt{bits}e"), enc.cnf, Some(true))
+    let cnf = all_outputs_high_at(&enabled_counter(bits), (1usize << bits) - 1);
+    BenchInstance::new(format!("cnt{bits}e"), cnf, Some(true))
 }
 
 /// The unsatisfiable sibling of [`bmc_counter_enable`]: all-ones demanded
 /// one cycle too early — no enable trace can get there.
 pub fn bmc_counter_enable_unsat(bits: usize) -> BenchInstance {
-    let horizon = (1usize << bits) - 2;
-    let n = enabled_counter(bits);
-    let mut enc = unroll(&n, horizon + 1);
-    for o in 0..bits {
-        enc.constrain_output_at(horizon, o, true);
-    }
-    BenchInstance::new(format!("cnt{bits}eu"), enc.cnf, Some(false))
+    let cnf = all_outputs_high_at(&enabled_counter(bits), (1usize << bits) - 2);
+    BenchInstance::new(format!("cnt{bits}eu"), cnf, Some(false))
 }
 
 /// One per-depth query of the enabled-counter reachability sweep: "is the
@@ -63,13 +52,9 @@ pub fn bmc_counter_enable_unsat(bits: usize) -> BenchInstance {
 /// instance the incremental `BmcDriver` sweep answers with one warm solver;
 /// benches build one per depth to measure what clause reuse saves.
 pub fn bmc_counter_enable_at(bits: usize, depth: usize) -> BenchInstance {
-    let n = enabled_counter(bits);
-    let mut enc = unroll(&n, depth + 1);
-    for o in 0..bits {
-        enc.constrain_output_at(depth, o, true);
-    }
+    let cnf = all_outputs_high_at(&enabled_counter(bits), depth);
     let expected = Some(depth >= (1usize << bits) - 1);
-    BenchInstance::new(format!("cnt{bits}e@{depth}"), enc.cnf, expected)
+    BenchInstance::new(format!("cnt{bits}e@{depth}"), cnf, expected)
 }
 
 /// Builds a `depth`-stage shift register (FIFO skeleton): input bit enters

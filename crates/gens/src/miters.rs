@@ -62,8 +62,9 @@ pub fn buggy_miter(gates: usize, window: usize, seed: u64) -> BenchInstance {
     }
 }
 
-/// Simulates 2048 random patterns looking for a disagreement.
-fn observable_difference(a: &Netlist, b: &Netlist, rng: &mut StdRng) -> bool {
+/// Simulates 2048 random patterns looking for a disagreement between two
+/// circuits with the same interface.
+pub(crate) fn observable_difference(a: &Netlist, b: &Netlist, rng: &mut StdRng) -> bool {
     let m = miter(a, b);
     for _ in 0..32 {
         let words: Vec<u64> = (0..m.num_inputs()).map(|_| rng.gen()).collect();

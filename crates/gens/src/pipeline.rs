@@ -9,10 +9,11 @@
 //! with an injected stage bug (*Sss-sat*, *Vliw-sat*).
 
 use berkmin_circuit::rewrite::{inject_fault, restructure};
-use berkmin_circuit::{arith, eval64, miter, miter_cnf, Netlist};
+use berkmin_circuit::{arith, miter_cnf, Netlist};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
+use crate::miters::observable_difference;
 use crate::BenchInstance;
 
 /// Builds the reference datapath: an ALU of the given width feeding a
@@ -110,7 +111,7 @@ pub fn vliw_sat(width: usize, seed: u64) -> BenchInstance {
     loop {
         let staged = restructure(&reference, seed.wrapping_add(0xACE));
         if let Some((buggy, _)) = inject_fault(&staged, fault_seed) {
-            if observable(&reference, &buggy, &mut rng) {
+            if observable_difference(&reference, &buggy, &mut rng) {
                 return BenchInstance::new(
                     format!("vliw{width}_{seed}"),
                     miter_cnf(&reference, &buggy),
@@ -139,7 +140,7 @@ pub fn sss_check(width: usize, bug: bool, seed: u64) -> BenchInstance {
         let mut fault_seed = seed;
         loop {
             if let Some((buggy, _)) = inject_fault(&reference, fault_seed) {
-                if observable(&reference, &buggy, &mut rng) {
+                if observable_difference(&reference, &buggy, &mut rng) {
                     return BenchInstance::new(
                         format!("sss{width}_{seed}s"),
                         miter_cnf(&reference, &buggy),
@@ -150,17 +151,6 @@ pub fn sss_check(width: usize, bug: bool, seed: u64) -> BenchInstance {
             fault_seed = fault_seed.wrapping_add(1);
         }
     }
-}
-
-fn observable(a: &Netlist, b: &Netlist, rng: &mut StdRng) -> bool {
-    let m = miter(a, b);
-    for _ in 0..32 {
-        let words: Vec<u64> = (0..m.num_inputs()).map(|_| rng.gen()).collect();
-        if eval64(&m, &words)[0] != 0 {
-            return true;
-        }
-    }
-    false
 }
 
 #[cfg(test)]

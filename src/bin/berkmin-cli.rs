@@ -25,7 +25,8 @@
 //!   --share-lbd K          portfolio: share learnt clauses with
 //!                          len ≤ 2 or LBD ≤ K (default 4)
 //!   --no-share             portfolio: disable clause sharing (required
-//!                          for --proof/--check-proof)
+//!                          for --proof/--check-proof; contradicts
+//!                          --share-lbd)
 //!   --deterministic        portfolio: fixed round-robin schedule on one
 //!                          thread (reproducible winner and statistics)
 //!   --max-conflicts N      abort after N conflicts
@@ -66,7 +67,7 @@
 //! A flag that means nothing to the chosen subcommand is a usage error:
 //! FILE, --proof, --check-proof, --elim and --no-model under bmc;
 //! --bits, --max-depth and --scratch without it. So is a contradictory
-//! pair: --elim with --no-simplify.
+//! pair: --elim with --no-simplify, or --share-lbd with --no-share.
 //! ```
 //!
 //! Exit codes follow the SAT-competition convention: **10** = SAT,
@@ -201,14 +202,12 @@ fn parse_args() -> Options {
     let mut paranoid = false;
     let mut no_simplify = false;
     let mut elim = false;
+    let mut share_lbd: Option<u32> = None;
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--engine" | "--config" => engine = args.next().unwrap_or_else(|| usage()),
             "--threads" => opts.threads = in_range(value(&mut args), 1..=64),
-            "--share-lbd" => {
-                opts.share_lbd = value(&mut args);
-                opts.no_share = false;
-            }
+            "--share-lbd" => share_lbd = Some(value(&mut args)),
             "--no-share" => opts.no_share = true,
             "--deterministic" => opts.deterministic = true,
             "--max-conflicts" => max_conflicts = Some(value(&mut args)),
@@ -251,6 +250,10 @@ fn parse_args() -> Options {
     if no_simplify && elim {
         die("--elim contradicts --no-simplify");
     }
+    if opts.no_share && share_lbd.is_some() {
+        die("--share-lbd contradicts --no-share");
+    }
+    opts.share_lbd = share_lbd.unwrap_or(opts.share_lbd);
     if opts.file.as_deref() == Some("-") {
         opts.file = None;
     }

@@ -340,6 +340,20 @@ fn portfolio_rejects_proof_logging_while_sharing_is_on() {
 }
 
 #[test]
+fn share_lbd_contradicts_no_share_in_either_order() {
+    let dimacs = "p cnf 2 4\n1 2 0\n1 -2 0\n-1 2 0\n-1 -2 0\n";
+    let base = ["--engine", "portfolio", "--threads", "2", "--deterministic"];
+    for pair in [
+        ["--no-share", "--share-lbd", "4"],
+        ["--share-lbd", "4", "--no-share"],
+    ] {
+        let args: Vec<&str> = base.iter().chain(&pair).copied().collect();
+        let (stdout, code) = run_with_stdin(&args, dimacs);
+        assert_eq!(code, 2, "{pair:?}: {stdout}");
+    }
+}
+
+#[test]
 fn portfolio_without_sharing_emits_a_checkable_winner_proof() {
     let dimacs = "p cnf 2 4\n1 2 0\n1 -2 0\n-1 2 0\n-1 -2 0\n";
     let (stdout, code) = run_with_stdin(

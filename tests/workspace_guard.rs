@@ -75,6 +75,28 @@ fn ci_keeps_the_bench_smoke_step() {
 }
 
 #[test]
+fn ci_runs_every_example() {
+    // The examples assert their own answers, and `bmc_counter`,
+    // `equivalence_checking` and `solver_shootout` run the circuit
+    // encoders end to end; building them with `--all-targets` checks none
+    // of that, so CI runs each one.
+    let ci = ci_config();
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("examples");
+    let mut examples = Vec::new();
+    rust_files(&dir, &mut examples);
+    assert!(!examples.is_empty(), "no examples found");
+    for example in examples {
+        let name = example.file_stem().expect("file name").to_string_lossy();
+        let required = format!("cargo run --release --example {name}\n");
+        assert!(
+            ci.contains(&required),
+            "CI workflow does not run the `{name}` example; its assertions \
+             would go unchecked"
+        );
+    }
+}
+
+#[test]
 fn ci_keeps_the_portfolio_steps() {
     // The portfolio's correctness claim rests on the agreement sweep
     // (two-worker portfolio vs single-threaded BerkMin, deterministic with
