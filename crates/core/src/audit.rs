@@ -11,7 +11,7 @@
 //!   correct partner literal, blockers inside their clause, and no watcher
 //!   dangles into garbage.
 //! * **Watch semantics** — once the propagation queue is drained
-//!   ([`Trail::queue_drained`](crate::Trail::queue_drained)) every live
+//!   ([`Trail::queue_drained`](crate::trail::Trail::queue_drained)) every live
 //!   clause is satisfied or has both
 //!   watched literals unfalsified (the two-watched-literal contract).
 //! * **Trail/reason consistency** — trail literals are true, levels match
@@ -118,7 +118,7 @@ impl Cdcl {
     /// [`Watches`] self-checks do not own, plus the seen-scratch hygiene
     /// check.
     ///
-    /// [`Trail`]: crate::Trail
+    /// [`Trail`]: crate::trail::Trail
     /// [`Watches`]: crate::watch::Watches
     fn audit_tables(&self, out: &mut Vec<String>) {
         let n = self.num_vars;
@@ -169,7 +169,7 @@ impl Cdcl {
     /// clause is live, contains the implied literal, and every other
     /// literal is falsified at or below the implied literal's level. (The
     /// trail/assignment/level cross-checks that need no clause arena live
-    /// in [`Trail::self_check`](crate::Trail).)
+    /// in [`Trail::self_check`](crate::trail::Trail::self_check).)
     fn audit_reasons(&self, live: &HashSet<ClauseRef>, out: &mut Vec<String>) {
         for &l in self.trail.iter() {
             let v = l.var().index();

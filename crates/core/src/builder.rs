@@ -3,20 +3,20 @@
 //! [`SolverBuilder`] owns everything a [`Solver`] needs *before* the first
 //! solve call: the [`SolverConfig`], the proof sink (attached once, at
 //! construction — not per call), a reserved variable space, initial
-//! clauses, and the solve-event hooks (terminate, learnt-clause tap, share
-//! import and telemetry observer). The hooks must be `Send`: they live in
-//! the solver's CDCL core, which the portfolio lends to worker threads.
-//! The proof sink need not be; it stays on the [`Solver`] facade. `build()` yields a concrete [`Solver`];
-//! `build_engine()` yields it as a `Box<dyn SatEngine>` for drivers that
-//! are generic over engines.
+//! clauses, and the solve-event hooks (terminate, learnt-clause tap and
+//! telemetry observer). The hooks must be `Send`: they live in the solver's
+//! CDCL core, which the portfolio lends to worker threads. The proof sink
+//! need not be; it stays on the [`Solver`] facade. `build()` yields a
+//! concrete [`Solver`]; `build_engine()` yields it as a
+//! `Box<dyn SatEngine>` for drivers that are generic over engines.
 
-use berkmin_cnf::{ClauseSink, Cnf, Lit, Var};
+use berkmin_cnf::{Cnf, Lit, Var};
 
 use crate::cdcl::Cdcl;
 use crate::config::SolverConfig;
 use crate::engine::SatEngine;
 use crate::proof::{NoProof, ProofSink};
-use crate::search::{ImportCallback, LearntCallback, SolveEvents, TerminateCallback};
+use crate::search::{LearntCallback, SolveEvents, TerminateCallback};
 use crate::solver::Solver;
 use crate::telemetry::SolveObserver;
 
@@ -73,7 +73,6 @@ pub struct SolverBuilder {
     frozen: Vec<Var>,
     terminate: Option<TerminateCallback>,
     on_learnt: Option<LearntCallback>,
-    import: Option<ImportCallback>,
     observer: Option<Box<dyn SolveObserver + Send>>,
 }
 
@@ -100,7 +99,6 @@ impl SolverBuilder {
             frozen: Vec::new(),
             terminate: None,
             on_learnt: None,
-            import: None,
             observer: None,
         }
     }
@@ -169,27 +167,9 @@ impl SolverBuilder {
     /// resumes. It filters nothing; the callback keeps what it wants. Every
     /// delivered clause is a logical consequence of the formula alone —
     /// assumptions never leak into learnt clauses — so IC3/BMC-style
-    /// drivers and the portfolio's share pool may forward them to sibling
-    /// solvers on the same formula.
+    /// drivers may forward them to sibling solvers on the same formula.
     pub fn on_learnt(mut self, callback: impl FnMut(&[Lit], u32) + Send + 'static) -> Self {
         self.on_learnt = Some(Box::new(callback));
-        self
-    }
-
-    /// Installs the share-import source: polled at solve entry and at every
-    /// restart boundary with a scratch buffer to fill with foreign clauses,
-    /// which the solver attaches as learnt clauses. Every supplied clause **must** be implied
-    /// by the original formula.
-    ///
-    /// # Panics (in [`SolverBuilder::build`])
-    ///
-    /// Combining an import source with a [`proof`](SolverBuilder::proof)
-    /// sink is a configuration error: imported clauses are not derivable
-    /// from the solver's own resolutions, so any DRAT log containing search
-    /// steps that depend on them would be unsound. `build()` panics rather
-    /// than silently emitting an uncheckable proof.
-    pub fn share_import(mut self, source: impl FnMut(&mut Vec<Vec<Lit>>) + Send + 'static) -> Self {
-        self.import = Some(Box::new(source));
         self
     }
 
@@ -205,19 +185,7 @@ impl SolverBuilder {
     }
 
     /// Builds the concrete [`Solver`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if both a proof sink and a share-import source were attached —
-    /// see [`SolverBuilder::share_import`] for why that combination cannot
-    /// produce a sound proof.
     pub fn build(mut self) -> Solver {
-        assert!(
-            self.proof.is_none() || self.import.is_none(),
-            "configuration error: a proof sink cannot be combined with a \
-             share-import source (imported clauses are not RUP-derivable in \
-             this solver's DRAT log; disable clause sharing to keep proofs)"
-        );
         let proof = self.proof.take();
         // With a sink the core collects hint chains for it (see
         // `ProofSink::add_clause_hinted`).
@@ -236,7 +204,6 @@ impl SolverBuilder {
         core.events = SolveEvents {
             terminate: self.terminate,
             on_learnt: self.on_learnt,
-            import: self.import,
             observer: self.observer,
         };
         core.ensure_vars(self.reserve_vars);
@@ -253,19 +220,6 @@ impl SolverBuilder {
     /// engine-generic drivers (BMC, bench harness, CLI) consume.
     pub fn build_engine(self) -> Box<dyn SatEngine> {
         Box::new(self.build())
-    }
-}
-
-/// Streaming DIMACS into a builder buffers the clauses for `build()`.
-/// (Prefer streaming into the built [`Solver`] directly when no further
-/// construction-time choices depend on the file's contents.)
-impl ClauseSink for SolverBuilder {
-    fn header(&mut self, num_vars: usize, _num_clauses: usize) {
-        self.reserve_vars = self.reserve_vars.max(num_vars);
-    }
-
-    fn clause(&mut self, lits: &[Lit]) {
-        self.clauses.add_clause(lits.iter().copied());
     }
 }
 
@@ -295,17 +249,6 @@ mod tests {
     fn reserved_vars_cover_unconstrained_variables() {
         let solver = SolverBuilder::new().reserve_vars(10).build();
         assert_eq!(solver.num_vars(), 10);
-    }
-
-    #[test]
-    fn clause_sink_impl_buffers_header_and_clauses() {
-        let mut builder = SolverBuilder::new();
-        ClauseSink::header(&mut builder, 7, 1);
-        ClauseSink::clause(&mut builder, &[lit(1), lit(-2)]);
-        let mut solver = builder.build();
-        assert_eq!(solver.num_vars(), 7);
-        assert_eq!(solver.core.num_original_clauses(), 1);
-        assert!(solver.solve().is_sat());
     }
 
     #[test]

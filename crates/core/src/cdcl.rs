@@ -14,6 +14,7 @@ use crate::clause_db::{ClauseDb, ClauseRef};
 use crate::config::{ActivityIndex, SolverConfig};
 use crate::heap::VarHeap;
 use crate::limits::SearchLimits;
+use crate::portfolio::ShareLink;
 use crate::preprocess::Reconstructor;
 use crate::proof::{ClauseId, HintLog};
 use crate::rng::XorShift64;
@@ -54,9 +55,6 @@ pub(crate) struct Cdcl {
     pub(crate) lbd_stamp: Vec<u64>,
     /// Generation counter for [`Cdcl::lbd_stamp`].
     pub(crate) lbd_stamp_gen: u64,
-    /// Scratch buffer the share-import source fills at restart boundaries
-    /// (kept on the solver to avoid a per-restart allocation).
-    pub(crate) import_buf: Vec<Vec<Lit>>,
     pub(crate) rng: XorShift64,
     pub(crate) stats: Stats,
     pub(crate) ok: bool,
@@ -80,6 +78,10 @@ pub(crate) struct Cdcl {
     pub(crate) hints: HintLog,
     /// Terminate / learnt-clause hooks (see [`SolveEvents`]).
     pub(crate) events: SolveEvents,
+    /// A portfolio worker's link to the share pool (`None` everywhere
+    /// else): the search offers it each learnt clause and drains it at
+    /// solve entry and restart boundaries.
+    pub(crate) share: Option<ShareLink>,
     /// `frozen[v]`: the preprocessor may not eliminate `v` (user-frozen
     /// via [`Solver::freeze`](crate::Solver::freeze), or auto-frozen as an assumption variable).
     pub(crate) frozen: Vec<bool>,
@@ -112,7 +114,6 @@ impl Cdcl {
             seen: Vec::new(),
             lbd_stamp: vec![0],
             lbd_stamp_gen: 0,
-            import_buf: Vec::new(),
             rng,
             stats: Stats::new(),
             ok: true,
@@ -124,6 +125,7 @@ impl Cdcl {
             pending_assumptions: Vec::new(),
             hints: HintLog::default(),
             events: SolveEvents::default(),
+            share: None,
             frozen: Vec::new(),
             eliminated: Vec::new(),
             reconstructor: Reconstructor::default(),

@@ -45,10 +45,9 @@ use crate::proof::{ClauseId, ProofSink};
 ///
 /// Stable across additions and deletions, but **not** across garbage
 /// collection — the collector hands back a remapping table through which
-/// every outstanding reference is rewritten. Outside this crate the type
-/// is opaque: it appears in the public API only as the reason handle of
-/// [`Trail::reason_of`](crate::Trail::reason_of) /
-/// [`Trail::assign`](crate::Trail::assign).
+/// every outstanding reference is rewritten. It is also the reason handle
+/// of [`Trail::reason_of`](crate::trail::Trail::reason_of) /
+/// [`Trail::assign`](crate::trail::Trail::assign).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ClauseRef(pub(crate) u32);
 

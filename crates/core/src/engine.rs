@@ -191,17 +191,6 @@ impl ClauseSink for Solver {
     }
 }
 
-/// The same streaming ingestion for a boxed engine (what the CLI holds).
-impl ClauseSink for Box<dyn SatEngine> {
-    fn header(&mut self, num_vars: usize, _num_clauses: usize) {
-        self.reserve_vars(num_vars);
-    }
-
-    fn clause(&mut self, lits: &[Lit]) {
-        SatEngine::add_clause(self, lits);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -69,9 +69,9 @@
 //! boundary and every 1024 conflicts; aborts with [`StopReason::Callback`]
 //! without touching budgets) and [`SolverBuilder::on_learnt`] (delivers every
 //! conflict-derived learnt clause with its LBD, unfiltered — each one a
-//! consequence of the formula alone, never of the assumptions; the
-//! portfolio's clause sharing is built on this one tap). Hooks and
-//! observers are `Send`, so state they share with the caller goes through
+//! consequence of the formula alone, never of the assumptions). The
+//! portfolio's clause sharing uses neither: its workers' cores carry a
+//! crate-private link to the share pool. Hooks and observers are `Send`, so state they share with the caller goes through
 //! `Arc` and a `Mutex` or an atomic; the proof sink alone may be `!Send`.
 //!
 //! # Telemetry
@@ -134,11 +134,12 @@ mod solver;
 mod stats;
 pub mod telemetry;
 mod trail;
+#[cfg(test)]
+mod trail_props;
 mod watch;
 
 pub use audit::AuditReport;
 pub use builder::SolverBuilder;
-pub use clause_db::ClauseRef;
 pub use config::{
     ActivityIndex, Budget, DbPolicy, DecisionStrategy, FreeVarPolarity, RestartPolicy, Sensitivity,
     SimplifyConfig, SolverConfig, TopClausePolarity,
@@ -150,7 +151,6 @@ pub use search::{SolveStatus, StopReason};
 pub use solver::Solver;
 pub use stats::Stats;
 pub use telemetry::{SolveEvent, SolveObserver, SolveVerdict, StatsSnapshot};
-pub use trail::Trail;
 
 // Re-export the vocabulary crate (and the clause-stream trait most
 // engine users want in scope) so downstream users need only one import.

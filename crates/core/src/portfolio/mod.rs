@@ -6,11 +6,12 @@
 //! cooperatively through the solvers' terminate hook (polled every ~1024
 //! conflicts and at restart boundaries). Optionally the workers exchange
 //! short / low-LBD learnt clauses through a bounded [`share::ClausePool`]:
-//! each worker's learnt-clause tap offers every clause to the pool, which
-//! keeps those passing the sharing rule (`len ≤ 2 || lbd ≤ cap`) while
-//! some worker other than the source is staged (see below), and hands
-//! them to the other workers at their solve entries and restart
-//! boundaries. The pool also counts what each worker published.
+//! each worker's core holds a [`ShareLink`] to the pool and offers it every
+//! learnt clause; the pool keeps those passing the sharing rule
+//! (`len ≤ 2 || lbd ≤ cap`) while some worker other than the source is
+//! staged (see below), and hands them to the other workers at their solve
+//! entries and restart boundaries. Each core counts the clauses it
+//! exported and imported; the pool counts only its evictions.
 //!
 //! The workers are **persistent**: they are built once, at the first solve
 //! call, and every later call only hands each worker the clauses and
@@ -76,7 +77,7 @@
 mod share;
 mod worker;
 
-pub(crate) use share::ClausePool;
+pub(crate) use share::ShareLink;
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -91,7 +92,7 @@ use crate::search::{SolveStatus, StopReason};
 use crate::stats::Stats;
 use crate::telemetry::{SolveEvent, SolveObserver, SolveVerdict};
 
-use share::PoolSummary;
+use share::ClausePool;
 use worker::{emit_shared, CallResult, ProofOp, SharedObserver, Worker};
 
 /// Maximum clauses the share pool retains; older entries are evicted
@@ -209,15 +210,11 @@ pub struct WorkerReport {
     /// Decisions the worker spent this call.
     pub decisions: u64,
     /// Clauses the worker published to the share pool this call (those
-    /// that passed the pool's sharing rule).
+    /// the pool kept under its sharing rule).
     pub exported: u64,
     /// Foreign clauses the worker integrated from the share pool this
     /// call.
     pub imported: u64,
-    /// Pool entries evicted this call before this worker's import polls
-    /// reached them — shared clauses the worker never got to see (an upper bound:
-    /// it includes the worker's own publications).
-    pub missed: u64,
 }
 
 /// A parallel portfolio of diversified CDCL solvers behind the ordinary
@@ -436,8 +433,8 @@ impl PortfolioEngine {
     /// The race core, shared by both modes: builds the workers if none are
     /// live, hands them the clauses added since the previous call, races
     /// them, and settles the call — the winner, the per-call reports, the
-    /// engine's counters, the pool's per-call accounting, the worker
-    /// events and the winner's unpublished proof. When observing, the
+    /// engine's counters, the pool's evictions, the worker events and the
+    /// winner's unpublished proof. When observing, the
     /// stream is `WorkerStart` in worker order, the tagged worker events
     /// (in schedule order when deterministic), then `WorkerDone` in worker
     /// order.
@@ -460,21 +457,20 @@ impl PortfolioEngine {
             num_vars: self.num_vars,
         };
         let mut results = crew.solve(&formula, assumptions, &self.config, shared);
-        let pool = crew.pool_accounting();
+        let evicted = crew.call_evictions();
         let formula_len = crew.seeded + self.log.num_clauses();
-        self.crew = Some(crew);
 
         // The counters are set, not accumulated: the front, the retired
-        // crews and every live worker's lifetime, so no call is counted
-        // twice.
-        self.live = Stats::new();
+        // crews, the live pool's evictions and every live worker's
+        // lifetime (each counts its own exports and imports), so no call
+        // is counted twice.
+        self.live = Stats {
+            pool_evicted: crew.evicted,
+            ..Stats::new()
+        };
+        self.crew = Some(crew);
         for result in &results {
             self.live.merge(&result.lifetime);
-        }
-        if let Some((total, _)) = &pool {
-            self.live.clauses_exported += total.published.iter().sum::<u64>();
-            self.live.pool_evicted += total.evicted;
-            self.live.pool_missed += total.missed.iter().sum::<u64>();
         }
         self.stats = Stats::new();
         for part in [&self.front.stats, &self.retired, &self.live] {
@@ -486,13 +482,8 @@ impl PortfolioEngine {
         self.stats.initial_clauses = formula_len as u64;
         self.stats.solve_calls = self.calls;
 
-        for result in &mut results {
-            if let Some((_, call)) = &pool {
-                result.report.exported = call.published[result.report.id];
-                result.report.missed = call.missed[result.report.id];
-            }
-            self.reports.push(result.report.clone());
-        }
+        self.reports
+            .extend(results.iter().map(|result| result.report.clone()));
         let winner = results.iter().position(|r| r.report.winner);
         self.winner = winner;
         if let Some(obs) = shared {
@@ -505,13 +496,8 @@ impl PortfolioEngine {
                     },
                 );
             }
-            if let Some((_, call)) = pool.as_ref().filter(|(_, call)| call.evicted > 0) {
-                emit_shared(
-                    obs,
-                    &SolveEvent::PoolEvicted {
-                        evicted: call.evicted,
-                    },
-                );
+            if evicted > 0 {
+                emit_shared(obs, &SolveEvent::PoolEvicted { evicted });
             }
         }
 
@@ -606,8 +592,8 @@ struct Crew {
     /// — `None` until the worker is staged with the seed.
     cursors: Vec<Option<usize>>,
     pool: Option<Arc<ClausePool>>,
-    /// The pool's accounting at the end of the previous call.
-    pool_seen: PoolSummary,
+    /// The pool's eviction count at the end of the previous call.
+    evicted: u64,
     /// How many clauses the front seeds the workers with.
     seeded: usize,
     /// Threaded mode's cancel flag, polled by every worker's terminate
@@ -638,7 +624,7 @@ impl Crew {
             workers,
             cursors: vec![None; n],
             pool,
-            pool_seen: PoolSummary::default(),
+            evicted: 0,
             seeded: Formula::seed(front).count(),
             cancel,
         }
@@ -692,12 +678,13 @@ impl Crew {
         )
     }
 
-    /// The pool's totals and the share of them the last call produced.
-    fn pool_accounting(&mut self) -> Option<(PoolSummary, PoolSummary)> {
-        let total = self.pool.as_ref()?.summary();
-        let call = total.since(&self.pool_seen);
-        self.pool_seen = total.clone();
-        Some((total, call))
+    /// The evictions the pool made during the last call; the running
+    /// total moves on to [`Crew::evicted`].
+    fn call_evictions(&mut self) -> u64 {
+        let total = self.pool.as_ref().map_or(0, |pool| pool.evicted());
+        let call = total - self.evicted;
+        self.evicted = total;
+        call
     }
 }
 
@@ -1027,6 +1014,58 @@ mod tests {
         assert!(exported > 0, "workers must export on hole(6)");
         assert!(imported > 0, "workers must import at slice boundaries");
         assert_eq!(engine.stats().clauses_imported, imported);
+    }
+
+    #[test]
+    fn imported_clauses_are_formula_implied_and_preserve_the_verdict() {
+        // An exporter core on link 0 refutes hole(5) and publishes its
+        // shareable learnt clauses; a chaff-like importer on link 1 then
+        // solves the same formula and drains them. Consumer 2 never runs:
+        // its poll reads everything the exporter published, a superset of
+        // what the importer took in. The import must not change the
+        // verdict, and every shared clause must be a consequence of the
+        // formula alone — checked by solving with its negation assumed.
+        let formula = pigeonhole(5);
+        let pool = Arc::new(ClausePool::new(POOL_CAPACITY, 3, 3));
+        (0..3).for_each(|id| pool.stage(id));
+        let linked = |config: SolverConfig, id: usize| {
+            let mut core = Cdcl::new(config);
+            for c in &formula {
+                core.add_clause(c.iter().copied());
+            }
+            core.share = Some(ShareLink {
+                pool: Arc::clone(&pool),
+                id,
+            });
+            core
+        };
+        let mut exporter = linked(SolverConfig::berkmin(), 0);
+        assert!(exporter.solve().is_unsat());
+        let shared = pool.collect(2);
+        assert!(!shared.is_empty(), "exporter published nothing");
+        assert_eq!(exporter.stats.clauses_exported, shared.len() as u64);
+
+        let mut importer = linked(SolverConfig::chaff_like(), 1);
+        assert!(
+            importer.solve().is_unsat(),
+            "importing sound clauses must not change the verdict"
+        );
+        let imported = importer.stats.clauses_imported;
+        assert!(imported > 0, "the importer drained nothing");
+        assert!(imported <= shared.len() as u64);
+        for clause in &shared {
+            let mut checker = Cdcl::new(SolverConfig::berkmin());
+            for c in &formula {
+                checker.add_clause(c.iter().copied());
+            }
+            for &l in clause {
+                checker.assume(!l);
+            }
+            assert!(
+                checker.solve().is_unsat(),
+                "shared clause {clause:?} is not implied by the formula"
+            );
+        }
     }
 
     #[test]

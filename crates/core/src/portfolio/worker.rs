@@ -2,13 +2,13 @@
 //!
 //! A [`Worker`] owns a CDCL core ([`Cdcl`]) with a diversified configuration
 //! ([`SolverConfig::portfolio_worker`]), an optional cancellation flag wired
-//! through the `on_terminate` hook, its learnt-clause tap and import source
-//! connected to the shared [`ClausePool`] when sharing is on, and a private
-//! proof buffer. It is built empty once per formula generation and then,
-//! call after call, [extended](Worker::extend) with the clauses it has not
-//! seen yet (the first time with the front's whole seed) and run again —
-//! its learnt clauses, activities and saved phases stay warm across
-//! incremental calls.
+//! through the `on_terminate` hook, a [`ShareLink`] to the shared
+//! [`ClausePool`] when sharing is on (the core counts its own exports and
+//! imports), and a private proof buffer. It is built empty once per
+//! formula generation and then, call after call, [extended](Worker::extend)
+//! with the clauses it has not seen yet (the first time with the front's
+//! whole seed) and run again — its learnt clauses, activities and saved
+//! phases stay warm across incremental calls.
 //!
 //! Everything a worker holds is `Send`, so the threaded scheduler lends
 //! each worker to a scoped thread for the length of one call (see
@@ -27,7 +27,7 @@ use crate::search::SolveStatus;
 use crate::stats::Stats;
 use crate::telemetry::{SolveEvent, SolveObserver};
 
-use super::share::ClausePool;
+use super::share::{ClausePool, ShareLink};
 use super::{WorkerOutcome, WorkerReport};
 
 /// The portfolio's observer as shared by its workers: one mutex serializes
@@ -102,8 +102,7 @@ impl ProofSink for ProofBuffer {
 pub(crate) struct CallResult {
     pub(crate) status: SolveStatus,
     pub(crate) failed: Vec<Lit>,
-    /// The call's report; `exported` and `missed` are left at 0 for the
-    /// engine to fill in from the share pool.
+    /// The call's report.
     pub(crate) report: WorkerReport,
     /// The worker's counters over its whole life, which the engine folds
     /// into its own totals.
@@ -137,11 +136,11 @@ impl Worker {
     /// Builds an empty worker core.
     ///
     /// `config` is the fully diversified per-worker configuration; `pool`
-    /// (when sharing) receives every learnt clause and supplies the other
-    /// workers' clauses; `cancel` (when given) is polled through the
-    /// core's `on_terminate` hook, so a raised flag stops the worker
-    /// within one terminate-poll interval (~1024 conflicts); `record_proof`
-    /// attaches the private [`ProofBuffer`].
+    /// (when sharing) is linked to the core under index `id`; `cancel`
+    /// (when given) is polled through the core's `on_terminate` hook, so a
+    /// raised flag stops the worker within one terminate-poll interval
+    /// (~1024 conflicts); `record_proof` attaches the private
+    /// [`ProofBuffer`].
     pub(crate) fn new(
         id: usize,
         config: SolverConfig,
@@ -157,16 +156,13 @@ impl Worker {
         if let Some(flag) = cancel {
             builder = builder.on_terminate(move || flag.load(Ordering::Relaxed));
         }
-        if let Some(pool) = pool {
-            let export_pool = Arc::clone(&pool);
-            builder = builder.on_learnt(move |lits, lbd| export_pool.publish(id, lits, lbd));
-            builder = builder.share_import(move |buf| pool.collect(id, buf));
-        }
+        // A recording worker stores clause IDs, as a single solver with a
+        // proof sink does, so both lay out their arenas alike.
+        let mut core = builder.build_core(record_proof);
+        core.share = pool.map(|pool| ShareLink { pool, id });
         Worker {
             id,
-            // A recording worker stores clause IDs, as a single solver with
-            // a proof sink does, so both lay out their arenas alike.
-            core: builder.build_core(record_proof),
+            core,
             proof: record_proof.then(ProofBuffer::default),
             base: Stats::new(),
         }
@@ -232,9 +228,8 @@ impl Worker {
             winner: won,
             conflicts: stats.conflicts - self.base.conflicts,
             decisions: stats.decisions - self.base.decisions,
-            exported: 0,
+            exported: stats.clauses_exported - self.base.clauses_exported,
             imported: stats.clauses_imported - self.base.clauses_imported,
-            missed: 0,
         };
         let proof_ops = match &mut self.proof {
             Some(buffer) if won => std::mem::take(&mut buffer.ops),

@@ -3,12 +3,14 @@
 //! This module owns everything that happens *during* a solve call: the
 //! propagate/analyze/decide loop, BCP over the watch structure, restart
 //! and garbage-collection plumbing, learnt-clause recording, the
-//! solve-event hooks ([`SolveEvents`]) and the session bracket that emits
+//! solve-event hooks ([`SolveEvents`]), a portfolio worker's two share-pool
+//! sites (each learnt clause offered, foreign clauses imported at solve
+//! entry and restarts) and the session bracket that emits
 //! [`SolveEvent::SolveStart`]/[`SolveEvent::SolveDone`]. The core
 //! ([`Cdcl`], `cdcl.rs`) composes the state subsystems — the
-//! [`Trail`](crate::Trail), the [`Watches`](crate::watch::Watches) and the
-//! [`SearchLimits`](crate::limits::SearchLimits) scheduler — and the
-//! public result types live here beside the loop that produces them.
+//! [`Trail`](crate::trail::Trail), the [`Watches`](crate::watch::Watches)
+//! and the [`SearchLimits`](crate::limits::SearchLimits) scheduler — and
+//! the public result types live here beside the loop that produces them.
 
 use berkmin_cnf::{Assignment, LBool, Lit, Var};
 
@@ -56,13 +58,6 @@ pub(crate) type TerminateCallback = Box<dyn FnMut() -> bool + Send>;
 /// nothing; callers keep what they want.
 pub(crate) type LearntCallback = Box<dyn FnMut(&[Lit], u32) + Send>;
 
-/// A boxed share-import source: polled at solve entry and at every restart
-/// boundary, it pushes candidate clauses into the supplied buffer; the solver integrates them
-/// at decision level 0 (level-0-simplified, attached as learnt clauses).
-/// Every pushed clause **must** be implied by the original formula — the
-/// portfolio's inbound half of learnt-clause sharing.
-pub(crate) type ImportCallback = Box<dyn FnMut(&mut Vec<Vec<Lit>>) + Send>;
-
 /// The solve-event hooks a solver carries, installed at construction time
 /// through [`SolverBuilder`](crate::SolverBuilder) (only the observer is
 /// replaceable later, via [`Solver::set_observer`](crate::Solver::set_observer)). Callbacks
@@ -78,10 +73,6 @@ pub(crate) struct SolveEvents {
     /// first) with its LBD, right after the clause is reported to the proof
     /// sink and before search resumes.
     pub(crate) on_learnt: Option<LearntCallback>,
-    /// Share-import source: polled at solve entry and at every restart
-    /// boundary (after §8 database reduction); fetched clauses are
-    /// integrated at level 0.
-    pub(crate) import: Option<ImportCallback>,
     /// Structured telemetry observer (see [`crate::telemetry`]): receives
     /// typed [`SolveEvent`]s. Every emission site checks this `Option`
     /// once, so an observer-less solver pays nothing.
@@ -93,7 +84,6 @@ impl std::fmt::Debug for SolveEvents {
         f.debug_struct("SolveEvents")
             .field("terminate", &self.terminate.is_some())
             .field("on_learnt", &self.on_learnt.is_some())
-            .field("import", &self.import.is_some())
             .field("observer", &self.observer.is_some())
             .finish()
     }
@@ -215,6 +205,11 @@ impl Cdcl {
                 let id = self.hints.add(proof, &learnt);
                 if let Some(callback) = &mut self.events.on_learnt {
                     callback(&learnt, lbd);
+                }
+                if let Some(link) = &self.share {
+                    if link.pool.publish(link.id, &learnt, lbd) {
+                        self.stats.clauses_exported += 1;
+                    }
                 }
                 self.cancel_until(bt_level);
                 self.record_learnt(learnt, id);
@@ -624,9 +619,9 @@ impl Cdcl {
     }
 
     /// Abandons the current search tree and runs database management (§8),
-    /// then integrates any clauses offered by the share-import source —
-    /// the "between search trees" point where foreign clauses can be
-    /// attached with the trail at level 0.
+    /// then imports the clauses the other portfolio workers shared — the
+    /// "between search trees" point where foreign clauses can be attached
+    /// with the trail at level 0.
     fn restart(&mut self, mut proof: &mut dyn ProofSink) {
         self.stats.restarts += 1;
         self.limits.on_restart();
@@ -642,39 +637,34 @@ impl Cdcl {
         self.import_shared_clauses();
     }
 
-    /// Drains the share-import source and installs its clauses at decision
-    /// level 0 through `install_at_root`, as *learnt* clauses — imports
-    /// compete under the §8 retention policy like any other conflict clause
-    /// instead of bloating the original formula. A clause degenerating to a
-    /// unit becomes a level-0 fact (propagated by the main loop);
-    /// degenerating to the empty clause refutes the formula (`ok = false` —
-    /// legal because import sources only supply formula-implied clauses).
+    /// Drains the share pool through the worker's
+    /// [`ShareLink`](crate::portfolio::ShareLink), if it has one, and
+    /// installs the foreign clauses at decision level 0 through
+    /// `install_at_root`, as *learnt* clauses — imports compete under the
+    /// §8 retention policy like any other conflict clause instead of
+    /// bloating the original formula. A clause degenerating to a unit
+    /// becomes a level-0 fact (propagated by the main loop); degenerating
+    /// to the empty clause refutes the formula (`ok = false` — legal
+    /// because every worker shares only formula-implied learnt clauses).
     ///
     /// Imported clauses are **not** reported to the proof sink: they are
     /// not RUP-derivable from this solver's own deductions, so a DRAT log
-    /// would become unsound. [`SolverBuilder`](crate::SolverBuilder)
-    /// therefore rejects attaching both a proof sink and an import source.
+    /// would become unsound. The portfolio therefore rejects a proof sink
+    /// while sharing is on.
     fn import_shared_clauses(&mut self) {
-        if self.events.import.is_none() {
+        let Some(link) = &self.share else {
             return;
-        }
+        };
         debug_assert_eq!(self.decision_level(), 0);
         let imported_before = self.stats.clauses_imported;
-        let mut buf = std::mem::take(&mut self.import_buf);
-        buf.clear();
-        if let Some(source) = &mut self.events.import {
-            source(&mut buf);
-        }
-        for lits in &mut buf {
-            if self.install_at_root(lits, true, None) {
+        for mut lits in link.pool.collect(link.id) {
+            if self.install_at_root(&mut lits, true, None) {
                 self.stats.clauses_imported += 1;
                 if !self.ok {
                     break;
                 }
             }
         }
-        buf.clear();
-        self.import_buf = buf;
         let imported = self.stats.clauses_imported - imported_before;
         if imported > 0 && self.events.observer.is_some() {
             self.emit(SolveEvent::ShareImport { count: imported });

@@ -75,24 +75,18 @@ pub struct Stats {
     pub lbd_sum: u64,
     /// Largest LBD ever observed on a deduced conflict clause.
     pub lbd_max: u32,
-    /// Learnt clauses published to the portfolio's share pool (those with
-    /// length ≤ 2 or LBD within the sharing cap); counted by the pool, so a
-    /// single solver reports 0.
+    /// Learnt clauses a portfolio worker published to the share pool
+    /// (those the pool kept under its sharing rule); a single solver
+    /// reports 0.
     pub clauses_exported: u64,
-    /// Clauses integrated from the share-import source at restart
-    /// boundaries (after the per-importer filter and level-0 simplification
-    /// dropped the rest).
+    /// Clauses a portfolio worker integrated from the share pool at solve
+    /// entry and restart boundaries (after level-0 simplification dropped
+    /// the rest).
     pub clauses_imported: u64,
     /// Entries the portfolio's bounded share pool evicted past its
     /// capacity (each eviction is a shared clause some consumer may never
     /// see — best-effort sharing, never a soundness issue).
     pub pool_evicted: u64,
-    /// Pool entries that were evicted before some consumer's cursor
-    /// reached them, summed over consumers — an upper bound on the import
-    /// candidates slow consumers lost to eviction (own publications and
-    /// clauses the LBD filter would have dropped are included; their fate
-    /// is unknowable once evicted).
-    pub pool_missed: u64,
     /// Clauses removed by the preprocessor's backward-subsumption pass (a
     /// live clause was a superset of another).
     pub clauses_subsumed: u64,
@@ -202,7 +196,6 @@ impl Stats {
         self.clauses_exported += other.clauses_exported;
         self.clauses_imported += other.clauses_imported;
         self.pool_evicted += other.pool_evicted;
-        self.pool_missed += other.pool_missed;
         self.clauses_subsumed += other.clauses_subsumed;
         self.clauses_strengthened += other.clauses_strengthened;
         self.vars_eliminated += other.vars_eliminated;

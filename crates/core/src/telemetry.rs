@@ -154,9 +154,9 @@ pub enum SolveEvent {
         /// Average LBD ("glue") of all clauses learnt so far.
         avg_lbd: f64,
     },
-    /// Foreign clauses were integrated from the share-import source.
+    /// A portfolio worker integrated foreign clauses from the share pool.
     ShareImport {
-        /// Clauses integrated at this poll (post-filter, post-level-0
+        /// Clauses integrated at this poll (after level-0
         /// simplification).
         count: u64,
     },
@@ -302,7 +302,6 @@ pub fn stats_to_json(stats: &Stats) -> json::Value {
         clauses_exported,
         clauses_imported,
         pool_evicted,
-        pool_missed,
         clauses_subsumed,
         clauses_strengthened,
         vars_eliminated,
@@ -336,7 +335,6 @@ pub fn stats_to_json(stats: &Stats) -> json::Value {
         ("clauses_exported", Int(*clauses_exported)),
         ("clauses_imported", Int(*clauses_imported)),
         ("pool_evicted", Int(*pool_evicted)),
-        ("pool_missed", Int(*pool_missed)),
         ("clauses_subsumed", Int(*clauses_subsumed)),
         ("clauses_strengthened", Int(*clauses_strengthened)),
         ("vars_eliminated", Int(*vars_eliminated)),
@@ -759,7 +757,6 @@ mod tests {
             lbd_max: 9,
             top_distance_hist: vec![5, 0, 2],
             pool_evicted: 11,
-            pool_missed: 4,
             clauses_subsumed: 6,
             vars_eliminated: 2,
             ..Stats::new()

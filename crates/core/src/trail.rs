@@ -67,7 +67,7 @@ impl Trail {
     }
 
     /// Number of variables the tables cover.
-    #[inline]
+    #[cfg(test)]
     pub fn num_vars(&self) -> usize {
         self.level.len()
     }
@@ -121,7 +121,7 @@ impl Trail {
     }
 
     /// Whether the trail holds no assignments at all.
-    #[inline]
+    #[cfg(test)]
     pub fn is_empty(&self) -> bool {
         self.trail.is_empty()
     }
@@ -133,7 +133,7 @@ impl Trail {
     }
 
     /// The whole trail as a slice, in chronological assignment order.
-    #[inline]
+    #[cfg(test)]
     pub fn as_slice(&self) -> &[Lit] {
         &self.trail
     }
@@ -155,6 +155,7 @@ impl Trail {
     /// order. A *dummy* level — opened by [`Trail::open_dummy_level`] for
     /// an already-implied assumption — has no literal of its own and
     /// yields `None`.
+    #[cfg(test)]
     pub fn decisions(&self) -> impl Iterator<Item = Option<Lit>> + '_ {
         (0..self.trail_lim.len()).map(move |d| {
             let start = self.trail_lim[d];

@@ -1,5 +1,5 @@
-//! Property tests for the [`Trail`] subsystem driven through its public
-//! API alone: random scripts of decisions, implied assignments and
+//! Property tests for the [`Trail`] subsystem driven through its methods
+//! alone: random scripts of decisions, implied assignments and
 //! backtracks must keep the assignment view, the level bookkeeping and the
 //! chronological trail mutually consistent, and `backtrack_to(0)` must be
 //! indistinguishable from a full restart. The three value views —
@@ -7,9 +7,10 @@
 //! the trail stores as separate per-literal entries — must agree at every
 //! step.
 
-use berkmin::Trail;
 use berkmin_cnf::{LBool, Lit, Var};
 use proptest::prelude::*;
+
+use crate::trail::Trail;
 
 const NUM_VARS: usize = 12;
 
@@ -88,7 +89,7 @@ fn run_script(ops: &[Op]) -> Trail {
     t
 }
 
-/// The trail's public views must all tell the same story as the shadow.
+/// The trail's views must all tell the same story as the shadow.
 fn check_consistent(t: &Trail, shadow: &[Option<(Lit, u32)>]) {
     let mut assigned = 0;
     for (i, entry) in shadow.iter().enumerate() {
@@ -143,7 +144,7 @@ fn check_consistent(t: &Trail, shadow: &[Option<(Lit, u32)>]) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
-    /// Random scripts keep every public view of the trail consistent.
+    /// Random scripts keep every view of the trail consistent.
     #[test]
     fn random_scripts_maintain_consistency(ops in prop::collection::vec(op(), 1..=48)) {
         run_script(&ops);

@@ -9,6 +9,11 @@
 //! Hashes are 64-bit FNV-1a, which (unlike `DefaultHasher`) is fixed by
 //! its definition and therefore stable across Rust versions.
 //!
+//! A second table pins the portfolio's clause-sharing traffic — what each
+//! worker exported and imported and what the share pool evicted — on
+//! deterministic pigeonhole races and an incremental session that
+//! overflows the pool.
+//!
 //! A pinned value may only change together with a change that is meant
 //! to alter the search; run with `FINGERPRINT_PRINT=1` and `--nocapture`
 //! to print the current values in the table's own syntax.
@@ -17,11 +22,13 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use berkmin::{
-    PortfolioConfig, PortfolioEngine, SatEngine, SolveStatus, SolverBuilder, SolverConfig, Stats,
+    Budget, PortfolioConfig, PortfolioEngine, SatEngine, SolveStatus, SolverBuilder, SolverConfig,
+    Stats,
 };
 use berkmin_circuit::arith::enabled_counter;
 use berkmin_circuit::bmc::BmcDriver;
 use berkmin_cnf::Cnf;
+use berkmin_cnf::Lit;
 use berkmin_drat::DratProof;
 use berkmin_gens::hole::pigeonhole;
 use berkmin_gens::ksat::random_ksat;
@@ -250,6 +257,195 @@ fn pinned_visits() -> Vec<(&'static str, [u64; 2])> {
         ("mulmiter4", [56617, 34276]),
         ("bmc_counter4_portfolio", [3796, 2018]),
     ]
+}
+
+/// One deterministic sharing run: the verdict of each call (`S`, `U`,
+/// `?`), the last call's winner, the engine's lifetime
+/// `[conflicts, decisions, propagations]`, each worker's exported and
+/// imported clauses summed over the calls, and each call's evictions.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Traffic {
+    verdicts: String,
+    winner: Option<usize>,
+    search: [u64; 3],
+    exported: Vec<u64>,
+    imported: Vec<u64>,
+    evicted: Vec<u64>,
+}
+
+/// Runs `calls` solve calls of `engine` over `cnf`, `before(call, engine)`
+/// staging each call's assumptions or clauses, and checks that the
+/// engine's lifetime sharing counters are the sums of what the calls
+/// reported.
+fn sharing_session(
+    mut engine: PortfolioEngine,
+    cnf: &Cnf,
+    calls: usize,
+    mut before: impl FnMut(usize, &mut PortfolioEngine),
+) -> Traffic {
+    for clause in cnf.iter() {
+        engine.add_clause(clause);
+    }
+    let workers = engine.config().threads;
+    let mut traffic = Traffic {
+        verdicts: String::new(),
+        winner: None,
+        search: [0; 3],
+        exported: vec![0; workers],
+        imported: vec![0; workers],
+        evicted: Vec::new(),
+    };
+    for call in 0..calls {
+        before(call, &mut engine);
+        let evicted_before = engine.stats().pool_evicted;
+        let status = engine.solve();
+        traffic.verdicts.push(match status {
+            SolveStatus::Sat(_) => 'S',
+            SolveStatus::Unsat => 'U',
+            SolveStatus::Unknown(_) => '?',
+        });
+        for r in engine.reports() {
+            traffic.exported[r.id] += r.exported;
+            traffic.imported[r.id] += r.imported;
+        }
+        traffic
+            .evicted
+            .push(engine.stats().pool_evicted - evicted_before);
+        traffic.winner = engine.winner();
+    }
+    let stats = engine.stats();
+    assert_eq!(stats.clauses_exported, traffic.exported.iter().sum::<u64>());
+    assert_eq!(stats.clauses_imported, traffic.imported.iter().sum::<u64>());
+    traffic.search = [stats.conflicts, stats.decisions, stats.propagations];
+    traffic
+}
+
+/// A deterministic sharing portfolio of `threads` workers in 64-conflict
+/// slices.
+fn sharing_portfolio(threads: usize, share_lbd: u32) -> PortfolioEngine {
+    let mut config = PortfolioConfig::new(threads)
+        .with_deterministic(true)
+        .with_share_lbd(Some(share_lbd));
+    config.slice_conflicts = 64;
+    PortfolioEngine::new(config)
+}
+
+/// The sharing suite, in table order: two and three workers racing on a
+/// pigeonhole formula, and the six-call budgeted session of the portfolio
+/// tests' per-call accounting check, which shares every learnt clause and
+/// overflows the 4096-entry pool.
+fn sharing_runs() -> Vec<(&'static str, Traffic)> {
+    let session = PortfolioEngine::new(
+        PortfolioConfig::new(2)
+            .with_deterministic(true)
+            .with_share_lbd(Some(u32::MAX))
+            .with_budget(Budget::conflicts(700)),
+    );
+    vec![
+        (
+            "hole7_w2_lbd8",
+            sharing_session(sharing_portfolio(2, 8), &pigeonhole(7).cnf, 1, |_, _| {}),
+        ),
+        (
+            "hole8_w3_lbd4",
+            sharing_session(sharing_portfolio(3, 4), &pigeonhole(8).cnf, 1, |_, _| {}),
+        ),
+        (
+            "hole9_session",
+            sharing_session(session, &pigeonhole(9).cnf, 6, |call, engine| {
+                if call == 2 {
+                    engine.assume(Lit::from_dimacs(1));
+                    engine.assume(Lit::from_dimacs(10));
+                }
+                if call == 4 {
+                    engine.add_clause(&[Lit::from_dimacs(-1)]);
+                }
+            }),
+        ),
+    ]
+}
+
+fn traffic(
+    verdicts: &str,
+    winner: Option<usize>,
+    search: [u64; 3],
+    exported: &[u64],
+    imported: &[u64],
+    evicted: &[u64],
+) -> Traffic {
+    Traffic {
+        verdicts: verdicts.into(),
+        winner,
+        search,
+        exported: exported.to_vec(),
+        imported: imported.to_vec(),
+        evicted: evicted.to_vec(),
+    }
+}
+
+/// The pinned sharing traffic, taken while the share-import hook and the
+/// pool's per-worker publication counters still did the accounting.
+fn pinned_sharing() -> Vec<(&'static str, Traffic)> {
+    vec![
+        (
+            "hole7_w2_lbd8",
+            traffic(
+                "U",
+                Some(1),
+                [1379, 1506, 21861],
+                &[640, 674],
+                &[640, 640],
+                &[0],
+            ),
+        ),
+        (
+            "hole8_w3_lbd4",
+            traffic(
+                "U",
+                Some(2),
+                [4770, 5274, 91572],
+                &[365, 756, 752],
+                &[1411, 1084, 1121],
+                &[0],
+            ),
+        ),
+        (
+            "hole9_session",
+            traffic(
+                "??U???",
+                None,
+                [7000, 7291, 139702],
+                &[2988, 3500],
+                &[3311, 2988],
+                &[0, 0, 0, 0, 992, 1400],
+            ),
+        ),
+    ]
+}
+
+#[test]
+fn sharing_traffic_matches_the_pinned_table() {
+    let got = sharing_runs();
+    if std::env::var_os("FINGERPRINT_PRINT").is_some() {
+        for (name, t) in &got {
+            println!(
+                "        (\n            {name:?},\n            traffic(\n                {:?},\n                \
+                 {:?},\n                {:?},\n                &{:?},\n                &{:?},\n                \
+                 &{:?},\n            ),\n        ),",
+                t.verdicts, t.winner, t.search, t.exported, t.imported, t.evicted
+            );
+        }
+    }
+    let want = pinned_sharing();
+    assert_eq!(
+        got.len(),
+        want.len(),
+        "suite and sharing table differ in size"
+    );
+    for ((name, g), (wname, w)) in got.iter().zip(&want) {
+        assert_eq!(name, wname, "suite and sharing table out of order");
+        assert_eq!(g, w, "{name}: the sharing traffic moved");
+    }
 }
 
 #[test]

@@ -385,8 +385,8 @@ impl EngineHolder {
 }
 
 /// Formats the per-worker portfolio summary: winner id, pool eviction
-/// pressure, then each worker's outcome, conflict spend, sharing traffic
-/// and how many shared clauses it missed to capacity eviction.
+/// pressure, then each worker's outcome, conflict spend and sharing
+/// traffic.
 fn workers_line(portfolio: &PortfolioEngine) -> String {
     let mut line = format!("c workers {}", portfolio.reports().len());
     match portfolio.winner() {
@@ -396,13 +396,12 @@ fn workers_line(portfolio: &PortfolioEngine) -> String {
     line.push_str(&format!(" evicted {}", portfolio.stats().pool_evicted));
     for r in portfolio.reports() {
         line.push_str(&format!(
-            "  w{} {} conflicts {} exported {} imported {} missed {}",
+            "  w{} {} conflicts {} exported {} imported {}",
             r.id,
             outcome_name(r.outcome),
             r.conflicts,
             r.exported,
-            r.imported,
-            r.missed
+            r.imported
         ));
     }
     line
@@ -513,7 +512,6 @@ fn workers_json(portfolio: &PortfolioEngine) -> JsonValue {
                     ("decisions".to_string(), JsonValue::Int(r.decisions)),
                     ("exported".to_string(), JsonValue::Int(r.exported)),
                     ("imported".to_string(), JsonValue::Int(r.imported)),
-                    ("missed".to_string(), JsonValue::Int(r.missed)),
                 ])
             })
             .collect(),

