@@ -246,20 +246,7 @@ impl LineParser {
     }
 }
 
-/// Reads and parses DIMACS CNF from any [`Read`] implementor (a `&mut`
-/// reference works too, since `Read` is implemented for `&mut R`).
-///
-/// # Errors
-///
-/// Returns [`ReadDimacsError::Io`] on I/O failure and
-/// [`ReadDimacsError::Parse`] on malformed content.
-pub fn read<R: Read>(reader: R) -> Result<Cnf, ReadDimacsError> {
-    let mut cnf = Cnf::new();
-    stream_into(reader, &mut cnf)?;
-    Ok(cnf)
-}
-
-/// Error produced by [`read`].
+/// Error produced by [`stream_into`].
 #[derive(Debug)]
 pub enum ReadDimacsError {
     /// The underlying reader failed.
@@ -417,10 +404,12 @@ mod tests {
     #[test]
     fn read_and_write_through_io() {
         let src = b"p cnf 2 1\n1 2 0\n".to_vec();
-        let cnf = read(&src[..]).unwrap();
+        let mut cnf = Cnf::new();
+        stream_into(&src[..], &mut cnf).unwrap();
         let mut buf = Vec::new();
         write(&mut buf, &cnf).unwrap();
-        let again = read(&buf[..]).unwrap();
+        let mut again = Cnf::new();
+        stream_into(&buf[..], &mut again).unwrap();
         assert_eq!(cnf, again);
     }
 

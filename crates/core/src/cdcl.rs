@@ -11,7 +11,7 @@
 use berkmin_cnf::{LBool, Lit, Var};
 
 use crate::clause_db::{ClauseDb, ClauseRef};
-use crate::config::{ActivityIndex, SolverConfig};
+use crate::config::{ActivityIndex, DecisionStrategy, SolverConfig};
 use crate::heap::VarHeap;
 use crate::limits::SearchLimits;
 use crate::portfolio::ShareLink;
@@ -132,15 +132,34 @@ impl Cdcl {
         }
     }
 
-    /// Grows per-variable tables to cover `n` variables.
+    /// Grows every per-variable table — the trail, the freeze and
+    /// elimination flags, the watch lists, the activity counters (and the
+    /// VSIDS counters under that strategy), the analysis scratch and the
+    /// decision heap — to cover `n` variables; the new variables join the
+    /// heap.
     pub(crate) fn ensure_vars(&mut self, n: usize) {
-        if n <= self.num_vars {
+        let from = self.num_vars;
+        if n <= from {
             return;
         }
         self.trail.grow(n);
         self.frozen.resize(n, false);
         self.eliminated.resize(n, false);
-        self.grow_search_tables(self.num_vars, n);
+        self.watches.grow(n);
+        self.var_activity.resize(n, 0);
+        self.lit_activity.resize(2 * n, 0);
+        if self.config.decision == DecisionStrategy::Vsids {
+            self.vsids.resize(2 * n, 0);
+        }
+        self.seen.resize(n, false);
+        // Decision levels range over 0..=n, one stamp slot per level.
+        self.lbd_stamp.resize(n + 1, 0);
+        self.heap.grow(n);
+        if self.config.activity_index == ActivityIndex::Heap {
+            for i in from..n {
+                self.heap.insert(Var::new(i as u32), &self.var_activity);
+            }
+        }
         self.num_vars = n;
     }
 
@@ -151,7 +170,7 @@ impl Cdcl {
         let mut ls: Vec<Lit> = lits.into_iter().collect();
         let max_var = ls.iter().map(|l| l.var().index() + 1).max().unwrap_or(0);
         self.ensure_vars(max_var);
-        self.reject_eliminated("add_clause", &ls);
+        reject_eliminated(&self.eliminated, "add_clause", &ls);
         self.stats.initial_clauses += 1;
         let id = self.hints.next_original();
         if !self.ok {
@@ -250,7 +269,7 @@ impl Cdcl {
     /// Stages an assumption for the next solve call (the contract is on
     /// [`Solver::assume`](crate::Solver::assume)).
     pub(crate) fn assume(&mut self, lit: Lit) {
-        self.reject_eliminated("assume", &[lit]);
+        reject_eliminated(&self.eliminated, "assume", &[lit]);
         self.pending_assumptions.push(lit);
     }
 
@@ -265,20 +284,6 @@ impl Cdcl {
         self.eliminated.get(var.index()).copied().unwrap_or(false)
     }
 
-    /// Panics if `lits` mention an eliminated variable (the freeze
-    /// contract on [`Solver::freeze`](crate::Solver::freeze)); `op` names
-    /// the offending call.
-    pub(crate) fn reject_eliminated(&self, op: &str, lits: &[Lit]) {
-        if let Some(l) = lits.iter().find(|l| self.is_eliminated(l.var())) {
-            panic!(
-                "{op} mentions eliminated variable {:?}: freeze it before \
-                 solving, or disable variable elimination \
-                 (SimplifyConfig::var_elim)",
-                l.var()
-            );
-        }
-    }
-
     /// Number of live original (problem) clauses.
     #[cfg(test)]
     pub(crate) fn num_original_clauses(&self) -> usize {
@@ -290,5 +295,22 @@ impl Cdcl {
     #[cfg(test)]
     pub(crate) fn solve(&mut self) -> crate::search::SolveStatus {
         self.solve_session(&mut crate::proof::NoProof)
+    }
+}
+
+/// Panics if `lits` mention a variable flagged in `eliminated` (the freeze
+/// contract on [`Solver::freeze`](crate::Solver::freeze)); `op` names the
+/// offending call.
+pub(crate) fn reject_eliminated(eliminated: &[bool], op: &str, lits: &[Lit]) {
+    if let Some(l) = lits
+        .iter()
+        .find(|l| eliminated.get(l.var().index()) == Some(&true))
+    {
+        panic!(
+            "{op} mentions eliminated variable {:?}: freeze it before \
+             solving, or disable variable elimination \
+             (SimplifyConfig::var_elim)",
+            l.var()
+        );
     }
 }

@@ -15,53 +15,56 @@
 //!
 //! The workers are **persistent**: they are built once, at the first solve
 //! call, and every later call only hands each worker the clauses and
-//! variables added since it last ran (each worker keeps its own cursor
-//! into the engine's clause log), stages the assumptions and races again.
-//! Learnt clauses, activities, saved phases and the share pool all stay
-//! warm across incremental calls.
+//! variables added since it last ran, stages the assumptions and races
+//! again. The engine keeps the formula in one clause log; each worker
+//! holds its own cursor into it and is **staged** — handed the log past
+//! its cursor — before it runs, so a worker's original clause `k` is log
+//! clause `k`. Learnt clauses, activities, saved phases and the share pool
+//! all stay warm across incremental calls.
 //!
 //! Two execution modes, behind one race core:
 //!
 //! * **Threaded** (default): every call lends worker 0 to the calling
 //!   thread and each other worker to a `std::thread::scope` thread of its
 //!   own; real wall-clock racing. Non-deterministic — the winner depends on
-//!   scheduling. Every worker runs from the first call on, so all of them
-//!   count as staged from the start.
+//!   scheduling. Each worker stages itself on its own thread at the start
+//!   of every call, and since every worker runs from the first call on,
+//!   all of them join the share pool when the crew is built.
 //! * **Deterministic** ([`PortfolioConfig::deterministic`]): the workers
 //!   run round-robin on the calling thread in fixed conflict-budget slices
 //!   ([`PortfolioConfig::slice_conflicts`]); the first definitive answer in
 //!   worker order wins. Same code paths (including sharing), reproducible
 //!   verdicts, winner and statistics — what the test suite and the fuzz
-//!   harness drive. The workers are built empty and each is **staged**
-//!   right before its first slice: it receives the front's seed and the
-//!   log from its cursor then. A worker the schedule never reaches (worker
-//!   1 while worker 0 answers every call inside its first slice, as on an
-//!   incremental BMC sweep) holds no formula and makes its peers publish
-//!   nothing. A worker staged in a later call starts without the clauses
-//!   its peers learnt before: they were never published.
+//!   harness drive. The workers are built empty and each is staged right
+//!   before each of its slices; it joins the share pool the first time. A
+//!   worker the schedule never reaches (worker 1 while worker 0 answers
+//!   every call inside its first slice, as on an incremental BMC sweep)
+//!   holds no formula and makes its peers publish nothing. A worker staged
+//!   in a later call starts without the clauses its peers learnt before:
+//!   they were never published.
 //!
 //! # Pre-simplification
 //!
-//! The engine owns one **front**: an ordinary CDCL core built from
-//! [`SolverConfig::berkmin`] with the portfolio's
-//! [`PortfolioConfig::simplify`], which never searches. Added clauses only
-//! go to a log the live workers read; whenever a crew of workers is built
-//! (at the first call, and again after a worker panic) the front absorbs
-//! the log, runs the ordinary [`crate::preprocess`] passes if this is the
-//! first call, and becomes the seed of the new workers: its level-0 units
-//! plus its live original clauses, read as each worker is staged. The
-//! front then rests parked (its watch lists, heap and activity tables
-//! released) until the next crew build. Subsumption, strengthening and
-//! variable elimination are thus paid once instead of once per worker; the
-//! workers themselves run with simplification off. The front also owns the
-//! freeze contract ([`PortfolioEngine::freeze`]) and the reconstruction
-//! stack that extends winning SAT models over eliminated variables.
+//! Until the first call the engine holds a **front**: an ordinary CDCL
+//! core built from [`SolverConfig::berkmin`] with the portfolio's
+//! [`PortfolioConfig::simplify`], which never searches and takes the
+//! freeze contract ([`PortfolioEngine::freeze`]). Added clauses only go to
+//! the log. At the first call the front absorbs the log, runs the ordinary
+//! [`crate::preprocess`] passes over it and dissolves: the log becomes the
+//! front's formula — its level-0 units, then its live original clauses,
+//! then the empty clause if it refuted the formula — and the engine keeps
+//! only the front's elimination flags, its reconstruction stack (which
+//! extends winning SAT models over eliminated variables) and its counters.
+//! Subsumption, strengthening and variable elimination are thus paid once
+//! instead of once per worker; the workers themselves run with
+//! simplification off. A crew rebuilt after a worker panic restages every
+//! worker from log position 0.
 //!
 //! # Proofs
 //!
 //! With sharing **off**, a proof sink attached via
 //! [`PortfolioEngine::set_proof`] before the first solve receives the
-//! front's additions and deletions as they happen, followed, call by call,
+//! front's additions and deletions as it simplifies, followed, call by call,
 //! by each call's winner's DRAT operations. Every worker logs privately
 //! into a buffer that accumulates across calls; a call's winner publishes
 //! what it has not published yet, and a loser's operations wait until that
@@ -84,9 +87,10 @@ use std::sync::{Arc, Mutex};
 
 use berkmin_cnf::{Assignment, Cnf, LBool, Lit, Var};
 
-use crate::cdcl::Cdcl;
+use crate::cdcl::{reject_eliminated, Cdcl};
 use crate::config::{Budget, SimplifyConfig, SolverConfig};
 use crate::engine::SatEngine;
+use crate::preprocess::Reconstructor;
 use crate::proof::{NoProof, ProofSink};
 use crate::search::{SolveStatus, StopReason};
 use crate::stats::Stats;
@@ -247,8 +251,9 @@ pub struct WorkerReport {
 pub struct PortfolioEngine {
     config: PortfolioConfig,
     num_vars: usize,
-    /// Clauses added since the front last absorbed the formula; each live
-    /// worker reads them through its own cursor.
+    /// The formula every worker stages from through its own cursor: the
+    /// clauses added so far until the front dissolves, then the front's
+    /// formula followed by the clauses added since (see the module docs).
     log: Cnf,
     /// `false` once an empty clause was added or the front refuted the
     /// formula.
@@ -262,17 +267,20 @@ pub struct PortfolioEngine {
     winner: Option<usize>,
     proof: Option<Box<dyn ProofSink>>,
     observer: Option<Box<dyn SolveObserver + Send>>,
-    /// The formula front: a simplifier that never searches, owning the
-    /// freeze flags, the eliminated variables and the reconstruction
-    /// stack (see the module docs).
-    front: Cdcl,
+    /// The formula front, a simplifier that never searches, until the
+    /// first call dissolves it (see the module docs).
+    front: Option<Cdcl>,
+    /// The variables the front eliminated.
+    eliminated: Vec<bool>,
+    /// The front's reconstruction stack.
+    reconstructor: Reconstructor,
     /// The live workers (`None` before the first call, and after a worker
     /// panic).
     crew: Option<Crew>,
-    /// The lifetime counters of retired crews.
-    retired: Stats,
+    /// The front's counters plus the lifetime counters of retired crews.
+    settled: Stats,
     /// The live crew's lifetime counters as of its last call. After each
-    /// call `stats` is the front's counters plus `retired` plus this.
+    /// call `stats` is `settled` plus this.
     live: Stats,
 }
 
@@ -282,7 +290,7 @@ impl std::fmt::Debug for PortfolioEngine {
             .field("config", &self.config)
             .field("num_vars", &self.num_vars)
             .field("log", &self.log.num_clauses())
-            .field("eliminated", &self.front.stats.vars_eliminated)
+            .field("eliminated", &self.settled.vars_eliminated)
             .field("winner", &self.winner)
             .field("proof", &self.proof.is_some())
             .field("observer", &self.observer.is_some())
@@ -316,9 +324,11 @@ impl PortfolioEngine {
             winner: None,
             proof: None,
             observer: None,
-            front,
+            front: Some(front),
+            eliminated: Vec::new(),
+            reconstructor: Reconstructor::default(),
             crew: None,
-            retired: Stats::new(),
+            settled: Stats::new(),
             live: Stats::new(),
         }
     }
@@ -379,24 +389,33 @@ impl PortfolioEngine {
     /// frozen automatically (and permanently).
     pub fn freeze(&mut self, var: Var) {
         self.num_vars = self.num_vars.max(var.index() + 1);
-        self.front.freeze(var);
+        if let Some(front) = &mut self.front {
+            front.freeze(var);
+        }
     }
 
     /// Whether the front has eliminated `var` (see
     /// [`PortfolioEngine::freeze`] for the contract this implies).
     pub fn is_eliminated(&self, var: Var) -> bool {
-        self.front.is_eliminated(var)
+        self.eliminated().get(var.index()) == Some(&true)
     }
 
-    /// Builds a crew over the front's formula. The front wakes up (see
-    /// [`Cdcl::unpark`]), absorbs the log (which starts again empty),
-    /// simplifies if this is the first call — its DRAT stream going
-    /// straight into the sink and its events to the observer — and parks
-    /// again: the workers read their seed from its formula (see
-    /// [`Formula::seed`]), which stays fixed while the crew lives.
-    fn build_crew(&mut self, assumptions: &[Lit], shared: &Option<SharedObserver>) -> Crew {
-        let front = &mut self.front;
-        front.unpark();
+    /// The front's elimination flags, read from the front while it lives.
+    fn eliminated(&self) -> &[bool] {
+        self.front
+            .as_ref()
+            .map_or(&self.eliminated, |front| &front.eliminated)
+    }
+
+    /// Dissolves the front at the first call: it absorbs the log and
+    /// simplifies it — its DRAT stream going straight into the sink and
+    /// its events to the observer — and the log becomes its formula (see
+    /// the module docs). Its elimination flags, reconstruction stack and
+    /// counters move to the engine.
+    fn dissolve_front(&mut self, assumptions: &[Lit], shared: &Option<SharedObserver>) {
+        let Some(front) = &mut self.front else {
+            return;
+        };
         front.ensure_vars(self.num_vars);
         for clause in &std::mem::take(&mut self.log) {
             front.add_clause(clause.iter().copied());
@@ -417,33 +436,47 @@ impl PortfolioEngine {
             None => &mut no_proof,
         };
         front.simplify_formula(sink);
-        front.events.observer = None;
-        front.park();
+        let front = self.front.take().expect("the front is live");
+        let units = front.trail.iter().map(std::slice::from_ref);
+        let clauses = front
+            .db
+            .iter_live()
+            .filter(|&cref| !front.db.is_learnt(cref))
+            .map(|cref| front.db.lits(cref));
+        let empty: Option<&[Lit]> = (!front.ok).then_some(&[]);
+        self.log = units
+            .chain(clauses)
+            .chain(empty)
+            .map(|c| c.iter().copied())
+            .collect();
         if !front.ok && self.ok {
             // Refuted at level 0. The empty clause is RUP here (unit
             // propagation over the front's formula conflicts), so it
-            // completes the front's proof; the seed carries it too, which
+            // completes the front's proof; the log carries it too, which
             // resolves the race trivially.
             sink.add_clause(&[]);
             self.ok = false;
         }
-        Crew::new(&self.config, self.proof.is_some(), front)
+        self.settled.merge(&front.stats);
+        self.eliminated = front.eliminated;
+        self.reconstructor = front.reconstructor;
     }
 
-    /// The race core, shared by both modes: builds the workers if none are
-    /// live, hands them the clauses added since the previous call, races
-    /// them, and settles the call — the winner, the per-call reports, the
+    /// The race core, shared by both modes: dissolves the front at the
+    /// first call, builds the workers if none are live, races them (each
+    /// staged from the log as it runs), and settles the call — the winner, the per-call reports, the
     /// engine's counters, the pool's evictions, the worker events and the
     /// winner's unpublished proof. When observing, the
     /// stream is `WorkerStart` in worker order, the tagged worker events
     /// (in schedule order when deterministic), then `WorkerDone` in worker
     /// order.
     fn race(&mut self, assumptions: &[Lit], shared: &Option<SharedObserver>) -> SolveStatus {
+        self.dissolve_front(assumptions, shared);
         let mut crew = match self.crew.take() {
             Some(crew) => crew,
             None => {
-                self.retired.merge(&std::mem::take(&mut self.live));
-                self.build_crew(assumptions, shared)
+                self.settled.merge(&std::mem::take(&mut self.live));
+                Crew::new(&self.config, self.proof.is_some())
             }
         };
         if let Some(obs) = shared {
@@ -451,16 +484,10 @@ impl PortfolioEngine {
                 emit_shared(obs, &SolveEvent::WorkerStart { worker: id });
             }
         }
-        let formula = Formula {
-            front: &self.front,
-            log: &self.log,
-            num_vars: self.num_vars,
-        };
-        let mut results = crew.solve(&formula, assumptions, &self.config, shared);
+        let mut results = crew.solve(&self.log, self.num_vars, assumptions, &self.config, shared);
         let evicted = crew.call_evictions();
-        let formula_len = crew.seeded + self.log.num_clauses();
 
-        // The counters are set, not accumulated: the front, the retired
+        // The counters are set, not accumulated: the front and the retired
         // crews, the live pool's evictions and every live worker's
         // lifetime (each counts its own exports and imports), so no call
         // is counted twice.
@@ -472,14 +499,12 @@ impl PortfolioEngine {
         for result in &results {
             self.live.merge(&result.lifetime);
         }
-        self.stats = Stats::new();
-        for part in [&self.front.stats, &self.retired, &self.live] {
-            self.stats.merge(part);
-        }
+        self.stats = self.settled.clone();
+        self.stats.merge(&self.live);
         // `Stats::merge` leaves the formula-level counters alone; set the
         // portfolio-level view explicitly (the formula is shared, not
         // duplicated N times, and one portfolio call is one solve call).
-        self.stats.initial_clauses = formula_len as u64;
+        self.stats.initial_clauses = self.log.num_clauses() as u64;
         self.stats.solve_calls = self.calls;
 
         self.reports
@@ -516,7 +541,7 @@ impl PortfolioEngine {
                 // front eliminated (the worker valued them arbitrarily —
                 // the reconstruction overwrites with the value that
                 // satisfies the dissolved clauses).
-                self.front.reconstructor.extend_model(&mut model);
+                self.reconstructor.extend_model(&mut model);
                 self.model = Some(model.clone());
                 SolveStatus::Sat(model)
             }
@@ -549,61 +574,21 @@ fn worker_config(config: &PortfolioConfig, id: usize) -> SolverConfig {
         .with_simplify(SimplifyConfig::off())
 }
 
-/// The formula a live crew races on: the front's seed, fixed while the crew
-/// lives, followed by the clauses logged since the crew was built.
-struct Formula<'a> {
-    front: &'a Cdcl,
-    log: &'a Cnf,
-    num_vars: usize,
-}
-
-impl<'a> Formula<'a> {
-    /// The seed: the front's level-0 units, its live original clauses (it
-    /// never searches, so it has no learnt ones) and, when it refuted the
-    /// formula, the empty clause.
-    fn seed(front: &'a Cdcl) -> impl Iterator<Item = &'a [Lit]> {
-        let units = front.trail.iter().map(std::slice::from_ref);
-        let clauses = front
-            .db
-            .iter_live()
-            .filter(|&cref| !front.db.is_learnt(cref))
-            .map(|cref| front.db.lits(cref));
-        let empty: Option<&[Lit]> = (!front.ok).then_some(&[]);
-        units.chain(clauses).chain(empty)
-    }
-
-    /// The clauses a worker whose log cursor is `cursor` (`None`: never
-    /// staged) has not absorbed yet — the seed first if it was never
-    /// staged, then the log from its cursor — advancing the cursor past
-    /// them.
-    fn unseen(&self, cursor: &mut Option<usize>) -> impl Iterator<Item = &'a [Lit]> {
-        let seed = cursor.is_none().then(|| Formula::seed(self.front));
-        let from = cursor.replace(self.log.num_clauses()).unwrap_or(0);
-        seed.into_iter().flatten().chain(self.log.iter().skip(from))
-    }
-}
-
-/// The live workers of one formula generation, with their share pool:
-/// built at the first call (and again after a worker panic), then raced
-/// again on every call.
+/// The live workers with their share pool: built at the first call (and
+/// again after a worker panic), then raced again on every call.
 struct Crew {
     workers: Vec<Worker>,
-    /// Per worker, how many of the engine's logged clauses it has absorbed
-    /// — `None` until the worker is staged with the seed.
-    cursors: Vec<Option<usize>>,
     pool: Option<Arc<ClausePool>>,
     /// The pool's eviction count at the end of the previous call.
     evicted: u64,
-    /// How many clauses the front seeds the workers with.
-    seeded: usize,
     /// Threaded mode's cancel flag, polled by every worker's terminate
     /// hook (`None` in deterministic mode).
     cancel: Option<Arc<AtomicBool>>,
 }
 
 impl Crew {
-    /// Builds the workers empty over the parked `front`.
-    fn new(config: &PortfolioConfig, record_proof: bool, front: &Cdcl) -> Crew {
+    /// Builds the workers empty.
+    fn new(config: &PortfolioConfig, record_proof: bool) -> Crew {
         let n = config.threads;
         let pool = config
             .share_lbd
@@ -622,60 +607,42 @@ impl Crew {
             .collect();
         Crew {
             workers,
-            cursors: vec![None; n],
             pool,
             evicted: 0,
-            seeded: Formula::seed(front).count(),
             cancel,
         }
     }
 
-    /// Runs one call on every worker; results come back in worker order.
-    /// Each worker is first handed the variables and the clauses of
-    /// `formula` it has not absorbed: in deterministic mode right before
-    /// its slices (a worker the schedule never reaches stays as it is),
-    /// in threaded mode all at once.
+    /// Runs one call on every worker over the engine's clause `log` of
+    /// `num_vars` variables; results come back in worker order.
     fn solve(
         &mut self,
-        formula: &Formula,
+        log: &Cnf,
+        num_vars: usize,
         assumptions: &[Lit],
         config: &PortfolioConfig,
         observer: &Option<SharedObserver>,
     ) -> Vec<CallResult> {
-        let cursors = &mut self.cursors;
-        let Some(cancel) = &self.cancel else {
-            let pool = self.pool.as_deref();
-            let stage = |id: usize, worker: &mut Worker| {
-                if let (None, Some(pool)) = (cursors[id], pool) {
-                    pool.stage(id);
-                }
-                worker.extend(formula.num_vars, formula.unseen(&mut cursors[id]));
-            };
-            return race_slices(
+        match &self.cancel {
+            None => race_slices(
                 &mut self.workers,
-                stage,
+                log,
+                num_vars,
                 assumptions,
                 config.slice_conflicts,
                 config.budget.max_conflicts,
                 observer,
-            );
-        };
-        // The threads advance together: worker 0's cursor is everyone's.
-        let clauses: Cnf = formula
-            .unseen(&mut cursors[0])
-            .map(|c| c.iter().copied())
-            .collect();
-        let synced = cursors[0];
-        cursors.fill(synced);
-        race_threads(
-            &mut self.workers,
-            formula.num_vars,
-            &clauses,
-            assumptions,
-            config.budget,
-            cancel,
-            observer,
-        )
+            ),
+            Some(cancel) => race_threads(
+                &mut self.workers,
+                log,
+                num_vars,
+                assumptions,
+                config.budget,
+                cancel,
+                observer,
+            ),
+        }
     }
 
     /// The evictions the pool made during the last call; the running
@@ -690,12 +657,13 @@ impl Crew {
 
 /// Deterministic mode's schedule: round-robin conflict slices on the
 /// calling thread; the first definitive answer in worker order wins. Every
-/// slice is preceded by `stage(id, worker)`, which brings the worker up to
-/// date with the formula. A worker retires once the conflicts it spent in
-/// this call reach the per-worker cap.
+/// slice is preceded by staging the worker from the clause log (a worker
+/// the schedule never reaches stays as it is). A worker retires once the
+/// conflicts it spent in this call reach the per-worker cap.
 fn race_slices(
     workers: &mut [Worker],
-    mut stage: impl FnMut(usize, &mut Worker),
+    log: &Cnf,
+    num_vars: usize,
     assumptions: &[Lit],
     slice: u64,
     cap: u64,
@@ -720,7 +688,7 @@ fn race_slices(
                 continue;
             }
             live = true;
-            stage(id, worker);
+            worker.stage(num_vars, log);
             let status = worker.run(assumptions, Budget::conflicts(allowance));
             let definitive = !status.is_unknown();
             last[id] = Some(status);
@@ -746,17 +714,17 @@ fn race_slices(
         .collect()
 }
 
-/// Threaded mode's race: every worker absorbs `clauses` (the variables
-/// and clauses it has not seen) and runs the call, worker 0 on the calling
-/// thread and each other worker on a scoped thread of its own. The first
-/// definitive answer claims the win by raising `cancel`, which also stops
-/// the others. A worker that panics raises the flag as it unwinds, so its
-/// peers stop too, and its panic is re-raised here with its original
-/// payload once every worker has stopped.
+/// Threaded mode's race: every worker stages itself from the clause log
+/// and runs the call, worker 0 on the calling thread and each other worker
+/// on a scoped thread of its own. The first definitive answer claims the
+/// win by raising `cancel`, which also stops the others. A worker that
+/// panics raises the flag as it unwinds, so its peers stop too, and its
+/// panic is re-raised here with its original payload once every worker has
+/// stopped.
 fn race_threads(
     workers: &mut [Worker],
+    log: &Cnf,
     num_vars: usize,
-    clauses: &Cnf,
     assumptions: &[Lit],
     budget: Budget,
     cancel: &AtomicBool,
@@ -765,7 +733,7 @@ fn race_threads(
     cancel.store(false, Ordering::SeqCst);
     let call = |worker: &mut Worker| {
         let _stop_peers = CancelOnUnwind(cancel);
-        worker.extend(num_vars, clauses);
+        worker.stage(num_vars, log);
         worker.begin(observer.clone());
         let status = worker.run(assumptions, budget);
         let won = !status.is_unknown()
@@ -807,7 +775,7 @@ impl SatEngine for PortfolioEngine {
     }
 
     fn add_clause(&mut self, lits: &[Lit]) -> bool {
-        self.front.reject_eliminated("add_clause", lits);
+        reject_eliminated(self.eliminated(), "add_clause", lits);
         for l in lits {
             self.num_vars = self.num_vars.max(l.var().index() + 1);
         }
@@ -819,7 +787,7 @@ impl SatEngine for PortfolioEngine {
     }
 
     fn assume(&mut self, lit: Lit) {
-        self.front.reject_eliminated("assume", &[lit]);
+        reject_eliminated(self.eliminated(), "assume", &[lit]);
         self.num_vars = self.num_vars.max(lit.var().index() + 1);
         self.pending.push(lit);
     }
@@ -842,8 +810,7 @@ impl SatEngine for PortfolioEngine {
                 &SolveEvent::SolveStart {
                     call: self.calls,
                     num_vars: self.num_vars,
-                    num_clauses: self.crew.as_ref().map_or(0, |c| c.seeded)
-                        + self.log.num_clauses(),
+                    num_clauses: self.log.num_clauses(),
                     assumptions: assumptions.len(),
                 },
             );
@@ -1295,7 +1262,7 @@ mod tests {
     fn frozen_variables_survive_engine_elimination() {
         let mut engine = simplifying(2);
         engine.freeze(Var::new(1));
-        assert!(engine.front.frozen[1]);
+        assert!(engine.front.as_ref().unwrap().frozen[1]);
         engine.add_clause(&[lit(1), lit(2)]);
         engine.add_clause(&[lit(-2), lit(3)]);
         assert!(engine.solve().is_sat());

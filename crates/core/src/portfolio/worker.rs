@@ -4,11 +4,12 @@
 //! ([`SolverConfig::portfolio_worker`]), an optional cancellation flag wired
 //! through the `on_terminate` hook, a [`ShareLink`] to the shared
 //! [`ClausePool`] when sharing is on (the core counts its own exports and
-//! imports), and a private proof buffer. It is built empty once per
-//! formula generation and then, call after call, [extended](Worker::extend)
-//! with the clauses it has not seen yet (the first time with the front's
-//! whole seed) and run again — its learnt clauses, activities and saved
-//! phases stay warm across incremental calls.
+//! imports), a private proof buffer and its cursor into the engine's
+//! clause log. It is built empty once per crew and then, call after call,
+//! [staged](Worker::stage) — handed the log's clauses past its cursor (the
+//! first time, the whole log from position 0) — and run again: its learnt
+//! clauses, activities and saved phases stay warm across incremental
+//! calls. Log clause `k` is the worker's original clause `k`.
 //!
 //! Everything a worker holds is `Send`, so the threaded scheduler lends
 //! each worker to a scoped thread for the length of one call (see
@@ -17,7 +18,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use berkmin_cnf::Lit;
+use berkmin_cnf::{Cnf, Lit};
 
 use crate::builder::SolverBuilder;
 use crate::cdcl::Cdcl;
@@ -130,6 +131,9 @@ pub(crate) struct Worker {
     proof: Option<ProofBuffer>,
     /// The core's counters when the current call began.
     base: Stats,
+    /// How many of the log's clauses the core holds — `None` until the
+    /// worker is first staged.
+    cursor: Option<usize>,
 }
 
 impl Worker {
@@ -165,18 +169,22 @@ impl Worker {
             core,
             proof: record_proof.then(ProofBuffer::default),
             base: Stats::new(),
+            cursor: None,
         }
     }
 
-    /// Grows the variable space to `num_vars` and adds `clauses` — the
-    /// engine's clauses this worker has not seen yet.
-    pub(crate) fn extend<'a>(
-        &mut self,
-        num_vars: usize,
-        clauses: impl IntoIterator<Item = &'a [Lit]>,
-    ) {
+    /// Brings the worker up to date with the engine's clause `log`: grows
+    /// the variable space to `num_vars` and adds the clauses past the
+    /// cursor, which moves to the log's end. The first time, the worker
+    /// also joins the share pool, whose clauses are kept for it from then
+    /// on.
+    pub(crate) fn stage(&mut self, num_vars: usize, log: &Cnf) {
+        if let (None, Some(link)) = (self.cursor, &self.core.share) {
+            link.pool.stage(link.id);
+        }
+        let from = self.cursor.replace(log.num_clauses()).unwrap_or(0);
         self.core.ensure_vars(num_vars);
-        for clause in clauses {
+        for clause in log.iter().skip(from) {
             self.core.add_clause(clause.iter().copied());
         }
     }
@@ -278,7 +286,8 @@ mod tests {
             Some(cancel),
             false,
         );
-        worker.extend((n + 1) * n, pigeonhole(n).iter().map(Vec::as_slice));
+        let log: Cnf = pigeonhole(n).into_iter().collect();
+        worker.stage((n + 1) * n, &log);
         worker.begin(None);
         let status = worker.run(&[], Budget::unlimited());
         worker.finish(status, false)

@@ -17,10 +17,9 @@ use berkmin_cnf::{Assignment, LBool, Lit, Var};
 use crate::cdcl::Cdcl;
 use crate::clause_db::ClauseRef;
 use crate::config::{ActivityIndex, DecisionStrategy};
-use crate::heap::VarHeap;
 use crate::proof::{ClauseId, ProofSink};
 use crate::telemetry::{SolveEvent, SolveObserver, SolveVerdict};
-use crate::watch::{Watcher, Watches};
+use crate::watch::Watcher;
 
 /// Why a run stopped without an answer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -432,55 +431,6 @@ impl Cdcl {
     pub(crate) fn rebuild_watches(&mut self) {
         debug_assert_eq!(self.decision_level(), 0);
         self.watches.rebuild(&self.db);
-    }
-
-    /// Sizes the tables only search uses — watch lists, activity counters
-    /// (and VSIDS counters under that strategy), analysis scratch, the
-    /// decision heap — for `n` variables; the non-eliminated variables from
-    /// `from` on join the heap.
-    pub(crate) fn grow_search_tables(&mut self, from: usize, n: usize) {
-        self.watches.grow(n);
-        self.var_activity.resize(n, 0);
-        self.lit_activity.resize(2 * n, 0);
-        if self.config.decision == DecisionStrategy::Vsids {
-            self.vsids.resize(2 * n, 0);
-        }
-        self.seen.resize(n, false);
-        // Decision levels range over 0..=n, one stamp slot per level.
-        self.lbd_stamp.resize(n + 1, 0);
-        self.heap.grow(n);
-        if self.config.activity_index == ActivityIndex::Heap {
-            for i in from..n {
-                if !self.eliminated[i] {
-                    self.heap.insert(Var::new(i as u32), &self.var_activity);
-                }
-            }
-        }
-    }
-
-    /// Releases the search-only tables of [`Cdcl::grow_search_tables`]
-    /// (their counters restart from zero). The formula stays: the trail,
-    /// the clause database, the freeze flags and the reconstruction stack
-    /// can still be read, but nothing may propagate, simplify or search
-    /// until [`Cdcl::unpark`]. The portfolio's front rests this way
-    /// between crew builds.
-    pub(crate) fn park(&mut self) {
-        debug_assert_eq!(self.decision_level(), 0);
-        self.watches = Watches::new();
-        self.var_activity = Vec::new();
-        self.lit_activity = Vec::new();
-        self.vsids = Vec::new();
-        self.seen = Vec::new();
-        self.lbd_stamp = Vec::new();
-        self.heap = VarHeap::new();
-    }
-
-    /// Rebuilds what [`Cdcl::park`] released: the tables at their full
-    /// size, every non-eliminated variable in the heap, and the watch lists
-    /// from the live clauses.
-    pub(crate) fn unpark(&mut self) {
-        self.grow_search_tables(0, self.num_vars);
-        self.rebuild_watches();
     }
 
     /// Runs the compacting clause-arena garbage collector: reclaims every

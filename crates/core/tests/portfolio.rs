@@ -273,16 +273,22 @@ fn check_model(model: &berkmin_cnf::Assignment, formula: &[Vec<Lit>], assumed: &
 
 #[test]
 fn models_reconstruct_after_a_worker_panic_rebuilds_the_crew() {
+    for deterministic in [true, false] {
+        models_reconstruct_after_a_crew_rebuild(deterministic);
+    }
+}
+
+fn models_reconstruct_after_a_crew_rebuild(deterministic: bool) {
     // Elimination runs at the first call only; the assumption variables
     // (1..=8) are frozen up front, and later clauses only use them and
-    // fresh variables. Call
-    // 2's observer panics at the first worker event, which drops the crew
-    // mid-call, so call 3 unparks the front and builds a new crew from it
-    // without simplifying again. The paranoid workers audit the seed the
-    // rebuilt front hands them.
+    // fresh variables. Call 2's observer panics at the first worker event,
+    // which drops the crew mid-call, so call 3 builds a new crew without
+    // simplifying again: each of its workers restages from log position 0
+    // (on its own thread when threaded). The paranoid workers audit the
+    // log they are staged from.
     let mut engine = PortfolioEngine::new(
         PortfolioConfig::new(2)
-            .with_deterministic(true)
+            .with_deterministic(deterministic)
             .with_share_lbd(Some(4))
             .with_paranoid(true)
             .with_simplify(SimplifyConfig {

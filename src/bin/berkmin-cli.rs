@@ -20,7 +20,6 @@
 //!   --engine NAME          berkmin | chaff | limmat | less-sensitivity |
 //!                          less-mobility | limited-keeping | portfolio
 //!                          (default: berkmin)
-//!   --config NAME          alias of --engine (kept for compatibility)
 //!   --threads N            portfolio worker count (default 4)
 //!   --share-lbd K          portfolio: share learnt clauses with
 //!                          len ≤ 2 or LBD ≤ K (default 4)
@@ -205,7 +204,7 @@ fn parse_args() -> Options {
     let mut share_lbd: Option<u32> = None;
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--engine" | "--config" => engine = args.next().unwrap_or_else(|| usage()),
+            "--engine" => engine = args.next().unwrap_or_else(|| usage()),
             "--threads" => opts.threads = in_range(value(&mut args), 1..=64),
             "--share-lbd" => share_lbd = Some(value(&mut args)),
             "--no-share" => opts.no_share = true,

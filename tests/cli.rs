@@ -97,9 +97,13 @@ fn unknown_on_budget_exit_0() {
 #[test]
 fn config_presets_are_selectable() {
     for cfg in ["berkmin", "chaff", "limmat", "less-mobility"] {
-        let (stdout, code) = run_with_stdin(&["--config", cfg], "p cnf 1 1\n1 0\n");
+        let (stdout, code) = run_with_stdin(&["--engine", cfg], "p cnf 1 1\n1 0\n");
         assert_eq!(code, 10, "config {cfg}");
         assert!(stdout.contains("s SATISFIABLE"), "config {cfg}: {stdout}");
+        // `--engine` is the one spelling: the retired `--config` alias is
+        // an unknown option.
+        let (_, code) = run_with_stdin(&["--config", cfg], "p cnf 1 1\n1 0\n");
+        assert_eq!(code, 2, "--config {cfg} must be rejected");
     }
 }
 

@@ -264,7 +264,8 @@ fn ci_keeps_the_hinted_proof_step() {
 fn ci_keeps_the_drat_text_stability_step() {
     // The search fingerprint hashes only the in-memory text; this step is
     // the one that pins the CLI's streamed proof files byte for byte, on
-    // the default, `--elim` and `--no-simplify` paths.
+    // the default, `--elim` and `--no-simplify` paths, and the share-free
+    // deterministic portfolio's spliced proof without and with `--elim`.
     let ci = ci_config();
     for required in [
         "--proof h7.drat --check-proof h7.cnf",
@@ -273,6 +274,10 @@ fn ci_keeps_the_drat_text_stability_step() {
         "cd8415a177b59206811aa2deb3394d3f1140145c2dd35d40e9fab2f13c0e1960  h7e.drat\" | sha256sum -c -",
         "--no-simplify --proof h7n.drat --check-proof h7.cnf",
         "5af8a4f0cc9f0efc2ef9ca0716e48df6bddc61e36c195c453961b8e21e8cdaaf  h7n.drat\" | sha256sum -c -",
+        "--proof h7p.drat --check-proof h7.cnf",
+        "1028534ed776975e5a0bfbdc88444b52a5c8d4991ee4eddad7182eb99c5003f2  h7p.drat\" | sha256sum -c -",
+        "--elim --proof h7pe.drat --check-proof h7.cnf",
+        "e84faf4c023d347c718fc8c5de22e8c296561c3ee47a14e1402dae11d5f9d7dd  h7pe.drat\" | sha256sum -c -",
     ] {
         assert!(
             ci.contains(required),
