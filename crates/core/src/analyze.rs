@@ -9,12 +9,15 @@
 //! conflict clause.
 //!
 //! Each responsible clause is walked once, through a single borrow of its
-//! literals: the same pass makes the §4 per-occurrence bump (in clause
-//! order, so the decision heap sees the same sequence of sift-ups) and
-//! merges the literal into the clause being learnt. The bump touches only
-//! the activity table and the heap, and the merge only the `seen` marks
-//! and levels, so interleaving them per literal computes exactly what two
-//! separate passes would.
+//! literals, by the free function `merge_clause`: the same pass makes the
+//! §4 per-occurrence bump (in clause order, so the decision heap sees the
+//! same sequence of sift-ups) and merges the literal into the clause being
+//! learnt. The bump touches only the activity table and the heap, and the
+//! merge only the `seen` marks and levels, so interleaving them per literal
+//! computes exactly what two separate passes would. `merge_clause` takes
+//! each table it touches as its own borrow of the core, so none of its
+//! stores can alias another table, and it writes into the learnt and
+//! to-clear buffers the core keeps between conflicts.
 //!
 //! When a proof is logged, the same walk records each responsible
 //! clause's ID: reversed, with the reasons of any literals minimization
@@ -26,6 +29,8 @@ use berkmin_cnf::Lit;
 use crate::cdcl::Cdcl;
 use crate::clause_db::ClauseRef;
 use crate::config::{ActivityIndex, Sensitivity};
+use crate::heap::VarHeap;
+use crate::trail::Trail;
 
 impl Cdcl {
     /// Analyzes `confl` and returns `(learnt_clause, backtrack_level, lbd)`.
@@ -39,6 +44,11 @@ impl Cdcl {
     /// distinct decision levels among its literals at deduction time. It is
     /// the quality signal portfolio workers use to decide which clauses are
     /// worth exporting (low glue ⇒ likely useful to other search trees).
+    ///
+    /// The returned clause is the core's reused learnt buffer, taken out
+    /// for the caller: the search loop puts it back in [`Cdcl::learnt`]
+    /// once the clause is recorded, so no conflict allocates. A caller
+    /// that drops it only costs the next conflict one allocation.
     pub(crate) fn analyze(&mut self, confl: ClauseRef) -> (Vec<Lit>, usize, u32) {
         let current_level = self.decision_level();
         debug_assert!(
@@ -46,8 +56,9 @@ impl Cdcl {
             "conflicts at level 0 terminate the search"
         );
 
-        let mut learnt: Vec<Lit> = vec![Lit::from_code(0)]; // slot for the UIP
-        let mut to_clear: Vec<u32> = Vec::new();
+        let mut learnt = std::mem::take(&mut self.learnt);
+        learnt.clear();
+        learnt.push(Lit::from_code(0)); // slot for the UIP
         let mut counter = 0usize; // unresolved current-level literals
         let mut p: Option<Lit> = None;
         let mut idx = self.trail.len();
@@ -64,42 +75,19 @@ impl Cdcl {
             if hinted {
                 self.hints.push(self.db.id(cref));
             }
-
-            for &q in self.db.lits(cref) {
-                let v = q.var();
-                if sensitive {
-                    // Bump once per literal occurrence in the responsible
-                    // clause, including the resolved-on variable (§4's
-                    // worked example bumps a and c, which never reach the
-                    // conflict clause). This is `bump_var` spelled out on
-                    // the fields the clause borrow leaves free.
-                    self.var_activity[v.index()] += 1;
-                    if heap_indexed {
-                        self.heap.bumped(v, &self.var_activity);
-                    }
-                }
-
-                // --- resolve: merge the literal ---
-                // For a reason clause, the implied literal `p` itself is
-                // being resolved on and is skipped. Binary clauses
-                // propagate straight from the watch lists without
-                // reordering the arena record, so `p` is not guaranteed to
-                // sit at position 0 — match it by value. The conflicting
-                // clause (`p == None`) contributes all.
-                if p == Some(q) || self.seen[v.index()] {
-                    continue;
-                }
-                let level = self.trail.level_of(v) as usize;
-                if level > 0 {
-                    self.seen[v.index()] = true;
-                    to_clear.push(v.raw());
-                    if level == current_level {
-                        counter += 1;
-                    } else {
-                        learnt.push(q);
-                    }
-                }
-            }
+            counter += merge_clause(
+                self.db.lits(cref),
+                p,
+                current_level,
+                &self.trail,
+                &mut self.seen,
+                &mut self.var_activity,
+                &mut self.heap,
+                sensitive,
+                heap_indexed,
+                &mut learnt,
+                &mut self.to_clear,
+            );
 
             // --- pick the next current-level literal off the trail ---
             loop {
@@ -157,9 +145,10 @@ impl Cdcl {
             self.trail.level_of(learnt[1].var()) as usize
         };
 
-        for v in to_clear {
+        for &v in &self.to_clear {
             self.seen[v as usize] = false;
         }
+        self.to_clear.clear();
 
         // LBD ("glue"): count distinct decision levels across the learnt
         // literals with a generation-stamped scratch array — bumping the
@@ -285,6 +274,66 @@ impl Cdcl {
     }
 }
 
+/// One responsible clause's step of the reverse-BCP walk: makes the §4
+/// per-occurrence bump of each of its literals (when `sensitive`) and
+/// merges each into the clause being learnt. Returns how many unresolved
+/// current-level literals it added.
+///
+/// For a reason clause, the implied literal `p` itself is being resolved
+/// on and is skipped. Binary clauses propagate straight from the watch
+/// lists without reordering the arena record, so `p` is not guaranteed to
+/// sit at position 0 — it is matched by value. The conflicting clause
+/// (`p == None`) contributes all. A literal from a level below
+/// `current_level` joins `learnt`; level-0 literals are dropped; each
+/// merged variable is marked in `seen` and listed in `to_clear`.
+///
+/// The borrows come as separate arguments rather than one struct of
+/// references, so the compiler knows none aliases another.
+#[allow(clippy::too_many_arguments)]
+#[inline]
+fn merge_clause(
+    lits: &[Lit],
+    p: Option<Lit>,
+    current_level: usize,
+    trail: &Trail,
+    seen: &mut [bool],
+    var_activity: &mut [u64],
+    heap: &mut VarHeap,
+    sensitive: bool,
+    heap_indexed: bool,
+    learnt: &mut Vec<Lit>,
+    to_clear: &mut Vec<u32>,
+) -> usize {
+    let mut added = 0;
+    for &q in lits {
+        let v = q.var();
+        if sensitive {
+            // Bump once per literal occurrence in the responsible clause,
+            // including the resolved-on variable (§4's worked example bumps
+            // a and c, which never reach the conflict clause). This is
+            // `Cdcl::bump_var` spelled out on the split borrows.
+            var_activity[v.index()] += 1;
+            if heap_indexed {
+                heap.bumped(v, var_activity);
+            }
+        }
+        if p == Some(q) || seen[v.index()] {
+            continue;
+        }
+        let level = trail.level_of(v) as usize;
+        if level > 0 {
+            seen[v.index()] = true;
+            to_clear.push(v.raw());
+            if level == current_level {
+                added += 1;
+            } else {
+                learnt.push(q);
+            }
+        }
+    }
+    added
+}
+
 #[cfg(test)]
 mod tests {
     use crate::cdcl::Cdcl;
@@ -344,7 +393,7 @@ mod tests {
         // Asserting literal must be unassigned after backtracking.
         s.cancel_until(bt);
         assert!(s.lit_value(learnt[0]).is_undef());
-        s.record_learnt(learnt, None);
+        s.record_learnt(&learnt, None);
         assert!(
             s.propagate().is_none(),
             "learnt unit must propagate cleanly"
@@ -367,7 +416,7 @@ mod tests {
             let confl = s.propagate().unwrap();
             let (learnt, bt, _lbd) = s.analyze(confl);
             s.cancel_until(bt);
-            s.record_learnt(learnt, None);
+            s.record_learnt(&learnt, None);
             s.var_activity.clone()
         };
         let berkmin = run(Sensitivity::Berkmin);
@@ -395,7 +444,7 @@ mod tests {
             "at least conflicting + one reason clause credited"
         );
         s.cancel_until(bt);
-        s.record_learnt(learnt, None);
+        s.record_learnt(&learnt, None);
     }
 
     #[test]

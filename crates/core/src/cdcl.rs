@@ -49,6 +49,15 @@ pub(crate) struct Cdcl {
     pub(crate) vsids: Vec<u64>,
     pub(crate) heap: VarHeap,
     pub(crate) seen: Vec<bool>,
+    /// Conflict analysis's learnt-clause buffer, kept between conflicts so
+    /// that analysis allocates nothing (see [`Cdcl::analyze`]). Sized for
+    /// every variable by [`Cdcl::ensure_vars`]: grown lazily in mid-search
+    /// instead, its reallocations interleaved with the clause arena's and
+    /// raised peak memory.
+    pub(crate) learnt: Vec<Lit>,
+    /// The variables analysis marked in `seen`, to unmark at its end; kept
+    /// and sized like `learnt`.
+    pub(crate) to_clear: Vec<u32>,
     /// LBD computation scratch: `lbd_stamp[level] == lbd_stamp_gen` marks a
     /// decision level as already counted for the clause under measurement
     /// (the Glucose stamping trick — no clearing pass needed).
@@ -112,6 +121,8 @@ impl Cdcl {
             vsids: Vec::new(),
             heap: VarHeap::new(),
             seen: Vec::new(),
+            learnt: Vec::new(),
+            to_clear: Vec::new(),
             lbd_stamp: vec![0],
             lbd_stamp_gen: 0,
             rng,
@@ -134,9 +145,9 @@ impl Cdcl {
 
     /// Grows every per-variable table — the trail, the freeze and
     /// elimination flags, the watch lists, the activity counters (and the
-    /// VSIDS counters under that strategy), the analysis scratch and the
-    /// decision heap — to cover `n` variables; the new variables join the
-    /// heap.
+    /// VSIDS counters under that strategy), the analysis scratch and
+    /// buffers and the decision heap — to cover `n` variables; the new
+    /// variables join the heap.
     pub(crate) fn ensure_vars(&mut self, n: usize) {
         let from = self.num_vars;
         if n <= from {
@@ -152,6 +163,10 @@ impl Cdcl {
             self.vsids.resize(2 * n, 0);
         }
         self.seen.resize(n, false);
+        // A learnt clause and the marks analysis sets each hold at most
+        // one entry per variable, so these never grow during search.
+        self.learnt.reserve(n);
+        self.to_clear.reserve(n);
         // Decision levels range over 0..=n, one stamp slot per level.
         self.lbd_stamp.resize(n + 1, 0);
         self.heap.grow(n);

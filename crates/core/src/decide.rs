@@ -159,7 +159,7 @@ mod tests {
     fn berkmin_picks_from_topmost_unsatisfied_clause() {
         let mut s = solver_with_stack();
         // Fake two "learnt" clauses directly on the stack.
-        s.record_learnt(vec![lit(-1), lit(2)], None); // older (asserts ¬x1 at level 0)
+        s.record_learnt(&[lit(-1), lit(2)], None); // older (asserts ¬x1 at level 0)
         s.cancel_until(0);
         // The asserting literal ¬1 was enqueued; clause {-1,2} is satisfied.
         assert!(s.propagate().is_none());
@@ -167,7 +167,7 @@ mod tests {
         // it is satisfied too. The decision should then come from a lower
         // clause: {4,5} (top, satisfied) → skip; {-1,2} (satisfied by ¬x1)
         // → skip; falls back to the most-active free variable.
-        s.record_learnt(vec![lit(4), lit(5)], None);
+        s.record_learnt(&[lit(4), lit(5)], None);
         let d = s.decide().expect("free vars remain");
         assert!(s.lit_value(d).is_undef());
         // Both learnt clauses satisfied → fallback path was taken.

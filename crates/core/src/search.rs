@@ -7,19 +7,21 @@
 //! sites (each learnt clause offered, foreign clauses imported at solve
 //! entry and restarts) and the session bracket that emits
 //! [`SolveEvent::SolveStart`]/[`SolveEvent::SolveDone`]. The core
-//! ([`Cdcl`], `cdcl.rs`) composes the state subsystems — the
-//! [`Trail`](crate::trail::Trail), the [`Watches`](crate::watch::Watches)
-//! and the [`SearchLimits`](crate::limits::SearchLimits) scheduler — and
-//! the public result types live here beside the loop that produces them.
+//! ([`Cdcl`], `cdcl.rs`) composes the state subsystems — the [`Trail`],
+//! the [`Watches`] and the [`SearchLimits`](crate::limits::SearchLimits)
+//! scheduler — and the public result types live here beside the loop that
+//! produces them.
 
 use berkmin_cnf::{Assignment, LBool, Lit, Var};
 
 use crate::cdcl::Cdcl;
-use crate::clause_db::ClauseRef;
+use crate::clause_db::{ClauseDb, ClauseRef};
 use crate::config::{ActivityIndex, DecisionStrategy};
 use crate::proof::{ClauseId, ProofSink};
+use crate::stats::Stats;
 use crate::telemetry::{SolveEvent, SolveObserver, SolveVerdict};
-use crate::watch::Watcher;
+use crate::trail::Trail;
+use crate::watch::{BinWatcher, Watcher, Watches};
 
 /// Why a run stopped without an answer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -211,7 +213,8 @@ impl Cdcl {
                     }
                 }
                 self.cancel_until(bt_level);
-                self.record_learnt(learnt, id);
+                self.record_learnt(&learnt, id);
+                self.learnt = learnt; // the buffer serves the next conflict
                 self.apply_maintenance(due);
                 self.paranoid_audit("after conflict handling");
                 if due.progress_tick && self.events.observer.is_some() {
@@ -306,113 +309,39 @@ impl Cdcl {
     /// access at all), then the long-clause watchers with the Chaff blocker
     /// fast path in front of any arena read.
     ///
-    /// A long watcher whose blocker is not true borrows its clause's
-    /// literals from the arena once, and that one slice serves the whole
-    /// visit: moving the false literal to position 1, testing the other
-    /// watch `first` (whose value is read once and reused for the
-    /// unit/conflict test), scanning positions 2.. for a replacement and
-    /// swapping it in. The watch-list order is part of the deterministic
-    /// search, so three rules stay fixed: a relocated watcher leaves by
-    /// `swap_remove`, a kept watcher takes `first` as its blocker, and the
-    /// replacement scan always starts at position 2.
+    /// Both passes are free functions over split borrows of the core
+    /// ([`binary_pass`], [`long_pass`]): each `&mut` argument is known not
+    /// to alias the others, so the compiler may keep the trail's tables and
+    /// the list being walked in registers across the arena's stores. The
+    /// binary pass reads its list in place, since it never writes a binary
+    /// list; the long pass takes its list out of [`Watches`] because
+    /// relocated watchers are pushed onto other long lists.
     ///
     /// Returns the conflicting clause, if any. On conflict the propagation
     /// queue is drained so the caller sees a consistent trail.
     pub(crate) fn propagate(&mut self) -> Option<ClauseRef> {
         let mut conflict = None;
-        'queue: while let Some(p) = self.trail.next_queued() {
-            let false_lit = !p;
-
-            // --- binary pass: the watcher *is* the other literal. ---
-            let bins = self.watches.take_binary(p.code());
-            for w in &bins {
-                match self.trail.lit_value(w.other) {
-                    LBool::True => {}
-                    LBool::Undef => {
-                        self.stats.propagations += 1;
-                        self.trail.assign(w.other, Some(w.cref));
-                    }
-                    LBool::False => {
-                        conflict = Some(w.cref);
-                        break;
-                    }
-                }
+        while let Some(p) = self.trail.next_queued() {
+            conflict = binary_pass(
+                self.watches.binary(p.code()),
+                &mut self.trail,
+                &mut self.stats,
+            );
+            if conflict.is_none() {
+                let mut ws = self.watches.take_long(p.code());
+                conflict = long_pass(
+                    &mut self.trail,
+                    &mut self.db,
+                    &mut self.watches,
+                    &mut self.stats,
+                    &mut ws,
+                    !p,
+                );
+                self.watches.put_long(p.code(), ws);
             }
-            self.watches.put_binary(p.code(), bins);
             if conflict.is_some() {
                 self.trail.drain_queue();
-                break 'queue;
-            }
-
-            // --- long-clause pass. ---
-            let mut ws = self.watches.take_long(p.code());
-            let listed = ws.len();
-            let mut touched = 0u64;
-            let mut i = 0;
-            while i < ws.len() {
-                let Watcher { cref, blocker } = ws[i];
-                // Fast path: the blocker literal already satisfies the clause.
-                if self.trail.lit_value(blocker) == LBool::True {
-                    i += 1;
-                    continue;
-                }
-                touched += 1;
-                let c = self.db.lits_mut(cref);
-                if c[0] == false_lit {
-                    c.swap(0, 1);
-                }
-                debug_assert_eq!(c[1], false_lit, "watch invariant violated");
-                let first = c[0];
-                // When `first` is the blocker it is known not to be true, so
-                // this one test covers both "blocker" and "other watch".
-                let first_value = self.trail.lit_value(first);
-                if first_value == LBool::True {
-                    ws[i] = Watcher {
-                        cref,
-                        blocker: first,
-                    };
-                    i += 1;
-                    continue;
-                }
-                // Look for a non-false literal to move the watch to.
-                if let Some(k) = c[2..]
-                    .iter()
-                    .position(|&lk| self.trail.lit_value(lk) != LBool::False)
-                {
-                    c.swap(1, k + 2);
-                    self.watches.push_long(
-                        (!c[1]).code(),
-                        Watcher {
-                            cref,
-                            blocker: first,
-                        },
-                    );
-                    ws.swap_remove(i);
-                    continue;
-                }
-                // Clause is unit (or conflicting) under the current trail.
-                ws[i] = Watcher {
-                    cref,
-                    blocker: first,
-                };
-                i += 1;
-                if first_value == LBool::False {
-                    conflict = Some(cref);
-                    break;
-                }
-                self.stats.propagations += 1;
-                self.trail.assign(first, Some(cref));
-            }
-            // Every step either kept a watcher (`i += 1`) or moved one away
-            // (`swap_remove`), so the watchers examined are `i` plus the
-            // ones that left the list — all of them unless a conflict
-            // stopped the pass early.
-            self.stats.watchers_visited += (i + listed - ws.len()) as u64;
-            self.stats.clauses_touched += touched;
-            self.watches.put_long(p.code(), ws);
-            if conflict.is_some() {
-                self.trail.drain_queue();
-                break 'queue;
+                break;
             }
         }
         conflict
@@ -522,15 +451,15 @@ impl Cdcl {
     /// first literal. Assumes the trail has been backtracked to the
     /// asserting level already. `id` is the clause's proof ID, if one is
     /// stored.
-    pub(crate) fn record_learnt(&mut self, lits: Vec<Lit>, id: Option<ClauseId>) {
+    pub(crate) fn record_learnt(&mut self, lits: &[Lit], id: Option<ClauseId>) {
         self.stats.learnt_total += 1;
         self.stats.learnt_lits_total += lits.len() as u64;
-        for &l in &lits {
+        for &l in lits {
             // lit_activity censuses every deduced conflict clause (§7).
             self.lit_activity[l.code()] += 1;
         }
         if self.config.decision == DecisionStrategy::Vsids {
-            for &l in &lits {
+            for &l in lits {
                 self.vsids[l.code()] += 1;
             }
         }
@@ -541,7 +470,7 @@ impl Cdcl {
             self.unchecked_enqueue(lits[0], None);
         } else {
             let asserting = lits[0];
-            let cref = self.db.add_learnt(&lits, id);
+            let cref = self.db.add_learnt(lits, id);
             self.attach(cref);
             self.unchecked_enqueue(asserting, Some(cref));
         }
@@ -638,6 +567,120 @@ impl Cdcl {
     }
 }
 
+/// BCP's binary pass for one newly true literal: `bins` is its inline
+/// binary list, whose watchers *are* the clauses' other literals, so no
+/// clause memory is read. Assigns each unassigned other literal and stops
+/// at the first false one, returning that clause as the conflict.
+#[inline]
+fn binary_pass(bins: &[BinWatcher], trail: &mut Trail, stats: &mut Stats) -> Option<ClauseRef> {
+    let mut props = 0u64;
+    let mut conflict = None;
+    for w in bins {
+        match trail.lit_value(w.other) {
+            LBool::True => {}
+            LBool::Undef => {
+                props += 1;
+                trail.assign(w.other, Some(w.cref));
+            }
+            LBool::False => {
+                conflict = Some(w.cref);
+                break;
+            }
+        }
+    }
+    stats.propagations += props;
+    conflict
+}
+
+/// BCP's long-clause pass over `ws`, the long list taken out of `watches`
+/// for the literal that made `false_lit` false. Returns the conflicting
+/// clause, if any; `ws` goes back into `watches` afterwards.
+///
+/// A watcher whose blocker is not true borrows its clause's literals from
+/// the arena once, and that one slice serves the whole visit: moving the
+/// false literal to position 1, testing the other watch `first` (whose
+/// value is read once and reused for the unit/conflict test), scanning
+/// positions 2.. for a replacement and swapping it in. The watch-list order
+/// is part of the deterministic search, so three rules stay fixed: a
+/// relocated watcher leaves by `swap_remove`, a kept watcher takes `first`
+/// as its blocker, and the replacement scan always starts at position 2.
+#[inline]
+fn long_pass(
+    trail: &mut Trail,
+    db: &mut ClauseDb,
+    watches: &mut Watches,
+    stats: &mut Stats,
+    ws: &mut Vec<Watcher>,
+    false_lit: Lit,
+) -> Option<ClauseRef> {
+    let listed = ws.len();
+    let mut touched = 0u64;
+    let mut props = 0u64;
+    let mut conflict = None;
+    let mut i = 0;
+    while i < ws.len() {
+        let Watcher { cref, blocker } = ws[i];
+        // Fast path: the blocker literal already satisfies the clause.
+        if trail.lit_value(blocker) == LBool::True {
+            i += 1;
+            continue;
+        }
+        touched += 1;
+        let c = db.lits_mut(cref);
+        if c[0] == false_lit {
+            c.swap(0, 1);
+        }
+        debug_assert_eq!(c[1], false_lit, "watch invariant violated");
+        let first = c[0];
+        // When `first` is the blocker it is known not to be true, so this
+        // one test covers both "blocker" and "other watch".
+        let first_value = trail.lit_value(first);
+        if first_value == LBool::True {
+            ws[i] = Watcher {
+                cref,
+                blocker: first,
+            };
+            i += 1;
+            continue;
+        }
+        // Look for a non-false literal to move the watch to.
+        if let Some(k) = c[2..]
+            .iter()
+            .position(|&lk| trail.lit_value(lk) != LBool::False)
+        {
+            c.swap(1, k + 2);
+            watches.push_long(
+                (!c[1]).code(),
+                Watcher {
+                    cref,
+                    blocker: first,
+                },
+            );
+            ws.swap_remove(i);
+            continue;
+        }
+        // Clause is unit (or conflicting) under the current trail.
+        ws[i] = Watcher {
+            cref,
+            blocker: first,
+        };
+        i += 1;
+        if first_value == LBool::False {
+            conflict = Some(cref);
+            break;
+        }
+        props += 1;
+        trail.assign(first, Some(cref));
+    }
+    // Every step either kept a watcher (`i += 1`) or moved one away
+    // (`swap_remove`), so the watchers examined are `i` plus the ones that
+    // left the list — all of them unless a conflict stopped the pass early.
+    stats.watchers_visited += (i + listed - ws.len()) as u64;
+    stats.clauses_touched += touched;
+    stats.propagations += props;
+    conflict
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -704,6 +747,70 @@ mod tests {
         let m = status.model().unwrap();
         assert!(m.satisfies(Lit::from_dimacs(3)));
         assert_eq!(s.stats.decisions, 0);
+    }
+
+    /// Pins BCP at unit level on a hand-built formula mixing binary,
+    /// ternary and 5-literal clauses: the trail order, the conflicting
+    /// clause, every clause's arena literal order after BCP's swaps, and
+    /// the three BCP counters. `search_fingerprint` pins these only end to
+    /// end; a rewrite of `propagate` must leave every value here as it is.
+    #[test]
+    fn propagate_pins_trail_swaps_and_counters() {
+        let dimacs = |ls: &[Lit]| ls.iter().map(|l| l.to_dimacs()).collect::<Vec<i32>>();
+        let mut s = Cdcl::new(SolverConfig::berkmin());
+        for c in [
+            &[-1, 2][..],
+            &[-2, 3, 4],
+            &[-1, -3, 5, 6, 7],
+            &[-4, -5, 8],
+            &[-4, -6, -8],
+            &[-2, -7, 6],
+            &[5, 6, -8],
+            &[3, -5, 6, 7, -8],
+        ] {
+            s.add_clause(c.iter().map(|&n| Lit::from_dimacs(n)));
+        }
+        assert!(s.propagate().is_none());
+        s.push_decision(Lit::from_dimacs(1));
+        assert!(s.propagate().is_none());
+        s.push_decision(Lit::from_dimacs(-3));
+        assert!(s.propagate().is_none());
+        s.push_decision(Lit::from_dimacs(5));
+        let confl = s.propagate().expect("x5 refutes the formula under x1, ¬x3");
+
+        // x2 by the binary clause, x4 by the ternary (¬x2 ∨ x3 ∨ x4) once
+        // x3 is false, then x8, ¬x6 and ¬x7 by long clauses.
+        assert_eq!(
+            dimacs(&s.trail.iter().copied().collect::<Vec<_>>()),
+            [1, 2, -3, 4, 5, 8, -6, -7]
+        );
+        assert_eq!(dimacs(s.db.lits(confl)), [7, 6, 3, -5, -8]);
+        // Clauses are stored sorted; each position below is the result of
+        // BCP's watch swaps (false watch to position 1, replacement from
+        // position 2 on). The binary clause and (x5 ∨ x6 ∨ ¬x8), whose
+        // blocker stayed true, are untouched.
+        let arena: Vec<Vec<i32>> = s.db.iter_live().map(|c| dimacs(s.db.lits(c))).collect();
+        assert_eq!(
+            arena,
+            [
+                &[-1, 2][..],
+                &[4, 3, -2],
+                &[-3, 5, -1, 6, 7],
+                &[8, -5, -4],
+                &[-6, -8, -4],
+                &[-7, 6, -2],
+                &[5, 6, -8],
+                &[7, 6, 3, -5, -8],
+            ]
+        );
+        assert_eq!(
+            (
+                s.stats.propagations,
+                s.stats.watchers_visited,
+                s.stats.clauses_touched
+            ),
+            (5, 13, 12)
+        );
     }
 
     #[test]

@@ -172,6 +172,7 @@ impl Trail {
     /// current decision level.
     ///
     /// `l`'s variable must be unassigned (checked in debug builds).
+    #[inline]
     pub fn assign(&mut self, l: Lit, reason: Option<ClauseRef>) {
         debug_assert!(
             self.lit_value(l).is_undef(),

@@ -126,8 +126,10 @@ impl Watches {
         &self.binary[code]
     }
 
-    /// Takes ownership of a long list for BCP's relocation pass (the hot
-    /// `mem::take` pattern); return it with [`Watches::put_long`].
+    /// Takes a long list out for BCP's long-clause pass, which walks it
+    /// while relocating watchers onto other long lists; return it with
+    /// [`Watches::put_long`]. (The binary pass reads its list in place
+    /// through [`Watches::binary`], since it never writes one.)
     #[inline]
     pub(crate) fn take_long(&mut self, code: usize) -> Vec<Watcher> {
         std::mem::take(&mut self.long[code])
@@ -138,20 +140,6 @@ impl Watches {
     pub(crate) fn put_long(&mut self, code: usize, ws: Vec<Watcher>) {
         debug_assert!(self.long[code].is_empty());
         self.long[code] = ws;
-    }
-
-    /// Takes ownership of a binary list for BCP's binary pass; return it
-    /// with [`Watches::put_binary`].
-    #[inline]
-    pub(crate) fn take_binary(&mut self, code: usize) -> Vec<BinWatcher> {
-        std::mem::take(&mut self.binary[code])
-    }
-
-    /// Puts a binary list taken by [`Watches::take_binary`] back in place.
-    #[inline]
-    pub(crate) fn put_binary(&mut self, code: usize, ws: Vec<BinWatcher>) {
-        debug_assert!(self.binary[code].is_empty());
-        self.binary[code] = ws;
     }
 
     /// Appends one long watcher to the list of `code` — BCP's watch
